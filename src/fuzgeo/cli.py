@@ -111,11 +111,13 @@ def cmd_metric_curve(scene: Scene, args, out: str) -> None:
 
 
 def cmd_hausdorff(scene: Scene, args, out: str) -> None:
+    # every pair is computed before any file is written, so a failing pair
+    # leaves no partial output
+    payloads = {}
     for name_a, name_b in scene.pairs:
-        a, b = scene.pair_points((name_a, name_b))
-        res = fuzzy_hausdorff(a, b)
+        res = fuzzy_hausdorff(*scene.pair_points((name_a, name_b)))
         line = res.line
-        _write_json(os.path.join(out, f"{name_a}_{name_b}_hausdorff.json"), {
+        payloads[f"{name_a}_{name_b}_hausdorff.json"] = {
             "pair": [name_a, name_b],
             "summary": _triple(res.summary),
             "projected": {
@@ -123,7 +125,9 @@ def cmd_hausdorff(scene: Scene, args, out: str) -> None:
                 name_b: _triple(res.projected_b.summary),
             },
             "line": {"a": line.a, "b": line.b, "c": line.c, "theta": line.theta},
-        })
+        }
+    for name, payload in payloads.items():
+        _write_json(os.path.join(out, name), payload)
 
 
 def cmd_midset(scene: Scene, args, out: str) -> None:
@@ -256,3 +260,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -10,11 +10,11 @@ and the same-points branch solves
 
     (d1 - c1) - (c2 - d2) = 0        (elliptic type).
 
-Both reduce to two-focus conics d1 -+ d2 = k with foci at the cores, so
-analytic coefficients of the general second-degree equation are available
-by double squaring; the squaring introduces a conjugate locus which a sign
-filter removes from sampled output.  Which branches are active at a level
-follows from the overlap configuration of the two cut disks.
+Both are two-focus conics d1 -+ d2 = k with foci at the cores, one sheet
+of a hyperbola (the bisector when k = 0) and an ellipse, which
+``sample_branch`` evaluates in closed form; ``conic_coefficients`` gives
+the second-degree equation, by double squaring.  Which branches are active
+at a level follows from the overlap configuration of the two cut disks.
 
 Focal sets are restricted to circular spreads; elliptical spreads would
 need a direction-dependent cut radius and are out of scope.
@@ -212,10 +212,17 @@ def conic_coefficients(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
 
 
 def classify_conic(c: ConicCoefficients, tol: float = _ZERO_TOL) -> str:
-    """Tag by the discriminants of the normalized coefficients."""
-    c = c.normalized()
-    if all(v == 0.0 for v in c.as_tuple()):
-        return "degenerate"
+    """Tag by the discriminants after scaling the quadratic part to unit norm.
+
+    The Frobenius norm sqrt(A^2 + 2H^2 + B^2) keeps Delta and delta unchanged
+    under translation and rotation; a zero quadratic part is the bisector.
+    Conics near degenerating (|k| within about 1e-6 of dc or of 0) stay
+    tolerance-bound and may be tagged either way.
+    """
+    norm = math.sqrt(c.A ** 2 + 2.0 * c.H ** 2 + c.B ** 2)
+    if norm == 0.0:
+        return "line" if (c.G, c.F) != (0.0, 0.0) else "degenerate"
+    c = ConicCoefficients(*(v / norm for v in c.as_tuple()))
     if abs(c.Delta) <= tol:
         return "line" if abs(c.delta) <= tol else "degenerate"
     if c.delta > tol:
@@ -239,139 +246,19 @@ def support_bbox(a: FuzzyPoint, b: FuzzyPoint,
     return (cx - half, cy - half, cx + half, cy + half)
 
 
-# marching-squares segment table: corner bits BL=1, BR=2, TR=4, TL=8;
-# edges 0=bottom, 1=right, 2=top, 3=left; cases 5/10 resolved by center sign
-_MS_TABLE = {
-    0: [], 15: [],
-    1: [(0, 3)], 14: [(0, 3)],
-    2: [(0, 1)], 13: [(0, 1)],
-    3: [(3, 1)], 12: [(3, 1)],
-    4: [(1, 2)], 11: [(1, 2)],
-    6: [(0, 2)], 9: [(0, 2)],
-    7: [(2, 3)], 8: [(2, 3)],
-}
-
-
-def _edge_crossing(edge: int, ix: int, iy: int, xs, ys, F) -> tuple[float, float]:
-    if edge == 0:
-        pa = (xs[ix], ys[iy]); va = F[iy, ix]
-        pb = (xs[ix + 1], ys[iy]); vb = F[iy, ix + 1]
-    elif edge == 1:
-        pa = (xs[ix + 1], ys[iy]); va = F[iy, ix + 1]
-        pb = (xs[ix + 1], ys[iy + 1]); vb = F[iy + 1, ix + 1]
-    elif edge == 2:
-        pa = (xs[ix], ys[iy + 1]); va = F[iy + 1, ix]
-        pb = (xs[ix + 1], ys[iy + 1]); vb = F[iy + 1, ix + 1]
-    else:
-        pa = (xs[ix], ys[iy]); va = F[iy, ix]
-        pb = (xs[ix], ys[iy + 1]); vb = F[iy + 1, ix]
-    denom = va - vb
-    t = 0.5 if denom == 0.0 else min(1.0, max(0.0, va / denom))
-    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-
-
-def _marching_squares(F: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                      center_fn) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Zero-contour segments of the sampled field F[iy, ix]."""
-    pos = F > 0.0
-    mixed = (pos[:-1, :-1] != pos[:-1, 1:]) | (pos[:-1, :-1] != pos[1:, 1:]) \
-        | (pos[:-1, :-1] != pos[1:, :-1])
-    segments = []
-    for iy, ix in np.argwhere(mixed):
-        idx = (int(pos[iy, ix]) | (int(pos[iy, ix + 1]) << 1)
-               | (int(pos[iy + 1, ix + 1]) << 2) | (int(pos[iy + 1, ix]) << 3))
-        if idx in (5, 10):
-            cx = 0.5 * (xs[ix] + xs[ix + 1])
-            cy = 0.5 * (ys[iy] + ys[iy + 1])
-            center_pos = center_fn(cx, cy) > 0.0
-            if idx == 5:
-                pairs = [(0, 1), (2, 3)] if center_pos else [(0, 3), (1, 2)]
-            else:
-                pairs = [(0, 3), (1, 2)] if center_pos else [(0, 1), (2, 3)]
-        else:
-            pairs = _MS_TABLE[idx]
-        for e1, e2 in pairs:
-            p1 = _edge_crossing(e1, ix, iy, xs, ys, F)
-            p2 = _edge_crossing(e2, ix, iy, xs, ys, F)
-            segments.append((p1, p2))
-    return segments
-
-
-def _refine_point(x: float, y: float, a: FuzzyPoint, b: FuzzyPoint, alpha: float,
-                  branch: Branch, steps: int = 3, tol: float = 1e-10):
-    """Newton steps along the residual gradient toward the zero level."""
-    r1, r2, _ = _pair_radii(a, b)
-    u = 1.0 - alpha
-    sign = -1.0 if branch is Branch.INVERSE else 1.0
-    offset = (r1 - r2) * u if branch is Branch.INVERSE else (r1 + r2) * u
-    for _ in range(steps):
-        d1 = math.hypot(x - a.core.x, y - a.core.y)
-        d2 = math.hypot(x - b.core.x, y - b.core.y)
-        if d1 < 1e-12 or d2 < 1e-12:
-            break
-        f = d1 + sign * d2 - offset
-        if abs(f) <= tol:
-            break
-        gx = (x - a.core.x) / d1 + sign * (x - b.core.x) / d2
-        gy = (y - a.core.y) / d1 + sign * (y - b.core.y) / d2
-        norm2 = gx * gx + gy * gy
-        if norm2 < 1e-18:
-            break
-        x -= f * gx / norm2
-        y -= f * gy / norm2
-    return x, y
-
-
-def _chain_segments(segments, cell: float) -> list[np.ndarray]:
-    """Stitch unordered segments into polylines by endpoint matching."""
-    if not segments:
-        return []
-    eps = cell * 1e-3
-
-    def key(p):
-        return (round(p[0] / eps), round(p[1] / eps))
-
-    adjacency: dict = {}
-    for i, (p1, p2) in enumerate(segments):
-        adjacency.setdefault(key(p1), []).append((i, p1, p2))
-        adjacency.setdefault(key(p2), []).append((i, p2, p1))
-
-    used = [False] * len(segments)
-    polylines = []
-
-    def walk(start_entry):
-        i, p_from, p_to = start_entry
-        used[i] = True
-        pts = [p_from, p_to]
-        while True:
-            nxt = None
-            for entry in adjacency.get(key(pts[-1]), []):
-                if not used[entry[0]]:
-                    nxt = entry
-                    break
-            if nxt is None:
-                return pts
-            used[nxt[0]] = True
-            pts.append(nxt[2])
-
-    # open chains first (endpoints of degree 1), then leftover loops
-    for start_key in sorted(adjacency):
-        entries = adjacency[start_key]
-        if len(entries) == 1 and not used[entries[0][0]]:
-            polylines.append(np.array(walk(entries[0])))
-    for i, seg in enumerate(segments):
-        if not used[i]:
-            polylines.append(np.array(walk((i, seg[0], seg[1]))))
-    return polylines
-
-
 def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
                   bbox: Optional[tuple] = None,
                   resolution: int = DEFAULT_RESOLUTION) -> list[np.ndarray]:
     """Polylines of one branch's zero set inside the bounding box.
 
-    Contour vertices are refined onto the residual zero level and then
-    sign-filtered so no conjugate-locus point survives.
+    In the frame centred between the cores, x along the core line, c = dc/2
+    and t = sinh s, d1 - d2 = k is the hyperbola sheet (k/2 sqrt(1 + t^2),
+    sqrt(c^2 - k^2/4) t): the bisector when k = 0 and the ray from the
+    nearer core away from the other at internal tangency.  d1 + d2 = k is
+    the ellipse (k/2 cos s, sqrt(k^2/4 - c^2) sin s), a circle for
+    concentric cores.  A branch inactive at this level gives [].  Exact
+    vertices at equal arc-length steps of at most one cell
+    max(w, h)/(resolution - 1) are split into the runs inside the bbox.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
@@ -380,33 +267,57 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
     xmin, ymin, xmax, ymax = bbox
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"empty bounding box {bbox}")
-    xs = np.linspace(xmin, xmax, resolution)
-    ys = np.linspace(ymin, ymax, resolution)
-    X, Y = np.meshgrid(xs, ys)
-    F = _residual_field(a, b, alpha, branch, X, Y)
+    cell = max(xmax - xmin, ymax - ymin) / (resolution - 1)
+    case = overlap_case(a, b, alpha)
+    if branch not in active_branches(case):
+        return []
+    r1, r2, dc = _pair_radii(a, b)
+    k = ((r1 - r2) if branch is Branch.INVERSE else (r1 + r2)) * (1.0 - alpha)
+    c = dc / 2.0
+    mx, my = 0.5 * (a.core.x + b.core.x), 0.5 * (a.core.y + b.core.y)
+    ex, ey = ((b.core.x - mx) / c, (b.core.y - my) / c) if dc > 0.0 else (1.0, 0.0)
+    # the bbox lies in the annulus near <= |P - centre| <= far
+    far = max(math.hypot(x - mx, y - my) for x in (xmin, xmax) for y in (ymin, ymax))
+    near = math.hypot(max(xmin - mx, 0.0, mx - xmax), max(ymin - my, 0.0, my - ymax))
+    if branch is Branch.INVERSE:
+        half = math.copysign(min(abs(k) / 2.0, c), k)
+        minor = math.sqrt(c * c - half * half)
+        # |P|^2 = half^2 + c^2 t^2, and P moves at most c per unit of t
+        t_lo, t_hi = (math.sqrt(max(r * r - half * half, 0.0)) / c for r in (near, far))
+        if case is OverlapCase.INTERNALLY_TANGENT:
+            spans = [(t_lo, t_hi)]
+        else:
+            spans = [(-t_hi, -t_lo), (t_lo, t_hi)] if t_lo > 0.0 else [(-t_hi, t_hi)]
+        speed = c
+    else:
+        half = max(k / 2.0, c)
+        minor = math.sqrt(half * half - c * c)
+        spans, speed = [(0.0, 2.0 * math.pi)], half
 
-    def center_fn(cx, cy):
-        return branch_residual(Point2(cx, cy), a, b, alpha, branch)
-
-    segments = _marching_squares(F, xs, ys, center_fn)
-    r1, r2, _ = _pair_radii(a, b)
-    u = 1.0 - alpha
-    refined = []
-    for p1, p2 in segments:
-        q1 = _refine_point(*p1, a, b, alpha, branch)
-        q2 = _refine_point(*p2, a, b, alpha, branch)
+    polylines = []
+    for t0, t1 in spans:
+        # dense exact samples at most h = cell/16 apart; arc-length steps of
+        # at most cell - h snapped to them keep every chord within one cell
+        t = np.linspace(t0, t1, math.ceil(16.0 * speed * (t1 - t0) / cell) + 2)
         if branch is Branch.INVERSE:
-            keep = True
-            for (x, y) in (q1, q2):
-                d1 = math.hypot(x - a.core.x, y - a.core.y)
-                d2 = math.hypot(x - b.core.x, y - b.core.y)
-                if (d1 - d2) * (r1 - r2) * u < -_ZERO_TOL:
-                    keep = False
-            if not keep:
-                continue
-        refined.append((q1, q2))
-    cell = max((xmax - xmin), (ymax - ymin)) / (resolution - 1)
-    return _chain_segments(refined, cell)
+            x, y = half * np.sqrt(1.0 + t * t), minor * t
+        else:
+            x, y = half * np.cos(t), minor * np.sin(t)
+        pts = np.column_stack((mx + x * ex - y * ey, my + x * ey + y * ex))
+        if branch is Branch.SAME:
+            pts[-1] = pts[0]
+        seg = np.hypot(*np.diff(pts, axis=0).T)
+        arc = np.concatenate(([0.0], np.cumsum(seg)))
+        steps = max(1, math.ceil(arc[-1] / (cell - seg.max())))
+        pts = pts[np.unique(np.searchsorted(arc, np.linspace(0.0, arc[-1], steps + 1)))]
+        inside = ((pts[:, 0] >= xmin) & (pts[:, 0] <= xmax)
+                  & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax))
+        runs = np.split(np.arange(len(pts)), np.flatnonzero(np.diff(inside)) + 1)
+        if branch is Branch.SAME and len(runs) > 1 and inside[0] and inside[-1]:
+            # the closed ellipse re-enters at its start: join the first and last runs
+            runs = [np.concatenate((runs[-1][:-1], runs[0]))] + runs[1:-1]
+        polylines += [pts[r] for r in runs if inside[r[0]] and len(r) > 1]
+    return polylines
 
 
 def sample_midset(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
@@ -455,9 +366,7 @@ def compute_midset(a: FuzzyPoint, b: FuzzyPoint,
         bbox = support_bbox(a, b)
     entries = []
     for alpha in sorted(float(x) for x in alphas):
-        case = overlap_case(a, b, alpha)
-        for branch in active_branches(case):
-            polylines = sample_branch(a, b, alpha, branch, bbox, resolution)
+        for branch, polylines in sample_midset(a, b, alpha, bbox, resolution).items():
             conic = conic_coefficients(a, b, alpha, branch)
             entries.append(MidsetEntry(
                 alpha=alpha, branch=branch, polylines=tuple(polylines),
@@ -471,40 +380,23 @@ def compute_midset(a: FuzzyPoint, b: FuzzyPoint,
         resolution=resolution)
 
 
-def equidistant_membership(q: Point2, a: FuzzyPoint, b: FuzzyPoint,
-                           levels: int = 101, tol: float = 1e-10) -> float:
+def equidistant_membership(q: Point2, a: FuzzyPoint, b: FuzzyPoint) -> float:
     """Grade of a point in the fuzzy equidistant set.
 
-    The residual of each branch is scanned over the alpha grid from the
-    top; a bracketing sign change is refined by bisection and the root
-    counts when its branch is active at that level.  Residuals here are
-    linear in alpha, so the first root found from the top is the supremum.
+    Each branch residual is linear in u = 1 - alpha, with the one root
+    u = (d1 - d2)/(r1 - r2) or u = (d1 + d2)/(r1 + r2) (grade 1 on the
+    bisector when r1 = r2); the grade is the largest root level in [0, 1]
+    at which its branch is active.
     """
-    best = 0.0
-    alphas = np.linspace(0.0, 1.0, levels)
-    for branch in (Branch.INVERSE, Branch.SAME):
-        vals = [branch_residual(q, a, b, float(al), branch) for al in alphas]
-        for i in range(levels - 1, -1, -1):
-            al = float(alphas[i])
-            if abs(vals[i]) <= 1e-12:
-                if branch in active_branches(overlap_case(a, b, al)):
-                    best = max(best, al)
-                    break
-            if i + 1 < levels and vals[i] * vals[i + 1] < 0.0:
-                lo_a, hi_a = al, float(alphas[i + 1])
-                f_lo = vals[i]
-                while hi_a - lo_a > tol:
-                    mid = 0.5 * (lo_a + hi_a)
-                    f_mid = branch_residual(q, a, b, mid, branch)
-                    if f_mid == 0.0 or (f_lo < 0) == (f_mid < 0):
-                        lo_a, f_lo = mid, f_mid
-                    else:
-                        hi_a = mid
-                root = 0.5 * (lo_a + hi_a)
-                if branch in active_branches(overlap_case(a, b, root)):
-                    best = max(best, root)
-                    break
-    return best
+    r1, r2, _ = _pair_radii(a, b)
+    d1, d2 = q.distance_to(a.core), q.distance_to(b.core)
+    roots = [(Branch.SAME, 1.0 - (d1 + d2) / (r1 + r2))]
+    if r1 != r2:
+        roots.append((Branch.INVERSE, 1.0 - (d1 - d2) / (r1 - r2)))
+    elif abs(d1 - d2) <= 1e-12:
+        roots.append((Branch.INVERSE, 1.0))
+    return max((alpha for branch, alpha in roots if 0.0 <= alpha <= 1.0
+                and branch in active_branches(overlap_case(a, b, alpha))), default=0.0)
 
 
 @dataclass

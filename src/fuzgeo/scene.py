@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,6 +64,17 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
             raise SceneError(f"unknown field {key!r} in {where}")
 
 
+def _numbers(values, field: str) -> tuple:
+    """Floats of a JSON list; a non-number, NaN or Infinity is an error naming the field."""
+    try:
+        out = tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise SceneError(f"{field} must contain numbers") from None
+    if not all(math.isfinite(v) for v in out):
+        raise SceneError(f"{field} must be finite, got {list(out)}")
+    return out
+
+
 def _parse_point(entry, index: int) -> tuple[str, FuzzyPoint]:
     if not isinstance(entry, dict):
         raise SceneError(f"points[{index}] must be an object")
@@ -76,6 +88,7 @@ def _parse_point(entry, index: int) -> tuple[str, FuzzyPoint]:
     core = entry["core"]
     if not (isinstance(core, (list, tuple)) and len(core) == 2):
         raise SceneError(f"point {name!r}: core must be [x, y]")
+    x, y = _numbers(core, f"point {name!r}: core")
     spread = entry["spread"]
     if not isinstance(spread, dict):
         raise SceneError(f"point {name!r}: spread must be an object")
@@ -87,16 +100,12 @@ def _parse_point(entry, index: int) -> tuple[str, FuzzyPoint]:
                          f"'circular' or 'elliptical', got {kind!r}")
     if not (isinstance(radii, (list, tuple)) and len(radii) == 2):
         raise SceneError(f"point {name!r}: spread radii must be [p1, p2]")
-    try:
-        p1, p2 = float(radii[0]), float(radii[1])
-    except (TypeError, ValueError):
-        raise SceneError(f"point {name!r}: spread radii must be numbers") from None
+    p1, p2 = _numbers(radii, f"point {name!r}: spread radii")
     if p1 <= 0 or p2 <= 0:
         raise SceneError(f"point {name!r}: spread radii must be positive, "
                          f"got ({p1}, {p2})")
     try:
-        fp = FuzzyPoint(Point2(float(core[0]), float(core[1])),
-                        Spread(kind, p1, p2))
+        fp = FuzzyPoint(Point2(x, y), Spread(kind, p1, p2))
     except (TypeError, ValueError) as exc:
         raise SceneError(f"point {name!r}: {exc}") from None
     return name, fp
@@ -157,7 +166,7 @@ def parse_scene(text: str) -> Scene:
             bbox = g["bbox"]
             if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
                 raise SceneError("grids.bbox must be [xmin, ymin, xmax, ymax]")
-            bbox = tuple(float(v) for v in bbox)
+            bbox = _numbers(bbox, "grids.bbox")
             if not (bbox[2] > bbox[0] and bbox[3] > bbox[1]):
                 raise SceneError("grids.bbox must be nonempty")
             kwargs["bbox"] = bbox
@@ -168,10 +177,7 @@ def parse_scene(text: str) -> Scene:
         t_raw = raw["t"]
         if not isinstance(t_raw, list) or not t_raw:
             raise SceneError("'t' must be a nonempty list of positive numbers")
-        try:
-            t_values = tuple(float(v) for v in t_raw)
-        except (TypeError, ValueError):
-            raise SceneError("'t' must contain numbers") from None
+        t_values = _numbers(t_raw, "'t'")
         if any(v <= 0 for v in t_values):
             raise SceneError("'t' values must be positive")
 

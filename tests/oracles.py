@@ -10,6 +10,9 @@ from scipy.spatial import cKDTree
 
 import fuzgeo as fg
 
+# Draws a rejection-sampling helper makes before it gives up.
+MAX_DRAWS = 1000
+
 
 def theta_grid_extrema(a, b, alpha, samples=10_000):
     """Extrema of the two cross-boundary distances over a dense angle fan.
@@ -155,23 +158,27 @@ def general_position_triple(rng, box=10.0, r_lo=0.05, r_hi=0.3,
     regime excluded here.
     """
     assert min_slack > 2.0 * r_hi
-    while True:
+    for _ in range(MAX_DRAWS):
         cores = [rng.uniform(0.0, box, size=2) for _ in range(3)]
         if min_triangle_slack(cores) >= min_slack:
             return _attach_spreads(rng, cores, r_lo, r_hi, circular)
+    raise ValueError(f"no triple with slack {min_slack} in {MAX_DRAWS} draws")
 
 
-def general_position_points(rng, n, r_lo=0.05, r_hi=0.3, circular=False):
+def general_position_points(rng, n, r_lo=0.05, r_hi=0.3, circular=False,
+                            max_draws=MAX_DRAWS):
     """n random fuzzy points in convex general position.
 
     Cores sit on a radially jittered regular n-gon, which keeps every
     triple's slack well above the 2*r_hi loss bound (for n = 10 at radius
-    15 the minimum slack is around 0.7); uniform box sampling cannot do
-    this for 10 points, some triple is always nearly collinear.
+    15 the minimum slack is around 0.7, and about one draw in 70 passes);
+    uniform box sampling cannot do this for 10 points, some triple is
+    always nearly collinear.  From n = 12 on even the unjittered n-gon
+    misses the bound, so the search raises after max_draws draws.
     """
     radius = 1.5 * n
     min_slack = 2.0 * r_hi * 1.15
-    while True:
+    for _ in range(max_draws):
         angles = (np.arange(n) + rng.uniform(-0.02, 0.02, size=n)) \
             * (2.0 * np.pi / n)
         radii = radius * rng.uniform(0.95, 1.05, size=n)
@@ -179,3 +186,35 @@ def general_position_points(rng, n, r_lo=0.05, r_hi=0.3, circular=False):
                  for r, t in zip(radii, angles)]
         if min_triangle_slack(cores) >= min_slack:
             return _attach_spreads(rng, cores, r_lo, r_hi, circular)
+    raise ValueError(f"no {n} points in general position in {max_draws} draws")
+
+
+def branch_residuals(pts, a, b, alpha, branch):
+    """Unsquared residual d1 -+ d2 - k of a midset branch at each row of pts.
+
+    Its zero set is the branch itself: the conjugate hyperbola sheet that
+    squaring adds is where the inverse residual equals -2k, not 0.
+    """
+    u = 1.0 - alpha
+    d1 = np.hypot(pts[..., 0] - a.core.x, pts[..., 1] - a.core.y)
+    d2 = np.hypot(pts[..., 0] - b.core.x, pts[..., 1] - b.core.y)
+    if branch is fg.Branch.INVERSE:
+        return d1 - d2 - (a.radius - b.radius) * u
+    return d1 + d2 - (a.radius + b.radius) * u
+
+
+def midset_crossing_cells(a, b, alpha, branch, bbox, resolution):
+    """Centres of the grid cells where a branch residual changes sign.
+
+    The grid has resolution nodes per side over bbox, as the marching
+    squares contouring of Lorensen & Cline (1987) would sample it; a cell
+    whose four corners do not share one sign holds a piece of the branch.
+    """
+    xmin, ymin, xmax, ymax = bbox
+    xs = np.linspace(xmin, xmax, resolution)
+    ys = np.linspace(ymin, ymax, resolution)
+    grid = np.stack(np.meshgrid(xs, ys), axis=-1)
+    pos = branch_residuals(grid, a, b, alpha, branch) > 0.0
+    corners = np.stack([pos[:-1, :-1], pos[:-1, 1:], pos[1:, :-1], pos[1:, 1:]])
+    iy, ix = np.nonzero(corners.any(axis=0) & ~corners.all(axis=0))
+    return np.column_stack([0.5 * (xs[ix] + xs[ix + 1]), 0.5 * (ys[iy] + ys[iy + 1])])

@@ -5,6 +5,8 @@ import pytest
 
 import fuzgeo as fg
 from fuzgeo import Branch, OverlapCase
+from oracles import branch_residuals, midset_crossing_cells, random_circular
+from scipy.spatial import cKDTree
 
 # the six configurations of the overlap-case table, one per row
 TABLE_CONFIGS = {
@@ -318,3 +320,134 @@ class TestInvariance:
     def test_nonpositive_t_rejected(self, ex41_pair):
         with pytest.raises(ValueError):
             fg.invariance_check(*ex41_pair, t_values=(0.0,))
+
+
+def assert_branch_sampled(a, b, alpha, branch, bbox, resolution):
+    """Exact vertices, chords within one cell, every crossing cell covered;
+    a branch inactive at this level is empty."""
+    polylines = fg.sample_branch(a, b, alpha, branch, bbox, resolution)
+    if branch not in fg.active_branches(fg.overlap_case(a, b, alpha)):
+        assert polylines == []
+        return polylines
+    cell = max(bbox[2] - bbox[0], bbox[3] - bbox[1]) / (resolution - 1)
+    centres = midset_crossing_cells(a, b, alpha, branch, bbox, resolution)
+    if not polylines:
+        assert len(centres) == 0, (alpha, branch)
+        return polylines
+    verts = np.vstack(polylines)
+    assert np.all((verts >= bbox[:2]) & (verts <= bbox[2:]))
+    assert np.max(np.abs(branch_residuals(verts, a, b, alpha, branch))) < 1e-9
+    for poly in polylines:
+        assert len(poly) >= 2
+        assert np.max(np.hypot(*np.diff(poly, axis=0).T)) <= cell * (1.0 + 1e-12)
+    if len(centres):
+        gaps, _ = cKDTree(verts).query(centres)
+        assert gaps.max() <= 2.0 * cell, (alpha, branch, gaps.max() / cell)
+    return polylines
+
+
+class TestClosedFormSampler:
+    def test_table_pairs_cover_crossing_cells(self, ex41_pair):
+        pairs = [make_pair(cfg) for cfg in TABLE_CONFIGS.values()] + [ex41_pair]
+        for a, b in pairs:
+            bbox = fg.support_bbox(a, b)
+            for alpha in np.linspace(0.0, 1.0, 6):
+                for branch in Branch:
+                    assert_branch_sampled(a, b, float(alpha), branch, bbox, 128)
+
+    def test_random_pairs_cover_crossing_cells(self, rng):
+        for _ in range(20):
+            a, b = random_circular(rng, r_hi=4.0), random_circular(rng, r_hi=4.0)
+            bbox = fg.support_bbox(a, b)
+            for alpha in (0.0, 0.3, 0.6, 0.9):
+                for branch in Branch:
+                    assert_branch_sampled(a, b, alpha, branch, bbox, 96)
+
+    def test_internally_tangent_inverse_is_ray(self):
+        a, b = make_pair(TABLE_CONFIGS["internally_tangent"])
+        assert fg.overlap_case(a, b, 0.0) == OverlapCase.INTERNALLY_TANGENT
+        polys = fg.sample_midset(a, b, 0.0, bbox=(-4, -3, 4, 3), resolution=64)
+        (ray,) = polys[Branch.INVERSE]
+        # d2 - d1 = dc: the ray from core A away from core B
+        assert tuple(ray[0]) == (0.0, 0.0)
+        assert np.all(ray[:, 1] == 0.0) and np.all(np.diff(ray[:, 0]) < 0.0)
+        assert ray[-1, 0] >= -4.0 and ray[-1, 0] < -4.0 + 8.0 / 63
+
+    def test_concentric_same_branch_is_one_circle(self):
+        a, b = make_pair(TABLE_CONFIGS["concentric"])
+        (circle,) = fg.sample_branch(a, b, 0.25, Branch.SAME, resolution=128)
+        assert np.array_equal(circle[0], circle[-1])
+        assert np.allclose(np.hypot(circle[:, 0], circle[:, 1]), 1.125, atol=1e-12)
+
+    def test_ellipse_inside_bbox_is_one_closed_polyline(self):
+        a, b = make_pair(TABLE_CONFIGS["partially_overlapping"])
+        (ellipse,) = assert_branch_sampled(a, b, 0.0, Branch.SAME,
+                                           fg.support_bbox(a, b), 128)
+        assert np.array_equal(ellipse[0], ellipse[-1])
+
+    def test_curve_crossing_bbox_splits(self, ex42_pair):
+        a, b = make_pair(TABLE_CONFIGS["partially_overlapping"])
+        # a strip through the ellipse middle cuts it into top and bottom arcs
+        arcs = assert_branch_sampled(a, b, 0.0, Branch.SAME, (0.5, -3, 1.5, 3), 64)
+        assert len(arcs) == 2
+        assert sorted(np.sign(arc[:, 1]).max() for arc in arcs) == [-1.0, 1.0]
+        # a box round the vertex where the ellipse parameter starts keeps one arc
+        (arc,) = assert_branch_sampled(a, b, 0.0, Branch.SAME, (2.0, -3, 4, 3), 64)
+        assert not np.array_equal(arc[0], arc[-1])
+        # a box short of the hyperbola vertex x = 2 keeps its two arms apart
+        arms = assert_branch_sampled(*ex42_pair, 0.0, Branch.INVERSE,
+                                     (-1, -8, 1.5, 8), 64)
+        assert len(arms) == 2
+
+    def test_inactive_or_empty_branch(self, ex42_pair):
+        assert fg.sample_branch(*ex42_pair, 0.0, Branch.SAME, resolution=64) == []
+        a, b = make_pair(TABLE_CONFIGS["fully_overlapping"])
+        assert fg.sample_branch(a, b, 0.0, Branch.INVERSE, resolution=64) == []
+        a, b = make_pair(TABLE_CONFIGS["concentric"])
+        assert fg.sample_branch(a, b, 0.5, Branch.INVERSE, resolution=64) == []
+        assert fg.sample_branch(a, b, 1.0, Branch.SAME, resolution=64) == []
+
+    def test_sheet_far_from_its_centre(self):
+        # the core midpoint sits 1000 above a unit box that both sheets cross
+        for r2 in (2.0, 3.0):
+            a = fg.FuzzyPoint.circular(-1000, 1000, 2)
+            b = fg.FuzzyPoint.circular(1000, 1000, r2)
+            (line,) = assert_branch_sampled(a, b, 0.5, Branch.INVERSE,
+                                            (-1, -1, 1, 1), 64)
+            assert 32 <= len(line) <= 2 * 64
+            assert r2 != 2.0 or np.all(line[:, 0] == 0.0)
+
+
+def placed(spec, scale, theta=0.0, shift=(0.0, 0.0)):
+    """The circular point (x, y, r) scaled, then turned by theta and shifted."""
+    x, y, r = (scale * v for v in spec)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    return fg.FuzzyPoint.circular(cos_t * x - sin_t * y + shift[0],
+                                  sin_t * x + cos_t * y + shift[1], r)
+
+
+class TestClassifyRigidMotion:
+    def test_table_pairs_keep_their_class(self, rng):
+        configs = list(TABLE_CONFIGS.values()) + [((0, 0, 2), (5, 0, 2))]
+        for spec_a, spec_b in configs:
+            for scale in (0.5, 1.0, 2.0):
+                motions = [(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-100.0, 100.0, 2))
+                           for _ in range(4)]
+                for alpha in np.linspace(0.0, 1.0, 20):
+                    for branch in Branch:
+                        conic = fg.conic_coefficients(placed(spec_a, scale), placed(spec_b, scale),
+                                                      float(alpha), branch)
+                        want = fg.classify_conic(conic)
+                        for theta, shift in motions:
+                            conic = fg.conic_coefficients(placed(spec_a, scale, theta, shift),
+                                                          placed(spec_b, scale, theta, shift),
+                                                          float(alpha), branch)
+                            assert fg.classify_conic(conic) == want, (
+                                spec_a, spec_b, scale, alpha, branch, theta, shift)
+
+    def test_pairs_away_from_origin_are_hyperbolas(self):
+        for (x1, y1), (x2, y2) in (((10, 10), (15, 10)), ((100, 0), (105, 0))):
+            a = fg.FuzzyPoint.circular(x1, y1, 1.5)
+            b = fg.FuzzyPoint.circular(x2, y2, 1.0)
+            conic = fg.conic_coefficients(a, b, 0.0, Branch.INVERSE)
+            assert fg.classify_conic(conic) == "hyperbola"

@@ -181,3 +181,9 @@ class TestCollinearTriple:
         assert not report.triangle.passed
         failing = report.triangle.failures[0]
         assert failing["lhs"][0] > failing["rhs"][0]
+
+
+def test_general_position_search_is_bounded(rng):
+    # even the regular 12-gon misses the slack bound, so no draw can pass
+    with pytest.raises(ValueError, match="12 points"):
+        general_position_points(rng, 12, max_draws=5)

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +94,16 @@ class TestParseScene:
         ]}"""
         scene = fg.parse_scene(text)
         assert scene.pairs == (("P", "Q"), ("P", "R"), ("Q", "R"))
+
+    @pytest.mark.parametrize("old, new, field", [
+        ('"core": [1, 0]', '"core": [NaN, 0]', "core"),
+        ("[1, 1.5]", "[1, Infinity]", "spread radii"),
+        ('"pairs"', '"grids": {"bbox": [0, 0, NaN, 1]}, "pairs"', "grids.bbox"),
+        ('"pairs"', '"t": [1, NaN], "pairs"', "'t'"),
+    ])
+    def test_non_finite_number_names_field(self, old, new, field):
+        with pytest.raises(fg.SceneError, match=f"{re.escape(field)} must be finite"):
+            fg.parse_scene(EX22_SCENE.replace(old, new, 1))
 
     def test_bad_request_rejected(self):
         text = EX22_SCENE.rstrip().rstrip("}") + ', "requests": ["explode"]}'
@@ -216,3 +229,36 @@ class TestCli:
         code = run(["distance", "--scene", scene, "--out",
                     str(blocker / "sub")])
         assert code == 1
+
+    def test_midset_output_is_byte_identical(self, scene_file, tmp_path):
+        scene = scene_file(EX42_SCENE)
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        for out in (out1, out2):
+            assert run(["midset", "--scene", scene, "--out", str(out),
+                        "--alpha-levels", "5", "--format", "svg"]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert len(names) == 6 and names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_hausdorff_failure_leaves_no_partial_output(self, scene_file, tmp_path):
+        # the second pair (A, C) shares a core and fails after (A, B) succeeds
+        text = EX22_SCENE.replace('"pairs": [["A", "B"]]', '"pairs": [["A", "B"], ["A", "C"]]')
+        text = text.replace('"points": [', """"points": [
+    {"name": "C", "core": [1, 0], "spread": {"kind": "circular", "radii": [2, 2]}},""")
+        out = tmp_path / "out"
+        assert run(["hausdorff", "--scene", scene_file(text), "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("module", ["fuzgeo", "fuzgeo.cli"])
+    def test_python_dash_m_runs_cli(self, module, scene_file, tmp_path):
+        out = tmp_path / "out"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "distance", "--scene", scene_file(EX22_SCENE),
+             "--out", str(out), "--alpha-levels", "3"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "A_B_distance.json").exists()
