@@ -10,12 +10,12 @@ from .core import (AlphaBoundaryPair, FuzzyNumber, FuzzyPoint, Point2, Spread,
                    TriangularTriple, fuzzy_leq, tri_add)
 from .distance import (DistanceMembershipParams, FuzzyDistance, PerAlphaDistance,
                        distance_alpha, distance_membership, endpoint_distances,
-                       fuzzy_distance, membership_closed_form, prop_core_angle)
+                       fuzzy_distance, prop_core_angle)
 from .hausdorff import Ellipse, HausdorffResult, crisp_hausdorff, fuzzy_hausdorff
 from .lines import LineSpec, ProjectedFuzzyNumber, classify_pair, project_onto_line
 from .metric import (MINIMUM, PRODUCT, FuzzyCloseness, KSAxiomReport,
                      MetricAxiomReport, TNorm, check_ks_axioms,
-                     check_metric_axioms, closeness_spread, metric_md)
+                     check_metric_axioms, closeness, closeness_spread, metric_md)
 from .midset import (Branch, ConicCoefficients, InvarianceReport, MidsetEntry,
                      MidsetResult, OverlapCase, Thresholds, active_branches,
                      alpha_thresholds, branch_residual, classify_conic,
@@ -34,11 +34,12 @@ __all__ = [
     "PerAlphaDistance", "Point2", "PRODUCT", "ProjectedFuzzyNumber", "Scene",
     "SceneError", "Spread", "Thresholds", "TNorm", "TriangularTriple",
     "active_branches", "alpha_thresholds", "branch_residual", "check_ks_axioms",
-    "check_metric_axioms", "classify_conic", "classify_pair", "closeness_spread",
+    "check_metric_axioms", "classify_conic", "classify_pair", "closeness",
+    "closeness_spread",
     "compute_midset", "conic_coefficients", "crisp_hausdorff", "distance_alpha",
     "distance_membership", "endpoint_distances", "equidistant_membership",
     "fuzzy_distance", "fuzzy_hausdorff", "fuzzy_leq", "invariance_check",
-    "load_scene", "membership_closed_form", "metric_md", "overlap_case",
+    "load_scene", "metric_md", "overlap_case",
     "parse_scene", "project_onto_line", "prop_core_angle", "sample_branch",
     "sample_midset", "support_bbox", "tri_add",
 ]

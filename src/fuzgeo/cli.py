@@ -24,7 +24,7 @@ import numpy as np
 
 from .distance import fuzzy_distance
 from .hausdorff import fuzzy_hausdorff
-from .metric import metric_md
+from .metric import closeness
 from .midset import (Branch, active_branches, alpha_thresholds, classify_conic,
                      compute_midset, conic_coefficients, invariance_check,
                      overlap_case, support_bbox)
@@ -100,10 +100,10 @@ def cmd_metric_curve(scene: Scene, args, out: str) -> None:
     else:
         ts = np.geomspace(1e-2, 1e2, 81)
     for name_a, name_b in scene.pairs:
-        a, b = scene.pair_points((name_a, name_b))
+        dist = fuzzy_distance(*scene.pair_points((name_a, name_b)))
         rows = []
         for t in ts:
-            value = metric_md(a, b, float(t)).value
+            value = closeness(dist, float(t)).value
             lo, hi = value.cut(0.0)
             rows.append((t, lo, value.summary.m, hi, hi - lo))
         _write_csv(os.path.join(out, f"{name_a}_{name_b}_metric_curve.csv"),

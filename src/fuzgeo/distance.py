@@ -8,13 +8,15 @@ the over/under boundary gap is |V(theta, u)| and the two cross pairings of
 a direction are |V(theta, u)| and |V(theta + pi, u)|.  Extremizing over the
 full circle therefore reduces to extremizing the single function |V|.
 
-The extremal directions are located once at the support level and then
-held fixed across alpha; for circular spreads this is exact (the extremal
-direction is the core-to-core slope for every alpha) and it keeps the
-per-alpha endpoints exact quadratics in alpha for elliptical spreads.  When the
-supports overlap, the lower endpoint collapses to zero down to the level
-u0 at which the cuts separate, and below u0 it grows linearly along the
-direction in which the cuts last touched.
+The extremal directions are located once at the support level, as roots
+of a quartic in tan(theta/2) (the point-to-ellipse distance problem), and
+then held fixed across alpha; for circular spreads this is exact (the
+extremal direction is the core-to-core slope for every alpha) and it keeps
+the squared per-alpha endpoints exact quadratics in alpha for elliptical
+spreads, so the membership of a distance value inverts a quadratic.  When
+the supports overlap, the lower endpoint collapses to zero down to the
+level u0 at which the cuts separate, and below u0 it grows linearly along
+the direction in which the cuts last touched.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from .core import FuzzyNumber, FuzzyPoint, TriangularTriple
 
 TWO_PI = 2.0 * math.pi
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -74,83 +75,48 @@ class PerAlphaDistance:
     refined: bool = True
 
 
-def golden_minimize(f, a: float, b: float, tol: float = 1e-12):
-    """Golden-section search for the minimum of f on [a, b]."""
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _extremal_directions(p: DistanceMembershipParams) -> tuple[float, float, bool]:
+    """Directions of the smallest and largest support-level gap |V(theta, 1)|.
 
+    They zero g = R2*d2*cos(theta) - R1*d1*sin(theta) + (e/2)*sin(2*theta),
+    e = R2^2 - R1^2 (the point-to-ellipse problem); t = tan((theta - phi)/2)
+    makes g = 0 a quartic with t^4 coefficient g(phi + pi).  Placing phi + pi
+    at the largest |g| of eight equally spaced directions (at least the
+    coefficient norm over sqrt(2)) keeps all roots bounded; with phi = 0 a
+    root near infinity swamps the others as the cores meet.  A complex root
+    only adds a losing candidate.  Lengths are in units of max(R1, R2).
 
-def _refine_extrema(f, coarse: int = 64, tol: float = 1e-12):
-    """Locate the global minimum and maximum of a 2*pi-periodic function.
-
-    Every local extremum bracketed by the coarse grid is refined by
-    golden-section search and the best refined value wins, so multiple
-    basins (possible for elliptical spreads) are all inspected.
-
-    Returns (theta_min, theta_max, refined); refined is False when the
-    coarse scan finds no strict bracket and the dense-grid argument is
-    used as a fallback.
+    refined is False only for the flat profile, g identically zero
+    (concentric cores, R1 == R2); both directions are then 0.
     """
-    thetas = np.linspace(0.0, TWO_PI, coarse, endpoint=False)
-    values = f(thetas)
-    step = TWO_PI / coarse
-
-    results = []
-    for sign in (1.0, -1.0):
-        vals = sign * values
-        brackets = [i for i in range(coarse)
-                    if vals[i] <= vals[(i - 1) % coarse] and vals[i] <= vals[(i + 1) % coarse]]
-        strict = [i for i in brackets
-                  if vals[i] < vals[(i - 1) % coarse] or vals[i] < vals[(i + 1) % coarse]]
-        if strict:
-            best_x, best_v = None, math.inf
-            for i in strict:
-                x, v = golden_minimize(lambda t: sign * float(f(t)),
-                                       thetas[i] - step, thetas[i] + step, tol)
-                if v < best_v:
-                    best_x, best_v = x, v
-            results.append((best_x % TWO_PI, True))
-        else:
-            # flat or pathological profile: dense grid fallback
-            dense = np.linspace(0.0, TWO_PI, 10_000, endpoint=False)
-            idx = int(np.argmin(sign * f(dense)))
-            results.append((float(dense[idx]), False))
-
-    (theta_min, ok_min), (theta_max, ok_max) = results
-    return theta_min, theta_max, ok_min and ok_max
+    m = max(p.R1, p.R2)
+    r1, r2 = p.R1 / m, p.R2 / m
+    a1, b1, b2 = r2 * (p.d2 / m), -r1 * (p.d1 / m), 0.5 * (r2 * r2 - r1 * r1)
+    if a1 == b1 == b2 == 0.0:
+        return 0.0, 0.0, False
+    samples = np.arange(8) * (math.pi / 4.0)
+    g = a1 * np.cos(samples) + b1 * np.sin(samples) + b2 * np.sin(2.0 * samples)
+    phi = float(samples[np.argmax(np.abs(g))]) - math.pi
+    # g(phi + psi) = A1 cos(psi) + B1 sin(psi) + A2 cos(2 psi) + B2 sin(2 psi)
+    c, s = math.cos(phi), math.sin(phi)
+    A1, B1 = a1 * c + b1 * s, b1 * c - a1 * s
+    A2, B2 = 2.0 * b2 * s * c, b2 * (c * c - s * s)
+    quartic = (A2 - A1, 2.0 * (B1 - 2.0 * B2), -6.0 * A2,
+               2.0 * (B1 + 2.0 * B2), A1 + A2)
+    thetas = phi + 2.0 * np.arctan(np.roots(quartic).real)
+    gaps = p.gap(thetas, 1.0)
+    return (float(thetas[np.argmin(gaps)]) % TWO_PI,
+            float(thetas[np.argmax(gaps)]) % TWO_PI, True)
 
 
 class FuzzyDistance(FuzzyNumber):
     """The fuzzy distance d(A, B) as a fuzzy number with closed-form cuts."""
 
     def __init__(self, a: FuzzyPoint, b: FuzzyPoint):
-        self.point_a = a
-        self.point_b = b
-        self.params = DistanceMembershipParams.from_points(a, b)
-        p = self.params
+        self.params = p = DistanceMembershipParams.from_points(a, b)
         self._u0 = p.separation_level
 
-        theta_min, theta_max, refined = _refine_extrema(lambda t: p.gap(t, 1.0))
-        self.refined = refined
-        self.argmax_theta = theta_max
+        theta_min, self.argmax_theta, self.refined = _extremal_directions(p)
         if self._u0 >= 1.0:
             self.argmin_theta = theta_min
         elif self._u0 > 0.0:
@@ -172,6 +138,29 @@ class FuzzyDistance(FuzzyNumber):
         else:
             lo = 0.0
         return (max(0.0, lo), hi)
+
+    def membership(self, x: float) -> float:
+        """Grade 1 - u of x, inverting the cut in closed form.
+
+        Each endpoint is the gap at its frozen direction, so u solves
+        x^2 = dc^2 + 2*u*K1 + u^2*K2 in units of max(R1, R2); below the
+        touching level u0 of overlapping supports the lower endpoint is linear.
+        """
+        p = self.params
+        lo0, hi0 = self.cut(0.0)
+        if x < lo0 or x > hi0:
+            return 0.0
+        if x <= p.dc and self._u0 < 1.0:
+            return 1.0 if p.dc == 0.0 else 1.0 - self._u0 * (1.0 - x / p.dc)
+        theta, branch = ((self.argmin_theta, -1.0) if x <= p.dc
+                         else (self.argmax_theta, 1.0))
+        m = max(p.R1, p.R2)
+        w1, w2 = p.R1 / m * math.cos(theta), p.R2 / m * math.sin(theta)
+        k1 = p.d1 / m * w1 + p.d2 / m * w2
+        k2 = w1 * w1 + w2 * w2
+        disc = k1 * k1 - k2 * ((p.dc / m) ** 2 - (x / m) ** 2)
+        u = (-k1 + branch * math.sqrt(max(0.0, disc))) / k2
+        return min(1.0, max(0.0, 1.0 - u))
 
     @property
     def summary(self) -> TriangularTriple:
@@ -212,36 +201,6 @@ def distance_membership(a: FuzzyPoint, b: FuzzyPoint, x: float) -> float:
     if x < 0:
         raise ValueError(f"distance value must be nonnegative, got {x}")
     return fuzzy_distance(a, b).membership(x)
-
-
-def membership_closed_form(a: FuzzyPoint, b: FuzzyPoint, x: float) -> float:
-    """Closed-form grade 1 - phi(x, theta) at the recorded extremal angles.
-
-    Inverts the frozen-direction quadratic
-    x^2 = dc^2 + 2*u*K1 + u^2*K2 for u and returns 1 - u; serves as a
-    cross-check of the bisection-based membership at the extremal angles.
-    """
-    dist = FuzzyDistance(a, b)
-    p = dist.params
-    lo0, hi0 = dist.cut(0.0)
-    if x < lo0 or x > hi0:
-        return 0.0
-    if x <= p.dc:
-        theta = dist.argmin_theta
-        if dist._u0 < 1.0:
-            # linear regime below the touching level
-            u = dist._u0 * (1.0 - x / p.dc) if p.dc > 0 else 0.0
-            return 1.0 - u
-        branch = -1.0
-    else:
-        theta = dist.argmax_theta
-        branch = 1.0
-    c, s = math.cos(theta), math.sin(theta)
-    k1 = p.d1 * p.R1 * c + p.d2 * p.R2 * s
-    k2 = p.R1 ** 2 * c ** 2 + p.R2 ** 2 * s ** 2
-    disc = k1 * k1 - k2 * (p.dc ** 2 - x ** 2)
-    u = (-k1 + branch * math.sqrt(max(0.0, disc))) / k2
-    return min(1.0, max(0.0, 1.0 - u))
 
 
 def prop_core_angle(a: FuzzyPoint, b: FuzzyPoint) -> float:

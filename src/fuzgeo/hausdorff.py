@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FuzzyNumber, FuzzyPoint, Point2, TriangularTriple
-from .distance import golden_minimize
 from .lines import LineSpec, ProjectedFuzzyNumber, project_onto_line
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,30 @@ class Ellipse:
             (self.rx * c) ** 2 + (self.ry * s) ** 2)
 
 
+def _golden_minimize(f, a: float, b: float, tol: float = 1e-12):
+    """Golden-section search for the minimum of f on [a, b]."""
+    h = b - a
+    if h <= tol:
+        x = 0.5 * (a + b)
+        return x, f(x)
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    fc, fd = f(c), f(d)
+    while h > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - _INV_PHI * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INV_PHI * h
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 def crisp_hausdorff(s1: Ellipse, s2: Ellipse, directions: int = 360) -> float:
     """Hausdorff distance between two convex shapes.
 
@@ -74,7 +99,7 @@ def crisp_hausdorff(s1: Ellipse, s2: Ellipse, directions: int = 360) -> float:
     diff = np.abs(s1.support(thetas) - s2.support(thetas))
     best = int(np.argmax(diff))
     step = 2.0 * math.pi / directions
-    _, neg = golden_minimize(
+    _, neg = _golden_minimize(
         lambda t: -abs(float(s1.support(t) - s2.support(t))),
         thetas[best] - step, thetas[best] + step, tol=1e-12)
     return max(float(diff[best]), -neg)

@@ -49,13 +49,14 @@ class FuzzyCloseness:
 
 
 def metric_md(a: FuzzyPoint, b: FuzzyPoint, t: float) -> FuzzyCloseness:
+    return closeness(fuzzy_distance(a, b), t)
+
+
+def closeness(dist: FuzzyDistance, t: float) -> FuzzyCloseness:
+    """Image of a fuzzy distance under x -> t / (t + x), cut by cut."""
     if t <= 0:
         raise ValueError(f"scale t must be positive, got {t}")
-    dist = fuzzy_distance(a, b)
-    return _closeness_from_distance(dist, t)
 
-
-def _closeness_from_distance(dist: FuzzyDistance, t: float) -> FuzzyCloseness:
     def cut(alpha: float) -> tuple[float, float]:
         lo_d, hi_d = dist.cut(alpha)
         return (t / (t + hi_d), t / (t + lo_d))
@@ -148,7 +149,7 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
         for j in range(n):
             d_ij = dist(i, j)
             for t in t_samples:
-                m = _closeness_from_distance(d_ij, t)
+                m = closeness(d_ij, t)
                 lo0, _ = m.value.cut(0.0)
                 positivity.count(lo0 > 0.0, (i, j, t, lo0))
 
@@ -162,8 +163,8 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
             if i < j:
                 d_ji = dist(j, i)
                 for t in t_samples:
-                    m_ij = _closeness_from_distance(d_ij, t)
-                    m_ji = _closeness_from_distance(d_ji, t)
+                    m_ij = closeness(d_ij, t)
+                    m_ji = closeness(d_ji, t)
                     worst = max(
                         max(abs(x - y) for x, y in
                             zip(m_ij.value.cut(float(a)), m_ji.value.cut(float(a))))
@@ -177,17 +178,17 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
                     continue
                 for t in t_samples:
                     for s in t_samples:
-                        m_ab = _closeness_from_distance(dist(i, j), t).summary
-                        m_bc = _closeness_from_distance(dist(j, k), s).summary
-                        m_ac = _closeness_from_distance(dist(i, k), t + s).summary
+                        m_ab = closeness(dist(i, j), t).summary
+                        m_bc = closeness(dist(j, k), s).summary
+                        m_ac = closeness(dist(i, k), t + s).summary
                         ok = (tnorm(m_ab.l, m_bc.l) <= m_ac.l + tol
                               and tnorm(m_ab.m, m_bc.m) <= m_ac.m + tol
                               and tnorm(m_ab.u, m_bc.u) <= m_ac.u + tol)
                         quadrangle.count(ok, (i, j, k, t, s))
 
-                        cl_ab = _closeness_from_distance(dist(i, j), t).value
-                        cl_bc = _closeness_from_distance(dist(j, k), s).value
-                        cl_ac = _closeness_from_distance(dist(i, k), t + s).value
+                        cl_ab = closeness(dist(i, j), t).value
+                        cl_bc = closeness(dist(j, k), s).value
+                        cl_ac = closeness(dist(i, k), t + s).value
                         cuts_ok = True
                         for a in alphas:
                             lo1, hi1 = cl_ab.cut(float(a))
@@ -206,8 +207,8 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
             lo_d, hi_d = d_ij.cut(0.0)
             worst_excess = 0.0
             for t1, t2 in zip(t_grid[:-1], t_grid[1:]):
-                m1 = _closeness_from_distance(d_ij, float(t1)).summary
-                m2 = _closeness_from_distance(d_ij, float(t2)).summary
+                m1 = closeness(d_ij, float(t1)).summary
+                m2 = closeness(d_ij, float(t2)).summary
                 dt = float(t2 - t1)
                 for v1, v2, d in ((m1.l, m2.l, hi_d), (m1.m, m2.m, d_ij.params.dc),
                                   (m1.u, m2.u, lo_d)):

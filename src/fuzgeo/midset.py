@@ -83,17 +83,6 @@ def branch_residual(q: Point2, a: FuzzyPoint, b: FuzzyPoint, alpha: float,
     return (d1 - r1 * u) - (r2 * u - d2)
 
 
-def _residual_field(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
-                    X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    r1, r2, _ = _pair_radii(a, b)
-    u = 1.0 - alpha
-    d1 = np.hypot(X - a.core.x, Y - a.core.y)
-    d2 = np.hypot(X - b.core.x, Y - b.core.y)
-    if branch is Branch.INVERSE:
-        return d1 - d2 - (r1 - r2) * u
-    return d1 + d2 - (r1 + r2) * u
-
-
 def overlap_case(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
                  tol: float = _ZERO_TOL) -> OverlapCase:
     """Relative position of the two alpha-cut disks, tangencies within tol."""
@@ -134,7 +123,7 @@ class Thresholds:
 
 def alpha_thresholds(a: FuzzyPoint, b: FuzzyPoint) -> Thresholds:
     r1, r2, dc = _pair_radii(a, b)
-    if dc == 0.0:
+    if dc <= _ZERO_TOL:
         return Thresholds(n=None, n1=None, n2=None)
     n = min(1.0, max(0.0, 1.0 - dc / (r1 + r2)))
     n1 = None

@@ -6,8 +6,8 @@ Schema (all fields beyond "points" optional):
       "points": [{"name": "A", "core": [1, 0],
                   "spread": {"kind": "circular", "radii": [1, 1]}}],
       "pairs": [["A", "B"]],
-      "grids": {"alpha_levels": 101, "theta_samples": 64,
-                "bbox": [xmin, ymin, xmax, ymax], "resolution": 512},
+      "grids": {"alpha_levels": 101, "bbox": [xmin, ymin, xmax, ymax],
+                "resolution": 512},
       "t": [0.5, 1, 2],
       "requests": ["distance", "midset"]
     }
@@ -31,7 +31,7 @@ KNOWN_COMMANDS = ("distance", "metric-curve", "hausdorff", "midset",
 _TOP_FIELDS = {"points", "pairs", "grids", "t", "requests"}
 _POINT_FIELDS = {"name", "core", "spread"}
 _SPREAD_FIELDS = {"kind", "radii"}
-_GRID_FIELDS = {"alpha_levels", "theta_samples", "bbox", "resolution"}
+_GRID_FIELDS = {"alpha_levels", "bbox", "resolution"}
 
 
 class SceneError(ValueError):
@@ -41,7 +41,6 @@ class SceneError(ValueError):
 @dataclass(frozen=True)
 class GridSpec:
     alpha_levels: int = 101
-    theta_samples: int = 64
     bbox: Optional[tuple] = None
     resolution: int = 512
 
@@ -156,7 +155,7 @@ def parse_scene(text: str) -> Scene:
             raise SceneError("'grids' must be an object")
         _reject_unknown(g, _GRID_FIELDS, "grids")
         kwargs = {}
-        for key, lo in (("alpha_levels", 2), ("theta_samples", 8), ("resolution", 16)):
+        for key, lo in (("alpha_levels", 2), ("resolution", 16)):
             if key in g:
                 value = g[key]
                 if not isinstance(value, int) or value < lo:

@@ -120,19 +120,13 @@ def random_separated_pair(rng, min_gap=4.0, max_gap=10.0, r_lo=0.2, r_hi=1.0):
 
 
 def min_triangle_slack(cores) -> float:
-    """Smallest (leg + leg - base) over ordered triples of core points."""
-    n = len(cores)
-    worst = np.inf
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) < 3:
-                    continue
-                slack = (np.hypot(*(cores[i] - cores[j]))
-                         + np.hypot(*(cores[j] - cores[k]))
-                         - np.hypot(*(cores[i] - cores[k])))
-                worst = min(worst, slack)
-    return float(worst)
+    """Smallest (leg + leg - base) over ordered triples of distinct core points."""
+    c = np.asarray(cores, dtype=float)
+    dist = np.hypot(c[:, None, 0] - c[None, :, 0], c[:, None, 1] - c[None, :, 1])
+    # slack[i, j, k] = (|ij| + |jk|) - |ik|
+    slack = dist[:, :, None] + dist[None, :, :] - dist[:, None, :]
+    i, j, k = np.ogrid[:len(c), :len(c), :len(c)]
+    return float(slack[(i != j) & (j != k) & (i != k)].min())
 
 
 def _attach_spreads(rng, cores, r_lo, r_hi, circular):

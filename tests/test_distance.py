@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fuzgeo as fg
-from oracles import (bisect_root, general_position_triple,
-                     random_separated_pair, theta_grid_extrema)
+from fuzgeo.distance import _extremal_directions
+from oracles import (bisect_root, general_position_triple, random_circular,
+                     random_elliptical, random_point, random_separated_pair,
+                     theta_grid_extrema)
 
 # reference per-alpha endpoint polynomials for the (1,0)/(5,2) pair
 LO_SQ = (5.667025, 9.883959, 4.449017)
@@ -186,7 +190,7 @@ class TestDistanceMembership:
         b = fg.FuzzyPoint.circular(1, 0, 2)
         d = fg.fuzzy_distance(a, b)
         assert d.membership(0.5) == pytest.approx(0.875, abs=1e-9)
-        assert fg.membership_closed_form(a, b, 0.5) == pytest.approx(0.875, abs=1e-9)
+        assert fg.FuzzyNumber(d.cut).membership(0.5) == pytest.approx(0.875, abs=1e-9)
         # grade on the flat clamped region is the level where lo leaves zero
         assert d.membership(0.0) == pytest.approx(0.75, abs=1e-9)
 
@@ -195,8 +199,8 @@ class TestDistanceMembership:
         d = fg.fuzzy_distance(a, b)
         lo0, hi0 = d.cut(0.0)
         for x in np.linspace(lo0 + 1e-6, hi0 - 1e-6, 15):
-            bisected = d.membership(float(x))
-            closed = fg.membership_closed_form(a, b, float(x))
+            bisected = fg.FuzzyNumber(d.cut).membership(float(x))
+            closed = d.membership(float(x))
             assert bisected == pytest.approx(closed, abs=1e-8)
         for _ in range(10):
             pa, pb = random_separated_pair(rng)
@@ -204,7 +208,111 @@ class TestDistanceMembership:
             lo0, hi0 = dd.cut(0.0)
             for x in np.linspace(lo0 + 1e-6, hi0 - 1e-6, 7):
                 assert dd.membership(float(x)) == pytest.approx(
-                    fg.membership_closed_form(pa, pb, float(x)), abs=1e-8)
+                    fg.FuzzyNumber(dd.cut).membership(float(x)), abs=1e-8)
+
+
+def _ell(x, y, p1, p2):
+    return fg.FuzzyPoint.elliptical(x, y, p1, p2)
+
+
+# summed spreads R1 = 2, R2 = 1: the evolute of the gap ellipse, where two
+# stationary directions merge into a double root, has its cusps at (+-3/2, 0)
+# and passes through (3/2, 3) / 2**1.5
+_EVOLUTE = 2.0 ** -1.5
+
+# geometries where the quartic loses degree or a root doubles
+QUARTIC_GEOMETRIES = {
+    "d2 = 0, separated": (_ell(0, 0, 1, 0.5), _ell(3, 0, 0.4, 1.2)),
+    "d2 = 0, overlapping": (_ell(0, 0, 1, 0.5), _ell(0.5, 0, 0.4, 1.2)),
+    "d2 tiny": (_ell(0, 0, 1, 0.5), _ell(0.5, 1e-30, 0.4, 1.2)),
+    "d1 = 0": (_ell(0, 0, 1, 0.5), _ell(0, 2, 0.3, 0.9)),
+    "concentric, R1 != R2": (_ell(1, 1, 1, 2), _ell(1, 1, 0.5, 0.2)),
+    "cores 1e-25 apart": (_ell(0, 0, 1, 2), _ell(1e-25, -1e-25, 0.5, 0.2)),
+    "R1 ~ R2": (_ell(0, 0, 1, 0.5), _ell(2, 1, 0.5, 1 + 1e-9)),
+    "concentric, R1 ~ R2": (fg.FuzzyPoint.circular(0, 0, 1), _ell(0, 0, 1, 1 + 1e-12)),
+    "evolute cusp": (_ell(0, 0, 1.5, 0.5), _ell(-1.5, 0, 0.5, 0.5)),
+    "evolute, off axis": (_ell(0, 0, 1.5, 0.5),
+                          _ell(1.5 * _EVOLUTE, 3 * _EVOLUTE, 0.5, 0.5)),
+    "cores 1000 from the origin": (_ell(1000, 700, 0.8, 0.3), _ell(1003, 702, 0.2, 0.6)),
+    "cores 1000 apart": (_ell(0, 0, 0.8, 0.3), _ell(1000, 5, 0.2, 0.6)),
+    "spreads 1e-3": (_ell(0, 0, 1e-3, 2e-3), _ell(0.004, 0.001, 3e-3, 1e-3)),
+}
+
+
+def assert_extrema_match_fan(a, b):
+    """The quartic's extremal gaps and the support cut are no worse than a dense fan's."""
+    d = fg.fuzzy_distance(a, b)
+    fan_lo, fan_hi, _, _ = theta_grid_extrema(a, b, 0.0, samples=200_000)
+    theta_min, theta_max, refined = _extremal_directions(d.params)
+    assert refined
+    assert d.params.gap(theta_min, 1.0) <= fan_lo + 1e-9
+    assert d.params.gap(theta_max, 1.0) >= fan_hi - 1e-9
+    lo0, hi0 = d.cut(0.0)
+    assert lo0 <= fan_lo + 1e-9
+    assert hi0 >= fan_hi - 1e-9
+
+
+class TestExtremalDirections:
+    @pytest.mark.parametrize("name", sorted(QUARTIC_GEOMETRIES))
+    def test_quartic_matches_dense_fan(self, name):
+        assert_extrema_match_fan(*QUARTIC_GEOMETRIES[name])
+
+    def test_random_pairs_match_dense_fan(self, rng):
+        for i in range(20):
+            a, b = random_point(rng), random_point(rng)
+            if i % 5 == 0:
+                b = fg.FuzzyPoint(a.core, b.spread)
+            assert_extrema_match_fan(a, b)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    def test_scale_free(self, scale):
+        def pair(s):
+            return _ell(0, 0, 1 * s, 2 * s), _ell(3 * s, 1 * s, 0.5 * s, 0.7 * s)
+
+        unit, scaled = fg.fuzzy_distance(*pair(1.0)), fg.fuzzy_distance(*pair(scale))
+        assert scaled.refined
+        for alpha in (0.0, 0.5):
+            assert np.array(scaled.cut(alpha)) / scale == pytest.approx(
+                unit.cut(alpha), rel=1e-12)
+        for x in (2.0, 3.2, 4.5):
+            assert scaled.membership(x * scale) == pytest.approx(
+                unit.membership(x), abs=1e-12)
+
+    def test_closed_form_membership_matches_bisection(self, rng):
+        for i in range(40):
+            kind = i % 4
+            if kind == 0:
+                a, b = random_separated_pair(rng)
+            elif kind == 1:
+                # cores within [-1, 1]^2 and summed radii >= 3 overlap
+                a = random_circular(rng, -1.0, 1.0, 1.5, 2.0)
+                b = random_circular(rng, -1.0, 1.0, 1.5, 2.0)
+            elif kind == 2:
+                a = random_elliptical(rng, -1.0, 1.0, 1.5, 2.0)
+                b = random_elliptical(rng, -1.0, 1.0, 1.5, 2.0)
+            else:
+                a = random_point(rng)
+                b = fg.FuzzyPoint(a.core, random_point(rng).spread)
+            d = fg.fuzzy_distance(a, b)
+            bisection = fg.FuzzyNumber(d.cut)
+            lo0, hi0 = d.cut(0.0)
+            xs = np.append(np.linspace(max(0.0, lo0 - 0.1), hi0 + 0.1, 25), d.params.dc)
+            for x in xs:
+                assert d.membership(float(x)) == pytest.approx(
+                    bisection.membership(float(x)), abs=1e-8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.05, 3), st.floats(0.05, 3),
+           st.floats(0.05, 3), st.floats(0.05, 3))
+    def test_cuts_nested(self, dx, dy, p1, p2, q1, q2):
+        d = fg.fuzzy_distance(_ell(0, 0, p1, p2), _ell(dx, dy, q1, q2))
+        rows = d.cuts(101)
+        lo, hi = rows[:, 1], rows[:, 2]
+        tol = 1e-12 * (1.0 + hi[0])
+        assert np.all(np.diff(lo) >= -tol)
+        assert np.all(np.diff(hi) <= tol)
+        assert np.all(lo <= d.params.dc + tol)
+        assert np.all(hi >= d.params.dc - tol)
 
 
 class TestCoreAngleProposition:

@@ -162,6 +162,14 @@ class TestAlphaThresholds:
         th = fg.alpha_thresholds(a, b)
         assert th.n is None and th.n1 is None and th.n2 is None
 
+    def test_nearly_concentric_agrees_with_overlap_case(self):
+        # cores 1e-10 apart are concentric to overlap_case at every level
+        a = fg.FuzzyPoint.circular(0, 0, 1)
+        b = fg.FuzzyPoint.circular(1e-10, 0, 2)
+        for alpha in (0.0, 0.5, 1.0):
+            assert fg.overlap_case(a, b, alpha) == OverlapCase.CONCENTRIC
+        assert fg.alpha_thresholds(a, b) == fg.Thresholds(None, None, None)
+
 
 class TestSampleMidset:
     def test_bisector_line(self, ex41_pair):

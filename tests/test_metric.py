@@ -46,6 +46,15 @@ class TestMetricMd:
         assert hi == 1.0
         assert lo == pytest.approx(1.0, abs=1e-8)
 
+    def test_one_distance_serves_every_scale(self, ex22_pair):
+        dist = fg.fuzzy_distance(*ex22_pair)
+        for t in (0.1, 1.0, 30.0):
+            shared = fg.closeness(dist, t)
+            fresh = fg.metric_md(*ex22_pair, t=t)
+            assert shared.summary == fresh.summary
+            for alpha in (0.0, 0.4, 1.0):
+                assert shared.value.cut(alpha) == fresh.value.cut(alpha)
+
     def test_support_cut_is_interval_image(self, ex22_pair):
         m = fg.metric_md(*ex22_pair, t=1.0)
         lo, hi = m.value.cut(0.0)

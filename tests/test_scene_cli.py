@@ -105,6 +105,11 @@ class TestParseScene:
         with pytest.raises(fg.SceneError, match=f"{re.escape(field)} must be finite"):
             fg.parse_scene(EX22_SCENE.replace(old, new, 1))
 
+    def test_theta_samples_rejected(self):
+        text = EX22_SCENE.replace('"pairs"', '"grids": {"theta_samples": 64}, "pairs"', 1)
+        with pytest.raises(fg.SceneError, match="theta_samples"):
+            fg.parse_scene(text)
+
     def test_bad_request_rejected(self):
         text = EX22_SCENE.rstrip().rstrip("}") + ', "requests": ["explode"]}'
         with pytest.raises(fg.SceneError, match="explode"):
@@ -185,6 +190,14 @@ class TestCli:
         assert payload["thresholds"]["n"] == 0.0
         assert len(payload["bands"]) == 1
         assert payload["bands"][0]["classes"] == {"inverse_points": "hyperbola"}
+
+    def test_classify_nearly_concentric_single_band(self, scene_file, tmp_path):
+        out = tmp_path / "out"
+        text = EX42_SCENE.replace('"core": [5, 0]', '"core": [1e-10, 0]')
+        assert run(["classify", "--scene", scene_file(text), "--out", str(out)]) == 0
+        payload = json.loads((out / "A_B_classify.json").read_text())
+        assert payload["thresholds"] == {"n": None, "n1": None, "n2": None}
+        assert [band["case"] for band in payload["bands"]] == ["concentric"]
 
     def test_invariance_command(self, scene_file, tmp_path):
         out = tmp_path / "out"
