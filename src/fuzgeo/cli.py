@@ -84,12 +84,10 @@ def cmd_distance(scene: Scene, args, out: str) -> None:
             "argmax_theta": dist.argmax_theta,
             "refined": dist.refined,
         })
-        rows = []
-        for alpha in _alphas(args.alpha_levels or scene.grids.alpha_levels):
-            lo, hi = dist.cut(float(alpha))
-            rows.append((alpha, lo, dist.params.dc, hi))
+        table = dist.cuts(args.alpha_levels or scene.grids.alpha_levels)
         _write_csv(os.path.join(out, f"{name_a}_{name_b}_distance.csv"),
-                   ["alpha", "lo", "mid", "hi"], rows)
+                   ["alpha", "lo", "mid", "hi"],
+                   ((alpha, lo, dist.params.dc, hi) for alpha, lo, hi in table))
 
 
 def cmd_metric_curve(scene: Scene, args, out: str) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -138,6 +139,31 @@ class FuzzyDistance(FuzzyNumber):
         else:
             lo = 0.0
         return (max(0.0, lo), hi)
+
+    def cut_table(self, alphas) -> tuple[np.ndarray, np.ndarray]:
+        """Cut ends (lo, hi) at every level of an alpha array.
+
+        Takes the branches of cut() with the same arithmetic on arrays, so
+        lo[k], hi[k] equal cut(alphas[k]) bit for bit.
+        """
+        alphas = np.asarray(alphas, dtype=float)
+        bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
+        if bad.size:
+            raise ValueError(f"alpha must be in [0, 1], got {bad[0]}")
+        p = self.params
+        u = 1.0 - alphas
+        hi = p.gap(self.argmax_theta, u)
+        if self._u0 >= 1.0:
+            lo = p.gap(self.argmin_theta, u)
+        elif self._u0 > 0.0:
+            lo = p.dc * np.maximum(0.0, self._u0 - u) / self._u0
+        else:
+            lo = np.zeros_like(u)
+        return np.maximum(0.0, lo), hi
+
+    def cuts(self, levels: Optional[int] = None) -> np.ndarray:
+        alphas = np.linspace(0.0, 1.0, levels or self.levels)
+        return np.column_stack((alphas, *self.cut_table(alphas)))
 
     def membership(self, x: float) -> float:
         """Grade 1 - u of x, inverting the cut in closed form.

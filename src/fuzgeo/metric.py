@@ -7,11 +7,16 @@ cut [t/(t+hi), t/(t+lo)]; no closed-form approximation is involved.
 
 Axiom checking is reporting machinery: violations are collected and
 returned, never raised, so degenerate configurations can be inspected.
+check_metric_axioms audits the George-Veeramani axioms of the closeness
+(positivity, identity, symmetry, the t-norm quadrangle inequality on
+summaries and cuts, continuity in t).  It builds one table of distance
+cuts over the alpha grid and evaluates every check as numpy comparisons
+over whole (pair or triple, t, s, alpha) arrays, so a t-norm's fn must
+work elementwise on arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -23,7 +28,11 @@ from .distance import FuzzyDistance, fuzzy_distance
 
 @dataclass(frozen=True)
 class TNorm:
-    """Commutative, associative, monotone binary operation on [0,1] with unit 1."""
+    """Commutative, associative, monotone binary operation on [0,1] with unit 1.
+
+    fn must work elementwise on numpy arrays: the axiom checks apply it to
+    whole arrays of closeness values at once.
+    """
 
     name: str
     fn: Callable[[float, float], float]
@@ -33,7 +42,7 @@ class TNorm:
 
 
 PRODUCT = TNorm("product", lambda x, y: x * y)
-MINIMUM = TNorm("minimum", min)
+MINIMUM = TNorm("minimum", np.minimum)
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,17 @@ def _points_equal(a: FuzzyPoint, b: FuzzyPoint) -> tuple[bool, bool]:
     return cores, spreads
 
 
+def _record(check: CheckResult, ok: np.ndarray, detail) -> None:
+    """Count every case of the boolean array ok; detail(*index) describes a failure."""
+    check.checked += ok.size
+    check.failures.extend(detail(*map(int, idx)) for idx in zip(*np.nonzero(~ok)))
+
+
+def _scaled(d, t):
+    """Closeness t / (t + d) of distance values d at scales t, broadcast."""
+    return t / (t + d)
+
+
 def check_metric_axioms(points: Sequence[FuzzyPoint],
                         t_samples: Sequence[float],
                         tnorm: TNorm,
@@ -126,17 +146,32 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
     'Almost equals 1' is operationalized as: the core of the closeness is
     exactly 1 if and only if the cores coincide; spread equality is noted
     separately rather than folded into the identity verdict.
+
+    Each distance is cut once over the alpha grid; every check is then an
+    array comparison of closeness cuts t/(t + hi), t/(t + lo) over the
+    cases, with the arithmetic of closeness() case by case.  Failures are
+    listed in (i, j, k, t, s) order.
     """
     if len(points) < 3:
         raise ValueError("at least three points are needed for the axiom checks")
+    ts = tuple(t_samples)
+    t = np.array(ts, dtype=float)
+    if t.ndim != 1 or not t.size or not np.all(np.isfinite(t) & (t > 0.0)):
+        raise ValueError(
+            f"t_samples must be a nonempty sequence of finite positive scales, got {ts}")
+    if alpha_samples < 1:
+        raise ValueError(f"alpha_samples must be at least 1, got {alpha_samples}")
     alphas = np.linspace(0.0, 1.0, alpha_samples)
     n = len(points)
-    dists = {}
-
-    def dist(i: int, j: int) -> FuzzyDistance:
-        if (i, j) not in dists:
-            dists[(i, j)] = fuzzy_distance(points[i], points[j])
-        return dists[(i, j)]
+    dists = [[fuzzy_distance(a, b) for b in points] for a in points]
+    # distances whose images t/(t + d) are the closeness cut ends (lo, hi),
+    # i.e. the distance cut ends reversed, per (end, i, j, alpha), and the
+    # closeness summary (l, m, u) per (component, i, j)
+    ends_d = np.moveaxis(np.array([[d.cut_table(alphas)[::-1] for d in row]
+                                   for row in dists]), 2, 0)
+    dc = np.array([[d.params.dc for d in row] for row in dists])
+    summary_d = np.stack([ends_d[0, ..., 0], dc, ends_d[1, ..., 0]])
+    upper_i, upper_j = np.triu_indices(n, 1)
 
     positivity = CheckResult("positivity")
     identity = CheckResult("identity")
@@ -145,76 +180,55 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
     quadrangle_cuts = CheckResult("quadrangle_cuts")
     continuity = CheckResult("continuity")
 
+    # support lower end per (i, j, t)
+    lo0 = _scaled(summary_d[0, ..., None], t)
+    _record(positivity, lo0 > 0.0, lambda i, j, a: (i, j, ts[a], float(lo0[i, j, a])))
+
     for i in range(n):
         for j in range(n):
-            d_ij = dist(i, j)
-            for t in t_samples:
-                m = closeness(d_ij, t)
-                lo0, _ = m.value.cut(0.0)
-                positivity.count(lo0 > 0.0, (i, j, t, lo0))
-
             cores_eq, spreads_eq = _points_equal(points[i], points[j])
-            core_grade_one = d_ij.params.dc == 0.0
+            core_grade_one = dists[i][j].params.dc == 0.0
             identity.count(core_grade_one == cores_eq, (i, j))
             identity.notes.append(
                 {"pair": (i, j), "core_equal": cores_eq,
                  "spread_equal": spreads_eq, "closeness_core_is_one": core_grade_one})
 
-            if i < j:
-                d_ji = dist(j, i)
-                for t in t_samples:
-                    m_ij = closeness(d_ij, t)
-                    m_ji = closeness(d_ji, t)
-                    worst = max(
-                        max(abs(x - y) for x, y in
-                            zip(m_ij.value.cut(float(a)), m_ji.value.cut(float(a))))
-                        for a in alphas)
-                    symmetry.count(worst <= tol, (i, j, t, worst))
+    # cut ends per (end, i, j, alpha, t); worst gap per (i < j, t)
+    cl = _scaled(ends_d[..., None], t)
+    worst = np.abs(cl - cl.swapaxes(1, 2)).max(axis=(0, 3))[upper_i, upper_j]
+    _record(symmetry, worst <= tol, lambda p, a: (int(upper_i[p]), int(upper_j[p]),
+                                                   ts[a], float(worst[p, a])))
 
+    t_, s_ = t[:, None], t[None, :]
+
+    def quadrangle_sides(d, i, j, k):
+        """T(M(i, j, t), M(j, k, s)) and M(i, k, t + s) with trailing (t, s) axes."""
+        ij, jk, ik = (d[:, a, b][..., None, None] for a, b in ((i, j), (j, k), (i, k)))
+        return tnorm(_scaled(ij, t_), _scaled(jk, s_)), _scaled(ik, t_ + s_)
+
+    # one first index i at a time keeps the (j, k, alpha, t, s) arrays small
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) < 3:
-                    continue
-                for t in t_samples:
-                    for s in t_samples:
-                        m_ab = closeness(dist(i, j), t).summary
-                        m_bc = closeness(dist(j, k), s).summary
-                        m_ac = closeness(dist(i, k), t + s).summary
-                        ok = (tnorm(m_ab.l, m_bc.l) <= m_ac.l + tol
-                              and tnorm(m_ab.m, m_bc.m) <= m_ac.m + tol
-                              and tnorm(m_ab.u, m_bc.u) <= m_ac.u + tol)
-                        quadrangle.count(ok, (i, j, k, t, s))
+        j, k = np.array([(j, k) for j in range(n) for k in range(n)
+                         if len({i, j, k}) == 3]).T
 
-                        cl_ab = closeness(dist(i, j), t).value
-                        cl_bc = closeness(dist(j, k), s).value
-                        cl_ac = closeness(dist(i, k), t + s).value
-                        cuts_ok = True
-                        for a in alphas:
-                            lo1, hi1 = cl_ab.cut(float(a))
-                            lo2, hi2 = cl_bc.cut(float(a))
-                            lo3, hi3 = cl_ac.cut(float(a))
-                            if (tnorm(lo1, lo2) > lo3 + tol
-                                    or tnorm(hi1, hi2) > hi3 + tol):
-                                cuts_ok = False
-                                break
-                        quadrangle_cuts.count(cuts_ok, (i, j, k, t, s))
+        def detail(p, a, b):
+            return (i, int(j[p]), int(k[p]), ts[a], ts[b])
 
-    t_grid = np.geomspace(min(t_samples) / 2.0, max(t_samples) * 2.0, 64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d_ij = dist(i, j)
-            lo_d, hi_d = d_ij.cut(0.0)
-            worst_excess = 0.0
-            for t1, t2 in zip(t_grid[:-1], t_grid[1:]):
-                m1 = closeness(d_ij, float(t1)).summary
-                m2 = closeness(d_ij, float(t2)).summary
-                dt = float(t2 - t1)
-                for v1, v2, d in ((m1.l, m2.l, hi_d), (m1.m, m2.m, d_ij.params.dc),
-                                  (m1.u, m2.u, lo_d)):
-                    bound = dt * d / ((t1 + d) * (t2 + d)) if d > 0 else 0.0
-                    worst_excess = max(worst_excess, abs(v2 - v1) - bound)
-            continuity.count(worst_excess <= tol, (i, j, worst_excess))
+        lhs, rhs = quadrangle_sides(summary_d, i, j, k)
+        _record(quadrangle, np.all(lhs <= rhs + tol, axis=0), detail)
+        lhs, rhs = quadrangle_sides(ends_d, i, j, k)
+        _record(quadrangle_cuts, ~np.any(lhs > rhs + tol, axis=(0, 2)), detail)
+
+    # summary change between t-grid neighbours against the Lipschitz bound
+    # of t/(t + d), per (component, i < j, grid step)
+    t_grid = np.geomspace(min(ts) / 2.0, max(ts) * 2.0, 64)
+    d = summary_d[:, upper_i, upper_j, None]
+    v = _scaled(d, t_grid)
+    t1, t2 = t_grid[:-1], t_grid[1:]
+    bound = (t2 - t1) * d / ((t1 + d) * (t2 + d))
+    excess = np.maximum(0.0, (np.abs(v[..., 1:] - v[..., :-1]) - bound).max(axis=(0, 2)))
+    _record(continuity, excess <= tol, lambda p: (int(upper_i[p]), int(upper_j[p]),
+                                                  float(excess[p])))
 
     return MetricAxiomReport(
         tnorm=tnorm.name, positivity=positivity, identity=identity,

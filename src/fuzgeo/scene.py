@@ -8,8 +8,7 @@ Schema (all fields beyond "points" optional):
       "pairs": [["A", "B"]],
       "grids": {"alpha_levels": 101, "bbox": [xmin, ymin, xmax, ymax],
                 "resolution": 512},
-      "t": [0.5, 1, 2],
-      "requests": ["distance", "midset"]
+      "t": [0.5, 1, 2]
     }
 
 Unknown fields are rejected by name so typos never pass silently.
@@ -25,10 +24,7 @@ from typing import Optional
 
 from .core import FuzzyPoint, Point2, Spread
 
-KNOWN_COMMANDS = ("distance", "metric-curve", "hausdorff", "midset",
-                  "classify", "invariance")
-
-_TOP_FIELDS = {"points", "pairs", "grids", "t", "requests"}
+_TOP_FIELDS = {"points", "pairs", "grids", "t"}
 _POINT_FIELDS = {"name", "core", "spread"}
 _SPREAD_FIELDS = {"kind", "radii"}
 _GRID_FIELDS = {"alpha_levels", "bbox", "resolution"}
@@ -51,7 +47,6 @@ class Scene:
     pairs: tuple
     grids: GridSpec = field(default_factory=GridSpec)
     t_values: Optional[tuple] = None
-    requests: tuple = ()
 
     def pair_points(self, pair: tuple) -> tuple[FuzzyPoint, FuzzyPoint]:
         return self.points[pair[0]], self.points[pair[1]]
@@ -180,18 +175,7 @@ def parse_scene(text: str) -> Scene:
         if any(v <= 0 for v in t_values):
             raise SceneError("'t' values must be positive")
 
-    requests = ()
-    if "requests" in raw:
-        reqs = raw["requests"]
-        if not isinstance(reqs, list):
-            raise SceneError("'requests' must be a list of command names")
-        for r in reqs:
-            if r not in KNOWN_COMMANDS:
-                raise SceneError(f"unknown analysis request {r!r}")
-        requests = tuple(reqs)
-
-    return Scene(points=points, pairs=tuple(pairs), grids=grids,
-                 t_values=t_values, requests=requests)
+    return Scene(points=points, pairs=tuple(pairs), grids=grids, t_values=t_values)
 
 
 def load_scene(path) -> Scene:

@@ -9,6 +9,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 import fuzgeo as fg
+from fuzgeo.metric import (CheckResult, FuzzyDistance, MetricAxiomReport,
+                           _points_equal, closeness, fuzzy_distance)
 
 # Draws a rejection-sampling helper makes before it gives up.
 MAX_DRAWS = 1000
@@ -212,3 +214,111 @@ def midset_crossing_cells(a, b, alpha, branch, bbox, resolution):
     corners = np.stack([pos[:-1, :-1], pos[:-1, 1:], pos[1:, :-1], pos[1:, 1:]])
     iy, ix = np.nonzero(corners.any(axis=0) & ~corners.all(axis=0))
     return np.column_stack([0.5 * (xs[ix] + xs[ix + 1]), 0.5 * (ys[iy] + ys[iy + 1])])
+
+
+# --- closeness-metric axioms -------------------------------------------------
+
+
+def metric_axioms_reference(points, t_samples, tnorm, alpha_samples=11, tol=1e-9):
+    """The closeness-metric axiom checks as one closeness object per case.
+
+    The scalar loop check_metric_axioms replaced; its reports must agree
+    check by check, failure lists and identity notes included.
+
+    'Almost equals 1' is operationalized as: the core of the closeness is
+    exactly 1 if and only if the cores coincide; spread equality is noted
+    separately rather than folded into the identity verdict.
+    """
+    if len(points) < 3:
+        raise ValueError("at least three points are needed for the axiom checks")
+    alphas = np.linspace(0.0, 1.0, alpha_samples)
+    n = len(points)
+    dists = {}
+
+    def dist(i: int, j: int) -> FuzzyDistance:
+        if (i, j) not in dists:
+            dists[(i, j)] = fuzzy_distance(points[i], points[j])
+        return dists[(i, j)]
+
+    positivity = CheckResult("positivity")
+    identity = CheckResult("identity")
+    symmetry = CheckResult("symmetry")
+    quadrangle = CheckResult("quadrangle_summary")
+    quadrangle_cuts = CheckResult("quadrangle_cuts")
+    continuity = CheckResult("continuity")
+
+    for i in range(n):
+        for j in range(n):
+            d_ij = dist(i, j)
+            for t in t_samples:
+                m = closeness(d_ij, t)
+                lo0, _ = m.value.cut(0.0)
+                positivity.count(lo0 > 0.0, (i, j, t, lo0))
+
+            cores_eq, spreads_eq = _points_equal(points[i], points[j])
+            core_grade_one = d_ij.params.dc == 0.0
+            identity.count(core_grade_one == cores_eq, (i, j))
+            identity.notes.append(
+                {"pair": (i, j), "core_equal": cores_eq,
+                 "spread_equal": spreads_eq, "closeness_core_is_one": core_grade_one})
+
+            if i < j:
+                d_ji = dist(j, i)
+                for t in t_samples:
+                    m_ij = closeness(d_ij, t)
+                    m_ji = closeness(d_ji, t)
+                    worst = max(
+                        max(abs(x - y) for x, y in
+                            zip(m_ij.value.cut(float(a)), m_ji.value.cut(float(a))))
+                        for a in alphas)
+                    symmetry.count(worst <= tol, (i, j, t, worst))
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if len({i, j, k}) < 3:
+                    continue
+                for t in t_samples:
+                    for s in t_samples:
+                        m_ab = closeness(dist(i, j), t).summary
+                        m_bc = closeness(dist(j, k), s).summary
+                        m_ac = closeness(dist(i, k), t + s).summary
+                        ok = (tnorm(m_ab.l, m_bc.l) <= m_ac.l + tol
+                              and tnorm(m_ab.m, m_bc.m) <= m_ac.m + tol
+                              and tnorm(m_ab.u, m_bc.u) <= m_ac.u + tol)
+                        quadrangle.count(ok, (i, j, k, t, s))
+
+                        cl_ab = closeness(dist(i, j), t).value
+                        cl_bc = closeness(dist(j, k), s).value
+                        cl_ac = closeness(dist(i, k), t + s).value
+                        cuts_ok = True
+                        for a in alphas:
+                            lo1, hi1 = cl_ab.cut(float(a))
+                            lo2, hi2 = cl_bc.cut(float(a))
+                            lo3, hi3 = cl_ac.cut(float(a))
+                            if (tnorm(lo1, lo2) > lo3 + tol
+                                    or tnorm(hi1, hi2) > hi3 + tol):
+                                cuts_ok = False
+                                break
+                        quadrangle_cuts.count(cuts_ok, (i, j, k, t, s))
+
+    t_grid = np.geomspace(min(t_samples) / 2.0, max(t_samples) * 2.0, 64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d_ij = dist(i, j)
+            lo_d, hi_d = d_ij.cut(0.0)
+            worst_excess = 0.0
+            for t1, t2 in zip(t_grid[:-1], t_grid[1:]):
+                m1 = closeness(d_ij, float(t1)).summary
+                m2 = closeness(d_ij, float(t2)).summary
+                dt = float(t2 - t1)
+                for v1, v2, d in ((m1.l, m2.l, hi_d), (m1.m, m2.m, d_ij.params.dc),
+                                  (m1.u, m2.u, lo_d)):
+                    bound = dt * d / ((t1 + d) * (t2 + d)) if d > 0 else 0.0
+                    worst_excess = max(worst_excess, abs(v2 - v1) - bound)
+            continuity.count(worst_excess <= tol, (i, j, worst_excess))
+
+    return MetricAxiomReport(
+        tnorm=tnorm.name, positivity=positivity, identity=identity,
+        symmetry=symmetry, quadrangle=quadrangle,
+        quadrangle_cuts=quadrangle_cuts, continuity=continuity)

@@ -315,6 +315,56 @@ class TestExtremalDirections:
         assert np.all(hi >= d.params.dc - tol)
 
 
+def _cut_table_pairs(rng):
+    """Four seeded pairs of each geometry whose cut() takes a different branch."""
+    pairs = {"separate": [], "overlapping": [], "touching": [], "concentric": [], "flat": []}
+    for _ in range(4):
+        pairs["separate"].append(random_separated_pair(rng))
+        pairs["overlapping"].append((random_elliptical(rng, -1.0, 1.0, 1.5, 2.0),
+                                     random_elliptical(rng, -1.0, 1.0, 1.5, 2.0)))
+        # cores one summed spread apart along x: d1 / R1 == 1 and d2 == 0 exactly
+        a, b = random_point(rng), random_point(rng)
+        pairs["touching"].append((
+            fg.FuzzyPoint(fg.Point2(0.0, a.core.y), a.spread),
+            fg.FuzzyPoint(fg.Point2(-(a.spread.p1 + b.spread.p1), a.core.y), b.spread)))
+        a = random_elliptical(rng)
+        pairs["concentric"].append((a, fg.FuzzyPoint(a.core, random_elliptical(rng).spread)))
+        a = random_circular(rng)
+        pairs["flat"].append((a, fg.FuzzyPoint(a.core, random_circular(rng).spread)))
+    return pairs
+
+
+class TestCutTable:
+    def test_pairs_cover_every_branch(self, rng):
+        for kind, pairs in _cut_table_pairs(rng).items():
+            for a, b in pairs:
+                d = fg.fuzzy_distance(a, b)
+                u0 = d.params.separation_level
+                assert {"separate": u0 > 1.0, "overlapping": 0.0 < u0 < 1.0,
+                        "touching": u0 == 1.0, "concentric": u0 == 0.0 and d.refined,
+                        "flat": not d.refined}[kind]
+
+    def test_matches_cut_bit_for_bit(self, rng):
+        alphas = np.concatenate([np.linspace(0.0, 1.0, 101), rng.random(50)])
+        for pairs in _cut_table_pairs(rng).values():
+            for a, b in pairs:
+                d = fg.fuzzy_distance(a, b)
+                table = np.column_stack(d.cut_table(alphas))
+                loop = np.array([d.cut(float(alpha)) for alpha in alphas])
+                assert np.array_equal(table.view(np.int64), loop.view(np.int64))
+
+    def test_cuts_rows_unchanged(self, ex22_pair):
+        d = fg.fuzzy_distance(*ex22_pair)
+        rows = d.cuts(101)
+        assert np.array_equal(rows.view(np.int64),
+                              fg.FuzzyNumber.cuts(d, 101).view(np.int64))
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, ex22_pair, bad):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            fg.fuzzy_distance(*ex22_pair).cut_table([0.0, bad])
+
+
 class TestCoreAngleProposition:
     def test_horizontal(self):
         a = fg.FuzzyPoint.circular(0, 0, 1)

@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 import fuzgeo as fg
-from oracles import general_position_points, general_position_triple
+from oracles import (general_position_points, general_position_triple,
+                     metric_axioms_reference)
+
+
+def assert_reports_equal(got, want):
+    """Same checks, case counts, failure lists (order included) and identity notes."""
+    assert got.tnorm == want.tnorm
+    assert len(got.checks) == len(want.checks)
+    for g, w in zip(got.checks, want.checks):
+        assert (g.name, g.checked, g.failures) == (w.name, w.checked, w.failures)
+    assert got.identity.notes == want.identity.notes
 
 
 class TestTNorms:
@@ -142,6 +152,61 @@ class TestMetricAxioms:
         with pytest.raises(ValueError):
             fg.check_metric_axioms([fg.FuzzyPoint.circular(0, 0, 1)] * 2,
                                    (1.0,), fg.PRODUCT)
+
+
+class TestMetricAxiomsAgainstLoop:
+    """The array checks against the scalar loop they replaced."""
+
+    @pytest.mark.parametrize("tol", [1e-9, -0.01, -0.1])
+    @pytest.mark.parametrize("tnorm", [fg.PRODUCT, fg.MINIMUM])
+    def test_random_points(self, rng, tnorm, tol):
+        pts = general_position_points(rng, 6)
+        report = fg.check_metric_axioms(pts, (0.5, 1.0, 2.0), tnorm, tol=tol)
+        assert_reports_equal(report, metric_axioms_reference(pts, (0.5, 1.0, 2.0),
+                                                             tnorm, tol=tol))
+        if tol < 0:
+            # a negative tolerance fails every case of the tolerance checks
+            assert len(report.symmetry.failures) == report.symmetry.checked
+            assert len(report.continuity.failures) == report.continuity.checked
+        if tol == -0.1:
+            # ... and some, not all, quadrangle cases
+            for check in (report.quadrangle, report.quadrangle_cuts):
+                assert 0 < len(check.failures) < check.checked
+
+    @pytest.mark.parametrize("tol", [1e-9, -0.01])
+    @pytest.mark.parametrize("tnorm", [fg.PRODUCT, fg.MINIMUM])
+    def test_identical_cores(self, tnorm, tol):
+        pts = [fg.FuzzyPoint.circular(0, 0, 1),
+               fg.FuzzyPoint.circular(0, 0, 2),
+               fg.FuzzyPoint.circular(5, 0, 1)]
+        assert_reports_equal(
+            fg.check_metric_axioms(pts, (0.5, 1.0, 2.0), tnorm, tol=tol),
+            metric_axioms_reference(pts, (0.5, 1.0, 2.0), tnorm, tol=tol))
+
+    def test_positivity_failures(self):
+        # t / (t + hi) underflows to 0 for the distinct pairs at t = 1e-320
+        pts = [fg.FuzzyPoint.circular(0, 0, 1),
+               fg.FuzzyPoint.circular(1e5, 0, 2),
+               fg.FuzzyPoint.circular(0, 3e5, 1)]
+        report = fg.check_metric_axioms(pts, (1e-320, 1.0), fg.PRODUCT)
+        assert len(report.positivity.failures) == 6
+        assert_reports_equal(report, metric_axioms_reference(pts, (1e-320, 1.0),
+                                                             fg.PRODUCT))
+
+
+class TestMetricAxiomArguments:
+    @pytest.mark.parametrize("t_samples", [(), (0.0,), (-1.0, 1.0), (1.0, float("nan")),
+                                           (float("inf"),)])
+    def test_bad_t_samples_rejected(self, t_samples):
+        pts = general_position_points(np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="t_samples"):
+            fg.check_metric_axioms(pts, t_samples, fg.PRODUCT)
+
+    @pytest.mark.parametrize("alpha_samples", [0, -3])
+    def test_bad_alpha_samples_rejected(self, alpha_samples):
+        pts = general_position_points(np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="alpha_samples"):
+            fg.check_metric_axioms(pts, (1.0,), fg.PRODUCT, alpha_samples=alpha_samples)
 
 
 class TestKSAxioms:

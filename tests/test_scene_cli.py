@@ -112,7 +112,7 @@ class TestParseScene:
 
     def test_bad_request_rejected(self):
         text = EX22_SCENE.rstrip().rstrip("}") + ', "requests": ["explode"]}'
-        with pytest.raises(fg.SceneError, match="explode"):
+        with pytest.raises(fg.SceneError, match="requests"):
             fg.parse_scene(text)
 
 
