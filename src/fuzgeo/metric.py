@@ -143,9 +143,11 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
                         tol: float = 1e-9) -> MetricAxiomReport:
     """Verify the closeness-metric axioms on all pairs and triples.
 
-    'Almost equals 1' is operationalized as: the core of the closeness is
-    exactly 1 if and only if the cores coincide; spread equality is noted
-    separately rather than folded into the identity verdict.
+    'Almost equals 1' is operationalized as: the closeness core
+    t/(t + hi(alpha = 1)) is within tol of 1 at every sampled t if and only
+    if the cores coincide, so identity fails when no sampled scale tells
+    two distinct cores apart; spread equality is noted separately rather
+    than folded into the identity verdict.
 
     Each distance is cut once over the alpha grid; every check is then an
     array comparison of closeness cuts t/(t + hi), t/(t + lo) over the
@@ -159,8 +161,9 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
     if t.ndim != 1 or not t.size or not np.all(np.isfinite(t) & (t > 0.0)):
         raise ValueError(
             f"t_samples must be a nonempty sequence of finite positive scales, got {ts}")
-    if alpha_samples < 1:
-        raise ValueError(f"alpha_samples must be at least 1, got {alpha_samples}")
+    if alpha_samples < 2:
+        # the grid must reach the core level alpha = 1 the identity check reads
+        raise ValueError(f"alpha_samples must be at least 2, got {alpha_samples}")
     alphas = np.linspace(0.0, 1.0, alpha_samples)
     n = len(points)
     dists = [[fuzzy_distance(a, b) for b in points] for a in points]
@@ -184,10 +187,12 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
     lo0 = _scaled(summary_d[0, ..., None], t)
     _record(positivity, lo0 > 0.0, lambda i, j, a: (i, j, ts[a], float(lo0[i, j, a])))
 
+    # closeness core t/(t + hi(alpha = 1)) within tol of 1, per (i, j) at every t
+    core_one = np.all(np.abs(_scaled(ends_d[0, ..., -1, None], t) - 1.0) <= tol, axis=-1)
     for i in range(n):
         for j in range(n):
             cores_eq, spreads_eq = _points_equal(points[i], points[j])
-            core_grade_one = dists[i][j].params.dc == 0.0
+            core_grade_one = bool(core_one[i, j])
             identity.count(core_grade_one == cores_eq, (i, j))
             identity.notes.append(
                 {"pair": (i, j), "core_equal": cores_eq,
@@ -257,6 +262,9 @@ def check_ks_axioms(points: Sequence[FuzzyPoint],
                     tol: float = 1e-9) -> KSAxiomReport:
     """Verify the interval-valued metric axioms in their componentwise form.
 
+    zero_core holds for a pair when the distance core hi(alpha = 1) is
+    within tol of 0 if and only if the cores coincide.
+
     With L = Min and R = Max the triangle condition is equivalent to the
     componentwise comparison of summary triples; other (L, R) pairs are
     not supported.  Violations of the lower-endpoint comparison are
@@ -274,17 +282,15 @@ def check_ks_axioms(points: Sequence[FuzzyPoint],
     symmetry = CheckResult("symmetry")
     triangle = CheckResult("triangle")
 
-    summaries = {}
+    dists = [[fuzzy_distance(a, b) for b in points] for a in points]
 
     def summary(i: int, j: int) -> TriangularTriple:
-        if (i, j) not in summaries:
-            summaries[(i, j)] = fuzzy_distance(points[i], points[j]).summary
-        return summaries[(i, j)]
+        return dists[i][j].summary
 
     for i in range(n):
         for j in range(n):
             cores_eq, _ = _points_equal(points[i], points[j])
-            zero_core.count((summary(i, j).m == 0.0) == cores_eq, (i, j))
+            zero_core.count((dists[i][j].cut(1.0)[1] <= tol) == cores_eq, (i, j))
             if i < j:
                 s_ij, s_ji = summary(i, j), summary(j, i)
                 worst = max(abs(x - y) for x, y in

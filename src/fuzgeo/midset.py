@@ -72,15 +72,21 @@ def _pair_radii(a: FuzzyPoint, b: FuzzyPoint) -> tuple[float, float, float]:
     return r1, r2, dc
 
 
+def _branch_terms(d1, d2, r1: float, r2: float, u: float, branch: Branch):
+    """The terms (d1 - r1 u, +-(d2 - r2 u)) whose difference is the branch residual.
+
+    d1 and d2 are the distances to the cores, as floats or arrays.
+    """
+    fb = d2 - r2 * u
+    return d1 - r1 * u, (fb if branch is Branch.INVERSE else -fb)
+
+
 def branch_residual(q: Point2, a: FuzzyPoint, b: FuzzyPoint, alpha: float,
                     branch: Branch) -> float:
     r1, r2, _ = _pair_radii(a, b)
-    u = 1.0 - alpha
-    d1 = q.distance_to(a.core)
-    d2 = q.distance_to(b.core)
-    if branch is Branch.INVERSE:
-        return (d1 - r1 * u) - (d2 - r2 * u)
-    return (d1 - r1 * u) - (r2 * u - d2)
+    fa, fb = _branch_terms(q.distance_to(a.core), q.distance_to(b.core), r1, r2,
+                           1.0 - alpha, branch)
+    return fa - fb
 
 
 def overlap_case(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
@@ -392,10 +398,15 @@ def equidistant_membership(q: Point2, a: FuzzyPoint, b: FuzzyPoint) -> float:
 class InvarianceReport:
     """Zero-set comparison of the distance form and the closeness form.
 
-    A disagreement is a grid point where one residual is clearly zero
-    (inside tol) while the other, scaled by the exact derivative factor of
-    x -> t/(t+x), is clearly nonzero (outside 2*tol); the in-between band
-    absorbs floating-point rounding without hiding a genuine mismatch.
+    With fa = d1 - r1 u and fb = +-(d2 - r2 u) the terms of a branch
+    residual, the distance form is fa - fb and the closeness form is
+    t/(t + fa) - t/(t + fb) = t (fb - fa)/((t + fa)(t + fb)).  Scaled by
+    the exact derivative factor |(t + fa)(t + fb)|/t it equals |fa - fb|
+    up to rounding.  A disagreement is a grid point where one residual is
+    clearly zero (inside tol) while the other is clearly nonzero (outside
+    2*tol); the in-between band absorbs floating-point rounding without
+    hiding a genuine mismatch.  A pole point, where fa or fb equals -t, is
+    counted apart and never disagrees.
     """
 
     checked: int = 0
@@ -407,13 +418,29 @@ class InvarianceReport:
         return self.disagreements == 0
 
 
+# Outside these limits on t and on the span of the grid values the rounding
+# bound of invariance_check may fail (overflow or subnormal intermediates),
+# and every grid point is evaluated.
+_EXACT_T_MIN = 2.0 ** -400
+_EXACT_SPAN_MAX = 2.0 ** 300
+_EPS = float(np.finfo(float).eps)
+
+
 def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
                      t_values: Sequence[float],
                      bbox: Optional[tuple] = None,
                      resolution: int = DEFAULT_RESOLUTION,
                      alphas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
                      tol: float = 1e-9) -> InvarianceReport:
-    """Compare the equidistance zero sets under both metric formulations."""
+    """Compare the equidistance zero sets under both metric formulations.
+
+    Every grid point of every (alpha, active branch, t) is counted as
+    checked, but the closeness form is evaluated only on candidate points:
+    those where |(d1 -+ d2) - k| <= 2*tol + slack, with k = (r1 -+ r2) u,
+    plus those whose d1 or d2 lies within slack of a pole, r u -+ t.  By
+    the identity in InvarianceReport no other point can be a pole or have
+    a residual inside tol, so the report equals a full-grid evaluation.
+    """
     for t in t_values:
         if t <= 0:
             raise ValueError(f"scale t must be positive, got {t}")
@@ -423,24 +450,51 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
     xmin, ymin, xmax, ymax = bbox
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    X, Y = np.meshgrid(xs, ys)
-    d1 = np.hypot(X - a.core.x, Y - a.core.y)
-    d2 = np.hypot(X - b.core.x, Y - b.core.y)
+    d1 = np.hypot((xs - a.core.x)[None, :], (ys - a.core.y)[:, None]).ravel()
+    d2 = np.hypot((xs - b.core.x)[None, :], (ys - b.core.y)[:, None]).ravel()
+    focal = {Branch.INVERSE: d1 - d2, Branch.SAME: d1 + d2}
+    d_range = ((d1.min(), d1.max()), (d2.min(), d2.max()))
+    d_max = d_range[0][1] + d_range[1][1]
+    work = np.empty_like(d1)
 
     report = InvarianceReport()
     for alpha in alphas:
         u = 1.0 - float(alpha)
-        case = overlap_case(a, b, float(alpha))
-        for branch in active_branches(case):
-            fa = d1 - r1 * u
-            fb = (d2 - r2 * u) if branch is Branch.INVERSE else -(d2 - r2 * u)
-            res_d = fa - fb
+        c1, c2 = r1 * u, r2 * u
+        for branch in active_branches(overlap_case(a, b, float(alpha))):
+            inverse = branch is Branch.INVERSE
+            k = c1 - c2 if inverse else c1 + c2
             for t in t_values:
-                with np.errstate(divide="ignore", invalid="ignore"):
+                # fa, fb, t + fa and t + fb are at most span in size, so fa - fb
+                # and the scaled closeness residual each lie within 20 units of
+                # roundoff (2^-53) of span from (d1 -+ d2) - k (N. J. Higham,
+                # Accuracy and Stability of Numerical Algorithms, ch. 2), far
+                # inside slack: a point outside the mask has both residuals
+                # above tol.  A pole, fa == -t or fb == -t, puts d1 or d2 within
+                # a few units of span of r u -+ t.  The bound needs normal
+                # intermediates, hence the limits on t and span.
+                span = d_max + abs(c1) + abs(c2) + t
+                slack = 64.0 * _EPS * span
+                if _EXACT_T_MIN <= t and span <= _EXACT_SPAN_MAX:
+                    np.subtract(focal[branch], k, out=work)
+                    mask = np.abs(work, out=work) <= 2.0 * tol + slack
+                    poles_at = ((d1, d_range[0], c1 - t),
+                                (d2, d_range[1], c2 - t if inverse else c2 + t))
+                    for d, (lo, hi), pole in poles_at:
+                        if lo - slack <= pole <= hi + slack:
+                            np.subtract(d, pole, out=work)
+                            mask |= np.abs(work, out=work) <= slack
+                    idx = np.flatnonzero(mask)
+                else:
+                    idx = slice(None)
+                fa, fb = _branch_terms(d1[idx], d2[idx], r1, r2, u, branch)
+                res_d = fa - fb
+                # poles divide by 0 and scale inf by 0; extreme t overflows
+                with np.errstate(all="ignore"):
                     res_m = t / (t + fa) - t / (t + fb)
                     scale = np.abs((t + fa) * (t + fb)) / t
-                poles = ~np.isfinite(res_m) | (scale == 0.0)
-                res_m_scaled = np.where(poles, np.inf, np.abs(res_m) * scale)
+                    poles = ~np.isfinite(res_m) | (scale == 0.0)
+                    res_m_scaled = np.where(poles, np.inf, np.abs(res_m) * scale)
                 abs_d = np.abs(res_d)
                 zero_d = abs_d <= tol
                 zero_m = res_m_scaled <= tol
@@ -448,7 +502,7 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
                 clear_nonzero_m = res_m_scaled >= 2.0 * tol
                 disagree = (zero_d & clear_nonzero_m) | (zero_m & clear_nonzero_d)
                 disagree &= ~poles
-                report.checked += int(res_d.size)
+                report.checked += int(d1.size)
                 report.disagreements += int(np.count_nonzero(disagree))
                 report.pole_points += int(np.count_nonzero(poles))
     return report

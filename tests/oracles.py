@@ -11,6 +11,8 @@ from scipy.spatial import cKDTree
 import fuzgeo as fg
 from fuzgeo.metric import (CheckResult, FuzzyDistance, MetricAxiomReport,
                            _points_equal, closeness, fuzzy_distance)
+from fuzgeo.midset import (DEFAULT_RESOLUTION, Branch, InvarianceReport, _pair_radii,
+                           active_branches, overlap_case, support_bbox)
 
 # Draws a rejection-sampling helper makes before it gives up.
 MAX_DRAWS = 1000
@@ -216,6 +218,53 @@ def midset_crossing_cells(a, b, alpha, branch, bbox, resolution):
     return np.column_stack([0.5 * (xs[ix] + xs[ix + 1]), 0.5 * (ys[iy] + ys[iy + 1])])
 
 
+def invariance_reference(a, b, t_values, bbox=None, resolution=DEFAULT_RESOLUTION,
+                         alphas=(0.0, 0.25, 0.5, 0.75, 1.0), tol=1e-9):
+    """Both residuals on every grid point, the full-grid loop invariance_check replaced.
+
+    Its reports must agree field by field.  It warns (invalid value in
+    multiply) on grids with pole points.
+    """
+    for t in t_values:
+        if t <= 0:
+            raise ValueError(f"scale t must be positive, got {t}")
+    r1, r2, _ = _pair_radii(a, b)
+    if bbox is None:
+        bbox = support_bbox(a, b)
+    xmin, ymin, xmax, ymax = bbox
+    xs = np.linspace(xmin, xmax, resolution)
+    ys = np.linspace(ymin, ymax, resolution)
+    X, Y = np.meshgrid(xs, ys)
+    d1 = np.hypot(X - a.core.x, Y - a.core.y)
+    d2 = np.hypot(X - b.core.x, Y - b.core.y)
+
+    report = InvarianceReport()
+    for alpha in alphas:
+        u = 1.0 - float(alpha)
+        case = overlap_case(a, b, float(alpha))
+        for branch in active_branches(case):
+            fa = d1 - r1 * u
+            fb = (d2 - r2 * u) if branch is Branch.INVERSE else -(d2 - r2 * u)
+            res_d = fa - fb
+            for t in t_values:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    res_m = t / (t + fa) - t / (t + fb)
+                    scale = np.abs((t + fa) * (t + fb)) / t
+                poles = ~np.isfinite(res_m) | (scale == 0.0)
+                res_m_scaled = np.where(poles, np.inf, np.abs(res_m) * scale)
+                abs_d = np.abs(res_d)
+                zero_d = abs_d <= tol
+                zero_m = res_m_scaled <= tol
+                clear_nonzero_d = abs_d >= 2.0 * tol
+                clear_nonzero_m = res_m_scaled >= 2.0 * tol
+                disagree = (zero_d & clear_nonzero_m) | (zero_m & clear_nonzero_d)
+                disagree &= ~poles
+                report.checked += int(res_d.size)
+                report.disagreements += int(np.count_nonzero(disagree))
+                report.pole_points += int(np.count_nonzero(poles))
+    return report
+
+
 # --- closeness-metric axioms -------------------------------------------------
 
 
@@ -225,9 +274,10 @@ def metric_axioms_reference(points, t_samples, tnorm, alpha_samples=11, tol=1e-9
     The scalar loop check_metric_axioms replaced; its reports must agree
     check by check, failure lists and identity notes included.
 
-    'Almost equals 1' is operationalized as: the core of the closeness is
-    exactly 1 if and only if the cores coincide; spread equality is noted
-    separately rather than folded into the identity verdict.
+    'Almost equals 1' is operationalized as: the closeness core, its cut at
+    alpha = 1, is within tol of 1 at every t if and only if the cores
+    coincide; spread equality is noted separately rather than folded into
+    the identity verdict.
     """
     if len(points) < 3:
         raise ValueError("at least three points are needed for the axiom checks")
@@ -256,7 +306,8 @@ def metric_axioms_reference(points, t_samples, tnorm, alpha_samples=11, tol=1e-9
                 positivity.count(lo0 > 0.0, (i, j, t, lo0))
 
             cores_eq, spreads_eq = _points_equal(points[i], points[j])
-            core_grade_one = d_ij.params.dc == 0.0
+            core_grade_one = all(abs(closeness(d_ij, t).value.cut(1.0)[0] - 1.0) <= tol
+                                 for t in t_samples)
             identity.count(core_grade_one == cores_eq, (i, j))
             identity.notes.append(
                 {"pair": (i, j), "core_equal": cores_eq,

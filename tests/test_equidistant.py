@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import fuzgeo as fg
 from fuzgeo import Branch, OverlapCase
-from oracles import branch_residuals, midset_crossing_cells, random_circular
+from oracles import (branch_residuals, invariance_reference, midset_crossing_cells,
+                     random_circular)
 from scipy.spatial import cKDTree
 
 # the six configurations of the overlap-case table, one per row
@@ -328,6 +330,75 @@ class TestInvariance:
     def test_nonpositive_t_rejected(self, ex41_pair):
         with pytest.raises(ValueError):
             fg.invariance_check(*ex41_pair, t_values=(0.0,))
+
+
+# the overlap-case table as the benchmark runs it, plus example 4.1's equal spreads:
+# (core A, r1, core B, r2)
+CASE_TABLE_PAIRS = (((0, 0), 1, (5, 0), 2), ((0, 0), 1, (3, 0), 2), ((0, 0), 1, (2, 0), 2),
+                    ((0, 0), 1, (1, 0), 2), ((0, 0), 1, (0.5, 0), 2), ((0, 0), 1, (0, 0), 2),
+                    ((0, 0), 2, (5, 0), 2))
+
+# cores at 0 and 1 on a 1/32 grid: binary-fraction radii and t put poles on grid points
+POLE_PAIR = ((0, 0, 1), (1, 0, 2))
+POLE_GRID = dict(t_values=(0.25, 0.5, 0.75, 1.0), bbox=(-4, -4, 4, 4), resolution=257)
+
+
+def assert_matches_reference(a, b, **kwargs):
+    """Equal (checked, disagreements, pole_points) to the full-grid loop."""
+    got = fg.invariance_check(a, b, **kwargs)
+    with warnings.catch_warnings():
+        # the reference multiplies inf by 0 at pole points
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = invariance_reference(a, b, **kwargs)
+    assert got == want
+    return got
+
+
+class TestInvarianceAgainstReference:
+    def test_case_table(self):
+        for ca, ra, cb, rb in CASE_TABLE_PAIRS:
+            a, b = fg.FuzzyPoint.circular(*ca, ra), fg.FuzzyPoint.circular(*cb, rb)
+            assert_matches_reference(a, b, t_values=(1.0,), resolution=512)
+
+    def test_examples(self, ex41_pair, ex42_pair):
+        for pair in (ex41_pair, ex42_pair):
+            assert_matches_reference(*pair, t_values=(0.5, 1.0, 10.0), resolution=512)
+
+    def test_random_pairs_across_scales(self, rng):
+        t_values = tuple(np.geomspace(1e-3, 1e3, 4))
+        for _ in range(20):
+            a = random_circular(rng, -4.0, 4.0, 0.3, 2.5)
+            b = random_circular(rng, -4.0, 4.0, 0.3, 2.5)
+            assert_matches_reference(a, b, t_values=t_values, resolution=128)
+
+    def test_exact_poles(self):
+        report = assert_matches_reference(*make_pair(POLE_PAIR), **POLE_GRID)
+        assert report.pole_points > 0
+        assert report.passed
+
+    def test_zero_tolerance_disagreements(self):
+        report = assert_matches_reference(*make_pair(POLE_PAIR), **POLE_GRID, tol=0.0)
+        assert report.disagreements > 0
+        assert report.pole_points > 0
+
+    def test_rounding_level_residuals(self):
+        # decimal cores and radii on the core axis: at tol = 0 the residuals that
+        # round to exactly 0 sit a few ulps off the two-focus residual
+        a, b = make_pair(((0, 0, 0.3), (0.1, 0, 0.4)))
+        report = assert_matches_reference(a, b, t_values=(0.1, 1.0, 10.0),
+                                          bbox=(-1, -1, 1, 1), resolution=101, tol=0.0)
+        assert report.disagreements > 0
+
+    def test_poles_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fg.invariance_check(*make_pair(POLE_PAIR), **POLE_GRID)
+        assert report.pole_points > 0
+
+    @pytest.mark.parametrize("t", [1e-320, 1e200])
+    def test_extreme_scales_evaluate_every_point(self, ex42_pair, t):
+        # outside the range of the rounding bound the whole grid is evaluated
+        assert_matches_reference(*ex42_pair, t_values=(t,), resolution=64, tol=0.0)
 
 
 def assert_branch_sampled(a, b, alpha, branch, bbox, resolution):

@@ -194,6 +194,35 @@ class TestMetricAxiomsAgainstLoop:
                                                              fg.PRODUCT))
 
 
+class TestIdentityCanFail:
+    """Cores 1e-17 apart: at t = 1 their closeness core rounds to exactly 1."""
+
+    pts = [fg.FuzzyPoint.circular(0, 0, 1),
+           fg.FuzzyPoint.circular(1e-17, 0, 1),
+           fg.FuzzyPoint.circular(5, 0, 1)]
+
+    @pytest.mark.parametrize("tnorm", [fg.PRODUCT, fg.MINIMUM])
+    def test_metric_identity_fails(self, tnorm):
+        report = fg.check_metric_axioms(self.pts, (1.0,), tnorm)
+        assert report.identity.failures == [(0, 1), (1, 0)]
+        note = next(n for n in report.identity.notes if n["pair"] == (0, 1))
+        assert note["core_equal"] is False
+        assert note["closeness_core_is_one"] is True
+        assert_reports_equal(report, metric_axioms_reference(self.pts, (1.0,), tnorm))
+
+    def test_separating_scale_passes_identity(self):
+        # at t = 1e-17 the closeness core is 1/2
+        report = fg.check_metric_axioms(self.pts, (1e-17, 1.0), fg.PRODUCT)
+        assert report.identity.passed
+        assert_reports_equal(report, metric_axioms_reference(self.pts, (1e-17, 1.0),
+                                                             fg.PRODUCT))
+
+    def test_ks_zero_core_fails(self):
+        report = fg.check_ks_axioms(self.pts)
+        assert report.zero_core.failures == [(0, 1), (1, 0)]
+        assert report.zero_core.checked == 9
+
+
 class TestMetricAxiomArguments:
     @pytest.mark.parametrize("t_samples", [(), (0.0,), (-1.0, 1.0), (1.0, float("nan")),
                                            (float("inf"),)])
@@ -207,6 +236,12 @@ class TestMetricAxiomArguments:
         pts = general_position_points(np.random.default_rng(0), 3)
         with pytest.raises(ValueError, match="alpha_samples"):
             fg.check_metric_axioms(pts, (1.0,), fg.PRODUCT, alpha_samples=alpha_samples)
+
+    def test_grid_without_core_level_rejected(self):
+        # one sample is the level 0 alone; the identity check reads level 1
+        pts = general_position_points(np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="alpha_samples must be at least 2"):
+            fg.check_metric_axioms(pts, (1.0,), fg.PRODUCT, alpha_samples=1)
 
 
 class TestKSAxioms:
