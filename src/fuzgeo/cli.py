@@ -2,12 +2,12 @@
 
     fuzgeo <command> --scene scene.json --out results/
            [--alpha-levels N] [--resolution N] [--t v1,v2,...]
-           [--format csv|json|svg]
+           [--format csv|svg]
 
-Commands: distance, metric-curve, hausdorff, midset, classify, invariance.
-Exit status: 0 success, 1 validation or I/O error, 2 internal numeric
-failure.  All floating-point output is formatted to 9 significant digits,
-so identical scenes and flags produce byte-identical files.
+Commands: distance, metric-curve, hausdorff, midset, classify, invariance;
+--format svg adds a midset SVG.  Exit status: 0 success, 1 argument,
+validation or I/O error, 2 internal numeric failure.  svgout formats every
+number to 9 significant digits, so identical inputs give identical files.
 
 The environment variable FUZGEO_SEED fixes the seed used by randomized
 test sampling helpers; the CLI commands themselves are deterministic.
@@ -19,29 +19,27 @@ import argparse
 import json
 import os
 import sys
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
 from .distance import fuzzy_distance
 from .hausdorff import fuzzy_hausdorff
-from .metric import closeness
-from .midset import (Branch, active_branches, alpha_thresholds, classify_conic,
+from .metric import _scaled
+from .midset import (active_branches, alpha_thresholds, classify_conic,
                      compute_midset, conic_coefficients, invariance_check,
                      overlap_case, support_bbox)
 from .scene import Scene, SceneError, load_scene
-from .svgout import render_midset_svg
+from .svgout import fmt, fmt_rows, render_midset_svg
 
 DEFAULT_INVARIANCE_T = (0.5, 1.0, 10.0)
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".9g")
 
 
 def _jsonify(obj):
     """Round floats to the fixed output precision for stable serialization."""
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return float(fmt(obj))
     if isinstance(obj, (np.floating, np.integer)):
         return _jsonify(obj.item())
     if isinstance(obj, dict):
@@ -57,20 +55,15 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], blocks) -> None:
+    """The header, then each (prefix, 2-d array) block, one row per array row."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
+        fh.writelines(fmt_rows(prefix, block) for prefix, block in blocks)
 
 
 def _alphas(levels: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, levels)
-
-
-def _triple(summary) -> list[float]:
-    return [summary.l, summary.m, summary.u]
 
 
 def cmd_distance(scene: Scene, args, out: str) -> None:
@@ -79,15 +72,16 @@ def cmd_distance(scene: Scene, args, out: str) -> None:
         dist = fuzzy_distance(a, b)
         _write_json(os.path.join(out, f"{name_a}_{name_b}_distance.json"), {
             "pair": [name_a, name_b],
-            "summary": _triple(dist.summary),
+            "summary": dist.summary.as_tuple(),
             "argmin_theta": dist.argmin_theta,
             "argmax_theta": dist.argmax_theta,
             "refined": dist.refined,
         })
-        table = dist.cuts(args.alpha_levels or scene.grids.alpha_levels)
+        alphas = _alphas(args.alpha_levels or scene.grids.alpha_levels)
+        lo, hi = dist.cut_table(alphas)
+        block = np.column_stack((alphas, lo, np.full_like(alphas, dist.params.dc), hi))
         _write_csv(os.path.join(out, f"{name_a}_{name_b}_distance.csv"),
-                   ["alpha", "lo", "mid", "hi"],
-                   ((alpha, lo, dist.params.dc, hi) for alpha, lo, hi in table))
+                   ["alpha", "lo", "mid", "hi"], [("", block)])
 
 
 def cmd_metric_curve(scene: Scene, args, out: str) -> None:
@@ -97,15 +91,15 @@ def cmd_metric_curve(scene: Scene, args, out: str) -> None:
         ts = scene.t_values
     else:
         ts = np.geomspace(1e-2, 1e2, 81)
+    t = np.asarray(ts, dtype=float)
     for name_a, name_b in scene.pairs:
         dist = fuzzy_distance(*scene.pair_points((name_a, name_b)))
-        rows = []
-        for t in ts:
-            value = closeness(dist, float(t)).value
-            lo, hi = value.cut(0.0)
-            rows.append((t, lo, value.summary.m, hi, hi - lo))
+        # the closeness support is [t/(t + hi_d), t/(t + lo_d)] at alpha = 0
+        lo_d, hi_d = dist.cut(0.0)
+        lo, hi = _scaled(hi_d, t), _scaled(lo_d, t)
+        block = np.column_stack((t, lo, _scaled(dist.params.dc, t), hi, hi - lo))
         _write_csv(os.path.join(out, f"{name_a}_{name_b}_metric_curve.csv"),
-                   ["t", "lo", "mid", "hi", "spread"], rows)
+                   ["t", "lo", "mid", "hi", "spread"], [("", block)])
 
 
 def cmd_hausdorff(scene: Scene, args, out: str) -> None:
@@ -117,10 +111,10 @@ def cmd_hausdorff(scene: Scene, args, out: str) -> None:
         line = res.line
         payloads[f"{name_a}_{name_b}_hausdorff.json"] = {
             "pair": [name_a, name_b],
-            "summary": _triple(res.summary),
+            "summary": res.summary.as_tuple(),
             "projected": {
-                name_a: _triple(res.projected_a.summary),
-                name_b: _triple(res.projected_b.summary),
+                name_a: res.projected_a.summary.as_tuple(),
+                name_b: res.projected_b.summary.as_tuple(),
             },
             "line": {"a": line.a, "b": line.b, "c": line.c, "theta": line.theta},
         }
@@ -136,18 +130,13 @@ def cmd_midset(scene: Scene, args, out: str) -> None:
         bbox = scene.grids.bbox or support_bbox(a, b)
         result = compute_midset(a, b, alphas=_alphas(levels), bbox=bbox,
                                 resolution=resolution)
-        by_alpha: dict = {}
-        for entry in result.entries:
-            by_alpha.setdefault(entry.alpha, []).append(entry)
-        for alpha, entries in by_alpha.items():
-            rows = []
-            for entry in entries:
-                for pi, polyline in enumerate(entry.polylines):
-                    for x, y in polyline:
-                        rows.append((entry.branch.value, pi, x, y))
+        # entries come sorted by alpha: one CSV per level
+        for alpha, entries in groupby(result.entries, key=attrgetter("alpha")):
             _write_csv(
                 os.path.join(out, f"{name_a}_{name_b}_midset_a{alpha:.4f}.csv"),
-                ["branch", "polyline", "x", "y"], rows)
+                ["branch", "polyline", "x", "y"],
+                ((f"{entry.branch.value},{fmt(i)},", polyline)
+                 for entry in entries for i, polyline in enumerate(entry.polylines)))
         if args.format == "svg":
             svg = render_midset_svg(a, b, result)
             with open(os.path.join(out, f"{name_a}_{name_b}_midset.svg"),
@@ -227,12 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha-levels", type=int, dest="alpha_levels")
         p.add_argument("--resolution", type=int)
         p.add_argument("--t", type=_parse_t_list, dest="t_values")
-        p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+        p.add_argument("--format", choices=("csv", "svg"), default="csv")
     return parser
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage and the error
+        return 1 if exc.code else 0
     try:
         scene = load_scene(args.scene)
         if args.alpha_levels is not None and args.alpha_levels < 2:

@@ -121,9 +121,9 @@ class FuzzyDistance(FuzzyNumber):
         if self._u0 >= 1.0:
             self.argmin_theta = theta_min
         elif self._u0 > 0.0:
-            # angle at which the shrinking cuts last touch
-            self.argmin_theta = math.atan2(-p.d2 / (p.R2 * self._u0),
-                                           -p.d1 / (p.R1 * self._u0)) % TWO_PI
+            # angle at which the shrinking cuts last touch; u0 > 0 cancels
+            # in atan2, and dividing by R * u0 could underflow to 0
+            self.argmin_theta = math.atan2(-p.d2 / p.R2, -p.d1 / p.R1) % TWO_PI
         else:
             self.argmin_theta = 0.0
         super().__init__(self._cut)

@@ -498,8 +498,8 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
                 abs_d = np.abs(res_d)
                 zero_d = abs_d <= tol
                 zero_m = res_m_scaled <= tol
-                clear_nonzero_d = abs_d >= 2.0 * tol
-                clear_nonzero_m = res_m_scaled >= 2.0 * tol
+                clear_nonzero_d = abs_d > 2.0 * tol
+                clear_nonzero_m = res_m_scaled > 2.0 * tol
                 disagree = (zero_d & clear_nonzero_m) | (zero_m & clear_nonzero_d)
                 disagree &= ~poles
                 report.checked += int(d1.size)

@@ -1,13 +1,22 @@
-"""Self-contained SVG rendering of midset curves over the focal supports."""
+"""Self-contained SVG rendering of midset curves, and the number format:
+fmt and fmt_rows write every CSV, JSON and SVG number to 9 significant digits."""
 
 from __future__ import annotations
 
 from .core import FuzzyPoint
 from .midset import Branch, MidsetResult
 
+_NUMBER = "%.9g"
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+
+def fmt(x) -> str:
+    return _NUMBER % x
+
+
+def fmt_rows(prefix: str, block, end: str = "\n") -> str:
+    """Every row of a 2-d numpy array in one % operation: prefix, then the values."""
+    row = prefix.replace("%", "%%") + ",".join([_NUMBER] * block.shape[1]) + end
+    return (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _alpha_color(alpha: float, branch: Branch) -> str:
@@ -37,29 +46,28 @@ def render_midset_svg(a: FuzzyPoint, b: FuzzyPoint, result: MidsetResult,
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{_fmt(width * scale)}" height="{_fmt(height * scale)}" '
-        f'viewBox="0 0 {_fmt(width * scale)} {_fmt(height * scale)}">',
+        f'width="{fmt(width * scale)}" height="{fmt(height * scale)}" '
+        f'viewBox="0 0 {fmt(width * scale)} {fmt(height * scale)}">',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
-        f'<g transform="scale({_fmt(scale)},{_fmt(-scale)}) '
-        f'translate({_fmt(-xmin)},{_fmt(-ymax)})">',
+        f'<g transform="scale({fmt(scale)},{fmt(-scale)}) '
+        f'translate({fmt(-xmin)},{fmt(-ymax)})">',
     ]
 
     for fp, color in ((a, "#777777"), (b, "#aaaaaa")):
         parts.append(
-            f'<ellipse cx="{_fmt(fp.core.x)}" cy="{_fmt(fp.core.y)}" '
-            f'rx="{_fmt(fp.spread.p1)}" ry="{_fmt(fp.spread.p2)}" '
-            f'fill="none" stroke="{color}" stroke-width="{_fmt(stroke)}"/>')
+            f'<ellipse cx="{fmt(fp.core.x)}" cy="{fmt(fp.core.y)}" '
+            f'rx="{fmt(fp.spread.p1)}" ry="{fmt(fp.spread.p2)}" '
+            f'fill="none" stroke="{color}" stroke-width="{fmt(stroke)}"/>')
         parts.append(
-            f'<circle cx="{_fmt(fp.core.x)}" cy="{_fmt(fp.core.y)}" '
-            f'r="{_fmt(2.0 * stroke)}" fill="{color}"/>')
+            f'<circle cx="{fmt(fp.core.x)}" cy="{fmt(fp.core.y)}" '
+            f'r="{fmt(2.0 * stroke)}" fill="{color}"/>')
 
     for entry in result.entries:
         color = _alpha_color(entry.alpha, entry.branch)
         for polyline in entry.polylines:
-            pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in polyline)
             parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="{_fmt(stroke)}"/>')
+                f'<polyline points="{fmt_rows("", polyline, end=" ")[:-1]}" '
+                f'fill="none" stroke="{color}" stroke-width="{fmt(stroke)}"/>')
 
     parts.append("</g>")
     parts.append("</svg>")

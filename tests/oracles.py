@@ -255,8 +255,8 @@ def invariance_reference(a, b, t_values, bbox=None, resolution=DEFAULT_RESOLUTIO
                 abs_d = np.abs(res_d)
                 zero_d = abs_d <= tol
                 zero_m = res_m_scaled <= tol
-                clear_nonzero_d = abs_d >= 2.0 * tol
-                clear_nonzero_m = res_m_scaled >= 2.0 * tol
+                clear_nonzero_d = abs_d > 2.0 * tol
+                clear_nonzero_m = res_m_scaled > 2.0 * tol
                 disagree = (zero_d & clear_nonzero_m) | (zero_m & clear_nonzero_d)
                 disagree &= ~poles
                 report.checked += int(res_d.size)
@@ -373,3 +373,15 @@ def metric_axioms_reference(points, t_samples, tnorm, alpha_samples=11, tol=1e-9
         tnorm=tnorm.name, positivity=positivity, identity=identity,
         symmetry=symmetry, quadrangle=quadrangle,
         quadrangle_cuts=quadrangle_cuts, continuity=continuity)
+
+
+# --- CLI output --------------------------------------------------------------
+
+
+def reference_rows(rows, end="\n") -> str:
+    """Rows written value by value, as the CLI wrote them before block formatting.
+
+    A number becomes format(float(v), ".9g"); any other cell becomes str(v).
+    """
+    return "".join(",".join(format(float(v), ".9g") if isinstance(v, (int, float, np.floating))
+                            else str(v) for v in row) + end for row in rows)

@@ -4,10 +4,15 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fuzgeo as fg
 from fuzgeo.cli import run
+from fuzgeo.svgout import fmt, fmt_rows
+from oracles import reference_rows
 
 EX22_SCENE = """
 {
@@ -38,6 +43,35 @@ EX42_SCENE = """
   "grids": {"bbox": [-1, -4, 6, 4], "resolution": 96}
 }
 """
+
+# cores a subnormal apart: R2 * u0 underflows to 0 in the separation level
+SUBNORMAL_SCENE = """
+{
+  "points": [
+    {"name": "A", "core": [5e-324, 0], "spread": {"kind": "elliptical", "radii": [1, 0.25]}},
+    {"name": "B", "core": [0, 0], "spread": {"kind": "elliptical", "radii": [0.5, 0.25]}}
+  ]
+}
+"""
+
+# circular and elliptical points: separated, overlapping, nested and
+# concentric pairs; midset takes the circular pairs only, in a box that cuts
+# the same-points ellipse of (A, C) at alpha 0 into two polylines
+MIXED_POINTS = [
+    {"name": "A", "core": [0, 0], "spread": {"kind": "circular", "radii": [1, 1]}},
+    {"name": "B", "core": [4, 1], "spread": {"kind": "elliptical", "radii": [1, 1.5]}},
+    {"name": "C", "core": [1.5, 0], "spread": {"kind": "circular", "radii": [2, 2]}},
+    {"name": "D", "core": [5, 0.5], "spread": {"kind": "circular", "radii": [1, 1]}},
+    {"name": "E", "core": [0, 0], "spread": {"kind": "elliptical", "radii": [0.5, 2]}},
+]
+MIXED_CIRCULAR_PAIRS = [["A", "C"], ["A", "D"], ["C", "D"]]
+MIXED_MIDSET_BBOX = (-2.0, -1.0, 6.0, 1.2)
+
+
+def _module_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 class TestParseScene:
@@ -266,12 +300,107 @@ class TestCli:
     @pytest.mark.parametrize("module", ["fuzgeo", "fuzgeo.cli"])
     def test_python_dash_m_runs_cli(self, module, scene_file, tmp_path):
         out = tmp_path / "out"
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         proc = subprocess.run(
             [sys.executable, "-m", module, "distance", "--scene", scene_file(EX22_SCENE),
              "--out", str(out), "--alpha-levels", "3"],
-            env=env, capture_output=True, text=True, timeout=60)
+            env=_module_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert (out / "A_B_distance.json").exists()
+
+    @pytest.mark.parametrize("command", ["distance", "metric-curve"])
+    def test_subnormal_core_offset(self, command, scene_file, tmp_path):
+        out = tmp_path / "out"
+        assert run([command, "--scene", scene_file(SUBNORMAL_SCENE), "--out", str(out)]) == 0
+        assert len(list(out.iterdir())) >= 1
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--out", "OUT", "--t", "-1"], "--t"),
+        (["--out", "OUT", "--alpha-levels", "abc"], "--alpha-levels"),
+        ([], "--out"),
+        (["--out", "OUT", "--format", "png"], "--format"),
+        (["--out", "OUT", "--format", "json"], "--format"),
+    ], ids=["negative-t", "text-alpha-levels", "missing-out", "format-png", "format-json"])
+    def test_argument_errors_exit_1(self, extra, named, scene_file, tmp_path, capsys):
+        argv = ["midset", "--scene", scene_file(EX41_SCENE),
+                *[str(tmp_path / "out") if v == "OUT" else v for v in extra]]
+        proc = subprocess.run([sys.executable, "-m", "fuzgeo", *argv], env=_module_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert named in proc.stderr.splitlines()[-1]
+        assert run(argv) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+FLOATS = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+           np.finfo(float).max, -np.finfo(float).max, 1.0, 123456789.5, 1e-5]
+
+
+class TestBlockFormatter:
+    """fmt_rows against the value-by-value reference writer in oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(FLOATS, st.sampled_from(SPECIAL)), max_size=40),
+           st.integers(1, 5), st.one_of(st.text(), st.text("%s,9g")), st.integers(0, 2**53))
+    def test_rows_match_reference(self, values, width, text, index):
+        block = np.array(values[:len(values) // width * width], dtype=float).reshape(-1, width)
+        assert fmt_rows(f"{text},{fmt(index)},", block) == reference_rows(
+            (text, index, *row) for row in block.tolist())
+        # the SVG points attribute: x,y pairs joined by spaces
+        assert fmt_rows("", block, end=" ")[:-1] == reference_rows(block, end=" ")[:-1]
+
+    def test_special_values(self):
+        block = np.array(SPECIAL).reshape(-1, 2)
+        assert fmt_rows("", block) == reference_rows(block)
+        for x in SPECIAL:
+            assert fmt(x) == format(float(x), ".9g")
+
+    def test_cli_csvs_match_reference_writer(self, scene_file, tmp_path):
+        mixed = {"points": MIXED_POINTS}
+        scene = fg.parse_scene(json.dumps(mixed))
+        out = tmp_path / "out"
+        path = scene_file(json.dumps(mixed))
+        circular = scene_file(json.dumps(dict(mixed, pairs=MIXED_CIRCULAR_PAIRS,
+                                              grids={"bbox": MIXED_MIDSET_BBOX})), "circ.json")
+        default_t = np.geomspace(1e-2, 1e2, 81)
+        assert run(["distance", "--scene", path, "--out", str(out),
+                    "--alpha-levels", "7"]) == 0
+        assert run(["metric-curve", "--scene", path, "--out", str(out / "t"),
+                    "--t", "0.05,1,20"]) == 0
+        assert run(["metric-curve", "--scene", path, "--out", str(out / "default")]) == 0
+        assert run(["midset", "--scene", circular, "--out", str(out / "m"),
+                    "--alpha-levels", "5", "--resolution", "64", "--format", "svg"]) == 0
+
+        def expect(path, header, rows):
+            assert path.read_text() == ",".join(header) + "\n" + reference_rows(rows)
+
+        for a_name, b_name in scene.pairs:
+            dist = fg.fuzzy_distance(*scene.pair_points((a_name, b_name)))
+            expect(out / f"{a_name}_{b_name}_distance.csv", ["alpha", "lo", "mid", "hi"],
+                   [(alpha, lo, dist.params.dc, hi) for alpha, lo, hi in dist.cuts(7)])
+            for sub, ts in (("t", (0.05, 1.0, 20.0)), ("default", default_t)):
+                rows = []
+                for t in ts:
+                    value = fg.closeness(dist, float(t)).value
+                    lo, hi = value.cut(0.0)
+                    rows.append((t, lo, value.summary.m, hi, hi - lo))
+                expect(out / sub / f"{a_name}_{b_name}_metric_curve.csv",
+                       ["t", "lo", "mid", "hi", "spread"], rows)
+
+        for a_name, b_name in MIXED_CIRCULAR_PAIRS:
+            a, b = scene.pair_points((a_name, b_name))
+            result = fg.compute_midset(a, b, alphas=np.linspace(0.0, 1.0, 5),
+                                       bbox=MIXED_MIDSET_BBOX, resolution=64)
+            by_alpha = {}
+            for entry in result.entries:
+                by_alpha.setdefault(entry.alpha, []).extend(
+                    (entry.branch.value, i, x, y)
+                    for i, polyline in enumerate(entry.polylines) for x, y in polyline)
+            for alpha, rows in by_alpha.items():
+                expect(out / "m" / f"{a_name}_{b_name}_midset_a{alpha:.4f}.csv",
+                       ["branch", "polyline", "x", "y"], rows)
+            svg = (out / "m" / f"{a_name}_{b_name}_midset.svg").read_text()
+            assert re.findall(r'<polyline points="([^"]*)"', svg) == [
+                reference_rows(polyline, end=" ")[:-1]
+                for entry in result.entries for polyline in entry.polylines]
