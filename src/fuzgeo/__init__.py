@@ -10,7 +10,7 @@ from .core import (AlphaBoundaryPair, FuzzyNumber, FuzzyPoint, Point2, Spread,
                    TriangularTriple, fuzzy_leq, tri_add)
 from .distance import (DistanceMembershipParams, FuzzyDistance, PerAlphaDistance,
                        distance_alpha, distance_membership, endpoint_distances,
-                       fuzzy_distance, prop_core_angle)
+                       fuzzy_distance, fuzzy_distances, prop_core_angle)
 from .hausdorff import Ellipse, HausdorffResult, crisp_hausdorff, fuzzy_hausdorff
 from .lines import LineSpec, ProjectedFuzzyNumber, classify_pair, project_onto_line
 from .metric import (MINIMUM, PRODUCT, FuzzyCloseness, KSAxiomReport,
@@ -38,7 +38,7 @@ __all__ = [
     "closeness_spread",
     "compute_midset", "conic_coefficients", "crisp_hausdorff", "distance_alpha",
     "distance_membership", "endpoint_distances", "equidistant_membership",
-    "fuzzy_distance", "fuzzy_hausdorff", "fuzzy_leq", "invariance_check",
+    "fuzzy_distance", "fuzzy_distances", "fuzzy_hausdorff", "fuzzy_leq", "invariance_check",
     "load_scene", "metric_md", "overlap_case",
     "parse_scene", "project_onto_line", "prop_core_angle", "sample_branch",
     "sample_midset", "support_bbox", "tri_add",

@@ -237,9 +237,9 @@ class FuzzyNumber:
 
         Uses bisection on the endpoint branches, which assumes lo is
         non-decreasing and hi non-increasing in alpha (true for every
-        construction in this package).  Closeness, Hausdorff and
-        from_triple numbers use it; FuzzyDistance inverts its cut in
-        closed form instead.
+        construction in this package).  from_triple and other generic
+        numbers use it; the fuzzy distance, closeness and Hausdorff
+        numbers invert their cuts in closed form instead.
         """
         lo0, hi0 = self.cut(0.0)
         if x < lo0 or x > hi0:

@@ -13,7 +13,12 @@ of a quartic in tan(theta/2) (the point-to-ellipse distance problem), and
 then held fixed across alpha; for circular spreads this is exact (the
 extremal direction is the core-to-core slope for every alpha) and it keeps
 the squared per-alpha endpoints exact quadratics in alpha for elliptical
-spreads, so the membership of a distance value inverts a quadratic.  When
+spreads, so the membership of a distance value inverts a quadratic.  The
+roots are the eigenvalues of the quartics' companion matrices (A. Edelman
+and H. Murakami, Math. Comp. 64, 1995): fuzzy_distances builds each pair's
+quartic with scalar arithmetic and solves all of them with one
+np.linalg.eigvals call on the stacked matrices, and FuzzyDistance(a, b)
+is the same solve for one pair.  When
 the supports overlap, the lower endpoint collapses to zero down to the
 level u0 at which the cuts separate, and below u0 it grows linearly along
 the direction in which the cuts last touched.
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -76,48 +81,109 @@ class PerAlphaDistance:
     refined: bool = True
 
 
-def _extremal_directions(p: DistanceMembershipParams) -> tuple[float, float, bool]:
-    """Directions of the smallest and largest support-level gap |V(theta, 1)|.
+# g at eight equally spaced directions, as cos, sin and sin of the double
+# angle; a base angle phi and its cos and sin for each direction phi + pi
+_SAMPLES = np.arange(8) * (math.pi / 4.0)
+_SAMPLE_TRIG = tuple(zip(np.cos(_SAMPLES).tolist(), np.sin(_SAMPLES).tolist(),
+                         np.sin(2.0 * _SAMPLES).tolist()))
+_BASES = tuple((phi, math.cos(phi), math.sin(phi))
+               for phi in (s - math.pi for s in _SAMPLES.tolist()))
 
-    They zero g = R2*d2*cos(theta) - R1*d1*sin(theta) + (e/2)*sin(2*theta),
-    e = R2^2 - R1^2 (the point-to-ellipse problem); t = tan((theta - phi)/2)
-    makes g = 0 a quartic with t^4 coefficient g(phi + pi).  Placing phi + pi
-    at the largest |g| of eight equally spaced directions (at least the
-    coefficient norm over sqrt(2)) keeps all roots bounded; with phi = 0 a
-    root near infinity swamps the others as the cores meet.  A complex root
-    only adds a losing candidate.  Lengths are in units of max(R1, R2).
 
-    refined is False only for the flat profile, g identically zero
-    (concentric cores, R1 == R2); both directions are then 0.
+def _quartic(p: DistanceMembershipParams) -> Optional[tuple[float, tuple]]:
+    """Base angle phi and the quartic in t = tan((theta - phi)/2), or None if flat.
+
+    The stationary directions of |V(theta, 1)| zero
+    g = R2*d2*cos(theta) - R1*d1*sin(theta) + (e/2)*sin(2*theta),
+    e = R2^2 - R1^2 (the point-to-ellipse problem), and t makes g = 0 a
+    quartic with t^4 coefficient g(phi + pi).  Placing phi + pi at the
+    largest |g| of eight equally spaced directions (at least the coefficient
+    norm over sqrt(2)) keeps all roots bounded; with phi = 0 a root near
+    infinity swamps the others as the cores meet.  Lengths are in units of
+    max(R1, R2).  g is identically zero only for the flat profile
+    (concentric cores, R1 == R2).
     """
     m = max(p.R1, p.R2)
     r1, r2 = p.R1 / m, p.R2 / m
     a1, b1, b2 = r2 * (p.d2 / m), -r1 * (p.d1 / m), 0.5 * (r2 * r2 - r1 * r1)
     if a1 == b1 == b2 == 0.0:
-        return 0.0, 0.0, False
-    samples = np.arange(8) * (math.pi / 4.0)
-    g = a1 * np.cos(samples) + b1 * np.sin(samples) + b2 * np.sin(2.0 * samples)
-    phi = float(samples[np.argmax(np.abs(g))]) - math.pi
+        return None
+    g = [abs(a1 * c + b1 * s + b2 * s2) for c, s, s2 in _SAMPLE_TRIG]
+    phi, c, s = _BASES[g.index(max(g))]
     # g(phi + psi) = A1 cos(psi) + B1 sin(psi) + A2 cos(2 psi) + B2 sin(2 psi)
-    c, s = math.cos(phi), math.sin(phi)
     A1, B1 = a1 * c + b1 * s, b1 * c - a1 * s
     A2, B2 = 2.0 * b2 * s * c, b2 * (c * c - s * s)
-    quartic = (A2 - A1, 2.0 * (B1 - 2.0 * B2), -6.0 * A2,
-               2.0 * (B1 + 2.0 * B2), A1 + A2)
-    thetas = phi + 2.0 * np.arctan(np.roots(quartic).real)
-    gaps = p.gap(thetas, 1.0)
-    return (float(thetas[np.argmin(gaps)]) % TWO_PI,
-            float(thetas[np.argmax(gaps)]) % TWO_PI, True)
+    return phi, (A2 - A1, 2.0 * (B1 - 2.0 * B2), -6.0 * A2,
+                 2.0 * (B1 + 2.0 * B2), A1 + A2)
+
+
+def _poly_roots(polys: Sequence[tuple[float, ...]]) -> np.ndarray:
+    """Real parts of the roots of polynomials of one length, highest power first.
+
+    Row i holds the roots of polys[i], whose leading coefficient must be
+    nonzero.  The roots are the eigenvalues of the companion matrices, with
+    one np.linalg.eigvals call on the stack of all polynomials of one
+    degree.  As numpy.roots does, and bit for bit like it, trailing zero
+    coefficients are stripped and give exact zero roots after the others.
+    """
+    size = len(polys[0])
+    by_degree = {}
+    for i, c in enumerate(polys):
+        k = size - 1
+        while c[k] == 0.0:
+            k -= 1
+        by_degree.setdefault(k, []).append(i)
+    roots = np.zeros((len(polys), size - 1))
+    for k, rows in by_degree.items():
+        companion = np.zeros((len(rows), k * k))
+        companion[:, :k] = [[-c / polys[i][0] for c in polys[i][1:k + 1]] for i in rows]
+        companion[:, k::k + 1] = 1.0
+        roots[rows, :k] = np.linalg.eigvals(companion.reshape(-1, k, k)).real
+    return roots
+
+
+def _extremal_directions(params: Sequence[DistanceMembershipParams]
+                         ) -> list[tuple[float, float, bool]]:
+    """Directions of the smallest and largest support-level gap |V(theta, 1)| per pair.
+
+    Each pair's stationary directions are phi + 2*atan(t) over the real
+    parts of its quartic's roots (see _quartic); a complex root only adds a
+    losing candidate.  All quartics are solved together, and the argmin and
+    argmax of the gap are taken over every pair's candidates at once.
+
+    Each entry is (theta_min, theta_max, refined); refined is False only for
+    the flat profile, whose directions are both 0.
+    """
+    out = [(0.0, 0.0, False)] * len(params)
+    found = [(i, q) for i, q in enumerate(map(_quartic, params)) if q is not None]
+    if not found:
+        return out
+    # (m, 1) columns, one row per solved pair
+    phi, R1, R2, d1, d2 = np.array([(base, params[i].R1, params[i].R2, params[i].d1,
+                                     params[i].d2) for i, (base, _) in found]).T[:, :, None]
+    thetas = phi + 2.0 * np.arctan(_poly_roots([quartic for _, (_, quartic) in found]))
+    # gap(theta, 1) of every candidate; R * 1 == R, so the values are gap()'s
+    gaps = np.hypot(d1 + R1 * np.cos(thetas), d2 + R2 * np.sin(thetas))
+    rows = np.arange(len(found))
+    theta_min = thetas[rows, gaps.argmin(axis=1)].tolist()
+    theta_max = thetas[rows, gaps.argmax(axis=1)].tolist()
+    for (i, _), lo, hi in zip(found, theta_min, theta_max):
+        out[i] = (lo % TWO_PI, hi % TWO_PI, True)
+    return out
 
 
 class FuzzyDistance(FuzzyNumber):
     """The fuzzy distance d(A, B) as a fuzzy number with closed-form cuts."""
 
     def __init__(self, a: FuzzyPoint, b: FuzzyPoint):
-        self.params = p = DistanceMembershipParams.from_points(a, b)
-        self._u0 = p.separation_level
+        p = DistanceMembershipParams.from_points(a, b)
+        self._setup(p, *_extremal_directions([p])[0])
 
-        theta_min, self.argmax_theta, self.refined = _extremal_directions(p)
+    def _setup(self, p: DistanceMembershipParams, theta_min: float,
+               theta_max: float, refined: bool) -> None:
+        self.params = p
+        self._u0 = p.separation_level
+        self.argmax_theta, self.refined = theta_max, refined
         if self._u0 >= 1.0:
             self.argmin_theta = theta_min
         elif self._u0 > 0.0:
@@ -216,6 +282,17 @@ def endpoint_distances(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
 
 def fuzzy_distance(a: FuzzyPoint, b: FuzzyPoint) -> FuzzyDistance:
     return FuzzyDistance(a, b)
+
+
+def fuzzy_distances(pairs: Iterable[tuple[FuzzyPoint, FuzzyPoint]]) -> list[FuzzyDistance]:
+    """The fuzzy distance of every (a, b) pair, all extremal directions solved at once."""
+    params = [DistanceMembershipParams.from_points(a, b) for a, b in pairs]
+    dists = []
+    for p, directions in zip(params, _extremal_directions(params)):
+        d = FuzzyDistance.__new__(FuzzyDistance)
+        d._setup(p, *directions)
+        dists.append(d)
+    return dists
 
 
 def distance_alpha(a: FuzzyPoint, b: FuzzyPoint, alpha: float) -> PerAlphaDistance:

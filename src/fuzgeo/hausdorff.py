@@ -105,6 +105,39 @@ def crisp_hausdorff(s1: Ellipse, s2: Ellipse, directions: int = 360) -> float:
     return max(float(diff[best]), -neg)
 
 
+class _HausdorffNumber(FuzzyNumber):
+    """Cut-wise difference of two triangular numbers, near below far.
+
+    With near = (l1, m1, u1) and far = (l2, m2, u2), the cut at alpha is
+    [max(0, lo), hi], where lo runs linearly from l2 - u1 at alpha = 0 and
+    hi from u2 - l1 to the core gap m = m2 - m1 at alpha = 1.
+    """
+
+    def __init__(self, near: FuzzyNumber, far: FuzzyNumber):
+        super().__init__(self._cut)
+        self.near, self.far = near, far
+        lo0, hi0 = self._cut(0.0)
+        self._summary = TriangularTriple(lo0, far.summary.m - near.summary.m, hi0)
+
+    def _cut(self, alpha: float) -> tuple[float, float]:
+        a_lo, a_hi = self.near.cut(alpha)
+        b_lo, b_hi = self.far.cut(alpha)
+        return (max(0.0, b_lo - a_hi), b_hi - a_lo)
+
+    def membership(self, x: float) -> float:
+        """Grade of x, inverting the linear cut end that passes through x."""
+        near, far = self.near.summary, self.far.summary
+        lo0, m, hi0 = far.l - near.u, far.m - near.m, far.u - near.l
+        if not max(0.0, lo0) <= x <= hi0:
+            return 0.0
+        # IEEE subtraction is monotone, so both quotients stay in [0, 1]
+        if x < m:
+            return (x - lo0) / (m - lo0)
+        if x > m:
+            return (hi0 - x) / (hi0 - m)
+        return 1.0
+
+
 @dataclass(frozen=True)
 class HausdorffResult:
     """Fuzzy Hausdorff distance with the line and projections it came from."""
@@ -135,15 +168,5 @@ def fuzzy_hausdorff(a: FuzzyPoint, b: FuzzyPoint) -> HausdorffResult:
     lo_side, hi_side = proj_a.value, proj_b.value
     if hi_side.summary.m < lo_side.summary.m:
         lo_side, hi_side = hi_side, lo_side
-
-    def cut(alpha: float) -> tuple[float, float]:
-        a_lo, a_hi = lo_side.cut(alpha)
-        b_lo, b_hi = hi_side.cut(alpha)
-        return (max(0.0, b_lo - a_hi), b_hi - a_lo)
-
-    value = FuzzyNumber(cut)
-    lo0, hi0 = cut(0.0)
-    value._summary = TriangularTriple(
-        lo0, hi_side.summary.m - lo_side.summary.m, hi0)
-    return HausdorffResult(value=value, line=line,
+    return HausdorffResult(value=_HausdorffNumber(lo_side, hi_side), line=line,
                            projected_a=proj_a, projected_b=proj_b)

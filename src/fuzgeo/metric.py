@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import FuzzyNumber, FuzzyPoint, TriangularTriple, tri_add
-from .distance import FuzzyDistance, fuzzy_distance
+from .distance import FuzzyDistance, fuzzy_distance, fuzzy_distances
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,32 @@ def metric_md(a: FuzzyPoint, b: FuzzyPoint, t: float) -> FuzzyCloseness:
     return closeness(fuzzy_distance(a, b), t)
 
 
+class _ClosenessNumber(FuzzyNumber):
+    """Image of a fuzzy distance under x -> t / (t + x), cut by cut."""
+
+    def __init__(self, dist: FuzzyDistance, t: float):
+        super().__init__(self._cut)
+        self.dist, self.t = dist, t
+        lo0, hi0 = self._cut(0.0)
+        self._summary = TriangularTriple(lo0, t / (t + dist.params.dc), hi0)
+
+    def _cut(self, alpha: float) -> tuple[float, float]:
+        t = self.t
+        lo_d, hi_d = self.dist.cut(alpha)
+        return (t / (t + hi_d), t / (t + lo_d))
+
+    def membership(self, y: float) -> float:
+        """Grade of y: the distance grade of t/y - t, the x that t/(t + x) maps to y."""
+        if not y > 0.0:
+            return 0.0
+        return self.dist.membership(self.t / y - self.t)
+
+
 def closeness(dist: FuzzyDistance, t: float) -> FuzzyCloseness:
     """Image of a fuzzy distance under x -> t / (t + x), cut by cut."""
     if t <= 0:
         raise ValueError(f"scale t must be positive, got {t}")
-
-    def cut(alpha: float) -> tuple[float, float]:
-        lo_d, hi_d = dist.cut(alpha)
-        return (t / (t + hi_d), t / (t + lo_d))
-
-    value = FuzzyNumber(cut)
-    lo0, hi0 = cut(0.0)
-    value._summary = TriangularTriple(lo0, t / (t + dist.params.dc), hi0)
-    return FuzzyCloseness(t=t, value=value)
+    return FuzzyCloseness(t=t, value=_ClosenessNumber(dist, t))
 
 
 def closeness_spread(a: FuzzyPoint, b: FuzzyPoint, t: float) -> float:
@@ -166,13 +179,13 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
         raise ValueError(f"alpha_samples must be at least 2, got {alpha_samples}")
     alphas = np.linspace(0.0, 1.0, alpha_samples)
     n = len(points)
-    dists = [[fuzzy_distance(a, b) for b in points] for a in points]
+    dists = fuzzy_distances([(a, b) for a in points for b in points])
     # distances whose images t/(t + d) are the closeness cut ends (lo, hi),
     # i.e. the distance cut ends reversed, per (end, i, j, alpha), and the
     # closeness summary (l, m, u) per (component, i, j)
-    ends_d = np.moveaxis(np.array([[d.cut_table(alphas)[::-1] for d in row]
-                                   for row in dists]), 2, 0)
-    dc = np.array([[d.params.dc for d in row] for row in dists])
+    ends_d = np.moveaxis(np.array([d.cut_table(alphas)[::-1] for d in dists])
+                         .reshape(n, n, 2, -1), 2, 0)
+    dc = np.array([d.params.dc for d in dists]).reshape(n, n)
     summary_d = np.stack([ends_d[0, ..., 0], dc, ends_d[1, ..., 0]])
     upper_i, upper_j = np.triu_indices(n, 1)
 
@@ -282,15 +295,15 @@ def check_ks_axioms(points: Sequence[FuzzyPoint],
     symmetry = CheckResult("symmetry")
     triangle = CheckResult("triangle")
 
-    dists = [[fuzzy_distance(a, b) for b in points] for a in points]
+    dists = fuzzy_distances([(a, b) for a in points for b in points])
 
     def summary(i: int, j: int) -> TriangularTriple:
-        return dists[i][j].summary
+        return dists[i * n + j].summary
 
     for i in range(n):
         for j in range(n):
             cores_eq, _ = _points_equal(points[i], points[j])
-            zero_core.count((dists[i][j].cut(1.0)[1] <= tol) == cores_eq, (i, j))
+            zero_core.count((dists[i * n + j].cut(1.0)[1] <= tol) == cores_eq, (i, j))
             if i < j:
                 s_ij, s_ji = summary(i, j), summary(j, i)
                 worst = max(abs(x - y) for x, y in

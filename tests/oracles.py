@@ -5,10 +5,13 @@ boundary sampling, direct root finding) without touching the optimized
 code paths under test.
 """
 
+import math
+
 import numpy as np
 from scipy.spatial import cKDTree
 
 import fuzgeo as fg
+from fuzgeo.distance import TWO_PI, DistanceMembershipParams
 from fuzgeo.metric import (CheckResult, FuzzyDistance, MetricAxiomReport,
                            _points_equal, closeness, fuzzy_distance)
 from fuzgeo.midset import (DEFAULT_RESOLUTION, Branch, InvarianceReport, _pair_radii,
@@ -41,6 +44,40 @@ def theta_grid_extrema(a, b, alpha, samples=10_000):
     i_hi = int(np.argmax(lam_hi))
     return (float(lam_lo[i_lo]), float(lam_hi[i_hi]),
             float(thetas[i_lo]), float(thetas[i_hi]))
+
+
+def extremal_directions_reference(p: DistanceMembershipParams) -> tuple[float, float, bool]:
+    """Directions of the smallest and largest support-level gap |V(theta, 1)|.
+
+    They zero g = R2*d2*cos(theta) - R1*d1*sin(theta) + (e/2)*sin(2*theta),
+    e = R2^2 - R1^2 (the point-to-ellipse problem); t = tan((theta - phi)/2)
+    makes g = 0 a quartic with t^4 coefficient g(phi + pi).  Placing phi + pi
+    at the largest |g| of eight equally spaced directions (at least the
+    coefficient norm over sqrt(2)) keeps all roots bounded; with phi = 0 a
+    root near infinity swamps the others as the cores meet.  A complex root
+    only adds a losing candidate.  Lengths are in units of max(R1, R2).
+
+    refined is False only for the flat profile, g identically zero
+    (concentric cores, R1 == R2); both directions are then 0.
+    """
+    m = max(p.R1, p.R2)
+    r1, r2 = p.R1 / m, p.R2 / m
+    a1, b1, b2 = r2 * (p.d2 / m), -r1 * (p.d1 / m), 0.5 * (r2 * r2 - r1 * r1)
+    if a1 == b1 == b2 == 0.0:
+        return 0.0, 0.0, False
+    samples = np.arange(8) * (math.pi / 4.0)
+    g = a1 * np.cos(samples) + b1 * np.sin(samples) + b2 * np.sin(2.0 * samples)
+    phi = float(samples[np.argmax(np.abs(g))]) - math.pi
+    # g(phi + psi) = A1 cos(psi) + B1 sin(psi) + A2 cos(2 psi) + B2 sin(2 psi)
+    c, s = math.cos(phi), math.sin(phi)
+    A1, B1 = a1 * c + b1 * s, b1 * c - a1 * s
+    A2, B2 = 2.0 * b2 * s * c, b2 * (c * c - s * s)
+    quartic = (A2 - A1, 2.0 * (B1 - 2.0 * B2), -6.0 * A2,
+               2.0 * (B1 + 2.0 * B2), A1 + A2)
+    thetas = phi + 2.0 * np.arctan(np.roots(quartic).real)
+    gaps = p.gap(thetas, 1.0)
+    return (float(thetas[np.argmin(gaps)]) % TWO_PI,
+            float(thetas[np.argmax(gaps)]) % TWO_PI, True)
 
 
 def ellipse_boundary(e, n):
@@ -121,6 +158,36 @@ def random_separated_pair(rng, min_gap=4.0, max_gap=10.0, r_lo=0.2, r_hi=1.0):
     b = fg.FuzzyPoint(fg.Point2(x + gap * np.cos(angle), y + gap * np.sin(angle)),
                       b.spread)
     return a, b
+
+
+def membership_pairs(rng, n):
+    """n seeded pairs with distinct cores, cycling through four kinds.
+
+    Separated pairs, overlapping circular and overlapping elliptical pairs
+    (cores within [-1, 1]^2, summed radii at least 3), and elliptical pairs
+    anywhere in [-5, 5]^2.
+    """
+    pairs = []
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            pairs.append(random_separated_pair(rng))
+        elif kind == 1:
+            pairs.append((random_circular(rng, -1.0, 1.0, 1.5, 2.0),
+                          random_circular(rng, -1.0, 1.0, 1.5, 2.0)))
+        elif kind == 2:
+            pairs.append((random_elliptical(rng, -1.0, 1.0, 1.5, 2.0),
+                          random_elliptical(rng, -1.0, 1.0, 1.5, 2.0)))
+        else:
+            pairs.append((random_elliptical(rng), random_elliptical(rng)))
+    return pairs
+
+
+def membership_probes(number, pad):
+    """Values across a fuzzy number's support, pad beyond each end, and at and around its core."""
+    lo0, core, hi0 = number.summary.as_tuple()
+    return [*np.linspace(lo0 - pad, hi0 + pad, 25).tolist(), -pad,
+            core, core - 1e-3 * (core - lo0), core + 1e-3 * (hi0 - core)]
 
 
 def min_triangle_slack(cores) -> float:

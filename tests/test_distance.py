@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuzgeo as fg
-from fuzgeo.distance import _extremal_directions
-from oracles import (bisect_root, general_position_triple, random_circular,
-                     random_elliptical, random_point, random_separated_pair,
-                     theta_grid_extrema)
+from fuzgeo.distance import _extremal_directions, _poly_roots, _quartic
+from oracles import (bisect_root, extremal_directions_reference,
+                     general_position_triple, random_circular, random_elliptical,
+                     random_point, random_separated_pair, theta_grid_extrema)
 
 # reference per-alpha endpoint polynomials for the (1,0)/(5,2) pair
 LO_SQ = (5.667025, 9.883959, 4.449017)
@@ -243,7 +243,7 @@ def assert_extrema_match_fan(a, b):
     """The quartic's extremal gaps and the support cut are no worse than a dense fan's."""
     d = fg.fuzzy_distance(a, b)
     fan_lo, fan_hi, _, _ = theta_grid_extrema(a, b, 0.0, samples=200_000)
-    theta_min, theta_max, refined = _extremal_directions(d.params)
+    [(theta_min, theta_max, refined)] = _extremal_directions([d.params])
     assert refined
     assert d.params.gap(theta_min, 1.0) <= fan_lo + 1e-9
     assert d.params.gap(theta_max, 1.0) >= fan_hi - 1e-9
@@ -252,24 +252,63 @@ def assert_extrema_match_fan(a, b):
     assert hi0 >= fan_hi - 1e-9
 
 
+def _random_pairs(rng):
+    """The 20 seeded pairs of the dense-fan test, every fifth concentric."""
+    pairs = []
+    for i in range(20):
+        a, b = random_point(rng), random_point(rng)
+        if i % 5 == 0:
+            b = fg.FuzzyPoint(a.core, b.spread)
+        pairs.append((a, b))
+    return pairs
+
+
+def _scaled_pair(s):
+    return _ell(0, 0, 1 * s, 2 * s), _ell(3 * s, 1 * s, 0.5 * s, 0.7 * s)
+
+
+# cores (0, 0) and (0, -1.5 sqrt(2)) rounded, summed spreads (2, 1): the
+# base direction phi is stationary, so the quartic's constant term A1 + A2
+# is exactly 0 and np.roots solves a cubic plus a zero root
+ZERO_CONSTANT_PAIR = (_ell(0, -2.121320343559643, 1, 0.5), _ell(0, 0, 1, 0.5))
+
+SPECIAL_PAIRS = {
+    "scaled 1e-200": _scaled_pair(1e-200),
+    "scaled 1e160": _scaled_pair(1e160),
+    "concentric, elliptical": (_ell(1, 2, 1, 0.4), _ell(1, 2, 0.3, 0.9)),
+    "flat, circular": (fg.FuzzyPoint.circular(1, 2, 1), fg.FuzzyPoint.circular(1, 2, 0.5)),
+    "flat, same point": (_ell(1, 2, 0.5, 0.5), _ell(1, 2, 0.5, 0.5)),
+    "zero constant coefficient": ZERO_CONSTANT_PAIR,
+}
+
+
+def _bits(directions):
+    """(theta_min, theta_max) as raw float64 bits, and refined, per pair."""
+    return ([np.array(d[:2]).view(np.int64).tolist() for d in directions],
+            [d[2] for d in directions])
+
+
+def assert_solver_matches_reference(pairs):
+    """Alone and as one batch, every pair's directions equal the np.roots solver's bits."""
+    params = [fg.DistanceMembershipParams.from_points(a, b) for a, b in pairs]
+    want = _bits([extremal_directions_reference(p) for p in params])
+    assert _bits([d for p in params for d in _extremal_directions([p])]) == want
+    assert _bits(_extremal_directions(params)) == want
+
+
 class TestExtremalDirections:
     @pytest.mark.parametrize("name", sorted(QUARTIC_GEOMETRIES))
     def test_quartic_matches_dense_fan(self, name):
         assert_extrema_match_fan(*QUARTIC_GEOMETRIES[name])
 
     def test_random_pairs_match_dense_fan(self, rng):
-        for i in range(20):
-            a, b = random_point(rng), random_point(rng)
-            if i % 5 == 0:
-                b = fg.FuzzyPoint(a.core, b.spread)
+        for a, b in _random_pairs(rng):
             assert_extrema_match_fan(a, b)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e160])
     def test_scale_free(self, scale):
-        def pair(s):
-            return _ell(0, 0, 1 * s, 2 * s), _ell(3 * s, 1 * s, 0.5 * s, 0.7 * s)
-
-        unit, scaled = fg.fuzzy_distance(*pair(1.0)), fg.fuzzy_distance(*pair(scale))
+        unit = fg.fuzzy_distance(*_scaled_pair(1.0))
+        scaled = fg.fuzzy_distance(*_scaled_pair(scale))
         assert scaled.refined
         for alpha in (0.0, 0.5):
             assert np.array(scaled.cut(alpha)) / scale == pytest.approx(
@@ -315,6 +354,49 @@ class TestExtremalDirections:
         assert np.all(np.diff(hi) <= tol)
         assert np.all(lo <= d.params.dc + tol)
         assert np.all(hi >= d.params.dc - tol)
+
+
+class TestBatchedSolver:
+    @pytest.mark.parametrize("name", sorted(QUARTIC_GEOMETRIES))
+    def test_quartic_geometries(self, name):
+        assert_solver_matches_reference([QUARTIC_GEOMETRIES[name]])
+
+    def test_random_pairs(self, rng):
+        assert_solver_matches_reference(_random_pairs(rng))
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL_PAIRS))
+    def test_special_pairs(self, name):
+        assert_solver_matches_reference([SPECIAL_PAIRS[name]])
+
+    def test_mixed_batch(self, rng):
+        # neighbours of every kind, including flat pairs the solve skips and a
+        # cubic among quartics, leave each pair's result unchanged
+        pairs = [*QUARTIC_GEOMETRIES.values(), *_random_pairs(rng), *SPECIAL_PAIRS.values()]
+        order = rng.permutation(len(pairs))
+        assert_solver_matches_reference([pairs[i] for i in order])
+
+    def test_zero_constant_term_is_stripped_like_np_roots(self):
+        p = fg.DistanceMembershipParams.from_points(*ZERO_CONSTANT_PAIR)
+        quartic = _quartic(p)[1]
+        assert quartic[-1] == 0.0 and quartic[-2] != 0.0
+        polys = [quartic, (1.0, 2.0, 3.0, 4.0, 5.0), (1.0, -6.0, 11.0, -6.0, 0.0),
+                 (1.0, 0.0, -1.0, 0.0, 0.0), (-2.0, 1.0, 0.5, -3.0, 7.0)]
+        roots = _poly_roots(polys)
+        for row, poly in zip(roots, polys):
+            assert np.array_equal(row.view(np.int64), np.roots(poly).real.view(np.int64))
+
+    def test_fuzzy_distances_equal_single_pair_distances(self, rng):
+        pairs = [*QUARTIC_GEOMETRIES.values(), *_random_pairs(rng), *SPECIAL_PAIRS.values(),
+                 *(pair for kind in _cut_table_pairs(rng).values() for pair in kind)]
+        alphas = np.linspace(0.0, 1.0, 11)
+        assert fg.fuzzy_distances([]) == []
+        for batched, (a, b) in zip(fg.fuzzy_distances(pairs), pairs):
+            single = fg.FuzzyDistance(a, b)
+            assert batched.params == single.params
+            assert (batched.argmin_theta, batched.argmax_theta, batched.refined) == (
+                single.argmin_theta, single.argmax_theta, single.refined)
+            assert np.array_equal(np.array(batched.cut_table(alphas)),
+                                  np.array(single.cut_table(alphas)))
 
 
 def _cut_table_pairs(rng):

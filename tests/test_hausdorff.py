@@ -3,7 +3,7 @@ import pytest
 
 import fuzgeo as fg
 from oracles import (hausdorff_boundary_oracle, hausdorff_support_oracle,
-                     random_separated_pair)
+                     membership_pairs, membership_probes, random_separated_pair)
 
 
 class TestCrispHausdorff:
@@ -120,3 +120,12 @@ class TestFuzzyHausdorff:
         res_ab = fg.fuzzy_hausdorff(a, b)
         res_ba = fg.fuzzy_hausdorff(b, a)
         assert res_ab.summary.almost_equals(res_ba.summary, tol=1e-12)
+
+    def test_membership_matches_bisection(self, rng):
+        for a, b in membership_pairs(rng, 40):
+            value = fg.fuzzy_hausdorff(a, b).value
+            bisection = fg.FuzzyNumber(value.cut)
+            # 0 is the clipped lower end of overlapping pairs
+            for x in membership_probes(value, 0.1) + [0.0]:
+                assert value.membership(x) == pytest.approx(bisection.membership(x), abs=1e-8)
+            assert value.membership(value.summary.m) == 1.0

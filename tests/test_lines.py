@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuzgeo as fg
@@ -65,6 +65,9 @@ class TestTransform:
 
     @settings(max_examples=100, deadline=None)
     @given(coords, coords, coords, coords, coords)
+    # c / a = 1.7e7: the offset n and the anchor are far larger than p, and
+    # the ulp of n (3.7e-9) alone exceeds 1e-9
+    @example(a=1e-6, b=0.0, c=17.0, px=1e-6, py=0.0)
     def test_round_trip(self, a, b, c, px, py):
         if abs(a) + abs(b) < 1e-6:
             return
@@ -72,8 +75,10 @@ class TestTransform:
         p = fg.Point2(px, py)
         s, n = line.to_line_coords(p)
         back = line.from_line_coords(s, n)
-        assert back.x == pytest.approx(p.x, abs=1e-9)
-        assert back.y == pytest.approx(p.y, abs=1e-9)
+        # each step rounds to a few ulps of the largest magnitude it handles
+        tol = 1e-9 + 4 * math.ulp(max(abs(s), abs(n), *map(abs, line.anchor)))
+        assert back.x == pytest.approx(p.x, abs=tol)
+        assert back.y == pytest.approx(p.y, abs=tol)
 
 
 class TestProjection:

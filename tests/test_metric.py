@@ -3,7 +3,7 @@ import pytest
 
 import fuzgeo as fg
 from oracles import (general_position_points, general_position_triple,
-                     metric_axioms_reference)
+                     membership_pairs, membership_probes, metric_axioms_reference)
 
 
 def assert_reports_equal(got, want):
@@ -104,6 +104,21 @@ class TestMetricMd:
         m_near = fg.metric_md(a, near, 1.0).summary
         m_far = fg.metric_md(a, far, 1.0).summary
         assert fg.fuzzy_leq(m_far, m_near)
+
+
+class TestClosenessMembership:
+    @pytest.mark.parametrize("t", [0.05, 1.0, 20.0])
+    def test_matches_bisection(self, rng, t):
+        for a, b in membership_pairs(rng, 24):
+            value = fg.metric_md(a, b, t).value
+            bisection = fg.FuzzyNumber(value.cut)
+            for y in membership_probes(value, 0.05) + [1.0, 1.5]:
+                assert value.membership(y) == pytest.approx(bisection.membership(y), abs=1e-8)
+
+    def test_core_grade_is_one(self, ex22_pair):
+        value = fg.metric_md(*ex22_pair, 1.0).value
+        assert value.membership(value.summary.m) == pytest.approx(1.0, abs=1e-12)
+        assert value.membership(0.0) == 0.0
 
 
 class TestClosenessSpread:
