@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import groupby
@@ -200,8 +201,8 @@ def _parse_t_list(text: str) -> tuple[float, ...]:
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid t list {text!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("t values must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise argparse.ArgumentTypeError(f"t values must be finite and positive, got {text!r}")
     return values
 
 
@@ -209,15 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzgeo",
         description="fuzzy-geometry analyses of scene files")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--scene", required=True, help="scene JSON file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--alpha-levels", type=int, dest="alpha_levels")
-        p.add_argument("--resolution", type=int)
-        p.add_argument("--t", type=_parse_t_list, dest="t_values")
-        p.add_argument("--format", choices=("csv", "svg"), default="csv")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--scene", required=True, help="scene JSON file")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--alpha-levels", type=int, dest="alpha_levels")
+    parser.add_argument("--resolution", type=int)
+    parser.add_argument("--t", type=_parse_t_list, dest="t_values")
+    parser.add_argument("--format", choices=("csv", "svg"), default="csv")
     return parser
 
 

@@ -17,12 +17,13 @@ work elementwise on arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FuzzyNumber, FuzzyPoint, TriangularTriple, tri_add
+from .core import FuzzyNumber, FuzzyPoint, TriangularTriple
 from .distance import FuzzyDistance, fuzzy_distance, fuzzy_distances
 
 
@@ -84,8 +85,8 @@ class _ClosenessNumber(FuzzyNumber):
 
 def closeness(dist: FuzzyDistance, t: float) -> FuzzyCloseness:
     """Image of a fuzzy distance under x -> t / (t + x), cut by cut."""
-    if t <= 0:
-        raise ValueError(f"scale t must be positive, got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"scale t must be finite and positive, got {t}")
     return FuzzyCloseness(t=t, value=_ClosenessNumber(dist, t))
 
 
@@ -296,30 +297,32 @@ def check_ks_axioms(points: Sequence[FuzzyPoint],
     triangle = CheckResult("triangle")
 
     dists = fuzzy_distances([(a, b) for a in points for b in points])
-
-    def summary(i: int, j: int) -> TriangularTriple:
-        return dists[i * n + j].summary
-
     for i in range(n):
         for j in range(n):
             cores_eq, _ = _points_equal(points[i], points[j])
             zero_core.count((dists[i * n + j].cut(1.0)[1] <= tol) == cores_eq, (i, j))
-            if i < j:
-                s_ij, s_ji = summary(i, j), summary(j, i)
-                worst = max(abs(x - y) for x, y in
-                            zip(s_ij.as_tuple(), s_ji.as_tuple()))
-                symmetry.count(worst <= tol, (i, j, worst))
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) < 3:
-                    continue
-                lhs = summary(i, j)
-                rhs = tri_add(summary(i, k), summary(k, j))
-                ok = (lhs.l <= rhs.l + tol and lhs.m <= rhs.m + tol
-                      and lhs.u <= rhs.u + tol)
-                triangle.count(ok, {"triple": (i, j, k),
-                                    "lhs": lhs.as_tuple(), "rhs": rhs.as_tuple()})
+    # the (l, m, u) summary per (i, j, component); worst gap per pair i < j
+    table = np.array([d.summary.as_tuple() for d in dists]).reshape(n, n, 3)
+    upper_i, upper_j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    worst = np.abs(table[upper_i, upper_j] - table[upper_j, upper_i]).max(axis=1)
+    _record(symmetry, worst <= tol, lambda p: (int(upper_i[p]), int(upper_j[p]),
+                                               float(worst[p])))
+
+    # d(i, j) against d(i, k) + d(k, j) per distinct triple in (i, j, k)
+    # order, componentwise
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    distinct = (i != j) & (j != k) & (i != k)
+    i, j, k = i[distinct], j[distinct], k[distinct]
+    lhs = table[i, j]
+    with np.errstate(over="ignore"):
+        rhs = table[i, k] + table[k, j]
+    if not np.isfinite(rhs).all():
+        # the first overflowing sum, as adding the summary triples reports it
+        p, c = np.argwhere(~np.isfinite(rhs))[0]
+        raise ValueError(f"{'lmu'[c]} must be finite, got {float(rhs[p, c])!r}")
+    _record(triangle, np.all(lhs <= rhs + tol, axis=1),
+            lambda p: {"triple": (int(i[p]), int(j[p]), int(k[p])),
+                       "lhs": tuple(lhs[p].tolist()), "rhs": tuple(rhs[p].tolist())})
 
     return KSAxiomReport(zero_core=zero_core, symmetry=symmetry, triangle=triangle)

@@ -424,8 +424,16 @@ class InvarianceReport:
 _EXACT_T_MIN = 2.0 ** -400
 _EXACT_SPAN_MAX = 2.0 ** 300
 _EPS = float(np.finfo(float).eps)
+# Grid points per side of the square blocks that invariance_check screens
+# whole, and the column and row of each point of a block, row-major.
+_BLOCK = 4
+_BLOCK_COL = np.tile(np.arange(_BLOCK), _BLOCK)
+_BLOCK_ROW = np.repeat(np.arange(_BLOCK), _BLOCK)
 
 
+# squares overflow only beyond the span limit, poles divide by 0 and scale
+# inf by 0, and extreme t overflows
+@np.errstate(all="ignore")
 def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
                      t_values: Sequence[float],
                      bbox: Optional[tuple] = None,
@@ -435,11 +443,28 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
     """Compare the equidistance zero sets under both metric formulations.
 
     Every grid point of every (alpha, active branch, t) is counted as
-    checked, but the closeness form is evaluated only on candidate points:
-    those where |(d1 -+ d2) - k| <= 2*tol + slack, with k = (r1 -+ r2) u,
-    plus those whose d1 or d2 lies within slack of a pole, r u -+ t.  By
-    the identity in InvarianceReport no other point can be a pole or have
-    a residual inside tol, so the report equals a full-grid evaluation.
+    checked, but the closeness form is evaluated only where it can matter.
+    With k = (r1 -+ r2) u, a point is a candidate if
+    |(d1 -+ d2) - k| <= 2*tol + slack or if d1 or d2 lies within slack of a
+    pole, r u -+ t.  By the identity in InvarianceReport no other point can
+    be a pole or have a residual inside tol, so evaluating any superset of
+    the candidates gives the report of a full-grid evaluation.
+
+    The superset is found coarse to fine, and d1, d2 are computed with
+    np.hypot, as on the full grid, only at its points.  The grid is cut
+    into blocks of _BLOCK x _BLOCK points (fewer in the last row and
+    column).  With D_i the distance from a block's centre to core i and h
+    the largest block half-diagonal, every point of a block has
+    |d_i - D_i| <= h by the triangle inequality.  So only a block with
+    |(D1 -+ D2) - k| <= 2*tol + 2*slack + 2*h or |D_i - pole| <= 2*slack + h
+    can hold a candidate.  In those blocks the distances are first taken
+    as square roots of sums of squares, within a few roundoffs of np.hypot,
+    and only points that pass the candidate bounds with 2*slack in place
+    of slack are evaluated.  Each second slack absorbs such roundoffs.
+    slack is taken from the bounds D_i + h on the grid maxima, so up to
+    rounding it is at least the full grid's.  A larger slack only adds
+    points, and by the identity those neither disagree nor are poles, so
+    the report cannot change.
 
     What passed verifies: by that identity the two residuals differ only by
     rounding, a few tens of units of roundoff (2^-53) of the grid span
@@ -449,20 +474,43 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
     only confirms that both forms agree to rounding.
     """
     for t in t_values:
-        if t <= 0:
-            raise ValueError(f"scale t must be positive, got {t}")
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"scale t must be finite and positive, got {t}")
     r1, r2, _ = _pair_radii(a, b)
     if bbox is None:
         bbox = support_bbox(a, b)
     xmin, ymin, xmax, ymax = bbox
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    d1 = np.hypot((xs - a.core.x)[None, :], (ys - a.core.y)[:, None]).ravel()
-    d2 = np.hypot((xs - b.core.x)[None, :], (ys - b.core.y)[:, None]).ravel()
-    focal = {Branch.INVERSE: d1 - d2, Branch.SAME: d1 + d2}
-    d_range = ((d1.min(), d1.max()), (d2.min(), d2.max()))
+    # grid index per (block, point in block) along one axis, clipped to the
+    # grid; per (block column or row, point) whether a point is not such a
+    # clipped repeat, when the last block has any
+    nb = -(-resolution // _BLOCK)
+    index = np.arange(nb * _BLOCK).reshape(nb, _BLOCK)
+    inside = (index[:, _BLOCK_COL] < resolution, index[:, _BLOCK_ROW] < resolution) \
+        if resolution % _BLOCK else None
+    index = np.minimum(index, resolution - 1)
+    first, last = index[:, 0], index[:, -1]
+    cx, cy = 0.5 * (xs[first] + xs[last]), 0.5 * (ys[first] + ys[last])
+    h = math.hypot(np.maximum(cx - xs[first], xs[last] - cx).max(),
+                   np.maximum(cy - ys[first], ys[last] - cy).max())
+    # per (block column or row, core A or B, point) the grid offsets from
+    # the core, and their squares
+    core_x, core_y = np.array([[a.core.x], [b.core.x]]), np.array([[a.core.y], [b.core.y]])
+    off_x = xs[index[:, _BLOCK_COL]][:, None, :] - core_x
+    off_y = ys[index[:, _BLOCK_ROW]][:, None, :] - core_y
+    sq_x, sq_y = off_x * off_x, off_y * off_y
+    # block-centre distances D per (core, block row-major) and the ranges
+    # [min D - h, max D + h] that hold every grid distance.  A square root
+    # of squares is off by a few roundoffs, or by 1e-154 on underflow, far
+    # inside slack; where squares overflow, span is beyond its limit.
+    centre = np.sqrt((cx - core_x)[:, None, :] ** 2
+                     + (cy - core_y)[:, :, None] ** 2).reshape(2, -1)
+    d_range = [(lo - h, hi + h) for lo, hi in zip(centre.min(axis=1).tolist(),
+                                                  centre.max(axis=1).tolist())]
     d_max = d_range[0][1] + d_range[1][1]
-    work = np.empty_like(d1)
+    focal = {Branch.INVERSE: centre[0] - centre[1], Branch.SAME: centre[0] + centre[1]}
+    work = np.empty(nb * nb)
 
     report = InvarianceReport()
     for alpha in alphas:
@@ -476,32 +524,43 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
                 # and the scaled closeness residual each lie within 20 units of
                 # roundoff (2^-53) of span from (d1 -+ d2) - k (N. J. Higham,
                 # Accuracy and Stability of Numerical Algorithms, ch. 2), far
-                # inside slack: a point outside the mask has both residuals
-                # above tol.  A pole, fa == -t or fb == -t, puts d1 or d2 within
+                # inside slack: a point that is no candidate has both
+                # residuals above tol.  A pole, fa == -t or fb == -t, puts d1 or d2 within
                 # a few units of span of r u -+ t.  The bound needs normal
-                # intermediates, hence the limits on t and span.
+                # intermediates, hence the limits on t and span; outside them
+                # slack is infinite and every point is evaluated.
                 span = d_max + abs(c1) + abs(c2) + t
-                slack = 64.0 * _EPS * span
-                if _EXACT_T_MIN <= t and span <= _EXACT_SPAN_MAX:
-                    np.subtract(focal[branch], k, out=work)
-                    mask = np.abs(work, out=work) <= 2.0 * tol + slack
-                    poles_at = ((d1, d_range[0], c1 - t),
-                                (d2, d_range[1], c2 - t if inverse else c2 + t))
-                    for d, (lo, hi), pole in poles_at:
-                        if lo - slack <= pole <= hi + slack:
-                            np.subtract(d, pole, out=work)
-                            mask |= np.abs(work, out=work) <= slack
-                    idx = np.flatnonzero(mask)
-                else:
-                    idx = slice(None)
-                fa, fb = _branch_terms(d1[idx], d2[idx], r1, r2, u, branch)
+                slack = (64.0 * _EPS * span
+                         if _EXACT_T_MIN <= t and span <= _EXACT_SPAN_MAX else math.inf)
+                # (core, pole) for the poles within reach of the grid distances
+                pole_values = (c1 - t, c2 - t if inverse else c2 + t)
+                poles_at = [(i, pole) for i, pole in enumerate(pole_values)
+                            if d_range[i][0] - 2.0 * slack <= pole <= d_range[i][1] + 2.0 * slack]
+                # the blocks that can hold a candidate; "not above" keeps NaN
+                np.subtract(focal[branch], k, out=work)
+                flagged = ~(np.abs(work, out=work) > 2.0 * (tol + slack + h))
+                for i, pole in poles_at:
+                    np.subtract(centre[i], pole, out=work)
+                    flagged |= np.abs(work, out=work) <= 2.0 * slack + h
+                bi, bj = np.divmod(np.flatnonzero(flagged), nb)
+                # their points that can be candidates, from square roots of
+                # squares, per (block, core, point)
+                dist = np.sqrt(sq_x[bj] + sq_y[bi])
+                focal_pt = dist[:, 0] - dist[:, 1] if inverse else dist[:, 0] + dist[:, 1]
+                near = ~(np.abs(focal_pt - k) > 2.0 * (tol + slack))
+                for i, pole in poles_at:
+                    near |= np.abs(dist[:, i] - pole) <= 2.0 * slack
+                if inside is not None:
+                    near &= inside[0][bj] & inside[1][bi]
+                blk, pt = near.nonzero()
+                # d1 and d2 there as the full grid has them
+                d1, d2 = np.hypot(off_x[bj[blk], :, pt], off_y[bi[blk], :, pt]).T
+                fa, fb = _branch_terms(d1, d2, r1, r2, u, branch)
                 res_d = fa - fb
-                # poles divide by 0 and scale inf by 0; extreme t overflows
-                with np.errstate(all="ignore"):
-                    res_m = t / (t + fa) - t / (t + fb)
-                    scale = np.abs((t + fa) * (t + fb)) / t
-                    poles = ~np.isfinite(res_m) | (scale == 0.0)
-                    res_m_scaled = np.where(poles, np.inf, np.abs(res_m) * scale)
+                res_m = t / (t + fa) - t / (t + fb)
+                scale = np.abs((t + fa) * (t + fb)) / t
+                poles = ~np.isfinite(res_m) | (scale == 0.0)
+                res_m_scaled = np.where(poles, np.inf, np.abs(res_m) * scale)
                 abs_d = np.abs(res_d)
                 zero_d = abs_d <= tol
                 zero_m = res_m_scaled <= tol
@@ -509,7 +568,7 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
                 clear_nonzero_m = res_m_scaled > 2.0 * tol
                 disagree = (zero_d & clear_nonzero_m) | (zero_m & clear_nonzero_d)
                 disagree &= ~poles
-                report.checked += int(d1.size)
+                report.checked += resolution * resolution
                 report.disagreements += int(np.count_nonzero(disagree))
                 report.pole_points += int(np.count_nonzero(poles))
     return report

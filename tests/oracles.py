@@ -12,8 +12,9 @@ from scipy.spatial import cKDTree
 
 import fuzgeo as fg
 from fuzgeo.distance import TWO_PI, DistanceMembershipParams
-from fuzgeo.metric import (CheckResult, FuzzyDistance, MetricAxiomReport,
-                           _points_equal, closeness, fuzzy_distance)
+from fuzgeo.core import TriangularTriple, tri_add
+from fuzgeo.metric import (CheckResult, FuzzyDistance, KSAxiomReport, MetricAxiomReport,
+                           _points_equal, closeness, fuzzy_distance, fuzzy_distances)
 from fuzgeo.midset import (DEFAULT_RESOLUTION, Branch, InvarianceReport, _pair_radii,
                            active_branches, overlap_case, support_bbox)
 
@@ -440,6 +441,51 @@ def metric_axioms_reference(points, t_samples, tnorm, alpha_samples=11, tol=1e-9
         tnorm=tnorm.name, positivity=positivity, identity=identity,
         symmetry=symmetry, quadrangle=quadrangle,
         quadrangle_cuts=quadrangle_cuts, continuity=continuity)
+
+
+def ks_axioms_reference(points, tol=1e-9):
+    """The interval-valued metric axioms with one summary triple sum per triple.
+
+    The loop check_ks_axioms replaced (with L = Min and R = Max); its
+    reports must agree check by check, failure lists included, and an
+    overflowing sum raises ValueError from tri_add.
+    """
+    if len(points) < 3:
+        raise ValueError("at least three points are needed for the axiom checks")
+
+    n = len(points)
+    zero_core = CheckResult("zero_core")
+    symmetry = CheckResult("symmetry")
+    triangle = CheckResult("triangle")
+
+    dists = fuzzy_distances([(a, b) for a in points for b in points])
+
+    def summary(i: int, j: int) -> TriangularTriple:
+        return dists[i * n + j].summary
+
+    for i in range(n):
+        for j in range(n):
+            cores_eq, _ = _points_equal(points[i], points[j])
+            zero_core.count((dists[i * n + j].cut(1.0)[1] <= tol) == cores_eq, (i, j))
+            if i < j:
+                s_ij, s_ji = summary(i, j), summary(j, i)
+                worst = max(abs(x - y) for x, y in
+                            zip(s_ij.as_tuple(), s_ji.as_tuple()))
+                symmetry.count(worst <= tol, (i, j, worst))
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if len({i, j, k}) < 3:
+                    continue
+                lhs = summary(i, j)
+                rhs = tri_add(summary(i, k), summary(k, j))
+                ok = (lhs.l <= rhs.l + tol and lhs.m <= rhs.m + tol
+                      and lhs.u <= rhs.u + tol)
+                triangle.count(ok, {"triple": (i, j, k),
+                                    "lhs": lhs.as_tuple(), "rhs": rhs.as_tuple()})
+
+    return KSAxiomReport(zero_core=zero_core, symmetry=symmetry, triangle=triangle)
 
 
 # --- CLI output --------------------------------------------------------------

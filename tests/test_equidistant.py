@@ -331,6 +331,11 @@ class TestInvariance:
         with pytest.raises(ValueError):
             fg.invariance_check(*ex41_pair, t_values=(0.0,))
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_t_rejected(self, ex41_pair, t):
+        with pytest.raises(ValueError, match="scale t must be finite"):
+            fg.invariance_check(*ex41_pair, t_values=(1.0, t), resolution=16)
+
 
 # the overlap-case table as the benchmark runs it, plus example 4.1's equal spreads:
 # (core A, r1, core B, r2)
@@ -395,6 +400,53 @@ class TestInvarianceAgainstReference:
             warnings.simplefilter("error")
             report = fg.invariance_check(*make_pair(POLE_PAIR), **POLE_GRID)
         assert report.pole_points > 0
+
+    @pytest.mark.parametrize("resolution", [16, 17, 100, 257])
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_resolutions_off_the_block_edge(self, resolution, tol):
+        # 17, 257: a partial last block row and column; 16, 100: none
+        assert_matches_reference(*make_pair(POLE_PAIR), **dict(POLE_GRID, resolution=resolution),
+                                 tol=tol)
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 16])
+    def test_bbox_within_one_block(self, ex42_pair, resolution):
+        # the whole grid inside one block, and a 1e-6 box with a midset point at a corner
+        for t_values in ((1.0,), (0.5, 1.0, 10.0)):
+            assert_matches_reference(*make_pair(POLE_PAIR), t_values=t_values,
+                                     bbox=(-1.5, -0.5, 0.5, 1.5), resolution=resolution)
+            assert_matches_reference(*ex42_pair, t_values=t_values, tol=0.0,
+                                     bbox=(2.0, -1e-6, 2.0 + 1e-6, 0.0), resolution=resolution)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_bbox_far_from_cores(self, ex41_pair, ex42_pair, tol):
+        # the bisector x = 2.5 of example 4.1, and the example 4.2 sheets
+        # at y = 1000, where d1 - d2 = -u puts them near x = 2.5 - 204 u
+        assert_matches_reference(*ex41_pair, t_values=(0.5, 1.0, 10.0),
+                                 bbox=(0.5, 998.0, 4.5, 1002.0), resolution=101, tol=tol)
+        assert_matches_reference(*ex42_pair, t_values=(1.0,), bbox=(-250.0, 950.0, 50.0, 1050.0),
+                                 resolution=128, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_tangent_ray_on_a_grid_row(self, tol):
+        # at alpha = 0 the inverse branch is the ray y = 0, x <= 0, and both
+        # residuals are exactly 0 on half of the grid row y = 0; the poles
+        # d1 = 1 - t and d2 = 3 - t hit grid points
+        a, b = make_pair(TABLE_CONFIGS["internally_tangent"])
+        report = assert_matches_reference(a, b, t_values=(0.25, 0.5, 1.0),
+                                          bbox=(-4, -4, 4, 4), resolution=17, tol=tol)
+        assert report.pole_points > 0
+        assert_matches_reference(a, b, t_values=(0.5,), bbox=(-4, -4, 4, 4),
+                                 resolution=257, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_concentric_pair(self, tol):
+        # the same-points circles d = 1.5 u and the poles d = u - t and
+        # d = 2 u + t pass through grid points
+        a, b = make_pair(TABLE_CONFIGS["concentric"])
+        report = assert_matches_reference(a, b, t_values=(0.5, 1.0), bbox=(-4, -4, 4, 4),
+                                          resolution=17, tol=tol)
+        assert report.pole_points > 0
+        assert_matches_reference(a, b, t_values=(0.5, 1.0), resolution=200, tol=tol)
 
     @pytest.mark.parametrize("t", [1e-320, 1e200])
     def test_extreme_scales_evaluate_every_point(self, ex42_pair, t):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fuzgeo as fg
-from oracles import (general_position_points, general_position_triple,
+from oracles import (general_position_points, general_position_triple, ks_axioms_reference,
                      membership_pairs, membership_probes, metric_axioms_reference)
 
 
@@ -83,6 +83,11 @@ class TestMetricMd:
     def test_nonpositive_t_rejected(self, ex22_pair):
         with pytest.raises(ValueError):
             fg.metric_md(*ex22_pair, t=0.0)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_t_rejected(self, ex22_pair, t):
+        with pytest.raises(ValueError, match="scale t must be finite"):
+            fg.closeness(fg.fuzzy_distance(*ex22_pair), t)
 
     def test_monotone_in_t(self, ex22_pair):
         a, b = ex22_pair
@@ -275,6 +280,53 @@ class TestKSAxioms:
         pts = general_position_triple(rng)
         with pytest.raises(ValueError):
             fg.check_ks_axioms(pts, L=lambda x, y: x * y)
+
+
+def assert_ks_reports_equal(got, want):
+    """Same checks, case counts and failure lists, order and payload types included."""
+    for g, w in zip(got.checks, want.checks, strict=True):
+        assert (g.name, g.checked, g.failures) == (w.name, w.checked, w.failures)
+    for failure in got.triangle.failures:
+        assert all(type(v) is float for v in failure["lhs"] + failure["rhs"])
+
+
+class TestKSAxiomsAgainstLoop:
+    """The broadcast triangle check against the scalar loop it replaced."""
+
+    @pytest.mark.parametrize("tol", [1e-9, -0.01, -4.0])
+    def test_random_points(self, rng, tol):
+        pts = general_position_points(rng, 6)
+        report = fg.check_ks_axioms(pts, tol=tol)
+        assert_ks_reports_equal(report, ks_axioms_reference(pts, tol=tol))
+        if tol == -4.0:
+            # some, not all, triangle cases fail
+            assert 0 < len(report.triangle.failures) < report.triangle.checked
+
+    @pytest.mark.parametrize("pts", [
+        [(0, 0, 1), (2, 0, 1), (5, 0, 1)],
+        [(0, 0, 1), (0, 0, 2), (5, 0, 1)],
+        [(0, 0, 1), (1e-17, 0, 1), (5, 0, 1)],
+        [(0, 0, 3), (1, 0, 0.5), (2, 0, 3), (1, 1, 0.1)],
+    ], ids=["collinear", "identical-cores", "near-coincident", "large-middle-spread"])
+    def test_fixed_points(self, pts):
+        pts = [fg.FuzzyPoint.circular(*p) for p in pts]
+        report = fg.check_ks_axioms(pts)
+        assert_ks_reports_equal(report, ks_axioms_reference(pts))
+
+    def test_random_triples(self, rng):
+        for _ in range(10):
+            pts = general_position_triple(rng)
+            assert_ks_reports_equal(fg.check_ks_axioms(pts), ks_axioms_reference(pts))
+
+    def test_overflowing_sum_raises(self):
+        # d(A, B) + d(B, C) is about 2.9e308
+        pts = [fg.FuzzyPoint.circular(0, 0, 1), fg.FuzzyPoint.circular(1.2e308, 0, 1),
+               fg.FuzzyPoint.circular(0, 1.2e308, 1)]
+        with pytest.raises(ValueError, match="must be finite") as got:
+            fg.check_ks_axioms(pts)
+        with pytest.raises(ValueError, match="must be finite") as want:
+            ks_axioms_reference(pts)
+        assert str(got.value) == str(want.value)
 
 
 class TestCollinearTriple:

@@ -331,6 +331,29 @@ class TestCli:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("t_args", [["--t", "nan"], ["--t", "1,nan"], ["--t", "inf"],
+                                        ["--t=-inf"]], ids=["nan", "nan-in-list", "inf", "minus-inf"])
+    def test_nonfinite_t_exit_1(self, t_args, scene_file, tmp_path, capsys):
+        argv = ["metric-curve", "--scene", scene_file(EX41_SCENE), "--out", str(tmp_path / "out"),
+                *t_args]
+        assert run(argv) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "--t" in message and "finite" in message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, named", [([], "command"), (["frob"], "frob")],
+                             ids=["missing-command", "unknown-command"])
+    def test_command_errors_exit_1(self, command, named, scene_file, tmp_path, capsys):
+        argv = [*command, "--scene", scene_file(EX41_SCENE), "--out", str(tmp_path / "out")]
+        assert run(argv) == 1
+        assert named in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        assert run(["--help"]) == 0
+        usage = capsys.readouterr().out
+        assert all(word in usage for word in ("distance", "invariance", "--scene", "--t"))
+
 
 FLOATS = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
