@@ -39,8 +39,12 @@ class Point2:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _require_finite("x", self.x))
-        object.__setattr__(self, "y", _require_finite("y", self.y))
+        x, y = self.x, self.y
+        # finite Python floats are stored as given
+        if not (type(x) is float and type(y) is float and math.isfinite(x)
+                and math.isfinite(y)):
+            object.__setattr__(self, "x", _require_finite("x", x))
+            object.__setattr__(self, "y", _require_finite("y", y))
 
     def __iter__(self) -> Iterator[float]:
         yield self.x

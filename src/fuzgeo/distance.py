@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -117,6 +118,11 @@ def _quartic(p: DistanceMembershipParams) -> Optional[tuple[float, tuple]]:
                  2.0 * (B1 + 2.0 * B2), A1 + A2)
 
 
+# per degree k, the rows below the first of a k x k companion matrix,
+# flattened: ones on the subdiagonal
+_SUBDIAGONAL = {k: [float(j % (k + 1) == 0) for j in range(k * (k - 1))] for k in range(1, 5)}
+
+
 def _poly_roots(polys: Sequence[tuple[float, ...]]) -> np.ndarray:
     """Real parts of the roots of polynomials of one length, highest power first.
 
@@ -135,10 +141,12 @@ def _poly_roots(polys: Sequence[tuple[float, ...]]) -> np.ndarray:
         by_degree.setdefault(k, []).append(i)
     roots = np.zeros((len(polys), size - 1))
     for k, rows in by_degree.items():
-        companion = np.zeros((len(rows), k * k))
-        companion[:, :k] = [[-c / polys[i][0] for c in polys[i][1:k + 1]] for i in rows]
-        companion[:, k::k + 1] = 1.0
-        roots[rows, :k] = np.linalg.eigvals(companion.reshape(-1, k, k)).real
+        companion = np.array([[-c / polys[i][0] for c in polys[i][1:k + 1]] + _SUBDIAGONAL[k]
+                              for i in rows])
+        found = np.linalg.eigvals(companion.reshape(-1, k, k)).real
+        if k == size - 1 and len(rows) == len(polys):
+            return found  # one stack of full degree holds every row, in order
+        roots[rows, :k] = found
     return roots
 
 
@@ -164,11 +172,9 @@ def _extremal_directions(params: Sequence[DistanceMembershipParams]
     thetas = phi + 2.0 * np.arctan(_poly_roots([quartic for _, (_, quartic) in found]))
     # gap(theta, 1) of every candidate; R * 1 == R, so the values are gap()'s
     gaps = np.hypot(d1 + R1 * np.cos(thetas), d2 + R2 * np.sin(thetas))
-    rows = np.arange(len(found))
-    theta_min = thetas[rows, gaps.argmin(axis=1)].tolist()
-    theta_max = thetas[rows, gaps.argmax(axis=1)].tolist()
-    for (i, _), lo, hi in zip(found, theta_min, theta_max):
-        out[i] = (lo % TWO_PI, hi % TWO_PI, True)
+    for (i, _), row, lo, hi in zip(found, thetas.tolist(), gaps.argmin(axis=1).tolist(),
+                                   gaps.argmax(axis=1).tolist()):
+        out[i] = (row[lo] % TWO_PI, row[hi] % TWO_PI, True)
     return out
 
 
@@ -231,33 +237,57 @@ class FuzzyDistance(FuzzyNumber):
         alphas = np.linspace(0.0, 1.0, levels or self.levels)
         return np.column_stack((alphas, *self.cut_table(alphas)))
 
+    @cached_property
+    def _support(self) -> tuple[float, float]:
+        """The support-level cut (lo0, hi0), computed on first use."""
+        return self.cut(0.0)
+
+    @cached_property
+    def _inverse(self) -> tuple:
+        """What membership reads, computed on first use.
+
+        (lo0, hi0, dc, u0, m, (dc/m)^2, lower, upper) with m = max(R1, R2).
+        lower and upper hold (K1, K2, branch) for the cut end below and
+        above dc, the terms of x^2 = dc^2 + 2*u*K1 + u^2*K2 in units of m at
+        the end's frozen direction; lower is None where that end is linear
+        (u0 < 1).
+        """
+        p = self.params
+        m = max(p.R1, p.R2)
+
+        def terms(theta: float, branch: float) -> tuple[float, float, float]:
+            w1, w2 = p.R1 / m * math.cos(theta), p.R2 / m * math.sin(theta)
+            return p.d1 / m * w1 + p.d2 / m * w2, w1 * w1 + w2 * w2, branch
+
+        lower = terms(self.argmin_theta, -1.0) if self._u0 >= 1.0 else None
+        return (*self._support, p.dc, self._u0, m, (p.dc / m) ** 2, lower,
+                terms(self.argmax_theta, 1.0))
+
     def membership(self, x: float) -> float:
         """Grade 1 - u of x, inverting the cut in closed form.
 
         Each endpoint is the gap at its frozen direction, so u solves
         x^2 = dc^2 + 2*u*K1 + u^2*K2 in units of max(R1, R2); below the
-        touching level u0 of overlapping supports the lower endpoint is linear.
+        touching level u0 of overlapping supports the lower endpoint is
+        linear.  The terms come from _inverse, built once per distance.
         """
-        p = self.params
-        lo0, hi0 = self.cut(0.0)
-        if x < lo0 or x > hi0:
+        lo0, hi0, dc, u0, m, dc_sq, lower, upper = self._inverse
+        if not lo0 <= x <= hi0:
             return 0.0
-        if x <= p.dc and self._u0 < 1.0:
-            return 1.0 if p.dc == 0.0 else 1.0 - self._u0 * (1.0 - x / p.dc)
-        theta, branch = ((self.argmin_theta, -1.0) if x <= p.dc
-                         else (self.argmax_theta, 1.0))
-        m = max(p.R1, p.R2)
-        w1, w2 = p.R1 / m * math.cos(theta), p.R2 / m * math.sin(theta)
-        k1 = p.d1 / m * w1 + p.d2 / m * w2
-        k2 = w1 * w1 + w2 * w2
-        disc = k1 * k1 - k2 * ((p.dc / m) ** 2 - (x / m) ** 2)
+        if x <= dc:
+            if lower is None:
+                return 1.0 if dc == 0.0 else 1.0 - u0 * (1.0 - x / dc)
+            k1, k2, branch = lower
+        else:
+            k1, k2, branch = upper
+        disc = k1 * k1 - k2 * (dc_sq - (x / m) ** 2)
         u = (-k1 + branch * math.sqrt(max(0.0, disc))) / k2
         return min(1.0, max(0.0, 1.0 - u))
 
     @property
     def summary(self) -> TriangularTriple:
         if self._summary is None:
-            lo0, hi0 = self.cut(0.0)
+            lo0, hi0 = self._support
             self._summary = TriangularTriple(lo0, self.params.dc, hi0)
         return self._summary
 

@@ -60,9 +60,10 @@ _ACTIVE_BRANCHES = {
 
 
 def _require_circular(p: FuzzyPoint, name: str) -> float:
-    if not p.is_circular:
+    spread = p.spread
+    if not spread.is_circular:
         raise ValueError(f"midset focal point {name} must have a circular spread")
-    return p.radius
+    return spread.p1
 
 
 def _pair_radii(a: FuzzyPoint, b: FuzzyPoint) -> tuple[float, float, float]:
@@ -93,7 +94,12 @@ def overlap_case(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
                  tol: float = _ZERO_TOL) -> OverlapCase:
     """Relative position of the two alpha-cut disks, tangencies within tol."""
     r1, r2, dc = _pair_radii(a, b)
-    u = 1.0 - alpha
+    return _overlap_case(r1, r2, dc, 1.0 - alpha, tol)
+
+
+def _overlap_case(r1: float, r2: float, dc: float, u: float,
+                  tol: float = _ZERO_TOL) -> OverlapCase:
+    """overlap_case of disks of radii r1 u and r2 u whose centres are dc apart."""
     if dc <= tol:
         return OverlapCase.CONCENTRIC
     sum_r = (r1 + r2) * u
@@ -383,15 +389,17 @@ def equidistant_membership(q: Point2, a: FuzzyPoint, b: FuzzyPoint) -> float:
     bisector when r1 = r2); the grade is the largest root level in [0, 1]
     at which its branch is active.
     """
-    r1, r2, _ = _pair_radii(a, b)
-    d1, d2 = q.distance_to(a.core), q.distance_to(b.core)
+    r1, r2, dc = _pair_radii(a, b)
+    d1 = math.hypot(q.x - a.core.x, q.y - a.core.y)
+    d2 = math.hypot(q.x - b.core.x, q.y - b.core.y)
     roots = [(Branch.SAME, 1.0 - (d1 + d2) / (r1 + r2))]
     if r1 != r2:
         roots.append((Branch.INVERSE, 1.0 - (d1 - d2) / (r1 - r2)))
     elif abs(d1 - d2) <= 1e-12:
         roots.append((Branch.INVERSE, 1.0))
     return max((alpha for branch, alpha in roots if 0.0 <= alpha <= 1.0
-                and branch in active_branches(overlap_case(a, b, alpha))), default=0.0)
+                and branch in _ACTIVE_BRANCHES[_overlap_case(r1, r2, dc, 1.0 - alpha)]),
+               default=0.0)
 
 
 @dataclass

@@ -81,6 +81,31 @@ def extremal_directions_reference(p: DistanceMembershipParams) -> tuple[float, f
             float(thetas[np.argmax(gaps)]) % TWO_PI, True)
 
 
+def distance_membership_reference(d: FuzzyDistance, x: float) -> float:
+    """Grade 1 - u of x in d, recomputing every inverse term per call.
+
+    Each endpoint is the gap at its frozen direction, so u solves
+    x^2 = dc^2 + 2*u*K1 + u^2*K2 in units of max(R1, R2); below the
+    touching level u0 of overlapping supports the lower endpoint is linear.
+    A NaN x passes both range tests and gets grade 1.
+    """
+    p = d.params
+    lo0, hi0 = d.cut(0.0)
+    if x < lo0 or x > hi0:
+        return 0.0
+    if x <= p.dc and d._u0 < 1.0:
+        return 1.0 if p.dc == 0.0 else 1.0 - d._u0 * (1.0 - x / p.dc)
+    theta, branch = ((d.argmin_theta, -1.0) if x <= p.dc
+                     else (d.argmax_theta, 1.0))
+    m = max(p.R1, p.R2)
+    w1, w2 = p.R1 / m * math.cos(theta), p.R2 / m * math.sin(theta)
+    k1 = p.d1 / m * w1 + p.d2 / m * w2
+    k2 = w1 * w1 + w2 * w2
+    disc = k1 * k1 - k2 * ((p.dc / m) ** 2 - (x / m) ** 2)
+    u = (-k1 + branch * math.sqrt(max(0.0, disc))) / k2
+    return min(1.0, max(0.0, 1.0 - u))
+
+
 def ellipse_boundary(e, n):
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     return np.stack([e.cx + e.rx * np.cos(t), e.cy + e.ry * np.sin(t)], axis=1)
@@ -253,6 +278,25 @@ def general_position_points(rng, n, r_lo=0.05, r_hi=0.3, circular=False,
         if min_triangle_slack(cores) >= min_slack:
             return _attach_spreads(rng, cores, r_lo, r_hi, circular)
     raise ValueError(f"no {n} points in general position in {max_draws} draws")
+
+
+def equidistant_membership_reference(q, a, b) -> float:
+    """Grade of a point in the fuzzy equidistant set, classifying each root anew.
+
+    Each branch residual is linear in u = 1 - alpha, with the one root
+    u = (d1 - d2)/(r1 - r2) or u = (d1 + d2)/(r1 + r2) (grade 1 on the
+    bisector when r1 = r2); the grade is the largest root level in [0, 1]
+    at which its branch is active.
+    """
+    r1, r2, _ = _pair_radii(a, b)
+    d1, d2 = q.distance_to(a.core), q.distance_to(b.core)
+    roots = [(Branch.SAME, 1.0 - (d1 + d2) / (r1 + r2))]
+    if r1 != r2:
+        roots.append((Branch.INVERSE, 1.0 - (d1 - d2) / (r1 - r2)))
+    elif abs(d1 - d2) <= 1e-12:
+        roots.append((Branch.INVERSE, 1.0))
+    return max((alpha for branch, alpha in roots if 0.0 <= alpha <= 1.0
+                and branch in active_branches(overlap_case(a, b, alpha))), default=0.0)
 
 
 def branch_residuals(pts, a, b, alpha, branch):

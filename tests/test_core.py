@@ -163,3 +163,17 @@ class TestValidation:
     def test_nonfinite_point_rejected(self):
         with pytest.raises(ValueError):
             fg.Point2(float("nan"), 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     np.float64("nan"), np.float64("-inf")])
+    def test_nonfinite_coordinate_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            fg.Point2(bad, 0.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            fg.Point2(0.0, bad)
+
+    def test_point_coordinates_stored_as_python_floats(self):
+        for x, y in ((1, 2), (np.float64(1.5), 2.0), (1.5, np.int64(2)), (1.5, -2.0)):
+            p = fg.Point2(x, y)
+            assert (type(p.x), type(p.y)) == (float, float)
+            assert (p.x, p.y) == (float(x), float(y))

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 import fuzgeo as fg
 from fuzgeo.distance import _extremal_directions, _poly_roots, _quartic
-from oracles import (bisect_root, extremal_directions_reference,
-                     general_position_triple, random_circular, random_elliptical,
-                     random_point, random_separated_pair, theta_grid_extrema)
+from oracles import (bisect_root, distance_membership_reference,
+                     extremal_directions_reference, general_position_triple,
+                     membership_pairs, membership_probes, random_circular,
+                     random_elliptical, random_point, random_separated_pair,
+                     theta_grid_extrema)
 
 # reference per-alpha endpoint polynomials for the (1,0)/(5,2) pair
 LO_SQ = (5.667025, 9.883959, 4.449017)
@@ -183,6 +185,20 @@ class TestDistanceMembership:
         with pytest.raises(ValueError):
             fg.distance_membership(*ex22_pair, x=-1.0)
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_value_has_grade_zero(self, ex22_pair, x):
+        # NaN fails every range test; it must not fall through to grade 1
+        a, b = ex22_pair
+        d = fg.fuzzy_distance(a, b)
+        assert d.membership(x) == 0.0
+        assert fg.metric_md(a, b, 1.0).value.membership(x) == 0.0
+        assert fg.fuzzy_hausdorff(a, b).value.membership(x) == 0.0
+        if x < 0.0:
+            with pytest.raises(ValueError, match="nonnegative"):
+                fg.distance_membership(a, b, x)
+        else:
+            assert fg.distance_membership(a, b, x) == 0.0
+
     def test_overlapping_pair_membership(self):
         # supports overlap: the lower branch is linear below the touching
         # level u0 = dc/R, so lo(alpha) = 1 - 4(1 - alpha) here
@@ -240,11 +256,17 @@ QUARTIC_GEOMETRIES = {
 
 
 def assert_extrema_match_fan(a, b):
-    """The quartic's extremal gaps and the support cut are no worse than a dense fan's."""
+    """The quartic's extremal gaps and the support cut are no worse than a dense fan's.
+
+    Only the flat profile (concentric cores, R1 == R2), whose gap is the
+    same in every direction, is solved without the quartic.
+    """
     d = fg.fuzzy_distance(a, b)
     fan_lo, fan_hi, _, _ = theta_grid_extrema(a, b, 0.0, samples=200_000)
     [(theta_min, theta_max, refined)] = _extremal_directions([d.params])
-    assert refined
+    p = d.params
+    flat = p.d1 == p.d2 == 0.0 and p.R1 == p.R2
+    assert refined == (not flat)
     assert d.params.gap(theta_min, 1.0) <= fan_lo + 1e-9
     assert d.params.gap(theta_max, 1.0) >= fan_hi - 1e-9
     lo0, hi0 = d.cut(0.0)
@@ -397,6 +419,56 @@ class TestBatchedSolver:
                 single.argmin_theta, single.argmax_theta, single.refined)
             assert np.array_equal(np.array(batched.cut_table(alphas)),
                                   np.array(single.cut_table(alphas)))
+
+
+def _edge_values(d):
+    """lo0, dc and hi0, one ulp to either side of each, and +-inf."""
+    return [v for x in d.summary.as_tuple() for v in (math.nextafter(x, -math.inf), x,
+                                                      math.nextafter(x, math.inf))] + [
+        -math.inf, math.inf]
+
+
+class TestMembershipMatchesReference:
+    """Grades from the cached inverse terms equal the per-call recomputation exactly."""
+
+    def assert_grades_equal(self, pairs, pad):
+        for a, b in pairs:
+            d = fg.fuzzy_distance(a, b)
+            xs = membership_probes(d, pad) + [0.0] + _edge_values(d)
+            assert [d.membership(x) for x in xs] == [
+                distance_membership_reference(d, x) for x in xs], (a, b)
+
+    def test_seeded_families(self, rng):
+        self.assert_grades_equal(membership_pairs(rng, 40), 0.1)
+
+    @pytest.mark.parametrize("kind", ["separate", "overlapping", "touching", "concentric",
+                                      "flat"])
+    def test_cut_branches(self, rng, kind):
+        self.assert_grades_equal(_cut_table_pairs(rng)[kind], 0.1)
+
+    @pytest.mark.parametrize("name", sorted(QUARTIC_GEOMETRIES))
+    def test_quartic_geometries(self, name):
+        self.assert_grades_equal([QUARTIC_GEOMETRIES[name]], 1e-3)
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL_PAIRS))
+    def test_special_pairs(self, name):
+        a, b = SPECIAL_PAIRS[name]
+        self.assert_grades_equal([(a, b)], 1e-3 * fg.fuzzy_distance(a, b).summary.u)
+
+    def test_dense_values_across_support(self, rng):
+        for a, b in membership_pairs(rng, 8):
+            d = fg.fuzzy_distance(a, b)
+            lo0, _, hi0 = d.summary.as_tuple()
+            xs = np.linspace(lo0, hi0, 2001).tolist()
+            assert [d.membership(x) for x in xs] == [
+                distance_membership_reference(d, x) for x in xs]
+
+    def test_batched_distances_share_grades(self, rng):
+        pairs = membership_pairs(rng, 12)
+        for d, (a, b) in zip(fg.fuzzy_distances(pairs), pairs):
+            xs = membership_probes(d, 0.1) + _edge_values(d)
+            assert [d.membership(x) for x in xs] == [
+                distance_membership_reference(fg.FuzzyDistance(a, b), x) for x in xs]
 
 
 def _cut_table_pairs(rng):

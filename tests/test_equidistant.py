@@ -6,8 +6,8 @@ import pytest
 
 import fuzgeo as fg
 from fuzgeo import Branch, OverlapCase
-from oracles import (branch_residuals, invariance_reference, midset_crossing_cells,
-                     random_circular)
+from oracles import (branch_residuals, equidistant_membership_reference,
+                     invariance_reference, midset_crossing_cells, random_circular)
 from scipy.spatial import cKDTree
 
 # the six configurations of the overlap-case table, one per row
@@ -305,6 +305,55 @@ class TestEquidistantMembership:
                 expected = 1.0 - u_root if 0.0 <= u_root <= 1.0 else 0.0
                 assert fg.equidistant_membership(q, a, b) == pytest.approx(
                     expected, abs=1e-8)
+
+
+def _query_points(a, b):
+    """A grid over the pair's support box, the core line, and vertices of every midset curve."""
+    xmin, ymin, xmax, ymax = fg.support_bbox(a, b)
+    pts = [(x, y) for x in np.linspace(xmin, xmax, 31).tolist()
+           for y in np.linspace(ymin, ymax, 31).tolist()]
+    pts += [(a.core.x + s * (b.core.x - a.core.x), a.core.y + s * (b.core.y - a.core.y))
+            for s in np.linspace(-1.0, 2.0, 61).tolist()]
+    for alpha in (0.0, 0.3, 0.5, 0.9, 1.0):
+        for polys in fg.sample_midset(a, b, alpha, resolution=32).values():
+            pts += [tuple(v) for poly in polys for v in poly[::3].tolist()]
+    return [fg.Point2(x, y) for x, y in pts]
+
+
+class TestEquidistantMatchesReference:
+    """Grades from one classification on radii equal the per-root overlap_case loop."""
+
+    def assert_grades_equal(self, a, b, points):
+        assert [fg.equidistant_membership(q, a, b) for q in points] == [
+            equidistant_membership_reference(q, a, b) for q in points]
+
+    def test_examples(self, ex41_pair, ex42_pair):
+        for a, b in (ex41_pair, ex42_pair):
+            self.assert_grades_equal(a, b, _query_points(a, b))
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CONFIGS))
+    def test_case_table(self, case):
+        a, b = make_pair(TABLE_CONFIGS[case])
+        for pair in ((a, b), (b, a)):
+            self.assert_grades_equal(*pair, _query_points(*pair))
+
+    def test_points_on_equal_radii_bisector(self, ex41_pair):
+        # exactly on x = 2.5 for ex41, and on the rounded bisector of a
+        # slanted pair, where d1 - d2 is a few ulps at most
+        a, b = ex41_pair
+        self.assert_grades_equal(a, b, [fg.Point2(2.5, y) for y in
+                                        np.linspace(-20.0, 20.0, 81).tolist()])
+        p, q = fg.FuzzyPoint.circular(0.1, 0.2, 1.5), fg.FuzzyPoint.circular(3.3, 4.7, 1.5)
+        mx, my = 0.5 * (p.core.x + q.core.x), 0.5 * (p.core.y + q.core.y)
+        points = [fg.Point2(mx - 4.5 * s, my + 3.2 * s) for s in np.linspace(-3, 3, 61).tolist()]
+        assert any(q_.distance_to(p.core) != q_.distance_to(q.core) for q_ in points)
+        assert all(fg.equidistant_membership(q_, p, q) == 1.0 for q_ in points)
+        self.assert_grades_equal(p, q, points)
+
+    def test_seeded_pairs(self, rng):
+        for _ in range(6):
+            a, b = random_circular(rng), random_circular(rng)
+            self.assert_grades_equal(a, b, _query_points(a, b))
 
 
 class TestInvariance:

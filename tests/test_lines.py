@@ -53,6 +53,9 @@ class TestTransform:
 
     @settings(max_examples=100, deadline=None)
     @given(coords, coords, coords, coords, coords, coords, coords)
+    # the line lies 8.5e6 from both points: s and n of each are about 8.5e6,
+    # whose ulp (1.9e-9) alone exceeds 1e-9
+    @example(a=1e-6, b=1e-6, c=12.0, px=0.0, py=0.0, qx=1.0, qy=0.0)
     def test_isometry(self, a, b, c, px, py, qx, qy):
         if abs(a) + abs(b) < 1e-6:
             return
@@ -60,8 +63,10 @@ class TestTransform:
         p, q = fg.Point2(px, py), fg.Point2(qx, qy)
         sp = line.to_line_coords(p)
         sq = line.to_line_coords(q)
+        # each step rounds to a few ulps of the largest magnitude it handles
+        tol = 1e-9 + 4 * math.ulp(max(*map(abs, sp), *map(abs, sq), *map(abs, line.anchor)))
         assert math.hypot(sp[0] - sq[0], sp[1] - sq[1]) == pytest.approx(
-            p.distance_to(q), abs=1e-9)
+            p.distance_to(q), abs=tol)
 
     @settings(max_examples=100, deadline=None)
     @given(coords, coords, coords, coords, coords)
