@@ -7,7 +7,7 @@ equidistant sets with conic classification.
 """
 
 from .core import (AlphaBoundaryPair, FuzzyNumber, FuzzyPoint, Point2, Spread,
-                   TriangularTriple, fuzzy_leq, tri_add)
+                   TriangularNumber, TriangularTriple, fuzzy_leq, tri_add)
 from .distance import (DistanceMembershipParams, FuzzyDistance, PerAlphaDistance,
                        distance_alpha, distance_membership, endpoint_distances,
                        fuzzy_distance, fuzzy_distances, prop_core_angle)
@@ -32,7 +32,8 @@ __all__ = [
     "GridSpec", "HausdorffResult", "InvarianceReport", "KSAxiomReport", "LineSpec",
     "MetricAxiomReport", "MidsetEntry", "MidsetResult", "MINIMUM", "OverlapCase",
     "PerAlphaDistance", "Point2", "PRODUCT", "ProjectedFuzzyNumber", "Scene",
-    "SceneError", "Spread", "Thresholds", "TNorm", "TriangularTriple",
+    "SceneError", "Spread", "Thresholds", "TNorm", "TriangularNumber",
+    "TriangularTriple",
     "active_branches", "alpha_thresholds", "branch_residual", "check_ks_axioms",
     "check_metric_axioms", "classify_conic", "classify_pair", "closeness",
     "closeness_spread",

@@ -6,10 +6,12 @@ linearly decaying membership cone: grade 1 exactly at the core, 0 on and
 outside the support ellipse.  Every alpha-cut is the concentric ellipse
 scaled by (1 - alpha), so cuts are convex, compact and nested.
 
-A fuzzy number is stored as a function alpha -> [lo(alpha), hi(alpha)]
-rather than as a triangular triple, because the cut endpoints produced by
-the distance constructions are square roots of quadratics and hence not
-linear in alpha.  The triangular triple (lo(0), core, hi(0)) is kept as a
+A fuzzy number is given by its alpha-cuts [lo(alpha), hi(alpha)] in
+closed form.  Each kind states its cut once, as _ends(alphas) -> (lo, hi),
+elementwise on one level or on an array of levels, and its membership
+inverts that cut in closed form.  Only triangular numbers have cut ends
+linear in alpha; the distance constructions give square roots of
+quadratics.  The triangular triple (lo(0), core, hi(0)) is kept as a
 summary.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -189,81 +191,70 @@ def fuzzy_leq(a: TriangularTriple, b: TriangularTriple) -> bool:
 
 
 class FuzzyNumber:
-    """Fuzzy number given by its alpha-cut interval function.
+    """Fuzzy number with closed-form alpha-cuts.
 
-    The cut function must return nested intervals: cut(a2) inside cut(a1)
-    whenever a1 <= a2, with cut(1) collapsing to the core value.
+    A subclass defines its cut once, as _ends(alphas) -> (lo, hi): the cut
+    ends at every level, elementwise on a float or on an array.  The cuts
+    must be nested (lo non-decreasing and hi non-increasing in alpha), with
+    cut(1) the core.  The subclass also defines summary, the triangular
+    triple (lo(0), core, hi(0)), and a closed-form membership.
     """
 
-    def __init__(self, cut_fn: Callable[[float], tuple[float, float]],
-                 levels: int = DEFAULT_ALPHA_LEVELS):
-        self._cut_fn = cut_fn
-        self.levels = levels
-        self._summary: Optional[TriangularTriple] = None
+    summary: TriangularTriple
 
-    @classmethod
-    def from_triple(cls, l: float, m: float, u: float) -> "FuzzyNumber":
-        tri = TriangularTriple(l, m, u)
-
-        def cut(alpha: float) -> tuple[float, float]:
-            return (tri.l + alpha * (tri.m - tri.l), tri.u - alpha * (tri.u - tri.m))
-
-        num = cls(cut)
-        num._summary = tri
-        return num
+    def _ends(self, alphas):
+        raise NotImplementedError
 
     def cut(self, alpha: float) -> tuple[float, float]:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        lo, hi = self._cut_fn(alpha)
+        lo, hi = self._ends(alpha)
         return (float(lo), float(hi))
 
-    @property
-    def summary(self) -> TriangularTriple:
-        if self._summary is None:
-            lo0, hi0 = self.cut(0.0)
-            lo1, hi1 = self.cut(1.0)
-            self._summary = TriangularTriple(lo0, 0.5 * (lo1 + hi1), hi0)
-        return self._summary
+    def cut_table(self, alphas) -> tuple[np.ndarray, np.ndarray]:
+        """Cut ends (lo, hi) at every level of an alpha array.
 
-    def cuts(self, levels: Optional[int] = None) -> np.ndarray:
-        """Table of (alpha, lo, hi) rows over a uniform alpha grid."""
-        n = levels or self.levels
-        alphas = np.linspace(0.0, 1.0, n)
-        rows = np.empty((n, 3))
-        for i, a in enumerate(alphas):
-            lo, hi = self.cut(float(a))
-            rows[i] = (a, lo, hi)
-        return rows
-
-    def membership(self, x: float, tol: float = 1e-10) -> float:
-        """Grade of x: sup of the alpha levels whose cut contains x.
-
-        Uses bisection on the endpoint branches, which assumes lo is
-        non-decreasing and hi non-increasing in alpha (true for every
-        construction in this package).  from_triple and other generic
-        numbers use it; the fuzzy distance, closeness and Hausdorff
-        numbers invert their cuts in closed form instead.
+        The same arithmetic as cut(), so lo[k], hi[k] equal
+        cut(alphas[k]) bit for bit.
         """
-        lo0, hi0 = self.cut(0.0)
-        if x < lo0 or x > hi0:
+        alphas = np.asarray(alphas, dtype=float)
+        bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
+        if bad.size:
+            raise ValueError(f"alpha must be in [0, 1], got {bad[0]}")
+        return self._ends(alphas)
+
+    def cuts(self, levels: int = DEFAULT_ALPHA_LEVELS) -> np.ndarray:
+        """Table of (alpha, lo, hi) rows over a uniform alpha grid."""
+        alphas = np.linspace(0.0, 1.0, levels)
+        return np.column_stack((alphas, *self.cut_table(alphas)))
+
+    def membership(self, x: float) -> float:
+        """Grade of x: the largest alpha whose cut contains x, 0 outside the support."""
+        raise NotImplementedError
+
+    @staticmethod
+    def from_triple(l: float, m: float, u: float) -> "TriangularNumber":
+        return TriangularNumber(l, m, u)
+
+
+class TriangularNumber(FuzzyNumber):
+    """The triangular fuzzy number (l, m, u): both cut ends are linear in alpha."""
+
+    def __init__(self, l: float, m: float, u: float):
+        self.summary = TriangularTriple(l, m, u)
+
+    def _ends(self, alphas):
+        tri = self.summary
+        return (tri.l + alphas * (tri.m - tri.l), tri.u - alphas * (tri.u - tri.m))
+
+    def membership(self, x: float) -> float:
+        """Grade of x, inverting the linear cut end that passes through x."""
+        l, m, u = self.summary.as_tuple()
+        if not l <= x <= u:
             return 0.0
-        lo1, hi1 = self.cut(1.0)
-        if lo1 <= x <= hi1:
-            return 1.0
-
-        if x < lo1:
-            def inside(alpha: float) -> bool:
-                return self.cut(alpha)[0] <= x
-        else:
-            def inside(alpha: float) -> bool:
-                return self.cut(alpha)[1] >= x
-
-        a_in, a_out = 0.0, 1.0
-        while a_out - a_in > tol:
-            mid = 0.5 * (a_in + a_out)
-            if inside(mid):
-                a_in = mid
-            else:
-                a_out = mid
-        return a_in
+        # IEEE subtraction is monotone, so both quotients stay in [0, 1]
+        if x < m:
+            return (x - l) / (m - l)
+        if x > m:
+            return (u - x) / (u - m)
+        return 1.0

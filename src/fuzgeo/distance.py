@@ -198,30 +198,15 @@ class FuzzyDistance(FuzzyNumber):
             self.argmin_theta = math.atan2(-p.d2 / p.R2, -p.d1 / p.R1) % TWO_PI
         else:
             self.argmin_theta = 0.0
-        super().__init__(self._cut)
 
-    def _cut(self, alpha: float) -> tuple[float, float]:
-        p = self.params
-        u = 1.0 - alpha
-        hi = float(p.gap(self.argmax_theta, u))
-        if self._u0 >= 1.0:
-            lo = float(p.gap(self.argmin_theta, u))
-        elif self._u0 > 0.0:
-            lo = p.dc * max(0.0, self._u0 - u) / self._u0
-        else:
-            lo = 0.0
-        return (max(0.0, lo), hi)
+    def _ends(self, alphas):
+        """Cut ends at the levels alphas, a float or an array.
 
-    def cut_table(self, alphas) -> tuple[np.ndarray, np.ndarray]:
-        """Cut ends (lo, hi) at every level of an alpha array.
-
-        Takes the branches of cut() with the same arithmetic on arrays, so
-        lo[k], hi[k] equal cut(alphas[k]) bit for bit.
+        hi is the gap at the frozen argmax direction.  lo is the gap at the
+        frozen argmin direction for separate supports, linear below the
+        touching level u0 for overlapping ones, and 0 for concentric cores;
+        every branch is already at least +0.0.
         """
-        alphas = np.asarray(alphas, dtype=float)
-        bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
-        if bad.size:
-            raise ValueError(f"alpha must be in [0, 1], got {bad[0]}")
         p = self.params
         u = 1.0 - alphas
         hi = p.gap(self.argmax_theta, u)
@@ -231,11 +216,7 @@ class FuzzyDistance(FuzzyNumber):
             lo = p.dc * np.maximum(0.0, self._u0 - u) / self._u0
         else:
             lo = np.zeros_like(u)
-        return np.maximum(0.0, lo), hi
-
-    def cuts(self, levels: Optional[int] = None) -> np.ndarray:
-        alphas = np.linspace(0.0, 1.0, levels or self.levels)
-        return np.column_stack((alphas, *self.cut_table(alphas)))
+        return lo, hi
 
     @cached_property
     def _support(self) -> tuple[float, float]:
@@ -284,12 +265,10 @@ class FuzzyDistance(FuzzyNumber):
         u = (-k1 + branch * math.sqrt(max(0.0, disc))) / k2
         return min(1.0, max(0.0, 1.0 - u))
 
-    @property
+    @cached_property
     def summary(self) -> TriangularTriple:
-        if self._summary is None:
-            lo0, hi0 = self._support
-            self._summary = TriangularTriple(lo0, self.params.dc, hi0)
-        return self._summary
+        lo0, hi0 = self._support
+        return TriangularTriple(lo0, self.params.dc, hi0)
 
     def per_alpha(self, alpha: float) -> PerAlphaDistance:
         lo, hi = self.cut(alpha)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FuzzyNumber, FuzzyPoint, Point2, TriangularTriple
+from .core import FuzzyNumber, FuzzyPoint, TriangularNumber, TriangularTriple
 from .lines import LineSpec, ProjectedFuzzyNumber, project_onto_line
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -113,16 +113,15 @@ class _HausdorffNumber(FuzzyNumber):
     hi from u2 - l1 to the core gap m = m2 - m1 at alpha = 1.
     """
 
-    def __init__(self, near: FuzzyNumber, far: FuzzyNumber):
-        super().__init__(self._cut)
+    def __init__(self, near: TriangularNumber, far: TriangularNumber):
         self.near, self.far = near, far
-        lo0, hi0 = self._cut(0.0)
-        self._summary = TriangularTriple(lo0, far.summary.m - near.summary.m, hi0)
+        lo0, hi0 = self.cut(0.0)
+        self.summary = TriangularTriple(lo0, far.summary.m - near.summary.m, hi0)
 
-    def _cut(self, alpha: float) -> tuple[float, float]:
-        a_lo, a_hi = self.near.cut(alpha)
-        b_lo, b_hi = self.far.cut(alpha)
-        return (max(0.0, b_lo - a_hi), b_hi - a_lo)
+    def _ends(self, alphas):
+        a_lo, a_hi = self.near._ends(alphas)
+        b_lo, b_hi = self.far._ends(alphas)
+        return (np.maximum(0.0, b_lo - a_hi), b_hi - a_lo)
 
     def membership(self, x: float) -> float:
         """Grade of x, inverting the linear cut end that passes through x."""

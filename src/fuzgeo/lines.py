@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import FuzzyNumber, FuzzyPoint, Point2, TriangularTriple
+from .core import FuzzyPoint, Point2, TriangularNumber, TriangularTriple
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class ProjectedFuzzyNumber:
     """A fuzzy point seen as a fuzzy number along a line through its core."""
 
     line: LineSpec
-    value: FuzzyNumber
+    value: TriangularNumber
 
     @property
     def summary(self) -> TriangularTriple:
@@ -118,8 +118,7 @@ def project_onto_line(p: FuzzyPoint, line: LineSpec) -> ProjectedFuzzyNumber:
     cx, sx = line.direction
     w = math.hypot(p.spread.p1 * cx, p.spread.p2 * sx)
     s0, _ = line.to_line_coords(p.core)
-    value = FuzzyNumber.from_triple(s0 - w, s0, s0 + w)
-    return ProjectedFuzzyNumber(line=line, value=value)
+    return ProjectedFuzzyNumber(line=line, value=TriangularNumber(s0 - w, s0, s0 + w))
 
 
 def classify_pair(a: FuzzyPoint, p1: Point2, b: FuzzyPoint, p2: Point2,

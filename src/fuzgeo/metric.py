@@ -66,14 +66,13 @@ class _ClosenessNumber(FuzzyNumber):
     """Image of a fuzzy distance under x -> t / (t + x), cut by cut."""
 
     def __init__(self, dist: FuzzyDistance, t: float):
-        super().__init__(self._cut)
         self.dist, self.t = dist, t
-        lo0, hi0 = self._cut(0.0)
-        self._summary = TriangularTriple(lo0, t / (t + dist.params.dc), hi0)
+        lo0, hi0 = self.cut(0.0)
+        self.summary = TriangularTriple(lo0, t / (t + dist.params.dc), hi0)
 
-    def _cut(self, alpha: float) -> tuple[float, float]:
+    def _ends(self, alphas):
         t = self.t
-        lo_d, hi_d = self.dist.cut(alpha)
+        lo_d, hi_d = self.dist._ends(alphas)
         return (t / (t + hi_d), t / (t + lo_d))
 
     def membership(self, y: float) -> float:

@@ -11,7 +11,10 @@ Schema (all fields beyond "points" optional):
       "t": [0.5, 1, 2]
     }
 
-Unknown fields are rejected by name so typos never pass silently.
+Unknown fields are rejected by name so typos never pass silently.  Output
+files are named after their pair, "<a>_<b>_<kind>", so a point name may not
+be "." or ".." or contain "/", "\\" or NUL, and no two pairs may share the stem
+"<a>_<b>".
 """
 
 from __future__ import annotations
@@ -79,6 +82,10 @@ def _parse_point(entry, index: int) -> tuple[str, FuzzyPoint]:
     name = entry["name"]
     if not isinstance(name, str) or not name:
         raise SceneError(f"points[{index}].name must be a nonempty string")
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        # names become output file names, which must stay inside --out
+        raise SceneError(f"point {name!r}: a name may not be '.' or '..' "
+                         f"or contain '/', '\\' or NUL")
     core = entry["core"]
     if not (isinstance(core, (list, tuple)) and len(core) == 2):
         raise SceneError(f"point {name!r}: core must be [x, y]")
@@ -132,7 +139,8 @@ def parse_scene(text: str) -> Scene:
             raise SceneError("'pairs' must be a list of name pairs")
         pairs = []
         for i, pair in enumerate(raw_pairs):
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(name, str) for name in pair)):
                 raise SceneError(f"pairs[{i}] must be a pair of names")
             for name in pair:
                 if name not in points:
@@ -142,6 +150,13 @@ def parse_scene(text: str) -> Scene:
             pairs.append((pair[0], pair[1]))
     else:
         pairs = list(itertools.combinations(points, 2))
+    # output files are named "<a>_<b>_<kind>": no two pairs may share a stem
+    stems: dict = {}
+    for pair in pairs:
+        other = stems.setdefault(f"{pair[0]}_{pair[1]}", pair)
+        if other != pair:
+            raise SceneError(f"pairs {list(other)} and {list(pair)} would write the same "
+                             f"output files {pair[0]}_{pair[1]}_*")
 
     grids = GridSpec()
     if "grids" in raw:

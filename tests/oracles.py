@@ -106,6 +106,54 @@ def distance_membership_reference(d: FuzzyDistance, x: float) -> float:
     return min(1.0, max(0.0, 1.0 - u))
 
 
+def distance_cut_reference(d: FuzzyDistance, alpha: float) -> tuple[float, float]:
+    """The cut (lo, hi) of d at one level, in Python scalar arithmetic.
+
+    An independent statement of the three cut branches, which
+    FuzzyDistance.cut_table must equal bit for bit.
+    """
+    p = d.params
+    u = 1.0 - alpha
+    hi = float(p.gap(d.argmax_theta, u))
+    if d._u0 >= 1.0:
+        lo = float(p.gap(d.argmin_theta, u))
+    elif d._u0 > 0.0:
+        lo = p.dc * max(0.0, d._u0 - u) / d._u0
+    else:
+        lo = 0.0
+    return (max(0.0, lo), hi)
+
+
+def bisect_membership(cut, x: float, tol: float = 1e-10) -> float:
+    """Grade of x in the fuzzy number with cut function cut: alpha -> (lo, hi).
+
+    Bisects for the largest level whose cut contains x, assuming lo is
+    non-decreasing and hi non-increasing in alpha.
+    """
+    lo0, hi0 = cut(0.0)
+    if x < lo0 or x > hi0:
+        return 0.0
+    lo1, hi1 = cut(1.0)
+    if lo1 <= x <= hi1:
+        return 1.0
+
+    if x < lo1:
+        def inside(alpha: float) -> bool:
+            return cut(alpha)[0] <= x
+    else:
+        def inside(alpha: float) -> bool:
+            return cut(alpha)[1] >= x
+
+    a_in, a_out = 0.0, 1.0
+    while a_out - a_in > tol:
+        mid = 0.5 * (a_in + a_out)
+        if inside(mid):
+            a_in = mid
+        else:
+            a_out = mid
+    return a_in
+
+
 def ellipse_boundary(e, n):
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     return np.stack([e.cx + e.rx * np.cos(t), e.cy + e.ry * np.sin(t)], axis=1)

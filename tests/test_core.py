@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuzgeo as fg
-from oracles import random_point, random_separated_pair
+from oracles import bisect_membership, random_point, random_separated_pair
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 ordered_triples = st.tuples(finite, finite, finite).map(sorted)
@@ -119,6 +119,7 @@ class TestTriples:
 class TestFuzzyNumber:
     def test_triple_roundtrip(self):
         num = fg.FuzzyNumber.from_triple(1, 2, 4)
+        assert isinstance(num, fg.TriangularNumber)
         assert num.cut(0.0) == (1.0, 4.0)
         assert num.cut(1.0) == (2.0, 2.0)
         assert num.cut(0.5) == (1.5, 3.0)
@@ -130,6 +131,31 @@ class TestFuzzyNumber:
         assert num.membership(2.0) == pytest.approx(0.5, abs=1e-9)
         assert num.membership(4.0) == 0.0
         assert num.membership(0.0) == pytest.approx(0.0, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-100, 100), st.one_of(st.just(0.0), st.floats(1e-3, 100)),
+           st.one_of(st.just(0.0), st.floats(1e-3, 100)), st.floats(-0.2, 1.2))
+    @example(l=-1.0, left=1.0, right=2.0, s=0.0)
+    @example(l=-1.0, left=1.0, right=2.0, s=1.0)
+    @example(l=-1.0, left=1.0, right=2.0, s=1.0 / 3.0)
+    @example(l=-1.0, left=1.0, right=2.0, s=0.5)
+    @example(l=0.0, left=0.0, right=0.0, s=0.0)
+    def test_triangular_membership_matches_bisection(self, l, left, right, s):
+        # x at relative position s of the support [l, l + left + right]
+        m = l + left
+        u = m + right
+        num = fg.TriangularNumber(l, m, u)
+        x = l + s * (u - l)
+        assert num.membership(x) == pytest.approx(bisect_membership(num.cut, x), abs=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ordered_triples, st.integers(1, 64))
+    def test_triangular_support_ends_exact(self, triple, levels):
+        # the summary reads the support cut, so it must return l and u unrounded
+        l, m, u = triple
+        num = fg.TriangularNumber(l, m, u)
+        assert num.cut(0.0) == (l, u)
+        assert num.cuts(levels + 1)[0].tolist() == [0.0, l, u]
 
     def test_nesting_on_random_objects(self, rng):
         """Alpha-cut nesting over a dense grid, for triangular numbers and

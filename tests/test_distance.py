@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import fuzgeo as fg
 from fuzgeo.distance import _extremal_directions, _poly_roots, _quartic
-from oracles import (bisect_root, distance_membership_reference,
+from oracles import (bisect_membership, bisect_root, distance_cut_reference,
+                     distance_membership_reference,
                      extremal_directions_reference, general_position_triple,
                      membership_pairs, membership_probes, random_circular,
                      random_elliptical, random_point, random_separated_pair,
@@ -206,7 +207,7 @@ class TestDistanceMembership:
         b = fg.FuzzyPoint.circular(1, 0, 2)
         d = fg.fuzzy_distance(a, b)
         assert d.membership(0.5) == pytest.approx(0.875, abs=1e-9)
-        assert fg.FuzzyNumber(d.cut).membership(0.5) == pytest.approx(0.875, abs=1e-9)
+        assert bisect_membership(d.cut, 0.5) == pytest.approx(0.875, abs=1e-9)
         # grade on the flat clamped region is the level where lo leaves zero
         assert d.membership(0.0) == pytest.approx(0.75, abs=1e-9)
 
@@ -215,7 +216,7 @@ class TestDistanceMembership:
         d = fg.fuzzy_distance(a, b)
         lo0, hi0 = d.cut(0.0)
         for x in np.linspace(lo0 + 1e-6, hi0 - 1e-6, 15):
-            bisected = fg.FuzzyNumber(d.cut).membership(float(x))
+            bisected = bisect_membership(d.cut, float(x))
             closed = d.membership(float(x))
             assert bisected == pytest.approx(closed, abs=1e-8)
         for _ in range(10):
@@ -224,7 +225,7 @@ class TestDistanceMembership:
             lo0, hi0 = dd.cut(0.0)
             for x in np.linspace(lo0 + 1e-6, hi0 - 1e-6, 7):
                 assert dd.membership(float(x)) == pytest.approx(
-                    fg.FuzzyNumber(dd.cut).membership(float(x)), abs=1e-8)
+                    bisect_membership(dd.cut, float(x)), abs=1e-8)
 
 
 def _ell(x, y, p1, p2):
@@ -287,6 +288,12 @@ def _random_pairs(rng):
 
 def _scaled_pair(s):
     return _ell(0, 0, 1 * s, 2 * s), _ell(3 * s, 1 * s, 0.5 * s, 0.7 * s)
+
+
+def _scaled_point(p, s):
+    """p with its core coordinates and spread radii multiplied by s."""
+    return fg.FuzzyPoint(fg.Point2(p.core.x * s, p.core.y * s),
+                         fg.Spread(p.spread.kind, p.spread.p1 * s, p.spread.p2 * s))
 
 
 # cores (0, 0) and (0, -1.5 sqrt(2)) rounded, summed spreads (2, 1): the
@@ -355,12 +362,11 @@ class TestExtremalDirections:
                 a = random_point(rng)
                 b = fg.FuzzyPoint(a.core, random_point(rng).spread)
             d = fg.fuzzy_distance(a, b)
-            bisection = fg.FuzzyNumber(d.cut)
             lo0, hi0 = d.cut(0.0)
             xs = np.append(np.linspace(max(0.0, lo0 - 0.1), hi0 + 0.1, 25), d.params.dc)
             for x in xs:
                 assert d.membership(float(x)) == pytest.approx(
-                    bisection.membership(float(x)), abs=1e-8)
+                    bisect_membership(d.cut, float(x)), abs=1e-8)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.05, 3), st.floats(0.05, 3),
@@ -501,19 +507,39 @@ class TestCutTable:
                         "flat": not d.refined}[kind]
 
     def test_matches_cut_bit_for_bit(self, rng):
+        # every kind of fuzzy number: distances, closeness at two scales,
+        # Hausdorff numbers and their triangular projections
         alphas = np.concatenate([np.linspace(0.0, 1.0, 101), rng.random(50)])
+        numbers = [fg.TriangularNumber(*ends)
+                   for ends in np.sort(rng.uniform(-10, 10, size=(10, 3))).tolist()]
         for pairs in _cut_table_pairs(rng).values():
             for a, b in pairs:
                 d = fg.fuzzy_distance(a, b)
-                table = np.column_stack(d.cut_table(alphas))
-                loop = np.array([d.cut(float(alpha)) for alpha in alphas])
-                assert np.array_equal(table.view(np.int64), loop.view(np.int64))
+                numbers += [d, fg.closeness(d, 0.05).value, fg.closeness(d, 20.0).value]
+                if a.core != b.core:
+                    h = fg.fuzzy_hausdorff(a, b)
+                    numbers += [h.value, h.projected_a.value, h.projected_b.value]
+        for num in numbers:
+            table = np.column_stack(num.cut_table(alphas))
+            loop = np.array([num.cut(float(alpha)) for alpha in alphas])
+            assert np.array_equal(table.view(np.int64), loop.view(np.int64)), num
 
-    def test_cuts_rows_unchanged(self, ex22_pair):
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e160])
+    def test_matches_scalar_reference(self, rng, scale):
+        alphas = np.concatenate([np.linspace(0.0, 1.0, 101), rng.random(50)])
+        pairs = [*QUARTIC_GEOMETRIES.values(),
+                 *(pair for kind in _cut_table_pairs(rng).values() for pair in kind)]
+        for a, b in pairs:
+            d = fg.fuzzy_distance(_scaled_point(a, scale), _scaled_point(b, scale))
+            table = np.column_stack(d.cut_table(alphas))
+            reference = np.array([distance_cut_reference(d, alpha) for alpha in alphas.tolist()])
+            assert np.array_equal(table.view(np.int64), reference.view(np.int64)), (a, b)
+
+    def test_cuts_rows_match_scalar_reference(self, ex22_pair):
         d = fg.fuzzy_distance(*ex22_pair)
-        rows = d.cuts(101)
-        assert np.array_equal(rows.view(np.int64),
-                              fg.FuzzyNumber.cuts(d, 101).view(np.int64))
+        rows = np.array([(alpha, *distance_cut_reference(d, alpha))
+                         for alpha in np.linspace(0.0, 1.0, 101).tolist()])
+        assert np.array_equal(d.cuts().view(np.int64), rows.view(np.int64))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, ex22_pair, bad):

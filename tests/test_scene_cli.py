@@ -139,6 +139,33 @@ class TestParseScene:
         with pytest.raises(fg.SceneError, match=f"{re.escape(field)} must be finite"):
             fg.parse_scene(EX22_SCENE.replace(old, new, 1))
 
+    @pytest.mark.parametrize("name", ["../esc", "a/b", "a\\b", ".", "..", "a\0b"])
+    def test_path_like_point_name_rejected(self, name):
+        text = EX22_SCENE.replace('"A"', json.dumps(name))
+        with pytest.raises(fg.SceneError, match=f"point {re.escape(repr(name))}"):
+            fg.parse_scene(text)
+
+    @pytest.mark.parametrize("pairs", [[["A", "B_C"], ["A_B", "C"]], None],
+                             ids=["explicit", "implicit"])
+    def test_pairs_sharing_an_output_stem_rejected(self, pairs):
+        points = [{"name": name, "core": [i, 0], "spread": {"kind": "circular",
+                                                            "radii": [1, 1]}}
+                  for i, name in enumerate(["A", "B_C", "A_B", "C"])]
+        scene = {"points": points} if pairs is None else {"points": points, "pairs": pairs}
+        with pytest.raises(fg.SceneError,
+                           match=re.escape("['A', 'B_C'] and ['A_B', 'C']")):
+            fg.parse_scene(json.dumps(scene))
+
+    def test_same_pair_twice_and_reversed_pair_accepted(self):
+        text = EX22_SCENE.replace('[["A", "B"]]', '[["A", "B"], ["B", "A"], ["A", "B"]]')
+        assert fg.parse_scene(text).pairs == (("A", "B"), ("B", "A"), ("A", "B"))
+
+    @pytest.mark.parametrize("pair", [[["A"], "B"], ["A", 1], ["A", None]])
+    def test_non_string_pair_entry_names_pair(self, pair):
+        text = EX22_SCENE.replace('[["A", "B"]]', json.dumps([pair]))
+        with pytest.raises(fg.SceneError, match=re.escape("pairs[0]")):
+            fg.parse_scene(text)
+
     def test_theta_samples_rejected(self):
         text = EX22_SCENE.replace('"pairs"', '"grids": {"theta_samples": 64}, "pairs"', 1)
         with pytest.raises(fg.SceneError, match="theta_samples"):
@@ -263,6 +290,30 @@ class TestCli:
         bad = scene_file('{"points": [], "bogus": 1}', name="bad.json")
         code = run(["distance", "--scene", bad, "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_point_name_outside_out_exit_1(self, scene_file, tmp_path, capsys):
+        text = EX22_SCENE.replace('"A"', '"../esc"')
+        out = tmp_path / "out"
+        assert run(["distance", "--scene", scene_file(text), "--out", str(out)]) == 1
+        assert "'../esc'" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.glob("esc_*"))
+
+    def test_pairs_sharing_an_output_stem_exit_1(self, scene_file, tmp_path, capsys):
+        text = EX22_SCENE.replace('"A"', '"A_B"', 1).replace('"B"', '"C"', 1)
+        text = text.replace('"points": [', """"points": [
+    {"name": "A", "core": [0, 3], "spread": {"kind": "circular", "radii": [1, 1]}},
+    {"name": "B_C", "core": [3, 3], "spread": {"kind": "circular", "radii": [1, 1]}},""")
+        text = text.replace('[["A", "B"]]', '[["A", "B_C"], ["A_B", "C"]]')
+        out = tmp_path / "out"
+        assert run(["distance", "--scene", scene_file(text), "--out", str(out)]) == 1
+        assert "['A', 'B_C'] and ['A_B', 'C']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_string_pair_entry_exit_1(self, scene_file, tmp_path, capsys):
+        text = EX22_SCENE.replace('[["A", "B"]]', '[[["A"], "B"]]')
+        assert run(["distance", "--scene", scene_file(text), "--out", str(tmp_path / "o")]) == 1
+        assert "pairs[0]" in capsys.readouterr().err
 
     def test_missing_scene_exit_code(self, tmp_path):
         code = run(["distance", "--scene", str(tmp_path / "nope.json"),
