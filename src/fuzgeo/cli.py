@@ -6,8 +6,10 @@
 
 Commands: distance, metric-curve, hausdorff, midset, classify, invariance;
 --format svg adds a midset SVG.  Exit status: 0 success, 1 argument,
-validation or I/O error, 2 internal numeric failure.  svgout formats every
-number to 9 significant digits, so identical inputs give identical files.
+validation or I/O error, 2 internal numeric failure.  Every command names
+all its output files before it writes any, so a name too long for --out
+fails with nothing written.  svgout formats every number to 9 significant
+digits, so identical inputs give identical files.
 
 The environment variable FUZGEO_SEED fixes the seed used by randomized
 test sampling helpers; the CLI commands themselves are deterministic.
@@ -32,35 +34,39 @@ from .midset import (active_branches, alpha_thresholds, classify_conic,
                      compute_midset, conic_coefficients, invariance_check,
                      overlap_case, support_bbox)
 from .scene import Scene, SceneError, load_scene
-from .svgout import fmt, fmt_rows, render_midset_svg
+from .svgout import (NUMBER, distance_json, fmt, fmt_rows, hausdorff_json,
+                     invariance_json, render_midset_svg)
 
 DEFAULT_INVARIANCE_T = (0.5, 1.0, 10.0)
 
 
-def _jsonify(obj):
-    """Round floats to the fixed output precision for stable serialization."""
-    if isinstance(obj, float):
-        return float(fmt(obj))
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonify(obj.item())
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+def _paths(out: str, pairs, suffix: str) -> list[str]:
+    """The path out/<a>_<b><suffix> of every pair, in pair order.
+
+    A name longer than the directory's limit is an error naming the pair,
+    so a command that names all its outputs first fails before it writes.
+    """
+    limit = os.pathconf(out, "PC_NAME_MAX")
+    paths = []
+    for name_a, name_b in pairs:
+        name = f"{name_a}_{name_b}{suffix}"
+        if 0 <= limit < len(os.fsencode(name)):
+            raise SceneError(f"pair {[name_a, name_b]}: output file name {name!r} is longer "
+                             f"than the {limit} bytes {out} allows")
+        paths.append(os.path.join(out, name))
+    return paths
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(payload), fh, indent=2)
-        fh.write("\n")
+def _write(path: str, text: str) -> None:
+    # binary mode skips the text layer, and every newline stays "\n"
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _write_csv(path: str, header: list[str], blocks) -> None:
     """The header, then each (prefix, 2-d array) block, one row per array row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(fmt_rows(prefix, block) for prefix, block in blocks)
+    _write(path, ",".join(header) + "\n"
+           + "".join([fmt_rows(prefix, block) for prefix, block in blocks]))
 
 
 def _alphas(levels: int) -> np.ndarray:
@@ -69,19 +75,23 @@ def _alphas(levels: int) -> np.ndarray:
 
 def cmd_distance(scene: Scene, args, out: str) -> None:
     alphas = _alphas(args.alpha_levels or scene.grids.alpha_levels)
+    json_paths = _paths(out, scene.pairs, "_distance.json")
+    csv_paths = _paths(out, scene.pairs, "_distance.csv")
+    # every pair shares the alpha column: a row is alpha, lo, the pair's
+    # preformatted core distance, hi
+    table = "alpha,lo,mid,hi\n" + "".join(
+        f"{fmt(alpha)},{NUMBER},%s,{NUMBER}\n" for alpha in alphas.tolist())
+    cells = [None] * (3 * len(alphas))
     dists = fuzzy_distances(map(scene.pair_points, scene.pairs))
-    for (name_a, name_b), dist in zip(scene.pairs, dists):
-        _write_json(os.path.join(out, f"{name_a}_{name_b}_distance.json"), {
-            "pair": [name_a, name_b],
-            "summary": dist.summary.as_tuple(),
-            "argmin_theta": dist.argmin_theta,
-            "argmax_theta": dist.argmax_theta,
-            "refined": dist.refined,
-        })
+    for (name_a, name_b), dist, json_path, csv_path in zip(scene.pairs, dists,
+                                                          json_paths, csv_paths):
+        _write(json_path, distance_json(name_a, name_b, dist.summary.as_tuple(),
+                                        dist.argmin_theta, dist.argmax_theta, dist.refined))
         lo, hi = dist.cut_table(alphas)
-        block = np.column_stack((alphas, lo, np.full_like(alphas, dist.params.dc), hi))
-        _write_csv(os.path.join(out, f"{name_a}_{name_b}_distance.csv"),
-                   ["alpha", "lo", "mid", "hi"], [("", block)])
+        cells[0::3] = lo.tolist()
+        cells[1::3] = [fmt(dist.params.dc)] * len(alphas)
+        cells[2::3] = hi.tolist()
+        _write(csv_path, table % tuple(cells))
 
 
 def cmd_metric_curve(scene: Scene, args, out: str) -> None:
@@ -92,60 +102,57 @@ def cmd_metric_curve(scene: Scene, args, out: str) -> None:
     else:
         ts = np.geomspace(1e-2, 1e2, 81)
     t = np.asarray(ts, dtype=float)
+    paths = _paths(out, scene.pairs, "_metric_curve.csv")
+    # every pair shares the t column
+    table = "t,lo,mid,hi,spread\n" + "".join(
+        f"{fmt(v)},{NUMBER},{NUMBER},{NUMBER},{NUMBER}\n" for v in t.tolist())
     dists = fuzzy_distances(map(scene.pair_points, scene.pairs))
-    for (name_a, name_b), dist in zip(scene.pairs, dists):
+    for dist, path in zip(dists, paths):
         # the closeness support is [t/(t + hi_d), t/(t + lo_d)] at alpha = 0
         lo_d, hi_d = dist.cut(0.0)
         lo, hi = _scaled(hi_d, t), _scaled(lo_d, t)
-        block = np.column_stack((t, lo, _scaled(dist.params.dc, t), hi, hi - lo))
-        _write_csv(os.path.join(out, f"{name_a}_{name_b}_metric_curve.csv"),
-                   ["t", "lo", "mid", "hi", "spread"], [("", block)])
+        block = np.column_stack((lo, _scaled(dist.params.dc, t), hi, hi - lo))
+        _write(path, table % tuple(block.ravel().tolist()))
 
 
 def cmd_hausdorff(scene: Scene, args, out: str) -> None:
+    paths = _paths(out, scene.pairs, "_hausdorff.json")
     # every pair is computed before any file is written, so a failing pair
     # leaves no partial output
-    payloads = {}
+    texts = []
     for name_a, name_b in scene.pairs:
         res = fuzzy_hausdorff(*scene.pair_points((name_a, name_b)))
         line = res.line
-        payloads[f"{name_a}_{name_b}_hausdorff.json"] = {
-            "pair": [name_a, name_b],
-            "summary": res.summary.as_tuple(),
-            "projected": {
-                name_a: res.projected_a.summary.as_tuple(),
-                name_b: res.projected_b.summary.as_tuple(),
-            },
-            "line": {"a": line.a, "b": line.b, "c": line.c, "theta": line.theta},
-        }
-    for name, payload in payloads.items():
-        _write_json(os.path.join(out, name), payload)
+        texts.append(hausdorff_json(
+            name_a, name_b, res.summary.as_tuple(), res.projected_a.summary.as_tuple(),
+            res.projected_b.summary.as_tuple(), (line.a, line.b, line.c, line.theta)))
+    for path, text in zip(paths, texts):
+        _write(path, text)
 
 
 def cmd_midset(scene: Scene, args, out: str) -> None:
-    levels = args.alpha_levels or scene.grids.alpha_levels
+    alphas = _alphas(args.alpha_levels or scene.grids.alpha_levels)
     resolution = args.resolution or scene.grids.resolution
-    for name_a, name_b in scene.pairs:
-        a, b = scene.pair_points((name_a, name_b))
+    csv_paths = {alpha: _paths(out, scene.pairs, f"_midset_a{alpha:.4f}.csv")
+                 for alpha in alphas.tolist()}
+    svg_paths = _paths(out, scene.pairs, "_midset.svg")
+    for i, pair in enumerate(scene.pairs):
+        a, b = scene.pair_points(pair)
         bbox = scene.grids.bbox or support_bbox(a, b)
-        result = compute_midset(a, b, alphas=_alphas(levels), bbox=bbox,
-                                resolution=resolution)
+        result = compute_midset(a, b, alphas=alphas, bbox=bbox, resolution=resolution)
         # entries come sorted by alpha: one CSV per level
         for alpha, entries in groupby(result.entries, key=attrgetter("alpha")):
             _write_csv(
-                os.path.join(out, f"{name_a}_{name_b}_midset_a{alpha:.4f}.csv"),
-                ["branch", "polyline", "x", "y"],
-                ((f"{entry.branch.value},{fmt(i)},", polyline)
-                 for entry in entries for i, polyline in enumerate(entry.polylines)))
+                csv_paths[alpha][i], ["branch", "polyline", "x", "y"],
+                ((f"{entry.branch.value},{fmt(j)},", polyline)
+                 for entry in entries for j, polyline in enumerate(entry.polylines)))
         if args.format == "svg":
-            svg = render_midset_svg(a, b, result)
-            with open(os.path.join(out, f"{name_a}_{name_b}_midset.svg"),
-                      "w", encoding="utf-8") as fh:
-                fh.write(svg)
+            _write(svg_paths[i], render_midset_svg(a, b, result))
 
 
 def cmd_classify(scene: Scene, args, out: str) -> None:
-    for name_a, name_b in scene.pairs:
+    paths = _paths(out, scene.pairs, "_classify.json")
+    for (name_a, name_b), path in zip(scene.pairs, paths):
         a, b = scene.pair_points((name_a, name_b))
         th = alpha_thresholds(a, b)
         edges = sorted({0.0, 1.0} | {
@@ -157,33 +164,32 @@ def cmd_classify(scene: Scene, args, out: str) -> None:
             classes = {
                 branch.value: classify_conic(conic_coefficients(a, b, mid, branch))
                 for branch in active_branches(case)}
-            bands.append({"alpha_lo": lo, "alpha_hi": hi,
+            bands.append({"alpha_lo": float(fmt(lo)), "alpha_hi": float(fmt(hi)),
                           "case": case.value, "classes": classes})
-        _write_json(os.path.join(out, f"{name_a}_{name_b}_classify.json"), {
+        thresholds = {"n": th.n, "n1": th.n1, "n2": th.n2}
+        # the band list varies in length, so json.dumps lays this file out
+        _write(path, json.dumps({
             "pair": [name_a, name_b],
-            "thresholds": {"n": th.n, "n1": th.n1, "n2": th.n2},
+            "thresholds": {k: None if v is None else float(fmt(v))
+                           for k, v in thresholds.items()},
             "case_at_support": overlap_case(a, b, 0.0).value,
             "bands": bands,
-        })
+        }, indent=2) + "\n")
 
 
 def cmd_invariance(scene: Scene, args, out: str) -> None:
     ts = args.t_values or scene.t_values or DEFAULT_INVARIANCE_T
     resolution = args.resolution or scene.grids.resolution
-    for name_a, name_b in scene.pairs:
+    paths = _paths(out, scene.pairs, "_invariance.json")
+    for (name_a, name_b), path in zip(scene.pairs, paths):
         a, b = scene.pair_points((name_a, name_b))
         report = invariance_check(a, b, ts, bbox=scene.grids.bbox,
                                   resolution=resolution)
-        _write_json(os.path.join(out, f"{name_a}_{name_b}_invariance.json"), {
-            "pair": [name_a, name_b],
-            "t": list(ts),
-            "checked": report.checked,
-            "disagreements": report.disagreements,
-            "pole_points": report.pole_points,
-            # no grid point disagrees; at the default tol a grid whose span
-            # is below about 4e5 cannot disagree (see invariance_check)
-            "agreed": report.passed,
-        })
+        # agreed: no grid point disagrees; at the default tol a grid whose
+        # span is below about 4e5 cannot disagree (see invariance_check)
+        _write(path, invariance_json(name_a, name_b, ts, report.checked,
+                                     report.disagreements, report.pole_points,
+                                     report.passed))
 
 
 _COMMANDS = {

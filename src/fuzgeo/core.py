@@ -159,8 +159,12 @@ class TriangularTriple:
     u: float
 
     def __post_init__(self):
-        for name in ("l", "m", "u"):
-            _require_finite(name, getattr(self, name))
+        l, m, u = self.l, self.m, self.u
+        # finite Python floats are stored as given, as in Point2
+        if not (type(l) is float and type(m) is float and type(u) is float
+                and math.isfinite(l) and math.isfinite(m) and math.isfinite(u)):
+            for name in ("l", "m", "u"):
+                object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if not (self.l <= self.m <= self.u):
             raise ValueError(f"triple must be ordered l <= m <= u, got {self}")
 

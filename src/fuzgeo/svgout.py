@@ -1,22 +1,126 @@
 """Self-contained SVG rendering of midset curves, and the number format:
-fmt and fmt_rows write every CSV, JSON and SVG number to 9 significant digits."""
+fmt and fmt_rows write every CSV and SVG number to 9 significant digits, and
+the JSON templates write every JSON number as json.dump writes that
+9-digit value read back as a float."""
 
 from __future__ import annotations
+
+import json
 
 from .core import FuzzyPoint
 from .midset import Branch, MidsetResult
 
-_NUMBER = "%.9g"
+NUMBER = "%.9g"
+# json.dump's spelling of the floats whose repr is not JSON
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def fmt(x) -> str:
-    return _NUMBER % x
+    return NUMBER % x
 
 
 def fmt_rows(prefix: str, block, end: str = "\n") -> str:
     """Every row of a 2-d numpy array in one % operation: prefix, then the values."""
-    row = prefix.replace("%", "%%") + ",".join([_NUMBER] * block.shape[1]) + end
+    row = prefix.replace("%", "%%") + ",".join([NUMBER] * block.shape[1]) + end
     return (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def _json_numbers(values) -> list[str]:
+    """Each value as json.dump writes float(fmt(value)), all formatted in one % operation."""
+    text = ",".join([NUMBER] * len(values)) % tuple(values)
+    return [_JSON_NONFINITE.get(r, r) for r in map(repr, map(float, text.split(",")))]
+
+
+# The fixed-schema JSON files, laid out as json.dump(payload, indent=2)
+# lays them out, with a newline at the end.  Names go through json.dumps.
+_DISTANCE_JSON = """\
+{
+  "pair": [
+    %s,
+    %s
+  ],
+  "summary": [
+    %s,
+    %s,
+    %s
+  ],
+  "argmin_theta": %s,
+  "argmax_theta": %s,
+  "refined": %s
+}
+"""
+
+_HAUSDORFF_JSON = """\
+{
+  "pair": [
+    %s,
+    %s
+  ],
+  "summary": [
+    %s,
+    %s,
+    %s
+  ],
+  "projected": {
+    %s: [
+      %s,
+      %s,
+      %s
+    ],
+    %s: [
+      %s,
+      %s,
+      %s
+    ]
+  },
+  "line": {
+    "a": %s,
+    "b": %s,
+    "c": %s,
+    "theta": %s
+  }
+}
+"""
+
+_INVARIANCE_JSON = """\
+{
+  "pair": [
+    %s,
+    %s
+  ],
+  "t": %s,
+  "checked": %d,
+  "disagreements": %d,
+  "pole_points": %d,
+  "agreed": %s
+}
+"""
+
+
+def _json_bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def distance_json(name_a: str, name_b: str, summary, argmin_theta: float,
+                  argmax_theta: float, refined: bool) -> str:
+    return _DISTANCE_JSON % (json.dumps(name_a), json.dumps(name_b),
+                             *_json_numbers((*summary, argmin_theta, argmax_theta)),
+                             _json_bool(refined))
+
+
+def hausdorff_json(name_a: str, name_b: str, summary, projected_a, projected_b,
+                   line) -> str:
+    """summary and the projected triples are (l, m, u); line is (a, b, c, theta)."""
+    a, b = json.dumps(name_a), json.dumps(name_b)
+    n = _json_numbers((*summary, *projected_a, *projected_b, *line))
+    return _HAUSDORFF_JSON % (a, b, *n[:3], a, *n[3:6], b, *n[6:])
+
+
+def invariance_json(name_a: str, name_b: str, ts, checked: int, disagreements: int,
+                    pole_points: int, agreed: bool) -> str:
+    t = "[\n    " + ",\n    ".join(_json_numbers(ts)) + "\n  ]" if len(ts) else "[]"
+    return _INVARIANCE_JSON % (json.dumps(name_a), json.dumps(name_b), t, checked,
+                               disagreements, pole_points, _json_bool(agreed))
 
 
 def _alpha_color(alpha: float, branch: Branch) -> str:

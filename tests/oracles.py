@@ -5,6 +5,7 @@ boundary sampling, direct root finding) without touching the optimized
 code paths under test.
 """
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from fuzgeo.metric import (CheckResult, FuzzyDistance, KSAxiomReport, MetricAxio
                            _points_equal, closeness, fuzzy_distance, fuzzy_distances)
 from fuzgeo.midset import (DEFAULT_RESOLUTION, Branch, InvarianceReport, _pair_radii,
                            active_branches, overlap_case, support_bbox)
+from fuzgeo.svgout import fmt
 
 # Draws a rejection-sampling helper makes before it gives up.
 MAX_DRAWS = 1000
@@ -590,3 +592,21 @@ def reference_rows(rows, end="\n") -> str:
     """
     return "".join(",".join(format(float(v), ".9g") if isinstance(v, (int, float, np.floating))
                             else str(v) for v in row) + end for row in rows)
+
+
+def _jsonify(obj):
+    """Round floats to the fixed output precision for stable serialization."""
+    if isinstance(obj, float):
+        return float(fmt(obj))
+    if isinstance(obj, (np.floating, np.integer)):
+        return _jsonify(obj.item())
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    return obj
+
+
+def reference_json(payload) -> str:
+    """A payload as the CLI wrote every JSON file before the fixed-schema templates."""
+    return json.dumps(_jsonify(payload), indent=2) + "\n"

@@ -90,6 +90,17 @@ class TestTriples:
         with pytest.raises(ValueError):
             fg.TriangularTriple(3, 2, 1)
 
+    def test_fields_stored_as_python_floats(self):
+        assert repr(fg.TriangularTriple(np.float64(1.5), 2, 3)) == \
+            "TriangularTriple(l=1.5, m=2.0, u=3.0)"
+        l = fg.FuzzyNumber.from_triple(1, 2, 4).summary.l
+        assert type(l) is float and l == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, np.float64(math.inf), -math.inf])
+    def test_non_finite_field_rejected(self, bad):
+        with pytest.raises(ValueError, match="m must be finite"):
+            fg.TriangularTriple(0.0, bad, 1.0)
+
     @settings(max_examples=100, deadline=None)
     @given(ordered_triples, ordered_triples)
     def test_add_commutative(self, ta, tb):

@@ -6,13 +6,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fuzgeo as fg
 from fuzgeo.cli import run
-from fuzgeo.svgout import fmt, fmt_rows
-from oracles import reference_rows
+from fuzgeo.svgout import distance_json, fmt, fmt_rows, hausdorff_json, invariance_json
+from oracles import reference_json, reference_rows
 
 EX22_SCENE = """
 {
@@ -339,6 +339,21 @@ class TestCli:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["distance", "metric-curve", "hausdorff", "midset",
+                                         "classify", "invariance"])
+    def test_name_too_long_for_out_writes_nothing(self, command, scene_file, tmp_path, capsys):
+        # (A, B) comes first and fits; every pair with the long name does not
+        long_name = "L" * 300
+        points = [{"name": name, "core": [4 * i, 0], "spread": {"kind": "circular",
+                                                                "radii": [1, 1]}}
+                  for i, name in enumerate(["A", "B", long_name])]
+        out = tmp_path / "out"
+        assert run([command, "--scene", scene_file(json.dumps({"points": points})),
+                    "--out", str(out), "--alpha-levels", "3", "--resolution", "16"]) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert f"pair ['A', '{long_name}']" in message and "longer than" in message
+        assert list(out.iterdir()) == []
+
     def test_hausdorff_failure_leaves_no_partial_output(self, scene_file, tmp_path):
         # the second pair (A, C) shares a core and fails after (A, B) succeeds
         text = EX22_SCENE.replace('"pairs": [["A", "B"]]', '"pairs": [["A", "B"], ["A", "C"]]')
@@ -478,3 +493,111 @@ class TestBlockFormatter:
             assert re.findall(r'<polyline points="([^"]*)"', svg) == [
                 reference_rows(polyline, end=" ")[:-1]
                 for entry in result.entries for polyline in entry.polylines]
+
+    def test_cli_jsons_match_reference_writer(self, scene_file, tmp_path):
+        mixed = {"points": MIXED_POINTS}
+        scene = fg.parse_scene(json.dumps(mixed))
+        # A and E share a core, which has no Hausdorff line
+        haus_pairs = [pair for pair in scene.pairs if set(pair) != {"A", "E"}]
+        circular = dict(mixed, pairs=MIXED_CIRCULAR_PAIRS, grids={"bbox": MIXED_MIDSET_BBOX})
+        out = tmp_path / "out"
+        assert run(["distance", "--scene", scene_file(json.dumps(mixed)), "--out", str(out),
+                    "--alpha-levels", "7"]) == 0
+        assert run(["hausdorff", "--scene", scene_file(json.dumps(dict(mixed, pairs=haus_pairs)),
+                                                       "haus.json"), "--out", str(out)]) == 0
+        path = scene_file(json.dumps(circular), "circ.json")
+        assert run(["classify", "--scene", path, "--out", str(out)]) == 0
+        assert run(["invariance", "--scene", path, "--out", str(out), "--t", "0.5,1,20",
+                    "--resolution", "64"]) == 0
+
+        expected = {}
+        for a_name, b_name in scene.pairs:
+            dist = fg.fuzzy_distance(*scene.pair_points((a_name, b_name)))
+            expected[f"{a_name}_{b_name}_distance.json"] = {
+                "pair": [a_name, b_name], "summary": dist.summary.as_tuple(),
+                "argmin_theta": dist.argmin_theta, "argmax_theta": dist.argmax_theta,
+                "refined": dist.refined}
+        for a_name, b_name in haus_pairs:
+            res = fg.fuzzy_hausdorff(*scene.pair_points((a_name, b_name)))
+            line = res.line
+            expected[f"{a_name}_{b_name}_hausdorff.json"] = {
+                "pair": [a_name, b_name], "summary": res.summary.as_tuple(),
+                "projected": {a_name: res.projected_a.summary.as_tuple(),
+                              b_name: res.projected_b.summary.as_tuple()},
+                "line": {"a": line.a, "b": line.b, "c": line.c, "theta": line.theta}}
+        for a_name, b_name in MIXED_CIRCULAR_PAIRS:
+            a, b = scene.pair_points((a_name, b_name))
+            th = fg.alpha_thresholds(a, b)
+            edges = sorted({0.0, 1.0} | {v for v in (th.n1, th.n2)
+                                         if v is not None and 0.0 < v < 1.0})
+            bands = []
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                case = fg.overlap_case(a, b, 0.5 * (lo + hi))
+                bands.append({"alpha_lo": lo, "alpha_hi": hi, "case": case.value, "classes": {
+                    branch.value: fg.classify_conic(fg.conic_coefficients(
+                        a, b, 0.5 * (lo + hi), branch))
+                    for branch in fg.active_branches(case)}})
+            expected[f"{a_name}_{b_name}_classify.json"] = {
+                "pair": [a_name, b_name],
+                "thresholds": {"n": th.n, "n1": th.n1, "n2": th.n2},
+                "case_at_support": fg.overlap_case(a, b, 0.0).value, "bands": bands}
+            report = fg.invariance_check(a, b, (0.5, 1.0, 20.0), bbox=MIXED_MIDSET_BBOX,
+                                         resolution=64)
+            expected[f"{a_name}_{b_name}_invariance.json"] = {
+                "pair": [a_name, b_name], "t": [0.5, 1.0, 20.0], "checked": report.checked,
+                "disagreements": report.disagreements, "pole_points": report.pole_points,
+                "agreed": report.passed}
+
+        assert sorted(p.name for p in out.glob("*.json")) == sorted(expected)
+        for name, payload in expected.items():
+            assert (out / name).read_text() == reference_json(payload), name
+
+
+# every finite float at all magnitudes, with the cases where %.9g and repr
+# part ways: -0.0, subnormals, integers and [1e9, 1e16), where %.9g writes
+# an exponent and repr does not
+JSON_NUMBERS = st.one_of(
+    FLOATS, st.sampled_from(SPECIAL),
+    st.integers(-2**53, 2**53).map(float),
+    st.integers(1, 2**52 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.floats(1e9, 1e16, exclude_max=True), st.floats(-1e16, -1e9, exclude_min=True))
+# names with JSON escapes, spaces and non-ASCII characters
+JSON_NAMES = st.one_of(st.text(min_size=1), st.text('"\\ A_é€\U0001F600\x01', min_size=1))
+
+
+class TestJsonTemplates:
+    """The fixed-schema JSON templates against the json.dump reference writer in oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_NAMES, JSON_NAMES, st.lists(JSON_NUMBERS, min_size=5, max_size=5),
+           st.booleans())
+    def test_distance(self, name_a, name_b, v, refined):
+        assert distance_json(name_a, name_b, v[:3], v[3], v[4], refined) == reference_json({
+            "pair": [name_a, name_b], "summary": v[:3], "argmin_theta": v[3],
+            "argmax_theta": v[4], "refined": refined})
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_NAMES, JSON_NAMES, st.lists(JSON_NUMBERS, min_size=13, max_size=13))
+    def test_hausdorff(self, name_a, name_b, v):
+        assume(name_a != name_b)
+        assert hausdorff_json(name_a, name_b, v[:3], v[3:6], v[6:9], v[9:]) == reference_json({
+            "pair": [name_a, name_b], "summary": v[:3],
+            "projected": {name_a: v[3:6], name_b: v[6:9]},
+            "line": dict(zip(("a", "b", "c", "theta"), v[9:]))})
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_NAMES, JSON_NAMES, st.lists(JSON_NUMBERS, max_size=6),
+           st.lists(st.integers(0, 2**63), min_size=3, max_size=3))
+    def test_invariance(self, name_a, name_b, ts, counts):
+        checked, disagreements, pole_points = counts
+        assert invariance_json(name_a, name_b, ts, checked, disagreements, pole_points,
+                               disagreements == 0) == reference_json({
+            "pair": [name_a, name_b], "t": ts, "checked": checked,
+            "disagreements": disagreements, "pole_points": pole_points,
+            "agreed": disagreements == 0})
+
+    @pytest.mark.parametrize("x, text", [(1.0, "1.0"), (-0.0, "-0.0"), (1e10, "10000000000.0"),
+                                         (123456789012.0, "123456789000.0"),
+                                         (5e-324, "5e-324"), (np.inf, "Infinity")])
+    def test_number_spelling(self, x, text):
+        assert f'"argmin_theta": {text},' in distance_json("A", "B", (0, 0, 0), x, 0.0, True)
