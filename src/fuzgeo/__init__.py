@@ -8,8 +8,8 @@ equidistant sets with conic classification.
 
 from .core import (AlphaBoundaryPair, FuzzyNumber, FuzzyPoint, Point2, Spread,
                    TriangularNumber, TriangularTriple, fuzzy_leq, tri_add)
-from .distance import (DistanceMembershipParams, FuzzyDistance, PerAlphaDistance,
-                       distance_alpha, distance_membership, endpoint_distances,
+from .distance import (DistanceMembershipParams, DistanceTable, FuzzyDistance,
+                       PerAlphaDistance, distance_alpha, distance_membership, endpoint_distances,
                        fuzzy_distance, fuzzy_distances, prop_core_angle)
 from .hausdorff import Ellipse, HausdorffResult, crisp_hausdorff, fuzzy_hausdorff
 from .lines import LineSpec, ProjectedFuzzyNumber, classify_pair, project_onto_line
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaBoundaryPair", "Branch", "ConicCoefficients", "DistanceMembershipParams",
-    "Ellipse", "FuzzyCloseness", "FuzzyDistance", "FuzzyNumber", "FuzzyPoint",
+    "DistanceTable", "Ellipse", "FuzzyCloseness", "FuzzyDistance", "FuzzyNumber", "FuzzyPoint",
     "GridSpec", "HausdorffResult", "InvarianceReport", "KSAxiomReport", "LineSpec",
     "MetricAxiomReport", "MidsetEntry", "MidsetResult", "MINIMUM", "OverlapCase",
     "PerAlphaDistance", "Point2", "PRODUCT", "ProjectedFuzzyNumber", "Scene",

@@ -27,7 +27,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .distance import fuzzy_distances
+from .distance import DistanceTable
 from .hausdorff import fuzzy_hausdorff
 from .metric import _scaled
 from .midset import (active_branches, alpha_thresholds, classify_conic,
@@ -57,6 +57,15 @@ def _paths(out: str, pairs, suffix: str) -> list[str]:
     return paths
 
 
+def _require_circular(scene: Scene, command: str) -> None:
+    """Every point of every pair has a circular spread; else an error naming the pair and point."""
+    for pair in scene.pairs:
+        for name in pair:
+            if not scene.points[name].is_circular:
+                raise SceneError(f"pair {list(pair)}: {command} needs circular spreads, "
+                                 f"but point {name!r} is elliptical")
+
+
 def _write(path: str, text: str) -> None:
     # binary mode skips the text layer, and every newline stays "\n"
     with open(path, "wb") as fh:
@@ -81,17 +90,18 @@ def cmd_distance(scene: Scene, args, out: str) -> None:
     # preformatted core distance, hi
     table = "alpha,lo,mid,hi\n" + "".join(
         f"{fmt(alpha)},{NUMBER},%s,{NUMBER}\n" for alpha in alphas.tolist())
+    dists = DistanceTable(map(scene.pair_points, scene.pairs))
+    summaries = dists.summary().tolist()
+    directions = list(zip(dists.theta_min.tolist(), dists.theta_max.tolist(),
+                          dists.refined.tolist()))
+    lo, hi = dists.cut_table(alphas)
     cells = [None] * (3 * len(alphas))
-    dists = fuzzy_distances(map(scene.pair_points, scene.pairs))
-    for (name_a, name_b), dist, json_path, csv_path in zip(scene.pairs, dists,
-                                                          json_paths, csv_paths):
-        _write(json_path, distance_json(name_a, name_b, dist.summary.as_tuple(),
-                                        dist.argmin_theta, dist.argmax_theta, dist.refined))
-        lo, hi = dist.cut_table(alphas)
-        cells[0::3] = lo.tolist()
-        cells[1::3] = [fmt(dist.params.dc)] * len(alphas)
-        cells[2::3] = hi.tolist()
-        _write(csv_path, table % tuple(cells))
+    for i, (name_a, name_b) in enumerate(scene.pairs):
+        _write(json_paths[i], distance_json(name_a, name_b, summaries[i], *directions[i]))
+        cells[0::3] = lo[i].tolist()
+        cells[1::3] = [fmt(summaries[i][1])] * len(alphas)
+        cells[2::3] = hi[i].tolist()
+        _write(csv_paths[i], table % tuple(cells))
 
 
 def cmd_metric_curve(scene: Scene, args, out: str) -> None:
@@ -106,13 +116,14 @@ def cmd_metric_curve(scene: Scene, args, out: str) -> None:
     # every pair shares the t column
     table = "t,lo,mid,hi,spread\n" + "".join(
         f"{fmt(v)},{NUMBER},{NUMBER},{NUMBER},{NUMBER}\n" for v in t.tolist())
-    dists = fuzzy_distances(map(scene.pair_points, scene.pairs))
-    for dist, path in zip(dists, paths):
-        # the closeness support is [t/(t + hi_d), t/(t + lo_d)] at alpha = 0
-        lo_d, hi_d = dist.cut(0.0)
-        lo, hi = _scaled(hi_d, t), _scaled(lo_d, t)
-        block = np.column_stack((lo, _scaled(dist.params.dc, t), hi, hi - lo))
-        _write(path, table % tuple(block.ravel().tolist()))
+    dists = DistanceTable(map(scene.pair_points, scene.pairs))
+    # the closeness support is [t/(t + hi_d), t/(t + lo_d)] at alpha = 0:
+    # (lo, mid, hi, spread) per (pair, t)
+    lo_d, hi_d = (end[:, None] for end in dists.support())
+    lo, hi = _scaled(hi_d, t), _scaled(lo_d, t)
+    block = np.stack((lo, _scaled(dists.dc[:, None], t), hi, hi - lo), axis=-1)
+    for path, values in zip(paths, block):
+        _write(path, table % tuple(values.ravel().tolist()))
 
 
 def cmd_hausdorff(scene: Scene, args, out: str) -> None:
@@ -121,7 +132,10 @@ def cmd_hausdorff(scene: Scene, args, out: str) -> None:
     # leaves no partial output
     texts = []
     for name_a, name_b in scene.pairs:
-        res = fuzzy_hausdorff(*scene.pair_points((name_a, name_b)))
+        try:
+            res = fuzzy_hausdorff(*scene.pair_points((name_a, name_b)))
+        except ValueError as exc:
+            raise SceneError(f"pair {[name_a, name_b]}: {exc}") from None
         line = res.line
         texts.append(hausdorff_json(
             name_a, name_b, res.summary.as_tuple(), res.projected_a.summary.as_tuple(),
@@ -131,10 +145,18 @@ def cmd_hausdorff(scene: Scene, args, out: str) -> None:
 
 
 def cmd_midset(scene: Scene, args, out: str) -> None:
+    _require_circular(scene, "midset")
     alphas = _alphas(args.alpha_levels or scene.grids.alpha_levels)
     resolution = args.resolution or scene.grids.resolution
-    csv_paths = {alpha: _paths(out, scene.pairs, f"_midset_a{alpha:.4f}.csv")
-                 for alpha in alphas.tolist()}
+    # one CSV per pair and level, named after the level to four decimals
+    levels = {}
+    for alpha in alphas.tolist():
+        other = levels.setdefault(f"{alpha:.4f}", alpha)
+        if other != alpha:
+            raise SceneError(f"alpha levels {other!r} and {alpha!r} would both write the "
+                             f"files *_midset_a{alpha:.4f}.csv; use at most 10001 levels")
+    csv_paths = {alpha: _paths(out, scene.pairs, f"_midset_a{name}.csv")
+                 for name, alpha in levels.items()}
     svg_paths = _paths(out, scene.pairs, "_midset.svg")
     for i, pair in enumerate(scene.pairs):
         a, b = scene.pair_points(pair)
@@ -151,6 +173,7 @@ def cmd_midset(scene: Scene, args, out: str) -> None:
 
 
 def cmd_classify(scene: Scene, args, out: str) -> None:
+    _require_circular(scene, "classify")
     paths = _paths(out, scene.pairs, "_classify.json")
     for (name_a, name_b), path in zip(scene.pairs, paths):
         a, b = scene.pair_points((name_a, name_b))
@@ -178,6 +201,7 @@ def cmd_classify(scene: Scene, args, out: str) -> None:
 
 
 def cmd_invariance(scene: Scene, args, out: str) -> None:
+    _require_circular(scene, "invariance")
     ts = args.t_values or scene.t_values or DEFAULT_INVARIANCE_T
     resolution = args.resolution or scene.grids.resolution
     paths = _paths(out, scene.pairs, "_invariance.json")

@@ -186,6 +186,15 @@ class TriangularTriple:
         return (self.l, self.m, self.u)
 
 
+def alpha_levels(alphas) -> np.ndarray:
+    """alphas as a float array; a level outside [0, 1], or NaN, is a ValueError."""
+    alphas = np.asarray(alphas, dtype=float)
+    bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
+    if bad.size:
+        raise ValueError(f"alpha must be in [0, 1], got {bad[0]}")
+    return alphas
+
+
 def tri_add(a: TriangularTriple, b: TriangularTriple) -> TriangularTriple:
     return a + b
 
@@ -221,11 +230,7 @@ class FuzzyNumber:
         The same arithmetic as cut(), so lo[k], hi[k] equal
         cut(alphas[k]) bit for bit.
         """
-        alphas = np.asarray(alphas, dtype=float)
-        bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
-        if bad.size:
-            raise ValueError(f"alpha must be in [0, 1], got {bad[0]}")
-        return self._ends(alphas)
+        return self._ends(alpha_levels(alphas))
 
     def cuts(self, levels: int = DEFAULT_ALPHA_LEVELS) -> np.ndarray:
         """Table of (alpha, lo, hi) rows over a uniform alpha grid."""

@@ -15,13 +15,19 @@ extremal direction is the core-to-core slope for every alpha) and it keeps
 the squared per-alpha endpoints exact quadratics in alpha for elliptical
 spreads, so the membership of a distance value inverts a quadratic.  The
 roots are the eigenvalues of the quartics' companion matrices (A. Edelman
-and H. Murakami, Math. Comp. 64, 1995): fuzzy_distances builds each pair's
-quartic with scalar arithmetic and solves all of them with one
-np.linalg.eigvals call on the stacked matrices, and FuzzyDistance(a, b)
-is the same solve for one pair.  When
-the supports overlap, the lower endpoint collapses to zero down to the
-level u0 at which the cuts separate, and below u0 it grows linearly along
-the direction in which the cuts last touched.
+and H. Murakami, Math. Comp. 64, 1995): a DistanceTable builds each pair's
+quartic with scalar arithmetic and solves all of them with one eigenvalue
+call on the stacked matrices.  When the supports overlap, the lower
+endpoint collapses to zero down to the level u0 at which the cuts
+separate, and below u0 it grows linearly along the direction in which the
+cuts last touched.
+
+A DistanceTable holds the pairs' geometry and frozen directions as column
+arrays and cuts every pair in one broadcast.  A FuzzyDistance is one row of
+a table, and FuzzyDistance(a, b) the row of a one-pair table.  The branch
+of each pair's lower cut end is decided once, when the table is built, and
+_gap and _linear_end state the branch formulas: the table evaluates each
+on its own rows only, a row in scalar arithmetic, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -32,10 +38,24 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .core import FuzzyNumber, FuzzyPoint, TriangularTriple
+from .core import FuzzyNumber, FuzzyPoint, TriangularTriple, alpha_levels
 
 TWO_PI = 2.0 * math.pi
+
+
+def _gap(R1, R2, d1, d2, theta, u):
+    """|V(theta, u)|, elementwise on floats or broadcast arrays."""
+    return np.hypot(d1 + R1 * u * np.cos(theta), d2 + R2 * u * np.sin(theta))
+
+
+def _linear_end(dc, u0, u):
+    """The lower cut end below the touching level u0 of overlapping supports.
+
+    Only for 0 < u0 < 1: it divides by u0.
+    """
+    return dc * np.maximum(0.0, u0 - u) / u0
 
 
 @dataclass(frozen=True)
@@ -62,8 +82,7 @@ class DistanceMembershipParams:
 
     def gap(self, theta, u):
         """Distance between the over-boundary of A and under-boundary of B."""
-        return np.hypot(self.d1 + self.R1 * u * np.cos(theta),
-                        self.d2 + self.R2 * u * np.sin(theta))
+        return _gap(self.R1, self.R2, self.d1, self.d2, theta, u)
 
     @property
     def separation_level(self) -> float:
@@ -123,14 +142,28 @@ def _quartic(p: DistanceMembershipParams) -> Optional[tuple[float, tuple]]:
 _SUBDIAGONAL = {k: [float(j % (k + 1) == 0) for j in range(k * (k - 1))] for k in range(1, 5)}
 
 
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of float64 square matrices, as complex numbers.
+
+    The gufunc np.linalg.eigvals wraps, bit for bit the same eigenvalues,
+    called without the wrapper's dtype dispatch and result cast, which cost
+    twice the LAPACK call itself on one 4 x 4 matrix.  As in the wrapper, a
+    non-finite entry and LAPACK non-convergence are errors.
+    """
+    if not np.isfinite(stack).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    with np.errstate(invalid="raise"):
+        return _umath_linalg.eigvals(stack, signature="d->D")
+
+
 def _poly_roots(polys: Sequence[tuple[float, ...]]) -> np.ndarray:
     """Real parts of the roots of polynomials of one length, highest power first.
 
     Row i holds the roots of polys[i], whose leading coefficient must be
     nonzero.  The roots are the eigenvalues of the companion matrices, with
-    one np.linalg.eigvals call on the stack of all polynomials of one
-    degree.  As numpy.roots does, and bit for bit like it, trailing zero
-    coefficients are stripped and give exact zero roots after the others.
+    one eigenvalue call on the stack of all polynomials of one degree.  As
+    numpy.roots does, and bit for bit like it, trailing zero coefficients
+    are stripped and give exact zero roots after the others.
     """
     size = len(polys[0])
     by_degree = {}
@@ -143,7 +176,7 @@ def _poly_roots(polys: Sequence[tuple[float, ...]]) -> np.ndarray:
     for k, rows in by_degree.items():
         companion = np.array([[-c / polys[i][0] for c in polys[i][1:k + 1]] + _SUBDIAGONAL[k]
                               for i in rows])
-        found = np.linalg.eigvals(companion.reshape(-1, k, k)).real
+        found = _eigvals(companion.reshape(-1, k, k)).real
         if k == size - 1 and len(rows) == len(polys):
             return found  # one stack of full degree holds every row, in order
         roots[rows, :k] = found
@@ -156,64 +189,160 @@ def _extremal_directions(params: Sequence[DistanceMembershipParams]
 
     Each pair's stationary directions are phi + 2*atan(t) over the real
     parts of its quartic's roots (see _quartic); a complex root only adds a
-    losing candidate.  All quartics are solved together, and the argmin and
-    argmax of the gap are taken over every pair's candidates at once.
+    losing candidate.  All quartics are solved together, and every pair's
+    candidate gaps are computed in one broadcast.
 
     Each entry is (theta_min, theta_max, refined); refined is False only for
     the flat profile, whose directions are both 0.
     """
     out = [(0.0, 0.0, False)] * len(params)
-    found = [(i, q) for i, q in enumerate(map(_quartic, params)) if q is not None]
-    if not found:
+    solved, columns, quartics = [], [], []
+    for i, p in enumerate(params):
+        q = _quartic(p)
+        if q is not None:
+            solved.append(i)
+            columns.append((q[0], p.R1, p.R2, p.d1, p.d2))
+            quartics.append(q[1])
+    if not solved:
         return out
     # (m, 1) columns, one row per solved pair
-    phi, R1, R2, d1, d2 = np.array([(base, params[i].R1, params[i].R2, params[i].d1,
-                                     params[i].d2) for i, (base, _) in found]).T[:, :, None]
-    thetas = phi + 2.0 * np.arctan(_poly_roots([quartic for _, (_, quartic) in found]))
+    phi, R1, R2, d1, d2 = np.array(columns).T[:, :, None]
+    thetas = phi + 2.0 * np.arctan(_poly_roots(quartics))
     # gap(theta, 1) of every candidate; R * 1 == R, so the values are gap()'s
     gaps = np.hypot(d1 + R1 * np.cos(thetas), d2 + R2 * np.sin(thetas))
-    for (i, _), row, lo, hi in zip(found, thetas.tolist(), gaps.argmin(axis=1).tolist(),
-                                   gaps.argmax(axis=1).tolist()):
-        out[i] = (row[lo] % TWO_PI, row[hi] % TWO_PI, True)
+    # list.index(min(...)) is the first smallest, as argmin is
+    for i, row, g in zip(solved, thetas.tolist(), gaps.tolist()):
+        out[i] = (row[g.index(min(g))] % TWO_PI, row[g.index(max(g))] % TWO_PI, True)
     return out
 
 
+# the branch of a pair's lower cut end: the gap at theta_min for separate
+# supports (u0 >= 1), linear below the touching level u0 for overlapping
+# ones, 0 for concentric cores
+_SEPARATE, _LINEAR, _ZERO = range(3)
+
+# the cut scale of the support level alpha = 0
+_SUPPORT_U = np.ones(1)
+
+
+def _cut_ends(cols: np.ndarray, lower: Sequence[int], u: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Cut ends (lo, hi) per (pair, level) at the cut scales u = 1 - alpha.
+
+    cols holds the table columns R1, R2, d1, d2, dc, u0, theta_min,
+    theta_max, one entry per pair, lower the pairs' lower end branches, and
+    u is 1-d.  hi is the gap at theta_max and lo the gap at theta_min,
+    replaced on the rows of the other two branches; each branch is only
+    evaluated on its own rows.  Every branch is already at least +0.0.
+    """
+    # one end at a time keeps fewer (pairs, levels) temporaries alive
+    lo, hi = (_gap(*cols[:4, :, None], theta, u) for theta in cols[6:, :, None])
+    zero = [i for i, branch in enumerate(lower) if branch != _SEPARATE]
+    if zero:
+        lo[zero] = 0.0
+    linear = [i for i, branch in enumerate(lower) if branch == _LINEAR]
+    if linear:
+        lo[linear] = _linear_end(*cols[4:6, linear, None], u)
+    return lo, hi
+
+
+class DistanceTable:
+    """The fuzzy distances of many point pairs, from one batched solve.
+
+    Column arrays hold one entry per pair: the summed spreads R1, R2, the
+    core offset d1, d2, the core distance dc, the separation level u0, the
+    frozen directions theta_min and theta_max of the lower and upper cut
+    ends, and refined, False only for the flat profile.  theta_min is the
+    direction in which the cuts last touch when the supports overlap, and 0
+    for concentric cores.  cut_table, support and summary evaluate every
+    pair in one broadcast; rows() gives each pair as a FuzzyDistance.
+    """
+
+    def __init__(self, pairs: Iterable[tuple[FuzzyPoint, FuzzyPoint]]):
+        self.params = [DistanceMembershipParams.from_points(a, b) for a, b in pairs]
+        self._rows, self._lower = [], []
+        for p, (theta_min, theta_max, refined) in zip(self.params,
+                                                      _extremal_directions(self.params)):
+            u0 = p.separation_level
+            if u0 >= 1.0:
+                lower = _SEPARATE
+            elif u0 > 0.0:
+                lower = _LINEAR
+                # angle at which the shrinking cuts last touch; u0 > 0 cancels
+                # in atan2, and dividing by R * u0 could underflow to 0
+                theta_min = math.atan2(-p.d2 / p.R2, -p.d1 / p.R1) % TWO_PI
+            else:
+                lower, theta_min = _ZERO, 0.0
+            self._rows.append((p.R1, p.R2, p.d1, p.d2, p.dc, u0, theta_min, theta_max,
+                               refined))
+            self._lower.append(lower)
+        cols = np.array(self._rows, dtype=float).reshape(-1, 9).T
+        self._cols = cols[:8]
+        (self.R1, self.R2, self.d1, self.d2, self.dc, self.u0, self.theta_min,
+         self.theta_max) = self._cols
+        self.refined = cols[8] == 1.0
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def rows(self) -> list["FuzzyDistance"]:
+        """Every pair's distance, in pair order."""
+        out = []
+        for i in range(len(self)):
+            d = FuzzyDistance.__new__(FuzzyDistance)
+            d._bind(self, i)
+            out.append(d)
+        return out
+
+    def cut_table(self, alphas) -> tuple[np.ndarray, np.ndarray]:
+        """Cut ends (lo, hi) per (pair, level), as two (pairs, levels) arrays.
+
+        Row i equals rows()[i].cut_table(alphas) bit for bit.
+        """
+        return _cut_ends(self._cols, self._lower, 1.0 - alpha_levels(alphas).reshape(-1))
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support-level cut ends (lo0, hi0), one entry per pair."""
+        lo, hi = _cut_ends(self._cols, self._lower, _SUPPORT_U)
+        return lo[:, 0], hi[:, 0]
+
+    def summary(self) -> np.ndarray:
+        """The (lo0, dc, hi0) summary triple per pair, as rows of an array."""
+        lo0, hi0 = self.support()
+        return np.column_stack((lo0, self.dc, hi0))
+
+
 class FuzzyDistance(FuzzyNumber):
-    """The fuzzy distance d(A, B) as a fuzzy number with closed-form cuts."""
+    """The fuzzy distance d(A, B) as a fuzzy number with closed-form cuts.
+
+    A FuzzyDistance is row `index` of the DistanceTable `table`: params,
+    argmin_theta, argmax_theta and refined are the row's entries as Python
+    values, and its cut takes the branch the table chose for the row.
+    """
 
     def __init__(self, a: FuzzyPoint, b: FuzzyPoint):
-        p = DistanceMembershipParams.from_points(a, b)
-        self._setup(p, *_extremal_directions([p])[0])
+        self._bind(DistanceTable([(a, b)]), 0)
 
-    def _setup(self, p: DistanceMembershipParams, theta_min: float,
-               theta_max: float, refined: bool) -> None:
-        self.params = p
-        self._u0 = p.separation_level
-        self.argmax_theta, self.refined = theta_max, refined
-        if self._u0 >= 1.0:
-            self.argmin_theta = theta_min
-        elif self._u0 > 0.0:
-            # angle at which the shrinking cuts last touch; u0 > 0 cancels
-            # in atan2, and dividing by R * u0 could underflow to 0
-            self.argmin_theta = math.atan2(-p.d2 / p.R2, -p.d1 / p.R1) % TWO_PI
-        else:
-            self.argmin_theta = 0.0
+    def _bind(self, table: DistanceTable, index: int) -> None:
+        self.table, self.index = table, index
+        self.params = table.params[index]
+        self._lower = table._lower[index]
+        *_, self._u0, self.argmin_theta, self.argmax_theta, self.refined = table._rows[index]
 
     def _ends(self, alphas):
         """Cut ends at the levels alphas, a float or an array.
 
-        hi is the gap at the frozen argmax direction.  lo is the gap at the
-        frozen argmin direction for separate supports, linear below the
-        touching level u0 for overlapping ones, and 0 for concentric cores;
-        every branch is already at least +0.0.
+        The branches of _cut_ends in scalar arithmetic, which costs a fifth
+        of the broadcast for one pair and level; the table's cut_table
+        equals it bit for bit.
         """
         p = self.params
         u = 1.0 - alphas
         hi = p.gap(self.argmax_theta, u)
-        if self._u0 >= 1.0:
+        if self._lower == _SEPARATE:
             lo = p.gap(self.argmin_theta, u)
-        elif self._u0 > 0.0:
-            lo = p.dc * np.maximum(0.0, self._u0 - u) / self._u0
+        elif self._lower == _LINEAR:
+            lo = _linear_end(p.dc, self._u0, u)
         else:
             lo = np.zeros_like(u)
         return lo, hi
@@ -294,14 +423,8 @@ def fuzzy_distance(a: FuzzyPoint, b: FuzzyPoint) -> FuzzyDistance:
 
 
 def fuzzy_distances(pairs: Iterable[tuple[FuzzyPoint, FuzzyPoint]]) -> list[FuzzyDistance]:
-    """The fuzzy distance of every (a, b) pair, all extremal directions solved at once."""
-    params = [DistanceMembershipParams.from_points(a, b) for a, b in pairs]
-    dists = []
-    for p, directions in zip(params, _extremal_directions(params)):
-        d = FuzzyDistance.__new__(FuzzyDistance)
-        d._setup(p, *directions)
-        dists.append(d)
-    return dists
+    """The fuzzy distance of every (a, b) pair: the rows of one DistanceTable."""
+    return DistanceTable(pairs).rows()
 
 
 def distance_alpha(a: FuzzyPoint, b: FuzzyPoint, alpha: float) -> PerAlphaDistance:

@@ -9,10 +9,10 @@ Axiom checking is reporting machinery: violations are collected and
 returned, never raised, so degenerate configurations can be inspected.
 check_metric_axioms audits the George-Veeramani axioms of the closeness
 (positivity, identity, symmetry, the t-norm quadrangle inequality on
-summaries and cuts, continuity in t).  It builds one table of distance
-cuts over the alpha grid and evaluates every check as numpy comparisons
-over whole (pair or triple, t, s, alpha) arrays, so a t-norm's fn must
-work elementwise on arrays.
+summaries and cuts, continuity in t).  It cuts every pair's distance in
+one DistanceTable broadcast over the alpha grid and evaluates every check
+as numpy comparisons over whole (pair or triple, t, s, alpha) arrays, so a
+t-norm's fn must work elementwise on arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import FuzzyNumber, FuzzyPoint, TriangularTriple
-from .distance import FuzzyDistance, fuzzy_distance, fuzzy_distances
+from .distance import DistanceTable, FuzzyDistance, fuzzy_distance
 
 
 @dataclass(frozen=True)
@@ -179,14 +179,13 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
         raise ValueError(f"alpha_samples must be at least 2, got {alpha_samples}")
     alphas = np.linspace(0.0, 1.0, alpha_samples)
     n = len(points)
-    dists = fuzzy_distances([(a, b) for a in points for b in points])
+    table = DistanceTable([(a, b) for a in points for b in points])
+    lo, hi = table.cut_table(alphas)
     # distances whose images t/(t + d) are the closeness cut ends (lo, hi),
     # i.e. the distance cut ends reversed, per (end, i, j, alpha), and the
-    # closeness summary (l, m, u) per (component, i, j)
-    ends_d = np.moveaxis(np.array([d.cut_table(alphas)[::-1] for d in dists])
-                         .reshape(n, n, 2, -1), 2, 0)
-    dc = np.array([d.params.dc for d in dists]).reshape(n, n)
-    summary_d = np.stack([ends_d[0, ..., 0], dc, ends_d[1, ..., 0]])
+    # closeness summary (l, m, u) per (component, i, j); alphas[0] is 0
+    ends_d = np.stack((hi, lo)).reshape(2, n, n, -1)
+    summary_d = np.stack((hi[:, 0], table.dc, lo[:, 0])).reshape(3, n, n)
     upper_i, upper_j = np.triu_indices(n, 1)
 
     positivity = CheckResult("positivity")
@@ -196,45 +195,49 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
     quadrangle_cuts = CheckResult("quadrangle_cuts")
     continuity = CheckResult("continuity")
 
+    # closeness cut ends per (end, i, j, alpha, t) and summaries per
+    # (component, i, j, t) at the scale t, and both at the scale t + s with
+    # trailing (t, s) axes: every value the checks compare, computed once
+    t_, s_ = t[:, None], t[None, :]
+    cl, cl_ts = _scaled(ends_d[..., None], t), _scaled(ends_d[..., None, None], t_ + s_)
+    sm, sm_ts = _scaled(summary_d[..., None], t), _scaled(summary_d[..., None, None], t_ + s_)
+
     # support lower end per (i, j, t)
-    lo0 = _scaled(summary_d[0, ..., None], t)
+    lo0 = sm[0]
     _record(positivity, lo0 > 0.0, lambda i, j, a: (i, j, ts[a], float(lo0[i, j, a])))
 
     # closeness core t/(t + hi(alpha = 1)) within tol of 1, per (i, j) at every t
-    core_one = np.all(np.abs(_scaled(ends_d[0, ..., -1, None], t) - 1.0) <= tol, axis=-1)
+    core_one = np.all(np.abs(cl[0, :, :, -1] - 1.0) <= tol, axis=-1).tolist()
     for i in range(n):
         for j in range(n):
             cores_eq, spreads_eq = _points_equal(points[i], points[j])
-            core_grade_one = bool(core_one[i, j])
+            core_grade_one = core_one[i][j]
             identity.count(core_grade_one == cores_eq, (i, j))
             identity.notes.append(
                 {"pair": (i, j), "core_equal": cores_eq,
                  "spread_equal": spreads_eq, "closeness_core_is_one": core_grade_one})
 
-    # cut ends per (end, i, j, alpha, t); worst gap per (i < j, t)
-    cl = _scaled(ends_d[..., None], t)
+    # worst cut end gap per (i < j, t)
     worst = np.abs(cl - cl.swapaxes(1, 2)).max(axis=(0, 3))[upper_i, upper_j]
     _record(symmetry, worst <= tol, lambda p, a: (int(upper_i[p]), int(upper_j[p]),
                                                    ts[a], float(worst[p, a])))
 
-    t_, s_ = t[:, None], t[None, :]
-
-    def quadrangle_sides(d, i, j, k):
+    def quadrangle_sides(c, c_ts, i, j, k):
         """T(M(i, j, t), M(j, k, s)) and M(i, k, t + s) with trailing (t, s) axes."""
-        ij, jk, ik = (d[:, a, b][..., None, None] for a, b in ((i, j), (j, k), (i, k)))
-        return tnorm(_scaled(ij, t_), _scaled(jk, s_)), _scaled(ik, t_ + s_)
+        return tnorm(c[:, i, j][..., :, None], c[:, j, k][..., None, :]), c_ts[:, i, k]
 
-    # one first index i at a time keeps the (j, k, alpha, t, s) arrays small
+    # (j, k) with j != k in (j, k) order; one first index i at a time keeps
+    # the (j, k, alpha, t, s) arrays small
+    pairs_jk = np.array([(j, k) for j in range(n) for k in range(n) if j != k]).T
     for i in range(n):
-        j, k = np.array([(j, k) for j in range(n) for k in range(n)
-                         if len({i, j, k}) == 3]).T
+        j, k = pairs_jk[:, (pairs_jk[0] != i) & (pairs_jk[1] != i)]
 
         def detail(p, a, b):
             return (i, int(j[p]), int(k[p]), ts[a], ts[b])
 
-        lhs, rhs = quadrangle_sides(summary_d, i, j, k)
+        lhs, rhs = quadrangle_sides(sm, sm_ts, i, j, k)
         _record(quadrangle, np.all(lhs <= rhs + tol, axis=0), detail)
-        lhs, rhs = quadrangle_sides(ends_d, i, j, k)
+        lhs, rhs = quadrangle_sides(cl, cl_ts, i, j, k)
         _record(quadrangle_cuts, ~np.any(lhs > rhs + tol, axis=(0, 2)), detail)
 
     # summary change between t-grid neighbours against the Lipschitz bound
@@ -295,14 +298,16 @@ def check_ks_axioms(points: Sequence[FuzzyPoint],
     symmetry = CheckResult("symmetry")
     triangle = CheckResult("triangle")
 
-    dists = fuzzy_distances([(a, b) for a in points for b in points])
+    dists = DistanceTable([(a, b) for a in points for b in points])
+    # distance core hi(alpha = 1) within tol of 0, per (i, j)
+    core_zero = (dists.cut_table([1.0])[1][:, 0] <= tol).reshape(n, n).tolist()
     for i in range(n):
         for j in range(n):
             cores_eq, _ = _points_equal(points[i], points[j])
-            zero_core.count((dists[i * n + j].cut(1.0)[1] <= tol) == cores_eq, (i, j))
+            zero_core.count(core_zero[i][j] == cores_eq, (i, j))
 
     # the (l, m, u) summary per (i, j, component); worst gap per pair i < j
-    table = np.array([d.summary.as_tuple() for d in dists]).reshape(n, n, 3)
+    table = dists.summary().reshape(n, n, 3)
     upper_i, upper_j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     worst = np.abs(table[upper_i, upper_j] - table[upper_j, upper_i]).max(axis=1)
     _record(symmetry, worst <= tol, lambda p: (int(upper_i[p]), int(upper_j[p]),

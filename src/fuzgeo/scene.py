@@ -62,14 +62,23 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
 
 
 def _numbers(values, field: str) -> tuple:
-    """Floats of a JSON list; a non-number, NaN or Infinity is an error naming the field."""
-    try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise SceneError(f"{field} must contain numbers") from None
+    """Floats of a JSON list of numbers, naming the field in any error.
+
+    Only JSON numbers count: a string such as "1.5" or a boolean is an
+    error, as are NaN, Infinity and an integer too large for a float.
+    """
+    out = []
+    for v in values:
+        # json.loads gives int or float for a number, bool for true and false
+        if type(v) is not int and type(v) is not float:
+            raise SceneError(f"{field} must contain numbers, got {v!r}")
+        try:
+            out.append(float(v))
+        except OverflowError:
+            out.append(math.inf if v > 0 else -math.inf)
     if not all(math.isfinite(v) for v in out):
-        raise SceneError(f"{field} must be finite, got {list(out)}")
-    return out
+        raise SceneError(f"{field} must be finite, got {out}")
+    return tuple(out)
 
 
 def _parse_point(entry, index: int) -> tuple[str, FuzzyPoint]:

@@ -12,10 +12,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 import fuzgeo as fg
-from fuzgeo.distance import TWO_PI, DistanceMembershipParams
+from fuzgeo.distance import TWO_PI, DistanceMembershipParams, fuzzy_distances
 from fuzgeo.core import TriangularTriple, tri_add
 from fuzgeo.metric import (CheckResult, FuzzyDistance, KSAxiomReport, MetricAxiomReport,
-                           _points_equal, closeness, fuzzy_distance, fuzzy_distances)
+                           _points_equal, closeness, fuzzy_distance)
 from fuzgeo.midset import (DEFAULT_RESOLUTION, Branch, InvarianceReport, _pair_radii,
                            active_branches, overlap_case, support_bbox)
 from fuzgeo.svgout import fmt

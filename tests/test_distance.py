@@ -547,6 +547,85 @@ class TestCutTable:
             fg.fuzzy_distance(*ex22_pair).cut_table([0.0, bad])
 
 
+def _table_pairs(rng, scale=1.0):
+    """The quartic geometries and the seeded pairs of every cut branch, scaled by scale."""
+    pairs = [*QUARTIC_GEOMETRIES.values(),
+             *(pair for kind in _cut_table_pairs(rng).values() for pair in kind)]
+    return [(_scaled_point(a, scale), _scaled_point(b, scale)) for a, b in pairs]
+
+
+class TestDistanceTable:
+    """One table for many pairs: its arrays equal the per-pair scalar cuts bit for bit.
+
+    Every table mixes all three lower end branches, so a linear end evaluated
+    on a concentric row divides 0 by 0, which the RuntimeWarning filter of
+    the test configuration turns into a failure.
+    """
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e160])
+    def test_cut_table_matches_scalar_reference(self, rng, scale):
+        alphas = np.concatenate([np.linspace(0.0, 1.0, 101), rng.random(50)])
+        table = fg.DistanceTable(_table_pairs(rng, scale))
+        lo, hi = table.cut_table(alphas)
+        assert lo.shape == hi.shape == (len(table), len(alphas))
+        reference = np.array([[distance_cut_reference(d, alpha) for alpha in alphas.tolist()]
+                              for d in table.rows()])
+        assert np.array_equal(np.stack((lo, hi), axis=-1).view(np.int64),
+                              reference.view(np.int64))
+
+    def test_rows_equal_single_pair_distances(self, rng):
+        pairs = _table_pairs(rng) + membership_pairs(rng, 12)
+        table = fg.DistanceTable(pairs)
+        alphas = np.linspace(0.0, 1.0, 11)
+        columns = zip(table.R1, table.R2, table.d1, table.d2, table.dc, table.u0,
+                      table.theta_min, table.theta_max, table.refined)
+        for row, column, (a, b) in zip(table.rows(), columns, pairs, strict=True):
+            single = fg.FuzzyDistance(a, b)
+            p = single.params
+            assert row.params == p
+            want = (p.R1, p.R2, p.d1, p.d2, p.dc, p.separation_level, single.argmin_theta,
+                    single.argmax_theta, single.refined)
+            assert tuple(np.array(column).tolist()) == want
+            assert (row.argmin_theta, row.argmax_theta, row.refined) == want[-3:]
+            assert np.array_equal(np.array(row.cut_table(alphas)),
+                                  np.array(single.cut_table(alphas)))
+
+    def test_support_and_summary_match_rows(self, rng):
+        table = fg.DistanceTable(_table_pairs(rng))
+        rows = table.rows()
+        lo0, hi0 = table.support()
+        assert np.array_equal(np.column_stack((lo0, hi0)).view(np.int64),
+                              np.array([d.cut(0.0) for d in rows]).view(np.int64))
+        assert np.array_equal(table.summary().view(np.int64),
+                              np.array([d.summary.as_tuple() for d in rows]).view(np.int64))
+
+    @pytest.mark.parametrize("far", [
+        # cores 3.4e308 apart: the offset overflows to inf
+        (fg.FuzzyPoint.circular(-1.7e308, 0, 1), fg.FuzzyPoint.circular(1.7e308, 0, 1)),
+        # summed spreads overflow to inf
+        (fg.FuzzyPoint.circular(0, 0, 1e308), fg.FuzzyPoint.circular(3, 0, 1e308)),
+    ], ids=["offset", "spreads"])
+    def test_overflowing_geometry_rejected_before_the_solve(self, far, capfd):
+        # as np.linalg.eigvals rejects it, and LAPACK never sees it
+        near = (fg.FuzzyPoint.circular(0, 0, 1), fg.FuzzyPoint.circular(3, 0, 1))
+        for build in (lambda: fg.FuzzyDistance(*far), lambda: fg.DistanceTable([near, far])):
+            with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+                build()
+        assert capfd.readouterr() == ("", "")
+
+    def test_empty_table(self):
+        table = fg.DistanceTable([])
+        assert len(table) == 0 and table.rows() == []
+        lo, hi = table.cut_table([0.0, 0.5])
+        assert lo.shape == hi.shape == (0, 2)
+        assert table.summary().shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, ex22_pair, bad):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            fg.DistanceTable([ex22_pair]).cut_table([0.0, bad])
+
+
 class TestCoreAngleProposition:
     def test_horizontal(self):
         a = fg.FuzzyPoint.circular(0, 0, 1)

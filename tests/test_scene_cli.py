@@ -139,6 +139,28 @@ class TestParseScene:
         with pytest.raises(fg.SceneError, match=f"{re.escape(field)} must be finite"):
             fg.parse_scene(EX22_SCENE.replace(old, new, 1))
 
+    @pytest.mark.parametrize("old, field", [
+        ("[1, 0]", "core"),
+        ("[1, 1.5]", "spread radii"),
+        ('"pairs"', "grids.bbox"),
+        ('"pairs"', "'t'"),
+    ], ids=["core", "radii", "bbox", "t"])
+    @pytest.mark.parametrize("value", ['"1.5"', "true", "false", "null"])
+    def test_non_number_names_field(self, old, field, value):
+        numbers = {"grids.bbox": '"grids": {"bbox": [0, 0, %s, 1]}, "pairs"',
+                   "'t'": '"t": [1, %s], "pairs"'}.get(field, old.replace("1", "%s", 1))
+        text = EX22_SCENE.replace(old, numbers % value, 1)
+        with pytest.raises(fg.SceneError,
+                           match=f"{re.escape(field)} must contain numbers, got "):
+            fg.parse_scene(text)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_too_large_for_a_float_is_not_finite(self, sign):
+        text = EX22_SCENE.replace('"core": [1, 0]', f'"core": [{sign}1{"0" * 400}, 0]', 1)
+        want = f"core must be finite, got [{sign}inf"
+        with pytest.raises(fg.SceneError, match=re.escape(want)):
+            fg.parse_scene(text)
+
     @pytest.mark.parametrize("name", ["../esc", "a/b", "a\\b", ".", "..", "a\0b"])
     def test_path_like_point_name_rejected(self, name):
         text = EX22_SCENE.replace('"A"', json.dumps(name))
@@ -361,6 +383,40 @@ class TestCli:
     {"name": "C", "core": [1, 0], "spread": {"kind": "circular", "radii": [2, 2]}},""")
         out = tmp_path / "out"
         assert run(["hausdorff", "--scene", scene_file(text), "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
+
+    def test_hausdorff_concentric_pair_named(self, scene_file, tmp_path, capsys):
+        text = EX22_SCENE.replace('"pairs": [["A", "B"]]', '"pairs": [["A", "B"], ["A", "C"]]')
+        text = text.replace('"points": [', """"points": [
+    {"name": "C", "core": [1, 0], "spread": {"kind": "circular", "radii": [2, 2]}},""")
+        assert run(["hausdorff", "--scene", scene_file(text), "--out", str(tmp_path / "o")]) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "pair ['A', 'C']" in message and "distinct cores" in message
+
+    @pytest.mark.parametrize("command", ["midset", "classify", "invariance"])
+    def test_elliptical_point_named_before_any_write(self, command, scene_file, tmp_path,
+                                                     capsys):
+        # (A, B) is circular and comes first; C of the second pair is elliptical
+        text = EX42_SCENE.replace('"points": [', """"points": [
+    {"name": "C", "core": [2, 3], "spread": {"kind": "elliptical", "radii": [1, 2]}},""")
+        text = text.replace('"grids"', '"pairs": [["A", "B"], ["A", "C"]], "grids"')
+        out = tmp_path / "out"
+        assert run([command, "--scene", scene_file(text), "--out", str(out),
+                    "--alpha-levels", "3", "--resolution", "16"]) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "pair ['A', 'C']" in message and "point 'C' is elliptical" in message
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("levels", ["10002", "20001"])
+    def test_midset_levels_sharing_a_file_name_rejected(self, levels, scene_file, tmp_path,
+                                                        capsys):
+        out = tmp_path / "out"
+        assert run(["midset", "--scene", scene_file(EX42_SCENE), "--out", str(out),
+                    "--alpha-levels", levels, "--resolution", "16"]) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        first, second = re.search(r"alpha levels (\S+) and (\S+) would", message).groups()
+        assert float(first) < float(second)
+        assert f"{float(first):.4f}" == f"{float(second):.4f}"
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("module", ["fuzgeo", "fuzgeo.cli"])
