@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from itertools import groupby
-from operator import attrgetter
 
 import numpy as np
 
@@ -70,12 +69,6 @@ def _write(path: str, text: str) -> None:
     # binary mode skips the text layer, and every newline stays "\n"
     with open(path, "wb") as fh:
         fh.write(text.encode("utf-8"))
-
-
-def _write_csv(path: str, header: list[str], blocks) -> None:
-    """The header, then each (prefix, 2-d array) block, one row per array row."""
-    _write(path, ",".join(header) + "\n"
-           + "".join([fmt_rows(prefix, block) for prefix, block in blocks]))
 
 
 def _alphas(levels: int) -> np.ndarray:
@@ -162,14 +155,19 @@ def cmd_midset(scene: Scene, args, out: str) -> None:
         a, b = scene.pair_points(pair)
         bbox = scene.grids.bbox or support_bbox(a, b)
         result = compute_midset(a, b, alphas=alphas, bbox=bbox, resolution=resolution)
+        # every polyline formatted once, as x,y lines, for the CSV and the SVG
+        texts = [[fmt_rows("", polyline) for polyline in entry.polylines]
+                 for entry in result.entries]
         # entries come sorted by alpha: one CSV per level
-        for alpha, entries in groupby(result.entries, key=attrgetter("alpha")):
-            _write_csv(
-                csv_paths[alpha][i], ["branch", "polyline", "x", "y"],
-                ((f"{entry.branch.value},{fmt(j)},", polyline)
-                 for entry in entries for j, polyline in enumerate(entry.polylines)))
+        for alpha, group in groupby(zip(result.entries, texts), key=lambda e: e[0].alpha):
+            rows = ["branch,polyline,x,y\n"]
+            for entry, polylines in group:
+                for j, text in enumerate(polylines):
+                    prefix = f"{entry.branch.value},{fmt(j)},"
+                    rows.append(prefix + text[:-1].replace("\n", "\n" + prefix) + "\n")
+            _write(csv_paths[alpha][i], "".join(rows))
         if args.format == "svg":
-            _write(svg_paths[i], render_midset_svg(a, b, result))
+            _write(svg_paths[i], render_midset_svg(a, b, result, texts))
 
 
 def cmd_classify(scene: Scene, args, out: str) -> None:

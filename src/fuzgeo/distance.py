@@ -230,13 +230,14 @@ def _cut_ends(cols: np.ndarray, lower: Sequence[int], u: np.ndarray
     """Cut ends (lo, hi) per (pair, level) at the cut scales u = 1 - alpha.
 
     cols holds the table columns R1, R2, d1, d2, dc, u0, theta_min,
-    theta_max, one entry per pair, lower the pairs' lower end branches, and
-    u is 1-d.  hi is the gap at theta_max and lo the gap at theta_min,
-    replaced on the rows of the other two branches; each branch is only
-    evaluated on its own rows.  Every branch is already at least +0.0.
+    theta_max and any after them, one entry per pair, lower the pairs' lower
+    end branches, and u is 1-d.  hi is the gap at theta_max and lo the gap
+    at theta_min, replaced on the rows of the other two branches; each
+    branch is only evaluated on its own rows.  Every branch is already at
+    least +0.0.
     """
     # one end at a time keeps fewer (pairs, levels) temporaries alive
-    lo, hi = (_gap(*cols[:4, :, None], theta, u) for theta in cols[6:, :, None])
+    lo, hi = (_gap(*cols[:4, :, None], theta, u) for theta in cols[6:8, :, None])
     zero = [i for i, branch in enumerate(lower) if branch != _SEPARATE]
     if zero:
         lo[zero] = 0.0
@@ -276,11 +277,21 @@ class DistanceTable:
             self._rows.append((p.R1, p.R2, p.d1, p.d2, p.dc, u0, theta_min, theta_max,
                                refined))
             self._lower.append(lower)
-        cols = np.array(self._rows, dtype=float).reshape(-1, 9).T
-        self._cols = cols[:8]
-        (self.R1, self.R2, self.d1, self.d2, self.dc, self.u0, self.theta_min,
-         self.theta_max) = self._cols
-        self.refined = cols[8] == 1.0
+
+    @cached_property
+    def _cols(self) -> np.ndarray:
+        """The columns R1, ..., theta_max, refined as the rows of one array.
+
+        Built on first use: a FuzzyDistance reads its row's Python values.
+        """
+        return np.array(self._rows, dtype=float).reshape(-1, 9).T
+
+    R1, R2, d1, d2, dc, u0, theta_min, theta_max = (
+        property(lambda self, i=i: self._cols[i]) for i in range(8))
+
+    @property
+    def refined(self) -> np.ndarray:
+        return self._cols[8] == 1.0
 
     def __len__(self) -> int:
         return len(self.params)

@@ -257,9 +257,14 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
     sqrt(c^2 - k^2/4) t): the bisector when k = 0 and the ray from the
     nearer core away from the other at internal tangency.  d1 + d2 = k is
     the ellipse (k/2 cos s, sqrt(k^2/4 - c^2) sin s), a circle for
-    concentric cores.  A branch inactive at this level gives [].  Exact
-    vertices at equal arc-length steps of at most one cell
-    max(w, h)/(resolution - 1) are split into the runs inside the bbox.
+    concentric cores.  A branch inactive at this level gives [].  Only the
+    parameters whose points can lie in the bbox are sampled: for the
+    hyperbola the t between the bbox's nearest and farthest distance from
+    the centre, for the ellipse, when the bbox excludes the centre, the arc
+    of s whose rays from the centre cross it.  x and y are sampled densely
+    as two 1-d arrays; exact vertices at equal arc-length steps of at most
+    one cell max(w, h)/(resolution - 1) are picked from them and split into
+    the runs inside the bbox.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
@@ -294,27 +299,60 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
         half = max(k / 2.0, c)
         minor = math.sqrt(half * half - c * c)
         spans, speed = [(0.0, 2.0 * math.pi)], half
+        if near > 0.0:
+            # the bbox lies in the sector of the rays from the centre through
+            # its corners, less than pi wide; the ray at angle phi in the
+            # frame meets the ellipse at s = atan2(half sin phi, minor cos phi)
+            s = [math.atan2(half * (ex * (y - my) - ey * (x - mx)),
+                            minor * (ex * (x - mx) + ey * (y - my)))
+                 for x in (xmin, xmax) for y in (ymin, ymax)]
+            turn = [(v - s[0] + math.pi) % (2.0 * math.pi) - math.pi for v in s]
+            spans = [(s[0] + min(turn), s[0] + max(turn))]
+    closed = branch is Branch.SAME and near == 0.0
 
     polylines = []
     for t0, t1 in spans:
         # dense exact samples at most h = cell/16 apart; arc-length steps of
         # at most cell - h snapped to them keep every chord within one cell
         t = np.linspace(t0, t1, math.ceil(16.0 * speed * (t1 - t0) / cell) + 2)
+        # x = half sqrt(1 + t^2) or half cos t, y = minor t or minor sin t,
+        # then px = mx + x ex - y ey and py = my + x ey + y ex, all in place
+        # in the buffers t, x, px and tmp (a sum or product of two floats does
+        # not depend on their order)
         if branch is Branch.INVERSE:
-            x, y = half * np.sqrt(1.0 + t * t), minor * t
+            x = t * t
+            x += 1.0
+            np.sqrt(x, out=x)
         else:
-            x, y = half * np.cos(t), minor * np.sin(t)
-        pts = np.column_stack((mx + x * ex - y * ey, my + x * ey + y * ex))
-        if branch is Branch.SAME:
-            pts[-1] = pts[0]
-        seg = np.hypot(*np.diff(pts, axis=0).T)
-        arc = np.concatenate(([0.0], np.cumsum(seg)))
+            x = np.cos(t)
+            np.sin(t, out=t)
+        x *= half
+        y = t
+        y *= minor
+        tmp = y * ey
+        px = x * ex
+        px += mx
+        px -= tmp
+        py = np.multiply(x, ey, out=x)
+        py += my
+        py += np.multiply(y, ex, out=tmp)
+        if closed:
+            px[-1], py[-1] = px[0], py[0]
+        # the chord lengths in tmp, the arc length at each sample in y
+        seg = np.subtract(px[1:], px[:-1], out=tmp[1:])
+        np.hypot(seg, np.subtract(py[1:], py[:-1], out=y[1:]), out=seg)
+        arc = y
+        arc[0] = 0.0
+        np.cumsum(seg, out=arc[1:])
         steps = max(1, math.ceil(arc[-1] / (cell - seg.max())))
-        pts = pts[np.unique(np.searchsorted(arc, np.linspace(0.0, arc[-1], steps + 1)))]
-        inside = ((pts[:, 0] >= xmin) & (pts[:, 0] <= xmax)
-                  & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax))
+        # searchsorted never decreases: a repeat equals the index before it
+        pick = np.searchsorted(arc, np.linspace(0.0, arc[-1], steps + 1))
+        pick = pick[np.concatenate(([True], pick[1:] != pick[:-1]))]
+        px, py = px[pick], py[pick]
+        inside = (px >= xmin) & (px <= xmax) & (py >= ymin) & (py <= ymax)
+        pts = np.column_stack((px, py))
         runs = np.split(np.arange(len(pts)), np.flatnonzero(np.diff(inside)) + 1)
-        if branch is Branch.SAME and len(runs) > 1 and inside[0] and inside[-1]:
+        if closed and len(runs) > 1 and inside[0] and inside[-1]:
             # the closed ellipse re-enters at its start: join the first and last runs
             runs = [np.concatenate((runs[-1][:-1], runs[0]))] + runs[1:-1]
         polylines += [pts[r] for r in runs if inside[r[0]] and len(r) > 1]

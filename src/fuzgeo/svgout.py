@@ -134,12 +134,14 @@ def _alpha_color(alpha: float, branch: Branch) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_midset_svg(a: FuzzyPoint, b: FuzzyPoint, result: MidsetResult,
+def render_midset_svg(a: FuzzyPoint, b: FuzzyPoint, result: MidsetResult, texts,
                       size: int = 640) -> str:
     """One SVG document with support disks, cores and per-alpha curves.
 
-    Curve coordinates are emitted in data units inside a y-flipping group,
-    so the raw point lists in the document match the plane geometry.
+    texts holds, per entry of result, each polyline as fmt_rows("", polyline)
+    formats it, one x,y line per vertex.  Curve coordinates are emitted in
+    data units inside a y-flipping group, so the raw point lists in the
+    document match the plane geometry.
     """
     xmin, ymin, xmax, ymax = result.bbox
     width = xmax - xmin
@@ -166,11 +168,12 @@ def render_midset_svg(a: FuzzyPoint, b: FuzzyPoint, result: MidsetResult,
             f'<circle cx="{fmt(fp.core.x)}" cy="{fmt(fp.core.y)}" '
             f'r="{fmt(2.0 * stroke)}" fill="{color}"/>')
 
-    for entry in result.entries:
+    for entry, polylines in zip(result.entries, texts):
         color = _alpha_color(entry.alpha, entry.branch)
-        for polyline in entry.polylines:
+        for text in polylines:
+            points = text[:-1].replace("\n", " ")
             parts.append(
-                f'<polyline points="{fmt_rows("", polyline, end=" ")[:-1]}" '
+                f'<polyline points="{points}" '
                 f'fill="none" stroke="{color}" stroke-width="{fmt(stroke)}"/>')
 
     parts.append("</g>")

@@ -7,6 +7,8 @@ code paths under test.
 
 import json
 import math
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -16,9 +18,9 @@ from fuzgeo.distance import TWO_PI, DistanceMembershipParams, fuzzy_distances
 from fuzgeo.core import TriangularTriple, tri_add
 from fuzgeo.metric import (CheckResult, FuzzyDistance, KSAxiomReport, MetricAxiomReport,
                            _points_equal, closeness, fuzzy_distance)
-from fuzgeo.midset import (DEFAULT_RESOLUTION, Branch, InvarianceReport, _pair_radii,
-                           active_branches, overlap_case, support_bbox)
-from fuzgeo.svgout import fmt
+from fuzgeo.midset import (DEFAULT_RESOLUTION, Branch, InvarianceReport, OverlapCase,
+                           _pair_radii, active_branches, overlap_case, support_bbox)
+from fuzgeo.svgout import _alpha_color, fmt, fmt_rows
 
 # Draws a rejection-sampling helper makes before it gives up.
 MAX_DRAWS = 1000
@@ -610,3 +612,130 @@ def _jsonify(obj):
 def reference_json(payload) -> str:
     """A payload as the CLI wrote every JSON file before the fixed-schema templates."""
     return json.dumps(_jsonify(payload), indent=2) + "\n"
+
+
+# --- midsets as sampled and written before the single-pass sampler ----------
+
+
+def sample_branch_reference(a, b, alpha, branch, bbox=None,
+                            resolution=DEFAULT_RESOLUTION) -> list[np.ndarray]:
+    """sample_branch as it was before it sampled x and y as separate arrays.
+
+    Polylines of one branch's zero set inside the bounding box.
+
+    In the frame centred between the cores, x along the core line, c = dc/2
+    and t = sinh s, d1 - d2 = k is the hyperbola sheet (k/2 sqrt(1 + t^2),
+    sqrt(c^2 - k^2/4) t): the bisector when k = 0 and the ray from the
+    nearer core away from the other at internal tangency.  d1 + d2 = k is
+    the ellipse (k/2 cos s, sqrt(k^2/4 - c^2) sin s), a circle for
+    concentric cores.  A branch inactive at this level gives [].  Exact
+    vertices at equal arc-length steps of at most one cell
+    max(w, h)/(resolution - 1) are split into the runs inside the bbox.
+    """
+    if resolution < 16:
+        raise ValueError("resolution must be at least 16")
+    if bbox is None:
+        bbox = support_bbox(a, b)
+    xmin, ymin, xmax, ymax = bbox
+    if not (xmax > xmin and ymax > ymin):
+        raise ValueError(f"empty bounding box {bbox}")
+    cell = max(xmax - xmin, ymax - ymin) / (resolution - 1)
+    case = overlap_case(a, b, alpha)
+    if branch not in active_branches(case):
+        return []
+    r1, r2, dc = _pair_radii(a, b)
+    k = ((r1 - r2) if branch is Branch.INVERSE else (r1 + r2)) * (1.0 - alpha)
+    c = dc / 2.0
+    mx, my = 0.5 * (a.core.x + b.core.x), 0.5 * (a.core.y + b.core.y)
+    ex, ey = ((b.core.x - mx) / c, (b.core.y - my) / c) if dc > 0.0 else (1.0, 0.0)
+    # the bbox lies in the annulus near <= |P - centre| <= far
+    far = max(math.hypot(x - mx, y - my) for x in (xmin, xmax) for y in (ymin, ymax))
+    near = math.hypot(max(xmin - mx, 0.0, mx - xmax), max(ymin - my, 0.0, my - ymax))
+    if branch is Branch.INVERSE:
+        half = math.copysign(min(abs(k) / 2.0, c), k)
+        minor = math.sqrt(c * c - half * half)
+        # |P|^2 = half^2 + c^2 t^2, and P moves at most c per unit of t
+        t_lo, t_hi = (math.sqrt(max(r * r - half * half, 0.0)) / c for r in (near, far))
+        if case is OverlapCase.INTERNALLY_TANGENT:
+            spans = [(t_lo, t_hi)]
+        else:
+            spans = [(-t_hi, -t_lo), (t_lo, t_hi)] if t_lo > 0.0 else [(-t_hi, t_hi)]
+        speed = c
+    else:
+        half = max(k / 2.0, c)
+        minor = math.sqrt(half * half - c * c)
+        spans, speed = [(0.0, 2.0 * math.pi)], half
+
+    polylines = []
+    for t0, t1 in spans:
+        # dense exact samples at most h = cell/16 apart; arc-length steps of
+        # at most cell - h snapped to them keep every chord within one cell
+        t = np.linspace(t0, t1, math.ceil(16.0 * speed * (t1 - t0) / cell) + 2)
+        if branch is Branch.INVERSE:
+            x, y = half * np.sqrt(1.0 + t * t), minor * t
+        else:
+            x, y = half * np.cos(t), minor * np.sin(t)
+        pts = np.column_stack((mx + x * ex - y * ey, my + x * ey + y * ex))
+        if branch is Branch.SAME:
+            pts[-1] = pts[0]
+        seg = np.hypot(*np.diff(pts, axis=0).T)
+        arc = np.concatenate(([0.0], np.cumsum(seg)))
+        steps = max(1, math.ceil(arc[-1] / (cell - seg.max())))
+        pts = pts[np.unique(np.searchsorted(arc, np.linspace(0.0, arc[-1], steps + 1)))]
+        inside = ((pts[:, 0] >= xmin) & (pts[:, 0] <= xmax)
+                  & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax))
+        runs = np.split(np.arange(len(pts)), np.flatnonzero(np.diff(inside)) + 1)
+        if branch is Branch.SAME and len(runs) > 1 and inside[0] and inside[-1]:
+            # the closed ellipse re-enters at its start: join the first and last runs
+            runs = [np.concatenate((runs[-1][:-1], runs[0]))] + runs[1:-1]
+        polylines += [pts[r] for r in runs if inside[r[0]] and len(r) > 1]
+    return polylines
+
+
+def midset_files_reference(a, b, result, size=640):
+    """The midset CSV texts per level and the SVG text, as the CLI wrote them
+    when each vertex was formatted once for the CSV and again for the SVG.
+
+    Returns ({alpha: csv text}, svg text).
+    """
+    csvs = {}
+    for alpha, entries in groupby(result.entries, key=attrgetter("alpha")):
+        csvs[alpha] = "branch,polyline,x,y\n" + "".join([
+            fmt_rows(f"{entry.branch.value},{fmt(j)},", polyline)
+            for entry in entries for j, polyline in enumerate(entry.polylines)])
+
+    xmin, ymin, xmax, ymax = result.bbox
+    width = xmax - xmin
+    height = ymax - ymin
+    scale = size / max(width, height)
+    stroke = 1.5 / scale
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{fmt(width * scale)}" height="{fmt(height * scale)}" '
+        f'viewBox="0 0 {fmt(width * scale)} {fmt(height * scale)}">',
+        '<rect width="100%" height="100%" fill="#ffffff"/>',
+        f'<g transform="scale({fmt(scale)},{fmt(-scale)}) '
+        f'translate({fmt(-xmin)},{fmt(-ymax)})">',
+    ]
+
+    for fp, color in ((a, "#777777"), (b, "#aaaaaa")):
+        parts.append(
+            f'<ellipse cx="{fmt(fp.core.x)}" cy="{fmt(fp.core.y)}" '
+            f'rx="{fmt(fp.spread.p1)}" ry="{fmt(fp.spread.p2)}" '
+            f'fill="none" stroke="{color}" stroke-width="{fmt(stroke)}"/>')
+        parts.append(
+            f'<circle cx="{fmt(fp.core.x)}" cy="{fmt(fp.core.y)}" '
+            f'r="{fmt(2.0 * stroke)}" fill="{color}"/>')
+
+    for entry in result.entries:
+        color = _alpha_color(entry.alpha, entry.branch)
+        for polyline in entry.polylines:
+            parts.append(
+                f'<polyline points="{fmt_rows("", polyline, end=" ")[:-1]}" '
+                f'fill="none" stroke="{color}" stroke-width="{fmt(stroke)}"/>')
+
+    parts.append("</g>")
+    parts.append("</svg>")
+    return csvs, "\n".join(parts) + "\n"

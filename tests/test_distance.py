@@ -590,6 +590,18 @@ class TestDistanceTable:
             assert np.array_equal(np.array(row.cut_table(alphas)),
                                   np.array(single.cut_table(alphas)))
 
+    def test_single_distance_builds_no_column_arrays(self, rng):
+        # a one-pair distance answers cuts and membership from its row's
+        # Python values; the table's arrays are built on first use
+        for a, b in _table_pairs(rng):
+            d = fg.FuzzyDistance(a, b)
+            lo0, hi0 = d.cut(0.0)
+            d.membership(0.5 * (lo0 + hi0))
+            d.cut_table(np.linspace(0.0, 1.0, 5))
+            assert "_cols" not in vars(d.table)
+            assert d.table.dc.tolist() == [d.params.dc]
+            assert "_cols" in vars(d.table)
+
     def test_support_and_summary_match_rows(self, rng):
         table = fg.DistanceTable(_table_pairs(rng))
         rows = table.rows()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 import fuzgeo as fg
 from fuzgeo import Branch, OverlapCase
 from oracles import (branch_residuals, equidistant_membership_reference,
-                     invariance_reference, midset_crossing_cells, random_circular)
+                     invariance_reference, midset_crossing_cells, random_circular,
+                     sample_branch_reference)
 from scipy.spatial import cKDTree
 
 # the six configurations of the overlap-case table, one per row
@@ -597,6 +599,113 @@ class TestClosedFormSampler:
                                             (-1, -1, 1, 1), 64)
             assert 32 <= len(line) <= 2 * 64
             assert r2 != 2.0 or np.all(line[:, 0] == 0.0)
+
+
+def assert_matches_sampler_reference(a, b, alpha, branch, bbox=None, resolution=512):
+    """sample_branch equals the reference sampler bit for bit: the same
+    polylines in the same order, each with the same vertices."""
+    got = fg.sample_branch(a, b, alpha, branch, bbox, resolution)
+    want = sample_branch_reference(a, b, alpha, branch, bbox, resolution)
+    assert len(got) == len(want), (alpha, branch, bbox)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w), (alpha, branch, bbox)
+    return got
+
+
+class TestSamplerMatchesReference:
+    """Windows that hold the centre between the cores sample as before."""
+
+    def test_table_pairs_and_bisector(self, ex41_pair):
+        # the table as given and scaled, turned and shifted off the axes
+        pairs = [make_pair(cfg) for cfg in TABLE_CONFIGS.values()] + [ex41_pair] + [
+            (placed(spec_a, 2.0, 0.3, (1.25, -0.75)), placed(spec_b, 2.0, 0.3, (1.25, -0.75)))
+            for spec_a, spec_b in TABLE_CONFIGS.values()]
+        cases, count = set(), 0
+        for a, b in pairs:
+            # the levels of the CLI's default 11 and the benchmark's 5
+            for alpha in sorted(set(np.linspace(0.0, 1.0, 11).tolist()
+                                    + np.linspace(0.0, 1.0, 5).tolist())):
+                cases.add(fg.overlap_case(a, b, alpha))
+                for branch in fg.active_branches(fg.overlap_case(a, b, alpha)):
+                    for resolution in (128, 512):
+                        count += sum(map(len, assert_matches_sampler_reference(
+                            a, b, alpha, branch, resolution=resolution)))
+        assert cases == set(OverlapCase) and count > 10_000
+        # example 4.1: the crisp bisector x = 2.5 at every level
+        (line,) = assert_matches_sampler_reference(*ex41_pair, 0.5, Branch.INVERSE)
+        assert np.all(line[:, 0] == 2.5)
+
+    def test_internally_tangent_ray(self):
+        a, b = make_pair(TABLE_CONFIGS["internally_tangent"])
+        for bbox, resolution in (((-4, -3, 4, 3), 64), (None, 512)):
+            (ray,) = assert_matches_sampler_reference(a, b, 0.0, Branch.INVERSE, bbox,
+                                                      resolution)
+            assert np.all(ray[:, 1] == 0.0)
+
+    def test_concentric_circle(self):
+        a, b = make_pair(TABLE_CONFIGS["concentric"])
+        for alpha in (0.0, 0.25, 0.9):
+            (circle,) = assert_matches_sampler_reference(a, b, alpha, Branch.SAME)
+            assert np.array_equal(circle[0], circle[-1])
+
+    def test_window_joining_first_and_last_runs(self):
+        # the ellipse d1 + d2 = 3 about (1, 0) starts at its vertex (2.5, 0);
+        # the strip keeps its right end, which the start splits in two
+        a, b = make_pair(TABLE_CONFIGS["partially_overlapping"])
+        (arc,) = assert_matches_sampler_reference(a, b, 0.0, Branch.SAME,
+                                                  (0.5, -0.5, 3.0, 0.5), 256)
+        assert not np.array_equal(arc[0], arc[-1])
+        assert 0 < np.flatnonzero((arc[:, 0] == 2.5) & (arc[:, 1] == 0.0))[0] < len(arc) - 1
+
+    def test_random_pairs_and_windows(self, rng):
+        for _ in range(40):
+            a, b = random_circular(rng, r_hi=4.0), random_circular(rng, r_hi=4.0)
+            mx, my = 0.5 * (a.core.x + b.core.x), 0.5 * (a.core.y + b.core.y)
+            lo, hi = rng.uniform(0.0, 6.0, 2), rng.uniform(0.01, 6.0, 2)
+            for bbox in (None, (mx - lo[0], my - lo[1], mx + hi[0], my + hi[1])):
+                for alpha in (0.0, 0.3, 0.6, 0.9):
+                    for branch in Branch:
+                        assert_matches_sampler_reference(a, b, alpha, branch, bbox, 96)
+
+
+class TestZoomedEllipseWindow:
+    """A window that excludes the centre samples only the ellipse arc it sees."""
+
+    def test_narrow_window_on_the_circle(self):
+        # the circle d = 1.5 of the concentric pair r = 1, r = 2 at alpha 0;
+        # sampling the whole circle at 16 points per cell took 470 MB here
+        a, b = make_pair(TABLE_CONFIGS["concentric"])
+        bbox = (1.495, -0.005, 1.505, 0.005)
+        tracemalloc.start()
+        try:
+            fg.sample_branch(a, b, 0.0, Branch.SAME, bbox, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        (arc,) = assert_branch_sampled(a, b, 0.0, Branch.SAME, bbox, 512)
+        assert 512 <= len(arc) <= 2 * 512
+
+    def test_windows_off_centre_cover_crossing_cells(self, rng):
+        for _ in range(30):
+            a, b = random_circular(rng, r_hi=4.0), random_circular(rng, r_hi=4.0)
+            mx, my = 0.5 * (a.core.x + b.core.x), 0.5 * (a.core.y + b.core.y)
+            turn = rng.uniform(0.0, 2.0 * math.pi)
+            dist, width = rng.uniform(0.05, 4.0), rng.uniform(0.01, 3.0)
+            x0, y0 = mx + dist * math.cos(turn), my + dist * math.sin(turn)
+            # the square on the far side of (x0, y0) from the centre
+            x0 += 0.0 if math.cos(turn) >= 0.0 else -width
+            y0 += 0.0 if math.sin(turn) >= 0.0 else -width
+            bbox = (x0, y0, x0 + width, y0 + width)
+            for alpha in (0.0, 0.4, 0.8):
+                assert_branch_sampled(a, b, alpha, Branch.SAME, bbox, 64)
+
+    def test_window_across_the_start_keeps_one_arc(self):
+        # a window right of the centre (1, 0) holds the ellipse's right end,
+        # where its parameter starts: one arc from below the axis to above it
+        a, b = make_pair(TABLE_CONFIGS["partially_overlapping"])
+        (arc,) = assert_branch_sampled(a, b, 0.0, Branch.SAME, (1.5, -2.0, 3.0, 2.0), 128)
+        assert arc[0, 1] * arc[-1, 1] < 0.0
 
 
 def placed(spec, scale, theta=0.0, shift=(0.0, 0.0)):

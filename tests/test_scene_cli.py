@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import fuzgeo as fg
 from fuzgeo.cli import run
 from fuzgeo.svgout import distance_json, fmt, fmt_rows, hausdorff_json, invariance_json
-from oracles import reference_json, reference_rows
+from oracles import midset_files_reference, reference_json, reference_rows
 
 EX22_SCENE = """
 {
@@ -549,6 +549,48 @@ class TestBlockFormatter:
             assert re.findall(r'<polyline points="([^"]*)"', svg) == [
                 reference_rows(polyline, end=" ")[:-1]
                 for entry in result.entries for polyline in entry.polylines]
+
+    @pytest.mark.parametrize("window", ["support", "mixed", "off_centre"])
+    def test_cli_midset_files_match_reference_writer(self, window, scene_file, tmp_path):
+        # the six overlap cases and example 4.1 in their support boxes, the
+        # mixed circular pairs in a box that cuts the (A, C) ellipse, and a
+        # box that excludes every pair's centre
+        if window == "mixed":
+            points, pairs = MIXED_POINTS, MIXED_CIRCULAR_PAIRS
+        else:
+            configs = [((0, 0, 1), (5, 0, 2)), ((0, 0, 1), (3, 0, 2)), ((0, 0, 1), (2, 0, 2)),
+                       ((0, 0, 1), (2, 0, 3)), ((0, 0, 2), (1, 0, 4)), ((0, 0, 1), (0, 0, 2)),
+                       ((0, 0, 2), (5, 0, 2))]
+            points, pairs = [], []
+            for i, specs in enumerate(configs):
+                names = [f"P{i}{side}" for side in "ab"]
+                points += [{"name": name, "core": [x, y],
+                            "spread": {"kind": "circular", "radii": [r, r]}}
+                           for name, (x, y, r) in zip(names, specs)]
+                pairs.append(names)
+        bbox = {"support": None, "mixed": MIXED_MIDSET_BBOX,
+                "off_centre": (-1.0, 1.0, 3.0, 4.0)}[window]
+        body = {"points": points, "pairs": pairs}
+        if bbox is not None:
+            body["grids"] = {"bbox": bbox}
+        scene = fg.parse_scene(json.dumps(body))
+        out = tmp_path / "out"
+        assert run(["midset", "--scene", scene_file(json.dumps(body)), "--out", str(out),
+                    "--alpha-levels", "5", "--resolution", "96", "--format", "svg"]) == 0
+        vertices = 0
+        for pair in scene.pairs:
+            a, b = scene.pair_points(pair)
+            result = fg.compute_midset(a, b, alphas=np.linspace(0.0, 1.0, 5),
+                                       bbox=bbox or fg.support_bbox(a, b), resolution=96)
+            vertices += sum(len(p) for e in result.entries for p in e.polylines)
+            csvs, svg = midset_files_reference(a, b, result)
+            stem = "_".join(pair)
+            assert len(csvs) == 5
+            for alpha, text in csvs.items():
+                path = out / f"{stem}_midset_a{alpha:.4f}.csv"
+                assert path.read_bytes() == text.encode("utf-8"), path.name
+            assert (out / f"{stem}_midset.svg").read_bytes() == svg.encode("utf-8")
+        assert vertices > 500
 
     def test_cli_jsons_match_reference_writer(self, scene_file, tmp_path):
         mixed = {"points": MIXED_POINTS}
