@@ -9,8 +9,8 @@ equidistant sets with conic classification.
 from .core import (AlphaBoundaryPair, FuzzyNumber, FuzzyPoint, Point2, Spread,
                    TriangularNumber, TriangularTriple, fuzzy_leq, tri_add)
 from .distance import (DistanceMembershipParams, DistanceTable, FuzzyDistance,
-                       PerAlphaDistance, distance_alpha, distance_membership, endpoint_distances,
-                       fuzzy_distance, fuzzy_distances, prop_core_angle)
+                       distance_membership, endpoint_distances, fuzzy_distance,
+                       fuzzy_distances, prop_core_angle)
 from .hausdorff import Ellipse, HausdorffResult, crisp_hausdorff, fuzzy_hausdorff
 from .lines import LineSpec, ProjectedFuzzyNumber, classify_pair, project_onto_line
 from .metric import (MINIMUM, PRODUCT, FuzzyCloseness, KSAxiomReport,
@@ -19,7 +19,7 @@ from .metric import (MINIMUM, PRODUCT, FuzzyCloseness, KSAxiomReport,
 from .midset import (Branch, ConicCoefficients, InvarianceReport, MidsetEntry,
                      MidsetResult, OverlapCase, Thresholds, active_branches,
                      alpha_thresholds, branch_residual, classify_conic,
-                     compute_midset, conic_coefficients, equidistant_membership,
+                     compute_midset, conic_class, conic_coefficients, equidistant_membership,
                      invariance_check, overlap_case, sample_branch, sample_midset,
                      support_bbox)
 from .scene import GridSpec, Scene, SceneError, load_scene, parse_scene
@@ -31,16 +31,13 @@ __all__ = [
     "DistanceTable", "Ellipse", "FuzzyCloseness", "FuzzyDistance", "FuzzyNumber", "FuzzyPoint",
     "GridSpec", "HausdorffResult", "InvarianceReport", "KSAxiomReport", "LineSpec",
     "MetricAxiomReport", "MidsetEntry", "MidsetResult", "MINIMUM", "OverlapCase",
-    "PerAlphaDistance", "Point2", "PRODUCT", "ProjectedFuzzyNumber", "Scene",
-    "SceneError", "Spread", "Thresholds", "TNorm", "TriangularNumber",
-    "TriangularTriple",
+    "Point2", "PRODUCT", "ProjectedFuzzyNumber", "Scene", "SceneError", "Spread",
+    "Thresholds", "TNorm", "TriangularNumber", "TriangularTriple",
     "active_branches", "alpha_thresholds", "branch_residual", "check_ks_axioms",
     "check_metric_axioms", "classify_conic", "classify_pair", "closeness",
-    "closeness_spread",
-    "compute_midset", "conic_coefficients", "crisp_hausdorff", "distance_alpha",
-    "distance_membership", "endpoint_distances", "equidistant_membership",
+    "closeness_spread", "compute_midset", "conic_class", "conic_coefficients",
+    "crisp_hausdorff", "distance_membership", "endpoint_distances", "equidistant_membership",
     "fuzzy_distance", "fuzzy_distances", "fuzzy_hausdorff", "fuzzy_leq", "invariance_check",
-    "load_scene", "metric_md", "overlap_case",
-    "parse_scene", "project_onto_line", "prop_core_angle", "sample_branch",
-    "sample_midset", "support_bbox", "tri_add",
+    "load_scene", "metric_md", "overlap_case", "parse_scene", "project_onto_line",
+    "prop_core_angle", "sample_branch", "sample_midset", "support_bbox", "tri_add",
 ]

@@ -29,9 +29,8 @@ import numpy as np
 from .distance import DistanceTable
 from .hausdorff import fuzzy_hausdorff
 from .metric import _scaled
-from .midset import (active_branches, alpha_thresholds, classify_conic,
-                     compute_midset, conic_coefficients, invariance_check,
-                     overlap_case, support_bbox)
+from .midset import (active_branches, alpha_thresholds, compute_midset, conic_class,
+                     invariance_check, overlap_case, support_bbox)
 from .scene import Scene, SceneError, load_scene
 from .svgout import (NUMBER, distance_json, fmt, fmt_rows, hausdorff_json,
                      invariance_json, render_midset_svg)
@@ -182,9 +181,8 @@ def cmd_classify(scene: Scene, args, out: str) -> None:
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid = 0.5 * (lo + hi)
             case = overlap_case(a, b, mid)
-            classes = {
-                branch.value: classify_conic(conic_coefficients(a, b, mid, branch))
-                for branch in active_branches(case)}
+            classes = {branch.value: conic_class(a, b, mid, branch)
+                       for branch in active_branches(case)}
             bands.append({"alpha_lo": float(fmt(lo)), "alpha_hi": float(fmt(hi)),
                           "case": case.value, "classes": classes})
         thresholds = {"n": th.n, "n1": th.n1, "n2": th.n2}

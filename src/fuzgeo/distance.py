@@ -90,17 +90,6 @@ class DistanceMembershipParams:
         return math.hypot(self.d1 / self.R1, self.d2 / self.R2)
 
 
-@dataclass(frozen=True)
-class PerAlphaDistance:
-    alpha: float
-    lo: float
-    mid: float
-    hi: float
-    argmin_theta: float
-    argmax_theta: float
-    refined: bool = True
-
-
 # g at eight equally spaced directions, as cos, sin and sin of the double
 # angle; a base angle phi and its cos and sin for each direction phi + pi
 _SAMPLES = np.arange(8) * (math.pi / 4.0)
@@ -410,14 +399,6 @@ class FuzzyDistance(FuzzyNumber):
         lo0, hi0 = self._support
         return TriangularTriple(lo0, self.params.dc, hi0)
 
-    def per_alpha(self, alpha: float) -> PerAlphaDistance:
-        lo, hi = self.cut(alpha)
-        return PerAlphaDistance(
-            alpha=alpha, lo=lo, mid=self.params.dc, hi=hi,
-            argmin_theta=self.argmin_theta, argmax_theta=self.argmax_theta,
-            refined=self.refined,
-        )
-
 
 def endpoint_distances(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
                        theta: float) -> tuple[float, float]:
@@ -436,10 +417,6 @@ def fuzzy_distance(a: FuzzyPoint, b: FuzzyPoint) -> FuzzyDistance:
 def fuzzy_distances(pairs: Iterable[tuple[FuzzyPoint, FuzzyPoint]]) -> list[FuzzyDistance]:
     """The fuzzy distance of every (a, b) pair: the rows of one DistanceTable."""
     return DistanceTable(pairs).rows()
-
-
-def distance_alpha(a: FuzzyPoint, b: FuzzyPoint, alpha: float) -> PerAlphaDistance:
-    return FuzzyDistance(a, b).per_alpha(alpha)
 
 
 def distance_membership(a: FuzzyPoint, b: FuzzyPoint, x: float) -> float:

@@ -7,7 +7,8 @@ direction fan with local refinement.
 
 The fuzzy Hausdorff distance of two fuzzy points projects both onto the
 line joining the cores and differences the inverse endpoints of the two
-projected fuzzy numbers per alpha.
+projected fuzzy numbers per alpha.  HausdorffResult is that fuzzy number,
+and it keeps the line and both projections.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FuzzyNumber, FuzzyPoint, TriangularNumber, TriangularTriple
+from .core import FuzzyNumber, FuzzyPoint, TriangularTriple
 from .lines import LineSpec, ProjectedFuzzyNumber, project_onto_line
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -105,15 +106,22 @@ def crisp_hausdorff(s1: Ellipse, s2: Ellipse, directions: int = 360) -> float:
     return max(float(diff[best]), -neg)
 
 
-class _HausdorffNumber(FuzzyNumber):
-    """Cut-wise difference of two triangular numbers, near below far.
+class HausdorffResult(FuzzyNumber):
+    """Fuzzy Hausdorff distance, with the line and projections it came from.
 
-    With near = (l1, m1, u1) and far = (l2, m2, u2), the cut at alpha is
+    Of the projections projected_a and projected_b onto line, near is the
+    one whose core lies lower along the line and far the other; with
+    near = (l1, m1, u1) and far = (l2, m2, u2), the cut at alpha is
     [max(0, lo), hi], where lo runs linearly from l2 - u1 at alpha = 0 and
     hi from u2 - l1 to the core gap m = m2 - m1 at alpha = 1.
     """
 
-    def __init__(self, near: TriangularNumber, far: TriangularNumber):
+    def __init__(self, line: LineSpec, projected_a: ProjectedFuzzyNumber,
+                 projected_b: ProjectedFuzzyNumber):
+        self.line, self.projected_a, self.projected_b = line, projected_a, projected_b
+        near, far = projected_a, projected_b
+        if far.summary.m < near.summary.m:
+            near, far = far, near
         self.near, self.far = near, far
         lo0, hi0 = self.cut(0.0)
         self.summary = TriangularTriple(lo0, far.summary.m - near.summary.m, hi0)
@@ -137,20 +145,6 @@ class _HausdorffNumber(FuzzyNumber):
         return 1.0
 
 
-@dataclass(frozen=True)
-class HausdorffResult:
-    """Fuzzy Hausdorff distance with the line and projections it came from."""
-
-    value: FuzzyNumber
-    line: LineSpec
-    projected_a: ProjectedFuzzyNumber
-    projected_b: ProjectedFuzzyNumber
-
-    @property
-    def summary(self) -> TriangularTriple:
-        return self.value.summary
-
-
 def fuzzy_hausdorff(a: FuzzyPoint, b: FuzzyPoint) -> HausdorffResult:
     """Fuzzy Hausdorff distance between two fuzzy points with distinct cores.
 
@@ -161,11 +155,4 @@ def fuzzy_hausdorff(a: FuzzyPoint, b: FuzzyPoint) -> HausdorffResult:
     if a.core.x == b.core.x and a.core.y == b.core.y:
         raise ValueError("fuzzy Hausdorff distance requires distinct cores")
     line = LineSpec.through_points(a.core, b.core)
-    proj_a = project_onto_line(a, line)
-    proj_b = project_onto_line(b, line)
-
-    lo_side, hi_side = proj_a.value, proj_b.value
-    if hi_side.summary.m < lo_side.summary.m:
-        lo_side, hi_side = hi_side, lo_side
-    return HausdorffResult(value=_HausdorffNumber(lo_side, hi_side), line=line,
-                           projected_a=proj_a, projected_b=proj_b)
+    return HausdorffResult(line, project_onto_line(a, line), project_onto_line(b, line))

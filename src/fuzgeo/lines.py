@@ -1,5 +1,7 @@
 """Lines in the plane, the rigid map to line coordinates, and projection
-of fuzzy points onto a line through their core.
+of fuzzy points onto a line through their core, which gives a
+ProjectedFuzzyNumber: a triangular fuzzy number in line coordinates that
+keeps its line.
 
 The s-coordinate along a line is anchored at the line's axis intercept
 (the y-intercept when the line is closer to horizontal, the x-intercept
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import FuzzyPoint, Point2, TriangularNumber, TriangularTriple
+from .core import FuzzyPoint, Point2, TriangularNumber
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,14 @@ class LineSpec:
         return Point2(self.c / self.a, 0.0)
 
     def contains(self, p: Point2, tol: float = 1e-9) -> bool:
-        return abs(self.a * p.x + self.b * p.y - self.c) <= tol
+        """Whether p is on the line, to tol relative to the size of the terms.
+
+        The residual a*x + b*y - c of a point far from the origin carries a
+        rounding error proportional to |a*x| + |b*y| + |c|, so the tolerance
+        scales with that size where it exceeds 1.
+        """
+        ax, by = self.a * p.x, self.b * p.y
+        return abs(ax + by - self.c) <= tol * max(1.0, abs(ax) + abs(by) + abs(self.c))
 
     def to_line_coords(self, q: Point2) -> tuple[float, float]:
         """(s, n): coordinate along the line and signed offset from it."""
@@ -93,16 +102,15 @@ class LineSpec:
         return Point2(ox + s * cx - n * sx, oy + s * sx + n * cx)
 
 
-@dataclass(frozen=True)
-class ProjectedFuzzyNumber:
-    """A fuzzy point seen as a fuzzy number along a line through its core."""
+class ProjectedFuzzyNumber(TriangularNumber):
+    """A fuzzy point seen as a triangular fuzzy number along a line through its core.
 
-    line: LineSpec
-    value: TriangularNumber
+    The numbers are s-coordinates along line (see to_line_coords).
+    """
 
-    @property
-    def summary(self) -> TriangularTriple:
-        return self.value.summary
+    def __init__(self, line: LineSpec, l: float, m: float, u: float):
+        super().__init__(l, m, u)
+        self.line = line
 
 
 def project_onto_line(p: FuzzyPoint, line: LineSpec) -> ProjectedFuzzyNumber:
@@ -118,7 +126,7 @@ def project_onto_line(p: FuzzyPoint, line: LineSpec) -> ProjectedFuzzyNumber:
     cx, sx = line.direction
     w = math.hypot(p.spread.p1 * cx, p.spread.p2 * sx)
     s0, _ = line.to_line_coords(p.core)
-    return ProjectedFuzzyNumber(line=line, value=TriangularNumber(s0 - w, s0, s0 + w))
+    return ProjectedFuzzyNumber(line, s0 - w, s0, s0 + w)
 
 
 def classify_pair(a: FuzzyPoint, p1: Point2, b: FuzzyPoint, p2: Point2,

@@ -1,9 +1,11 @@
 """The scale-indexed fuzzy closeness of fuzzy points and axiom checks.
 
-The closeness of two fuzzy points at scale t > 0 is the image of their
-fuzzy distance under x -> t / (t + x).  The map is strictly decreasing,
-so an alpha-cut [lo, hi] of the distance maps exactly to the closeness
-cut [t/(t+hi), t/(t+lo)]; no closed-form approximation is involved.
+The closeness M(A, B, t) of two fuzzy points at scale t > 0 is the image
+of their fuzzy distance under x -> t / (t + x).  The map is strictly
+decreasing, so an alpha-cut [lo, hi] of the distance maps exactly to the
+closeness cut [t/(t+hi), t/(t+lo)]; no closed-form approximation is
+involved.  FuzzyCloseness is that image as a fuzzy number; closeness()
+builds it from a distance and metric_md() from two points.
 
 Axiom checking is reporting machinery: violations are collected and
 returned, never raised, so degenerate configurations can be inspected.
@@ -46,26 +48,16 @@ PRODUCT = TNorm("product", lambda x, y: x * y)
 MINIMUM = TNorm("minimum", np.minimum)
 
 
-@dataclass(frozen=True)
-class FuzzyCloseness:
-    """Degree of closeness at scale t, as a fuzzy number inside [0, 1]."""
+class FuzzyCloseness(FuzzyNumber):
+    """Degree of closeness M(A, B, t) at scale t, a fuzzy number inside [0, 1].
 
-    t: float
-    value: FuzzyNumber
-
-    @property
-    def summary(self) -> TriangularTriple:
-        return self.value.summary
-
-
-def metric_md(a: FuzzyPoint, b: FuzzyPoint, t: float) -> FuzzyCloseness:
-    return closeness(fuzzy_distance(a, b), t)
-
-
-class _ClosenessNumber(FuzzyNumber):
-    """Image of a fuzzy distance under x -> t / (t + x), cut by cut."""
+    The image of the fuzzy distance dist under x -> t / (t + x), cut by cut;
+    t must be finite and positive.
+    """
 
     def __init__(self, dist: FuzzyDistance, t: float):
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"scale t must be finite and positive, got {t}")
         self.dist, self.t = dist, t
         lo0, hi0 = self.cut(0.0)
         self.summary = TriangularTriple(lo0, t / (t + dist.params.dc), hi0)
@@ -82,16 +74,18 @@ class _ClosenessNumber(FuzzyNumber):
         return self.dist.membership(self.t / y - self.t)
 
 
+def metric_md(a: FuzzyPoint, b: FuzzyPoint, t: float) -> FuzzyCloseness:
+    return closeness(fuzzy_distance(a, b), t)
+
+
 def closeness(dist: FuzzyDistance, t: float) -> FuzzyCloseness:
     """Image of a fuzzy distance under x -> t / (t + x), cut by cut."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"scale t must be finite and positive, got {t}")
-    return FuzzyCloseness(t=t, value=_ClosenessNumber(dist, t))
+    return FuzzyCloseness(dist, t)
 
 
 def closeness_spread(a: FuzzyPoint, b: FuzzyPoint, t: float) -> float:
     """Width of the closeness support; charts uncertainty against t."""
-    lo, hi = metric_md(a, b, t).value.cut(0.0)
+    lo, hi = metric_md(a, b, t).cut(0.0)
     return hi - lo
 
 
@@ -272,24 +266,18 @@ class KSAxiomReport:
         return all(c.passed for c in self.checks)
 
 
-def check_ks_axioms(points: Sequence[FuzzyPoint],
-                    L: Callable[[float, float], float] = min,
-                    R: Callable[[float, float], float] = max,
-                    tol: float = 1e-9) -> KSAxiomReport:
+def check_ks_axioms(points: Sequence[FuzzyPoint], tol: float = 1e-9) -> KSAxiomReport:
     """Verify the interval-valued metric axioms in their componentwise form.
 
     zero_core holds for a pair when the distance core hi(alpha = 1) is
     within tol of 0 if and only if the cores coincide.
 
-    With L = Min and R = Max the triangle condition is equivalent to the
-    componentwise comparison of summary triples; other (L, R) pairs are
-    not supported.  Violations of the lower-endpoint comparison are
-    genuinely possible when a large-spread point lies between the other
-    two, and are reported rather than raised.
+    The triangle condition takes L = Min and R = Max, with which it is
+    equivalent to the componentwise comparison of summary triples.
+    Violations of the lower-endpoint comparison are genuinely possible when
+    a large-spread point lies between the other two, and are reported
+    rather than raised.
     """
-    probes = [(0.2, 0.7), (0.0, 1.0), (0.5, 0.5)]
-    if any(L(x, y) != min(x, y) or R(x, y) != max(x, y) for x, y in probes):
-        raise ValueError("only L = Min and R = Max are supported")
     if len(points) < 3:
         raise ValueError("at least three points are needed for the axiom checks")
 

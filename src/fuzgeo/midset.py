@@ -13,7 +13,8 @@ and the same-points branch solves
 Both are two-focus conics d1 -+ d2 = k with foci at the cores, one sheet
 of a hyperbola (the bisector when k = 0) and an ellipse, which
 ``sample_branch`` evaluates in closed form; ``conic_coefficients`` gives
-the second-degree equation, by double squaring.  Which branches are active
+the second-degree equation, by double squaring, and ``conic_class`` tags it
+in the frame centred between the cores.  Which branches are active
 at a level follows from the overlap configuration of the two cut disks.
 
 Focal sets are restricted to circular spreads; elliptical spreads would
@@ -233,16 +234,28 @@ def classify_conic(c: ConicCoefficients, tol: float = _ZERO_TOL) -> str:
     return "degenerate"
 
 
-def support_bbox(a: FuzzyPoint, b: FuzzyPoint,
-                 inflate: float = 0.5) -> tuple[float, float, float, float]:
-    """Union of the two support boxes, inflated about its center."""
+def conic_class(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch) -> str:
+    """classify_conic of the branch's conic in the frame centred between the cores.
+
+    Translation keeps the class.  In world coordinates the double-squared
+    coefficients grow with the distance from the origin, and C, about
+    (|a|^2 - |b|^2)^2, cancels catastrophically far from it; centred, they
+    scale with the core distance.
+    """
+    mx, my = 0.5 * (a.core.x + b.core.x), 0.5 * (a.core.y + b.core.y)
+    a, b = (FuzzyPoint(Point2(p.core.x - mx, p.core.y - my), p.spread) for p in (a, b))
+    return classify_conic(conic_coefficients(a, b, alpha, branch))
+
+
+def support_bbox(a: FuzzyPoint, b: FuzzyPoint) -> tuple[float, float, float, float]:
+    """Union of the two support boxes, grown by half about its center, as a square."""
     xmin = min(a.core.x - a.spread.p1, b.core.x - b.spread.p1)
     xmax = max(a.core.x + a.spread.p1, b.core.x + b.spread.p1)
     ymin = min(a.core.y - a.spread.p2, b.core.y - b.spread.p2)
     ymax = max(a.core.y + a.spread.p2, b.core.y + b.spread.p2)
     cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-    hx = 0.5 * (xmax - xmin) * (1.0 + inflate)
-    hy = 0.5 * (ymax - ymin) * (1.0 + inflate)
+    hx = 0.5 * (xmax - xmin) * 1.5
+    hy = 0.5 * (ymax - ymin) * 1.5
     half = max(hx, hy, 1e-6)
     return (cx - half, cy - half, cx + half, cy + half)
 
@@ -406,10 +419,10 @@ def compute_midset(a: FuzzyPoint, b: FuzzyPoint,
     entries = []
     for alpha in sorted(float(x) for x in alphas):
         for branch, polylines in sample_midset(a, b, alpha, bbox, resolution).items():
-            conic = conic_coefficients(a, b, alpha, branch)
             entries.append(MidsetEntry(
                 alpha=alpha, branch=branch, polylines=tuple(polylines),
-                conic=conic, conic_class=classify_conic(conic),
+                conic=conic_coefficients(a, b, alpha, branch),
+                conic_class=conic_class(a, b, alpha, branch),
                 accepted=branch is Branch.INVERSE))
     return MidsetResult(
         entries=tuple(entries),

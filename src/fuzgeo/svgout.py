@@ -134,9 +134,8 @@ def _alpha_color(alpha: float, branch: Branch) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_midset_svg(a: FuzzyPoint, b: FuzzyPoint, result: MidsetResult, texts,
-                      size: int = 640) -> str:
-    """One SVG document with support disks, cores and per-alpha curves.
+def render_midset_svg(a: FuzzyPoint, b: FuzzyPoint, result: MidsetResult, texts) -> str:
+    """One 640-pixel SVG document with support disks, cores and per-alpha curves.
 
     texts holds, per entry of result, each polyline as fmt_rows("", polyline)
     formats it, one x,y line per vertex.  Curve coordinates are emitted in
@@ -146,7 +145,7 @@ def render_midset_svg(a: FuzzyPoint, b: FuzzyPoint, result: MidsetResult, texts,
     xmin, ymin, xmax, ymax = result.bbox
     width = xmax - xmin
     height = ymax - ymin
-    scale = size / max(width, height)
+    scale = 640 / max(width, height)
     stroke = 1.5 / scale
 
     parts = [

@@ -466,11 +466,11 @@ def metric_axioms_reference(points, t_samples, tnorm, alpha_samples=11, tol=1e-9
             d_ij = dist(i, j)
             for t in t_samples:
                 m = closeness(d_ij, t)
-                lo0, _ = m.value.cut(0.0)
+                lo0, _ = m.cut(0.0)
                 positivity.count(lo0 > 0.0, (i, j, t, lo0))
 
             cores_eq, spreads_eq = _points_equal(points[i], points[j])
-            core_grade_one = all(abs(closeness(d_ij, t).value.cut(1.0)[0] - 1.0) <= tol
+            core_grade_one = all(abs(closeness(d_ij, t).cut(1.0)[0] - 1.0) <= tol
                                  for t in t_samples)
             identity.count(core_grade_one == cores_eq, (i, j))
             identity.notes.append(
@@ -484,7 +484,7 @@ def metric_axioms_reference(points, t_samples, tnorm, alpha_samples=11, tol=1e-9
                     m_ji = closeness(d_ji, t)
                     worst = max(
                         max(abs(x - y) for x, y in
-                            zip(m_ij.value.cut(float(a)), m_ji.value.cut(float(a))))
+                            zip(m_ij.cut(float(a)), m_ji.cut(float(a))))
                         for a in alphas)
                     symmetry.count(worst <= tol, (i, j, t, worst))
 
@@ -503,9 +503,9 @@ def metric_axioms_reference(points, t_samples, tnorm, alpha_samples=11, tol=1e-9
                               and tnorm(m_ab.u, m_bc.u) <= m_ac.u + tol)
                         quadrangle.count(ok, (i, j, k, t, s))
 
-                        cl_ab = closeness(dist(i, j), t).value
-                        cl_bc = closeness(dist(j, k), s).value
-                        cl_ac = closeness(dist(i, k), t + s).value
+                        cl_ab = closeness(dist(i, j), t)
+                        cl_bc = closeness(dist(j, k), s)
+                        cl_ac = closeness(dist(i, k), t + s)
                         cuts_ok = True
                         for a in alphas:
                             lo1, hi1 = cl_ab.cut(float(a))

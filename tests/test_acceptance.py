@@ -76,7 +76,7 @@ def test_criterion_4_core_slope_proposition(rng):
         b = fg.FuzzyPoint(b.core, fg.Spread.circular(b.spread.p1))
         psi = fg.prop_core_angle(a, b)
         for alpha in (0.0, 0.5):
-            theta = fg.distance_alpha(a, b, alpha).argmin_theta % math.pi
+            theta = fg.fuzzy_distance(a, b).argmin_theta % math.pi
             dd = abs(theta - psi)
             assert min(dd, math.pi - dd) < 1e-6
 
@@ -217,7 +217,7 @@ def test_criterion_11_closeness_curve_shape(ex22):
     peak = max(fg.closeness_spread(a, b, float(t))
                for t in np.geomspace(1.0, 10.0, 40))
     assert peak > 0.15
-    lo, hi = fg.metric_md(a, b, 1.0).value.cut(0.0)
+    lo, hi = fg.metric_md(a, b, 1.0).cut(0.0)
     assert lo == pytest.approx(0.131502, abs=1e-4)
     assert hi == pytest.approx(0.295810, abs=1e-4)
 

@@ -186,6 +186,38 @@ class TestFuzzyNumber:
             assert np.all(lo <= hi + 1e-12)
 
 
+class TestResultsAreFuzzyNumbers:
+    """Closeness, Hausdorff and projection results are fuzzy numbers themselves."""
+
+    def test_cut_table_and_membership(self, ex22_pair):
+        a, b = ex22_pair
+        h = fg.fuzzy_hausdorff(a, b)
+        m = fg.metric_md(a, b, 1.0)
+        assert isinstance(m, fg.FuzzyCloseness) and m.t == 1.0
+        assert isinstance(h, fg.HausdorffResult)
+        assert h.projected_a.line is h.line and h.projected_b.line is h.line
+        alphas = np.linspace(0.0, 1.0, 5)
+        numbers = [m, fg.closeness(fg.fuzzy_distance(a, b), 20.0), h, h.projected_a,
+                   h.projected_b]
+        for num in numbers:
+            assert isinstance(num, fg.FuzzyNumber)
+            assert not hasattr(num, "value")
+            lo, hi = num.cut_table(alphas)
+            assert list(zip(lo.tolist(), hi.tolist())) == [num.cut(x) for x in alphas.tolist()]
+            assert num.cut(0.0) == (num.summary.l, num.summary.u)
+            assert num.membership(num.summary.m) == pytest.approx(1.0, abs=1e-12)
+            assert num.membership(num.summary.u + 1.0) == 0.0
+        for proj in (h.projected_a, h.projected_b):
+            assert isinstance(proj, fg.ProjectedFuzzyNumber)
+            assert isinstance(proj, fg.TriangularNumber)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_closeness_rejects_bad_scale(self, ex22_pair, t):
+        d = fg.fuzzy_distance(*ex22_pair)
+        with pytest.raises(ValueError, match="scale t must be finite and positive"):
+            fg.FuzzyCloseness(d, t)
+
+
 class TestValidation:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):

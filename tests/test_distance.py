@@ -49,32 +49,35 @@ class TestDistanceAlpha:
     def test_per_alpha_polynomials(self, ex22_pair):
         a, b = ex22_pair
         for alpha in (0.0, 0.25, 0.5, 0.75):
-            pa = fg.distance_alpha(a, b, alpha)
-            assert pa.lo ** 2 == pytest.approx(poly(LO_SQ, alpha), abs=1e-3)
-            assert pa.hi ** 2 == pytest.approx(poly(HI_SQ, alpha), abs=1e-3)
+            lo, hi = fg.fuzzy_distance(a, b).cut(alpha)
+            assert lo ** 2 == pytest.approx(poly(LO_SQ, alpha), abs=1e-3)
+            assert hi ** 2 == pytest.approx(poly(HI_SQ, alpha), abs=1e-3)
 
     def test_core_only_at_alpha_one(self, ex22_pair):
         a, b = ex22_pair
-        pa = fg.distance_alpha(a, b, 1.0)
-        assert (pa.lo, pa.mid, pa.hi) == pytest.approx(
+        d = fg.fuzzy_distance(a, b)
+        lo, hi = d.cut(1.0)
+        assert (lo, d.params.dc, hi) == pytest.approx(
             (4.472136, 4.472136, 4.472136), abs=1e-6)
 
     def test_circular_pair_closed_form(self):
         # cores 5 apart, radii 1 and 2: collinear extrema dc +- 3*(1-alpha)
         a = fg.FuzzyPoint.circular(0, 0, 1)
         b = fg.FuzzyPoint.circular(5, 0, 2)
-        pa = fg.distance_alpha(a, b, 0.5)
-        assert (pa.lo, pa.mid, pa.hi) == pytest.approx((3.5, 5.0, 6.5), abs=1e-9)
+        d = fg.fuzzy_distance(a, b)
+        d_lo, d_hi = d.cut(0.5)
+        assert (d_lo, d.params.dc, d_hi) == pytest.approx((3.5, 5.0, 6.5), abs=1e-9)
         lo, hi, _, _ = theta_grid_extrema(a, b, 0.5)
-        assert pa.lo == pytest.approx(lo, abs=1e-6)
-        assert pa.hi == pytest.approx(hi, abs=1e-6)
+        assert d_lo == pytest.approx(lo, abs=1e-6)
+        assert d_hi == pytest.approx(hi, abs=1e-6)
 
     def test_ordering_invariant(self, rng):
         for _ in range(20):
             a, b = random_separated_pair(rng)
             for alpha in (0.0, 0.3, 0.7, 1.0):
-                pa = fg.distance_alpha(a, b, alpha)
-                assert 0.0 <= pa.lo <= pa.mid <= pa.hi
+                d = fg.fuzzy_distance(a, b)
+                lo, hi = d.cut(alpha)
+                assert 0.0 <= lo <= d.params.dc <= hi
 
 
 class TestFuzzyDistance:
@@ -192,8 +195,8 @@ class TestDistanceMembership:
         a, b = ex22_pair
         d = fg.fuzzy_distance(a, b)
         assert d.membership(x) == 0.0
-        assert fg.metric_md(a, b, 1.0).value.membership(x) == 0.0
-        assert fg.fuzzy_hausdorff(a, b).value.membership(x) == 0.0
+        assert fg.metric_md(a, b, 1.0).membership(x) == 0.0
+        assert fg.fuzzy_hausdorff(a, b).membership(x) == 0.0
         if x < 0.0:
             with pytest.raises(ValueError, match="nonnegative"):
                 fg.distance_membership(a, b, x)
@@ -515,10 +518,10 @@ class TestCutTable:
         for pairs in _cut_table_pairs(rng).values():
             for a, b in pairs:
                 d = fg.fuzzy_distance(a, b)
-                numbers += [d, fg.closeness(d, 0.05).value, fg.closeness(d, 20.0).value]
+                numbers += [d, fg.closeness(d, 0.05), fg.closeness(d, 20.0)]
                 if a.core != b.core:
                     h = fg.fuzzy_hausdorff(a, b)
-                    numbers += [h.value, h.projected_a.value, h.projected_b.value]
+                    numbers += [h, h.projected_a, h.projected_b]
         for num in numbers:
             table = np.column_stack(num.cut_table(alphas))
             loop = np.array([num.cut(float(alpha)) for alpha in alphas])
@@ -671,6 +674,6 @@ class TestCoreAngleProposition:
             b = fg.FuzzyPoint(b.core, fg.Spread.circular(b.spread.p1))
             psi = fg.prop_core_angle(a, b)
             for alpha in (0.0, 0.5):
-                theta = fg.distance_alpha(a, b, alpha).argmin_theta % math.pi
+                theta = fg.fuzzy_distance(a, b).argmin_theta % math.pi
                 delta = abs(theta - psi)
                 assert min(delta, math.pi - delta) < 1e-6

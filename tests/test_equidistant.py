@@ -741,3 +741,33 @@ class TestClassifyRigidMotion:
             b = fg.FuzzyPoint.circular(x2, y2, 1.0)
             conic = fg.conic_coefficients(a, b, 0.0, Branch.INVERSE)
             assert fg.classify_conic(conic) == "hyperbola"
+
+    def test_far_pair_is_hyperbola(self):
+        # world-frame double squaring tags every level of this pair degenerate
+        a = fg.FuzzyPoint.circular(1.3e7, 7e6, 1.0)
+        b = fg.FuzzyPoint.circular(13000004.0, 7000003.0, 2.0)
+        result = fg.compute_midset(a, b, alphas=(0.0, 0.5, 0.9), resolution=16)
+        assert [e.conic_class for e in result.entries] == ["hyperbola"] * 3
+        assert fg.conic_class(a, b, 0.25, Branch.INVERSE) == "hyperbola"
+
+    def test_far_from_origin_keeps_class(self, rng):
+        # a pair 1e2 to 1e12 from the origin has the class of the pair at the
+        # origin, away from the tolerance-bound levels where |k| is near dc or 0
+        checked = 0
+        while checked < 300:
+            r1, r2 = rng.uniform(0.2, 3.0, 2)
+            if rng.uniform() < 0.2:
+                r2 = r1
+            spec_a, spec_b = (0.0, 0.0, r1), (*rng.uniform(-5.0, 5.0, 2), r2)
+            dc = math.hypot(spec_b[0], spec_b[1])
+            alpha, branch = float(rng.uniform(0.0, 1.0)), list(Branch)[rng.integers(2)]
+            k = (r1 - r2 if branch is Branch.INVERSE else r1 + r2) * (1.0 - alpha)
+            if dc < 0.5 or abs(abs(k) - dc) < 1e-2 * dc or 0.0 < abs(k) < 1e-2:
+                continue
+            want = fg.conic_class(placed(spec_a, 1.0), placed(spec_b, 1.0), alpha, branch)
+            scale, phi = 10.0 ** rng.uniform(2.0, 12.0), rng.uniform(0.0, 2.0 * math.pi)
+            shift = (scale * math.cos(phi), scale * math.sin(phi))
+            a, b = placed(spec_a, 1.0, shift=shift), placed(spec_b, 1.0, shift=shift)
+            assert fg.conic_class(a, b, alpha, branch) == want, (spec_a, spec_b, alpha, branch,
+                                                                  shift)
+            checked += 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,7 @@ class TestFuzzyHausdorff:
             d = fg.fuzzy_distance(a, b)
             assert h.summary.almost_equals(d.summary, tol=1e-9)
             for alpha in np.linspace(0, 1, 11):
-                hc = h.value.cut(float(alpha))
+                hc = h.cut(float(alpha))
                 dc = d.cut(float(alpha))
                 assert hc[0] == pytest.approx(dc[0], abs=1e-9)
                 assert hc[1] == pytest.approx(dc[1], abs=1e-9)
@@ -124,9 +126,29 @@ class TestFuzzyHausdorff:
 
     def test_membership_matches_bisection(self, rng):
         for a, b in membership_pairs(rng, 40):
-            value = fg.fuzzy_hausdorff(a, b).value
+            value = fg.fuzzy_hausdorff(a, b)
             # 0 is the clipped lower end of overlapping pairs
             for x in membership_probes(value, 0.1) + [0.0]:
                 assert value.membership(x) == pytest.approx(
                     bisect_membership(value.cut, x), abs=1e-8)
             assert value.membership(value.summary.m) == 1.0
+
+    def test_far_from_origin(self):
+        a = fg.FuzzyPoint.circular(1.3e7, 7e6, 1.0)
+        b = fg.FuzzyPoint.circular(-9e6, 2.1e7, 2.0)
+        dc = math.hypot(2.2e7, 1.4e7)
+        res = fg.fuzzy_hausdorff(a, b)
+        assert res.summary.as_tuple() == pytest.approx((dc - 3.0, dc, dc + 3.0), abs=1e-6)
+
+    def test_near_pairs_far_from_origin(self, rng):
+        for _ in range(300):
+            scale, phi = 10.0 ** rng.uniform(3.0, 15.0), rng.uniform(0.0, 2.0 * np.pi)
+            centre = scale * np.array([np.cos(phi), np.sin(phi)])
+            (x1, y1), (x2, y2) = centre + rng.uniform(-10.0, 10.0, (2, 2))
+            r1, r2 = rng.uniform(0.5, 2.0, 2)
+            a, b = fg.FuzzyPoint.circular(x1, y1, r1), fg.FuzzyPoint.circular(x2, y2, r2)
+            dc = math.hypot(x2 - x1, y2 - y1)
+            lo, m, hi = fg.fuzzy_hausdorff(a, b).summary.as_tuple()
+            # s-coordinates of the cores are about scale in size
+            assert (lo, m, hi) == pytest.approx((max(0.0, dc - r1 - r2), dc, dc + r1 + r2),
+                                                abs=1e-14 * scale)

@@ -16,6 +16,19 @@ def ex22_line():
 
 
 class TestLineSpec:
+    def test_contains_is_absolute_near_origin(self):
+        # terms below 1 in size keep the absolute tolerance 1e-9
+        line = ex22_line()
+        for d, inside in ((0.9e-9, True), (1.1e-9, False)):
+            # the point (1, 0) moved d along the unit normal (a, b)
+            assert line.contains(fg.Point2(1.0 + d * line.a, d * line.b)) is inside
+
+    def test_contains_scales_with_distance_from_origin(self):
+        line = fg.LineSpec.through_points(fg.Point2(1.3e7, 7e6), fg.Point2(-9e6, 2.1e7))
+        for t in (0.0, 0.5, 1.0, 3.0):
+            assert line.contains(fg.Point2(1.3e7 - t * 2.2e7, 7e6 + t * 1.4e7))
+        assert not line.contains(fg.Point2(1.3e7 + 0.1 * line.a, 7e6 + 0.1 * line.b))
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             fg.LineSpec(0, 0, 1)
@@ -113,8 +126,8 @@ class TestProjection:
         p = fg.FuzzyPoint.elliptical(0, 0, 1, 2)
         line = fg.LineSpec.through_point_angle(p.core, 0.7)
         proj = fg.project_onto_line(p, line)
-        lo0, hi0 = proj.value.cut(0.0)
-        lo5, hi5 = proj.value.cut(0.5)
+        lo0, hi0 = proj.cut(0.0)
+        lo5, hi5 = proj.cut(0.5)
         assert (hi5 - lo5) == pytest.approx(0.5 * (hi0 - lo0), abs=1e-12)
 
 

@@ -53,7 +53,7 @@ class TestMetricMd:
         p = fg.FuzzyPoint.circular(1, 1, 1e-9)
         m = fg.metric_md(p, p, t=1.0)
         assert m.summary.m == 1.0
-        lo, hi = m.value.cut(0.0)
+        lo, hi = m.cut(0.0)
         assert hi == 1.0
         assert lo == pytest.approx(1.0, abs=1e-8)
 
@@ -64,11 +64,11 @@ class TestMetricMd:
             fresh = fg.metric_md(*ex22_pair, t=t)
             assert shared.summary == fresh.summary
             for alpha in (0.0, 0.4, 1.0):
-                assert shared.value.cut(alpha) == fresh.value.cut(alpha)
+                assert shared.cut(alpha) == fresh.cut(alpha)
 
     def test_support_cut_is_interval_image(self, ex22_pair):
         m = fg.metric_md(*ex22_pair, t=1.0)
-        lo, hi = m.value.cut(0.0)
+        lo, hi = m.cut(0.0)
         # oracle: image of the reference support (2.380551, 6.604459)
         assert lo == pytest.approx(1.0 / 7.604459, abs=1e-5)
         assert hi == pytest.approx(1.0 / 3.380551, abs=1e-5)
@@ -78,7 +78,7 @@ class TestMetricMd:
             pts = general_position_triple(rng)
             m = fg.metric_md(pts[0], pts[1], t=float(rng.uniform(0.1, 5)))
             for alpha in np.linspace(0, 1, 7):
-                lo, hi = m.value.cut(float(alpha))
+                lo, hi = m.cut(float(alpha))
                 assert 0.0 < lo <= hi < 1.0
 
     def test_nonpositive_t_rejected(self, ex22_pair):
@@ -94,7 +94,7 @@ class TestMetricMd:
         a, b = ex22_pair
         prev = None
         for t in np.geomspace(0.01, 100, 25):
-            lo, hi = fg.metric_md(a, b, float(t)).value.cut(0.0)
+            lo, hi = fg.metric_md(a, b, float(t)).cut(0.0)
             if prev is not None:
                 assert lo > prev[0] and hi > prev[1]
             prev = (lo, hi)
@@ -116,13 +116,13 @@ class TestClosenessMembership:
     @pytest.mark.parametrize("t", [0.05, 1.0, 20.0])
     def test_matches_bisection(self, rng, t):
         for a, b in membership_pairs(rng, 24):
-            value = fg.metric_md(a, b, t).value
+            value = fg.metric_md(a, b, t)
             for y in membership_probes(value, 0.05) + [1.0, 1.5]:
                 assert value.membership(y) == pytest.approx(
                     bisect_membership(value.cut, y), abs=1e-8)
 
     def test_core_grade_is_one(self, ex22_pair):
-        value = fg.metric_md(*ex22_pair, 1.0).value
+        value = fg.metric_md(*ex22_pair, 1.0)
         assert value.membership(value.summary.m) == pytest.approx(1.0, abs=1e-12)
         assert value.membership(0.0) == 0.0
 
@@ -276,11 +276,6 @@ class TestKSAxioms:
         pts = general_position_triple(rng)
         report = fg.check_ks_axioms(pts)
         assert report.zero_core.passed
-
-    def test_custom_lr_rejected(self, rng):
-        pts = general_position_triple(rng)
-        with pytest.raises(ValueError):
-            fg.check_ks_axioms(pts, L=lambda x, y: x * y)
 
 
 def assert_ks_reports_equal(got, want):

@@ -282,6 +282,25 @@ class TestCli:
         assert payload["thresholds"] == {"n": None, "n1": None, "n2": None}
         assert [band["case"] for band in payload["bands"]] == ["concentric"]
 
+    def test_hausdorff_far_from_origin(self, scene_file, tmp_path):
+        text = EX42_SCENE.replace('"core": [0, 0]', '"core": [1.3e7, 7e6]').replace(
+            '"core": [5, 0]', '"core": [-9e6, 2.1e7]')
+        out = tmp_path / "out"
+        assert run(["hausdorff", "--scene", scene_file(text), "--out", str(out)]) == 0
+        payload = json.loads((out / "A_B_hausdorff.json").read_text())
+        dc = np.hypot(2.2e7, 1.4e7)
+        # 9 significant digits of about 2.6e7
+        assert payload["summary"] == pytest.approx([dc - 3.0, dc, dc + 3.0], abs=0.1)
+
+    def test_classify_far_from_origin(self, scene_file, tmp_path):
+        text = EX42_SCENE.replace('"core": [0, 0]', '"core": [1.3e7, 7e6]').replace(
+            '"core": [5, 0]', '"core": [13000004, 7000003]')
+        out = tmp_path / "out"
+        assert run(["classify", "--scene", scene_file(text), "--out", str(out)]) == 0
+        payload = json.loads((out / "A_B_classify.json").read_text())
+        assert [band["classes"] for band in payload["bands"]] == [
+            {"inverse_points": "hyperbola"}]
+
     def test_invariance_command(self, scene_file, tmp_path):
         out = tmp_path / "out"
         code = run(["invariance", "--scene", scene_file(EX41_SCENE),
@@ -527,7 +546,7 @@ class TestBlockFormatter:
             for sub, ts in (("t", (0.05, 1.0, 20.0)), ("default", default_t)):
                 rows = []
                 for t in ts:
-                    value = fg.closeness(dist, float(t)).value
+                    value = fg.closeness(dist, float(t))
                     lo, hi = value.cut(0.0)
                     rows.append((t, lo, value.summary.m, hi, hi - lo))
                 expect(out / sub / f"{a_name}_{b_name}_metric_curve.csv",
