@@ -18,8 +18,7 @@ summary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,20 +32,60 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Point2:
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the small records: the fields named by __slots__, compared by
+    value and shown as Name(field=value, ...).  The fields may change, so a
+    Record is unhashable; a subclass's __init__ takes them in slot order.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+
+class Value(Record):
+    """A frozen, hashable Record; __init__ stores each field with _set."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point2(Value):
     """A crisp point in the plane."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        x, y = self.x, self.y
+    def __init__(self, x: float, y: float):
         # finite Python floats are stored as given
         if not (type(x) is float and type(y) is float and math.isfinite(x)
                 and math.isfinite(y)):
-            object.__setattr__(self, "x", _require_finite("x", x))
-            object.__setattr__(self, "y", _require_finite("y", y))
+            x, y = _require_finite("x", x), _require_finite("y", y)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def __iter__(self) -> Iterator[float]:
         yield self.x
@@ -56,25 +95,23 @@ class Point2:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class Spread:
+class Spread(Value):
     """Support radii of a fuzzy point; circular means p1 == p2."""
 
-    kind: str
-    p1: float
-    p2: float
+    __slots__ = ("kind", "p1", "p2")
 
-    def __post_init__(self):
-        if self.kind not in ("circular", "elliptical"):
-            raise ValueError(f"unknown spread kind {self.kind!r}")
-        p1 = _require_finite("p1", self.p1)
-        p2 = _require_finite("p2", self.p2)
+    def __init__(self, kind: str, p1: float, p2: float):
+        if kind not in ("circular", "elliptical"):
+            raise ValueError(f"unknown spread kind {kind!r}")
+        p1 = _require_finite("p1", p1)
+        p2 = _require_finite("p2", p2)
         if p1 <= 0 or p2 <= 0:
             raise ValueError(f"spread radii must be positive, got ({p1}, {p2})")
-        if self.kind == "circular" and p1 != p2:
+        if kind == "circular" and p1 != p2:
             raise ValueError(f"circular spread requires equal radii, got ({p1}, {p2})")
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
+        _set(self, "kind", kind)
+        _set(self, "p1", p1)
+        _set(self, "p2", p2)
 
     @classmethod
     def circular(cls, r: float) -> "Spread":
@@ -89,23 +126,24 @@ class Spread:
         return self.kind == "circular"
 
 
-@dataclass(frozen=True)
-class AlphaBoundaryPair:
+class AlphaBoundaryPair(NamedTuple):
     """Under/over boundary points of an alpha-cut along a direction."""
 
     under: Point2
     over: Point2
 
 
-@dataclass(frozen=True)
-class FuzzyPoint:
+class FuzzyPoint(Value):
     """A fuzzy location: core point plus spread with linear membership decay.
 
     membership(x, y) = max(0, 1 - sqrt(((x-a1)/p1)^2 + ((y-a2)/p2)^2))
     """
 
-    core: Point2
-    spread: Spread
+    __slots__ = ("core", "spread")
+
+    def __init__(self, core: Point2, spread: Spread):
+        _set(self, "core", core)
+        _set(self, "spread", spread)
 
     @classmethod
     def circular(cls, x: float, y: float, r: float) -> "FuzzyPoint":
@@ -150,22 +188,20 @@ class FuzzyPoint:
         return (self.spread.p1 * u, self.spread.p2 * u)
 
 
-@dataclass(frozen=True)
-class TriangularTriple:
+class TriangularTriple(Value):
     """Triangular summary (l, m, u) of a fuzzy number, l <= m <= u."""
 
-    l: float
-    m: float
-    u: float
+    __slots__ = ("l", "m", "u")
 
-    def __post_init__(self):
-        l, m, u = self.l, self.m, self.u
+    def __init__(self, l: float, m: float, u: float):
         # finite Python floats are stored as given, as in Point2
         if not (type(l) is float and type(m) is float and type(u) is float
                 and math.isfinite(l) and math.isfinite(m) and math.isfinite(u)):
-            for name in ("l", "m", "u"):
-                object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if not (self.l <= self.m <= self.u):
+            l, m, u = (_require_finite(name, v) for name, v in (("l", l), ("m", m), ("u", u)))
+        _set(self, "l", l)
+        _set(self, "m", m)
+        _set(self, "u", u)
+        if not (l <= m <= u):
             raise ValueError(f"triple must be ordered l <= m <= u, got {self}")
 
     def __add__(self, other: "TriangularTriple") -> "TriangularTriple":

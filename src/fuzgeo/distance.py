@@ -33,14 +33,13 @@ on its own rows only, a row in scalar arithmetic, bit for bit alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import FuzzyNumber, FuzzyPoint, TriangularTriple, alpha_levels
+from .core import FuzzyNumber, FuzzyPoint, TriangularTriple, Value, _set, alpha_levels
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,15 +57,17 @@ def _linear_end(dc, u0, u):
     return dc * np.maximum(0.0, u0 - u) / u0
 
 
-@dataclass(frozen=True)
-class DistanceMembershipParams:
+class DistanceMembershipParams(Value):
     """Shared geometry of a fuzzy point pair: summed spreads and core offset."""
 
-    R1: float
-    R2: float
-    d1: float
-    d2: float
-    dc: float
+    __slots__ = ("R1", "R2", "d1", "d2", "dc")
+
+    def __init__(self, R1: float, R2: float, d1: float, d2: float, dc: float):
+        _set(self, "R1", R1)
+        _set(self, "R2", R2)
+        _set(self, "d1", d1)
+        _set(self, "d2", d2)
+        _set(self, "dc", dc)
 
     @classmethod
     def from_points(cls, a: FuzzyPoint, b: FuzzyPoint) -> "DistanceMembershipParams":

@@ -14,33 +14,28 @@ Hausdorff construction reports for its projected fuzzy numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .core import FuzzyPoint, Point2, TriangularNumber
+from .core import FuzzyPoint, Point2, TriangularNumber, Value, _set
 
 
-@dataclass(frozen=True)
-class LineSpec:
+class LineSpec(Value):
     """Line a*x + b*y = c with (a, b) != (0, 0).
 
     Coefficients are normalized to unit normal with a canonical sign, so
     equal lines compare equal regardless of the input scaling.
     """
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        norm = math.hypot(self.a, self.b)
+    def __init__(self, a: float, b: float, c: float):
+        norm = math.hypot(a, b)
         if norm == 0.0 or not math.isfinite(norm):
             raise ValueError("line requires (a, b) != (0, 0)")
-        a, b, c = self.a / norm, self.b / norm, self.c / norm
+        a, b, c = a / norm, b / norm, c / norm
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     @classmethod
     def through_points(cls, p: Point2, q: Point2) -> "LineSpec":

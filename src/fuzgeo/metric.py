@@ -20,25 +20,26 @@ t-norm's fn must work elementwise on arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import FuzzyNumber, FuzzyPoint, TriangularTriple
+from .core import FuzzyNumber, FuzzyPoint, Record, TriangularTriple, Value, _set
 from .distance import DistanceTable, FuzzyDistance, fuzzy_distance
 
 
-@dataclass(frozen=True)
-class TNorm:
+class TNorm(Value):
     """Commutative, associative, monotone binary operation on [0,1] with unit 1.
 
     fn must work elementwise on numpy arrays: the axiom checks apply it to
     whole arrays of closeness values at once.
     """
 
-    name: str
-    fn: Callable[[float, float], float]
+    __slots__ = ("name", "fn")
+
+    def __init__(self, name: str, fn: Callable[[float, float], float]):
+        _set(self, "name", name)
+        _set(self, "fn", fn)
 
     def __call__(self, x: float, y: float) -> float:
         return self.fn(x, y)
@@ -89,12 +90,16 @@ def closeness_spread(a: FuzzyPoint, b: FuzzyPoint, t: float) -> float:
     return hi - lo
 
 
-@dataclass
-class CheckResult:
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+class CheckResult(Record):
+    """Cases checked and the failures found; failures and notes are fresh lists by default."""
+
+    __slots__ = ("name", "checked", "failures", "notes")
+
+    def __init__(self, name: str, checked: int = 0, failures: Optional[list] = None,
+                 notes: Optional[list] = None):
+        self.name, self.checked = name, checked
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -106,15 +111,16 @@ class CheckResult:
             self.failures.append(detail)
 
 
-@dataclass
-class MetricAxiomReport:
-    tnorm: str
-    positivity: CheckResult
-    identity: CheckResult
-    symmetry: CheckResult
-    quadrangle: CheckResult
-    quadrangle_cuts: CheckResult
-    continuity: CheckResult
+class MetricAxiomReport(Record):
+    __slots__ = ("tnorm", "positivity", "identity", "symmetry", "quadrangle",
+                 "quadrangle_cuts", "continuity")
+
+    def __init__(self, tnorm: str, positivity: CheckResult, identity: CheckResult,
+                 symmetry: CheckResult, quadrangle: CheckResult,
+                 quadrangle_cuts: CheckResult, continuity: CheckResult):
+        self.tnorm, self.positivity, self.identity = tnorm, positivity, identity
+        self.symmetry, self.quadrangle = symmetry, quadrangle
+        self.quadrangle_cuts, self.continuity = quadrangle_cuts, continuity
 
     @property
     def checks(self) -> list[CheckResult]:
@@ -251,11 +257,11 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
         quadrangle_cuts=quadrangle_cuts, continuity=continuity)
 
 
-@dataclass
-class KSAxiomReport:
-    zero_core: CheckResult
-    symmetry: CheckResult
-    triangle: CheckResult
+class KSAxiomReport(Record):
+    __slots__ = ("zero_core", "symmetry", "triangle")
+
+    def __init__(self, zero_core: CheckResult, symmetry: CheckResult, triangle: CheckResult):
+        self.zero_core, self.symmetry, self.triangle = zero_core, symmetry, triangle
 
     @property
     def checks(self) -> list[CheckResult]:

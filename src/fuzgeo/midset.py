@@ -12,10 +12,10 @@ and the same-points branch solves
 
 Both are two-focus conics d1 -+ d2 = k with foci at the cores, one sheet
 of a hyperbola (the bisector when k = 0) and an ellipse, which
-``sample_branch`` evaluates in closed form; ``conic_coefficients`` gives
-the second-degree equation, by double squaring, and ``conic_class`` tags it
-in the frame centred between the cores.  Which branches are active
-at a level follows from the overlap configuration of the two cut disks.
+``sample_branch`` evaluates in closed form and ``conic_class`` tags from k
+and the core distance dc alone; ``conic_coefficients`` gives the
+second-degree equation, by double squaring.  Which branches are active at
+a level follows from the overlap configuration of the two cut disks.
 
 Focal sets are restricted to circular spreads; elliptical spreads would
 need a direction-dependent cut radius and are out of scope.
@@ -24,13 +24,12 @@ need a direction-dependent cut radius and are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import FuzzyPoint, Point2
+from .core import FuzzyPoint, Point2, Record
 
 DEFAULT_RESOLUTION = 512
 _ZERO_TOL = 1e-9
@@ -120,8 +119,7 @@ def active_branches(case: OverlapCase) -> tuple[Branch, ...]:
     return _ACTIVE_BRANCHES[case]
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Alpha levels at which the cut disks change overlap regime.
 
     n2 == n is the separation threshold; n1 the full-overlap threshold.
@@ -145,8 +143,7 @@ def alpha_thresholds(a: FuzzyPoint, b: FuzzyPoint) -> Thresholds:
     return Thresholds(n=n, n1=n1, n2=n)
 
 
-@dataclass(frozen=True)
-class ConicCoefficients:
+class ConicCoefficients(NamedTuple):
     """General second-degree curve A x^2 + 2H xy + B y^2 + 2G x + 2F y + C = 0."""
 
     A: float
@@ -166,18 +163,17 @@ class ConicCoefficients:
         return self.A * self.B - self.H ** 2
 
     def normalized(self) -> "ConicCoefficients":
-        coeffs = (self.A, self.H, self.B, self.G, self.F, self.C)
-        pivot = max(coeffs, key=abs)
+        pivot = max(self, key=abs)
         if pivot == 0.0:
             return self
-        return ConicCoefficients(*(v / pivot for v in coeffs))
+        return ConicCoefficients(*(v / pivot for v in self))
 
     def evaluate(self, x, y):
         return (self.A * x * x + 2 * self.H * x * y + self.B * y * y
                 + 2 * self.G * x + 2 * self.F * y + self.C)
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.A, self.H, self.B, self.G, self.F, self.C)
+        return tuple(self)
 
 
 def conic_coefficients(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
@@ -214,12 +210,17 @@ def conic_coefficients(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
 
 
 def classify_conic(c: ConicCoefficients, tol: float = _ZERO_TOL) -> str:
-    """Tag by the discriminants after scaling the quadratic part to unit norm.
+    """The paper's discriminant test: tag by Delta and delta after scaling
+    the quadratic part to unit norm; a zero quadratic part is the bisector.
 
-    The Frobenius norm sqrt(A^2 + 2H^2 + B^2) keeps Delta and delta unchanged
-    under translation and rotation; a zero quadratic part is the bisector.
-    Conics near degenerating (|k| within about 1e-6 of dc or of 0) stay
-    tolerance-bound and may be tagged either way.
+    The test compares the scaled discriminants with the absolute tol, so it
+    is tolerance-bound and depends on the frame and the scale.  Delta still
+    carries the square of the conic's size, and world coordinates far from
+    the origin lose digits to cancellation: A (1.3e7, 7e6) r 1,
+    B (13000004, 7000003) r 2 reads "degenerate" at alpha 0 where the branch
+    is a hyperbola, and so do small pairs and pairs near the bisector.
+    Library callers who want the class of a midset branch should use
+    conic_class, which does not form the coefficients.
     """
     norm = math.sqrt(c.A ** 2 + 2.0 * c.H ** 2 + c.B ** 2)
     if norm == 0.0:
@@ -235,16 +236,26 @@ def classify_conic(c: ConicCoefficients, tol: float = _ZERO_TOL) -> str:
 
 
 def conic_class(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch) -> str:
-    """classify_conic of the branch's conic in the frame centred between the cores.
+    """Class of a branch at level alpha, from the focal definition of the conics.
 
-    Translation keeps the class.  In world coordinates the double-squared
-    coefficients grow with the distance from the origin, and C, about
-    (|a|^2 - |b|^2)^2, cancels catastrophically far from it; centred, they
-    scale with the core distance.
+    With k = (r1 -+ r2)(1 - alpha) and dc the core distance, d1 - d2 = k is
+    the bisector ("line") for k = 0 and one sheet of a "hyperbola" for
+    0 < |k| < dc, and d1 + d2 = k is an "ellipse" for k > dc, a circle for
+    concentric cores.  At internal tangency the inverse branch is a ray, and
+    a branch that overlap_case does not make active is empty or, at external
+    tangency, a segment: those are "degenerate".  Only k, dc and the overlap
+    case decide, so the class does not depend on frame or scale.
     """
-    mx, my = 0.5 * (a.core.x + b.core.x), 0.5 * (a.core.y + b.core.y)
-    a, b = (FuzzyPoint(Point2(p.core.x - mx, p.core.y - my), p.spread) for p in (a, b))
-    return classify_conic(conic_coefficients(a, b, alpha, branch))
+    r1, r2, dc = _pair_radii(a, b)
+    u = 1.0 - alpha
+    case = _overlap_case(r1, r2, dc, u)
+    if branch not in _ACTIVE_BRANCHES[case]:
+        return "degenerate"
+    if branch is Branch.SAME:
+        return "ellipse"
+    if (r1 - r2) * u == 0.0:
+        return "line"
+    return "degenerate" if case is OverlapCase.INTERNALLY_TANGENT else "hyperbola"
 
 
 def support_bbox(a: FuzzyPoint, b: FuzzyPoint) -> tuple[float, float, float, float]:
@@ -383,8 +394,7 @@ def sample_midset(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
     }
 
 
-@dataclass(frozen=True)
-class MidsetEntry:
+class MidsetEntry(NamedTuple):
     alpha: float
     branch: Branch
     polylines: tuple
@@ -393,8 +403,7 @@ class MidsetEntry:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class MidsetResult:
+class MidsetResult(NamedTuple):
     entries: tuple
     case_at_support: OverlapCase
     thresholds: Thresholds
@@ -453,8 +462,7 @@ def equidistant_membership(q: Point2, a: FuzzyPoint, b: FuzzyPoint) -> float:
                default=0.0)
 
 
-@dataclass
-class InvarianceReport:
+class InvarianceReport(Record):
     """Zero-set comparison of the distance form and the closeness form.
 
     With fa = d1 - r1 u and fb = +-(d2 - r2 u) the terms of a branch
@@ -468,9 +476,10 @@ class InvarianceReport:
     counted apart and never disagrees.
     """
 
-    checked: int = 0
-    disagreements: int = 0
-    pole_points: int = 0
+    __slots__ = ("checked", "disagreements", "pole_points")
+
+    def __init__(self, checked: int = 0, disagreements: int = 0, pole_points: int = 0):
+        self.checked, self.disagreements, self.pole_points = checked, disagreements, pole_points
 
     @property
     def passed(self) -> bool:

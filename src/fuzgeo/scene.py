@@ -22,10 +22,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .core import FuzzyPoint, Point2, Spread
+from .core import FuzzyPoint, Point2, Spread, Value, _set
 
 _TOP_FIELDS = {"points", "pairs", "grids", "t"}
 _POINT_FIELDS = {"name", "core", "spread"}
@@ -37,19 +36,21 @@ class SceneError(ValueError):
     """Scene validation or parse failure."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     alpha_levels: int = 101
     bbox: Optional[tuple] = None
     resolution: int = 512
 
 
-@dataclass(frozen=True)
-class Scene:
-    points: dict
-    pairs: tuple
-    grids: GridSpec = field(default_factory=GridSpec)
-    t_values: Optional[tuple] = None
+class Scene(Value):
+    __slots__ = ("points", "pairs", "grids", "t_values")
+
+    def __init__(self, points: dict, pairs: tuple, grids: GridSpec = GridSpec(),
+                 t_values: Optional[tuple] = None):
+        _set(self, "points", points)
+        _set(self, "pairs", pairs)
+        _set(self, "grids", grids)
+        _set(self, "t_values", t_values)
 
     def pair_points(self, pair: tuple) -> tuple[FuzzyPoint, FuzzyPoint]:
         return self.points[pair[0]], self.points[pair[1]]

@@ -750,9 +750,49 @@ class TestClassifyRigidMotion:
         assert [e.conic_class for e in result.entries] == ["hyperbola"] * 3
         assert fg.conic_class(a, b, 0.25, Branch.INVERSE) == "hyperbola"
 
+    def test_near_bisector_pair_is_hyperbola(self):
+        # |k| = 0.01 u against dc = 5: the discriminant test reads degenerate
+        a, b = fg.FuzzyPoint.circular(0, 0, 1), fg.FuzzyPoint.circular(5, 0, 0.99)
+        result = fg.compute_midset(a, b, alphas=(0.0, 0.5, 0.9), resolution=16)
+        assert [e.conic_class for e in result.entries] == ["hyperbola"] * 3
+        assert fg.conic_class(a, b, 1.0, Branch.INVERSE) == "line"
+
+    @pytest.mark.parametrize("scale", 10.0 ** np.arange(-3, 4))
+    def test_class_does_not_depend_on_scale(self, scale):
+        # the case-table hyperbola read degenerate at scale 1e-3
+        a, b = placed((0, 0, 1.5), scale), placed((5, 0, 1), scale)
+        assert fg.conic_class(a, b, 0.5, Branch.INVERSE) == "hyperbola"
+        result = fg.compute_midset(a, b, alphas=(0.5,), resolution=16)
+        assert [e.conic_class for e in result.entries] == ["hyperbola"]
+
+    def test_class_follows_focal_definition(self, rng):
+        # d1 - d2 = k is the bisector for k = 0 and a hyperbola sheet for
+        # 0 < |k| < dc; d1 + d2 = k is an ellipse for k > dc
+        for _ in range(200):
+            r1, r2 = rng.uniform(0.2, 3.0, 2)
+            if rng.uniform() < 0.2:
+                r2 = r1
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            a = placed((0.0, 0.0, r1), scale)
+            b = placed((*rng.uniform(-5.0, 5.0, 2), r2), scale)
+            alpha = float(rng.uniform(0.0, 1.0))
+            dc = a.core.distance_to(b.core)
+            for branch in fg.active_branches(fg.overlap_case(a, b, alpha)):
+                inverse = branch is Branch.INVERSE
+                k = (a.radius - b.radius if inverse else a.radius + b.radius) * (1.0 - alpha)
+                if abs(abs(k) - dc) < 1e-6 * dc:
+                    continue
+                if inverse:
+                    assert abs(k) < dc
+                    want = "line" if k == 0.0 else "hyperbola"
+                else:
+                    assert k > dc
+                    want = "ellipse"
+                assert fg.conic_class(a, b, alpha, branch) == want, (r1, r2, scale, alpha)
+
     def test_far_from_origin_keeps_class(self, rng):
         # a pair 1e2 to 1e12 from the origin has the class of the pair at the
-        # origin, away from the tolerance-bound levels where |k| is near dc or 0
+        # origin, away from the tangency levels where |k| is near dc
         checked = 0
         while checked < 300:
             r1, r2 = rng.uniform(0.2, 3.0, 2)
@@ -762,7 +802,7 @@ class TestClassifyRigidMotion:
             dc = math.hypot(spec_b[0], spec_b[1])
             alpha, branch = float(rng.uniform(0.0, 1.0)), list(Branch)[rng.integers(2)]
             k = (r1 - r2 if branch is Branch.INVERSE else r1 + r2) * (1.0 - alpha)
-            if dc < 0.5 or abs(abs(k) - dc) < 1e-2 * dc or 0.0 < abs(k) < 1e-2:
+            if dc < 0.5 or abs(abs(k) - dc) < 1e-2 * dc:
                 continue
             want = fg.conic_class(placed(spec_a, 1.0), placed(spec_b, 1.0), alpha, branch)
             scale, phi = 10.0 ** rng.uniform(2.0, 12.0), rng.uniform(0.0, 2.0 * math.pi)

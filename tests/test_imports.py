@@ -1,4 +1,5 @@
-"""Every name a fuzgeo module imports is used in that module.
+"""Every name a fuzgeo module imports is used in that module, and the
+package imports without the dataclasses machinery.
 
 __init__ re-exports what it imports, so it is left out; so are
 ``from __future__`` imports.  A name counts as used where it appears as a
@@ -6,6 +7,9 @@ name in the code or in a string annotation.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,19 @@ def test_finds_an_unused_import():
                      "def f(a: 'sep') -> None:\n    return path\n")
     names = imported_names(tree)
     assert {n: names[n] for n in names if n not in used_names(tree)} == {"math": 1, "z": 3}
+
+
+def test_import_leaves_out_dataclasses():
+    # decorating records with dataclasses was most of the package's own
+    # import time.  The modules fuzgeo imports from numpy and the standard
+    # library come first, and dataclasses is dropped after them (some Python
+    # versions import it for argparse), so only fuzgeo's own code counts.
+    code = ("import sys, argparse, enum, functools, itertools, json, typing, numpy; "
+            "sys.modules.pop('dataclasses', None); import fuzgeo, fuzgeo.cli; "
+            "print(fuzgeo.__file__); print('dataclasses' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    location, loaded = result.stdout.split()
+    assert Path(location).resolve() == PACKAGE / "__init__.py"
+    assert loaded == "False"

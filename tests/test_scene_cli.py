@@ -301,6 +301,16 @@ class TestCli:
         assert [band["classes"] for band in payload["bands"]] == [
             {"inverse_points": "hyperbola"}]
 
+    def test_classify_near_bisector_pair(self, scene_file, tmp_path):
+        # |k| = 0.01 u is far below dc = 5; the discriminant test reads the
+        # double-squared conic as degenerate at every level
+        text = EX42_SCENE.replace('"radii": [2, 2]', '"radii": [0.99, 0.99]')
+        out = tmp_path / "out"
+        assert run(["classify", "--scene", scene_file(text), "--out", str(out)]) == 0
+        payload = json.loads((out / "A_B_classify.json").read_text())
+        assert [band["classes"] for band in payload["bands"]] == [
+            {"inverse_points": "hyperbola"}]
+
     def test_invariance_command(self, scene_file, tmp_path):
         out = tmp_path / "out"
         code = run(["invariance", "--scene", scene_file(EX41_SCENE),
