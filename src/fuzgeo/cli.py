@@ -18,6 +18,7 @@ test sampling helpers; the CLI commands themselves are deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from itertools import groupby
 import numpy as np
 
 from .distance import DistanceTable
-from .hausdorff import fuzzy_hausdorff
+from .hausdorff import PairError, hausdorff_rows
 from .metric import _scaled
 from .midset import (active_branches, alpha_thresholds, compute_midset, conic_class,
                      invariance_check, overlap_case, support_bbox)
@@ -120,20 +121,14 @@ def cmd_metric_curve(scene: Scene, args, out: str) -> None:
 
 def cmd_hausdorff(scene: Scene, args, out: str) -> None:
     paths = _paths(out, scene.pairs, "_hausdorff.json")
-    # every pair is computed before any file is written, so a failing pair
-    # leaves no partial output
-    texts = []
-    for name_a, name_b in scene.pairs:
-        try:
-            res = fuzzy_hausdorff(*scene.pair_points((name_a, name_b)))
-        except ValueError as exc:
-            raise SceneError(f"pair {[name_a, name_b]}: {exc}") from None
-        line = res.line
-        texts.append(hausdorff_json(
-            name_a, name_b, res.summary.as_tuple(), res.projected_a.summary.as_tuple(),
-            res.projected_b.summary.as_tuple(), (line.a, line.b, line.c, line.theta)))
-    for path, text in zip(paths, texts):
-        _write(path, text)
+    # one pass computes every pair's 13 numbers before any file is written,
+    # so a failing pair leaves no partial output
+    try:
+        rows = hausdorff_rows(map(scene.pair_points, scene.pairs))
+    except PairError as exc:
+        raise SceneError(f"pair {list(scene.pairs[exc.index])}: {exc}") from None
+    for (name_a, name_b), path, row in zip(scene.pairs, paths, rows):
+        _write(path, hausdorff_json(name_a, name_b, row[:3], row[3:6], row[6:9], row[9:]))
 
 
 def cmd_midset(scene: Scene, args, out: str) -> None:
@@ -246,9 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of run(), built by its first call: parsing leaves no state in it
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def run(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage and the error
         return 1 if exc.code else 0
     try:

@@ -67,6 +67,14 @@ class Value(Record):
     def __hash__(self) -> int:
         return hash(self._values())
 
+    @classmethod
+    def _of(cls, *values):
+        """An instance holding values, in slot order, as given: no checks."""
+        obj = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _set(obj, name, value)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -220,6 +228,13 @@ class TriangularTriple(Value):
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.l, self.m, self.u)
+
+
+def _triple(l, m, u):
+    """(l, m, u) if TriangularTriple accepts it, else TriangularTriple's error."""
+    if not -math.inf < l <= m <= u < math.inf:
+        TriangularTriple(l, m, u)
+    return l, m, u
 
 
 def alpha_levels(alphas) -> np.ndarray:

@@ -2,16 +2,48 @@
 
 The fuzzy Hausdorff distance of two fuzzy points projects both onto the
 line joining the cores and differences the inverse endpoints of the two
-projected fuzzy numbers per alpha.  HausdorffResult is that fuzzy number,
-and it keeps the line and both projections.
+projected fuzzy numbers per alpha.  hausdorff_rows computes many pairs in
+one pass; HausdorffResult is a row as that fuzzy number, which keeps the
+line and both projections, and fuzzy_hausdorff the one-pair case.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from .core import FuzzyNumber, FuzzyPoint, TriangularTriple
-from .lines import LineSpec, ProjectedFuzzyNumber, project_onto_line
+from .core import FuzzyNumber, FuzzyPoint, TriangularTriple, _triple
+from .lines import LineSpec, ProjectedFuzzyNumber, _frame, _line_through, _project
+
+
+class PairError(ValueError):
+    """The error of the pair at position index of a batch."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def hausdorff_rows(pairs: Iterable[tuple[FuzzyPoint, FuzzyPoint]]) -> list[tuple]:
+    """Per (a, b) pair, 13 floats from one pass with no object per pair: the
+    summary (l, m, u), the projected triples of a and b and the line's a, b,
+    c and theta.  The first pair that fails raises a PairError.
+    """
+    rows = []
+    for i, (a, b) in enumerate(pairs):
+        try:
+            if a.core.x == b.core.x and a.core.y == b.core.y:
+                raise ValueError("fuzzy Hausdorff distance requires distinct cores")
+            frame = _frame(*_line_through(a.core, b.core))
+            ta, tb = _project(a, frame), _project(b, frame)
+            near, far = (tb, ta) if tb[1] < ta[1] else (ta, tb)
+            # HausdorffResult's cut at alpha = 0; max drops the sign of a zero
+            lo0, hi0 = max(0.0, far[0] - near[2]), far[2] - near[0]
+            rows.append((*_triple(lo0, far[1] - near[1], hi0), *ta, *tb, *frame[:4]))
+        except ValueError as exc:
+            raise PairError(i, str(exc)) from None
+    return rows
 
 
 class HausdorffResult(FuzzyNumber):
@@ -24,15 +56,15 @@ class HausdorffResult(FuzzyNumber):
     hi from u2 - l1 to the core gap m = m2 - m1 at alpha = 1.
     """
 
-    def __init__(self, line: LineSpec, projected_a: ProjectedFuzzyNumber,
-                 projected_b: ProjectedFuzzyNumber):
-        self.line, self.projected_a, self.projected_b = line, projected_a, projected_b
-        near, far = projected_a, projected_b
+    def __init__(self, row: tuple):
+        self.line = line = LineSpec._of(*row[9:12])
+        self.projected_a = ProjectedFuzzyNumber(line, *row[3:6])
+        self.projected_b = ProjectedFuzzyNumber(line, *row[6:9])
+        near, far = self.projected_a, self.projected_b
         if far.summary.m < near.summary.m:
             near, far = far, near
         self.near, self.far = near, far
-        lo0, hi0 = self.cut(0.0)
-        self.summary = TriangularTriple(lo0, far.summary.m - near.summary.m, hi0)
+        self.summary = TriangularTriple(*row[:3])
 
     def _ends(self, alphas):
         a_lo, a_hi = self.near._ends(alphas)
@@ -60,7 +92,4 @@ def fuzzy_hausdorff(a: FuzzyPoint, b: FuzzyPoint) -> HausdorffResult:
     alpha differences the inverse endpoints of the projections, with the
     point projecting further along the line taking the upper role.
     """
-    if a.core.x == b.core.x and a.core.y == b.core.y:
-        raise ValueError("fuzzy Hausdorff distance requires distinct cores")
-    line = LineSpec.through_points(a.core, b.core)
-    return HausdorffResult(line, project_onto_line(a, line), project_onto_line(b, line))
+    return HausdorffResult(hausdorff_rows([(a, b)])[0])

@@ -14,7 +14,7 @@ Hausdorff construction reports for its projected fuzzy numbers.
 from __future__ import annotations
 
 import math
-from .core import FuzzyPoint, Point2, TriangularNumber, Value, _set
+from .core import FuzzyPoint, Point2, TriangularNumber, Value, _set, _triple
 
 
 class LineSpec(Value):
@@ -27,12 +27,7 @@ class LineSpec(Value):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: float, b: float, c: float):
-        norm = math.hypot(a, b)
-        if norm == 0.0 or not math.isfinite(norm):
-            raise ValueError("line requires (a, b) != (0, 0)")
-        a, b, c = a / norm, b / norm, c / norm
-        if a < 0 or (a == 0 and b < 0):
-            a, b, c = -a, -b, -c
+        a, b, c = _unit_normal(a, b, c)
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
@@ -41,9 +36,7 @@ class LineSpec(Value):
     def through_points(cls, p: Point2, q: Point2) -> "LineSpec":
         if p.x == q.x and p.y == q.y:
             raise ValueError("two distinct points are needed to define a line")
-        a = q.y - p.y
-        b = p.x - q.x
-        return cls(a, b, a * p.x + b * p.y)
+        return cls._of(*_line_through(p, q))
 
     @classmethod
     def through_point_angle(cls, p: Point2, psi: float) -> "LineSpec":
@@ -54,12 +47,11 @@ class LineSpec(Value):
     @property
     def theta(self) -> float:
         """Angle of elevation in [0, pi)."""
-        return math.atan2(-self.a, self.b) % math.pi
+        return _frame(self.a, self.b, self.c)[3]
 
     @property
     def direction(self) -> tuple[float, float]:
-        t = self.theta
-        return (math.cos(t), math.sin(t))
+        return _frame(self.a, self.b, self.c)[4:6]
 
     @property
     def foot(self) -> Point2:
@@ -70,9 +62,7 @@ class LineSpec(Value):
     @property
     def anchor(self) -> Point2:
         """Origin of the s-coordinate: the better conditioned axis intercept."""
-        if abs(self.b) >= abs(self.a):
-            return Point2(0.0, self.c / self.b)
-        return Point2(self.c / self.a, 0.0)
+        return Point2(*_frame(self.a, self.b, self.c)[6:])
 
     def contains(self, p: Point2, tol: float = 1e-9) -> bool:
         """Whether p is on the line, to tol relative to the size of the terms.
@@ -81,8 +71,7 @@ class LineSpec(Value):
         rounding error proportional to |a*x| + |b*y| + |c|, so the tolerance
         scales with that size where it exceeds 1.
         """
-        ax, by = self.a * p.x, self.b * p.y
-        return abs(ax + by - self.c) <= tol * max(1.0, abs(ax) + abs(by) + abs(self.c))
+        return _on_line(self.a, self.b, self.c, p.x, p.y, tol)
 
     def to_line_coords(self, q: Point2) -> tuple[float, float]:
         """(s, n): coordinate along the line and signed offset from it."""
@@ -95,6 +84,50 @@ class LineSpec(Value):
         cx, sx = self.direction
         ox, oy = self.anchor
         return Point2(ox + s * cx - n * sx, oy + s * sx + n * cx)
+
+
+# LineSpec's arithmetic on floats, shared with the Hausdorff rows
+
+def _unit_normal(a, b, c):
+    norm = math.hypot(a, b)
+    if norm == 0.0 or not math.isfinite(norm):
+        raise ValueError("line requires (a, b) != (0, 0)")
+    a, b, c = a / norm, b / norm, c / norm
+    if a < 0 or (a == 0 and b < 0):
+        return -a, -b, -c
+    return a, b, c
+
+
+def _line_through(p, q):
+    a = q.y - p.y
+    b = p.x - q.x
+    return _unit_normal(a, b, a * p.x + b * p.y)
+
+
+def _frame(a, b, c):
+    """(a, b, c, theta, cos(theta), sin(theta), x0, y0) of a unit-normal line,
+    where (x0, y0) is the anchor."""
+    theta = math.atan2(-a, b) % math.pi
+    anchor = (0.0, c / b) if abs(b) >= abs(a) else (c / a, 0.0)
+    return (a, b, c, theta, math.cos(theta), math.sin(theta), *anchor)
+
+
+def _on_line(a, b, c, x, y, tol=1e-9):
+    ax, by = a * x, b * y
+    return abs(ax + by - c) <= tol * max(1.0, abs(ax) + abs(by) + abs(c))
+
+
+def _project(p, frame):
+    """The (l, m, u) of project_onto_line onto the line of a _frame."""
+    a, b, c, _, cx, sx, ox, oy = frame
+    x, y = p.core.x, p.core.y
+    if not _on_line(a, b, c, x, y):
+        raise ValueError("projection line must pass through the fuzzy point core")
+    if not (math.isfinite(ox) and math.isfinite(oy)):
+        Point2(ox, oy)  # raises the anchor's error
+    w = math.hypot(p.spread.p1 * cx, p.spread.p2 * sx)
+    s0 = (x - ox) * cx + (y - oy) * sx
+    return _triple(s0 - w, s0, s0 + w)
 
 
 class ProjectedFuzzyNumber(TriangularNumber):
@@ -116,12 +149,7 @@ def project_onto_line(p: FuzzyPoint, line: LineSpec) -> ProjectedFuzzyNumber:
     sqrt((p1*cos(psi))^2 + (p2*sin(psi))^2); for circular spreads this is
     the radius for every line angle.
     """
-    if not line.contains(p.core):
-        raise ValueError("projection line must pass through the fuzzy point core")
-    cx, sx = line.direction
-    w = math.hypot(p.spread.p1 * cx, p.spread.p2 * sx)
-    s0, _ = line.to_line_coords(p.core)
-    return ProjectedFuzzyNumber(line, s0 - w, s0, s0 + w)
+    return ProjectedFuzzyNumber(line, *_project(p, _frame(line.a, line.b, line.c)))
 
 
 def classify_pair(a: FuzzyPoint, p1: Point2, b: FuzzyPoint, p2: Point2,

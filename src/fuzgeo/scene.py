@@ -77,7 +77,7 @@ def _numbers(values, field: str) -> tuple:
             out.append(float(v))
         except OverflowError:
             out.append(math.inf if v > 0 else -math.inf)
-    if not all(math.isfinite(v) for v in out):
+    if not all(map(math.isfinite, out)):
         raise SceneError(f"{field} must be finite, got {out}")
     return tuple(out)
 
@@ -115,11 +115,11 @@ def _parse_point(entry, index: int) -> tuple[str, FuzzyPoint]:
     if p1 <= 0 or p2 <= 0:
         raise SceneError(f"point {name!r}: spread radii must be positive, "
                          f"got ({p1}, {p2})")
-    try:
-        fp = FuzzyPoint(Point2(x, y), Spread(kind, p1, p2))
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"point {name!r}: {exc}") from None
-    return name, fp
+    if kind == "circular" and p1 != p2:
+        raise SceneError(f"point {name!r}: circular spread requires equal radii, "
+                         f"got ({p1}, {p2})")
+    # the spread is checked above, with the messages of Spread
+    return name, FuzzyPoint(Point2(x, y), Spread._of(kind, p1, p2))
 
 
 def parse_scene(text: str) -> Scene:

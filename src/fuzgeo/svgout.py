@@ -11,7 +11,7 @@ from .core import FuzzyPoint
 from .midset import Branch, MidsetResult
 
 NUMBER = "%.9g"
-# json.dump's spelling of the floats whose repr is not JSON
+# json.dump's spelling of the floats whose %.9g is not JSON
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
@@ -26,9 +26,18 @@ def fmt_rows(prefix: str, block, end: str = "\n") -> str:
 
 
 def _json_numbers(values) -> list[str]:
-    """Each value as json.dump writes float(fmt(value)), all formatted in one % operation."""
+    """Each value as json.dump writes float(fmt(value)), all formatted in one % operation.
+
+    A %.9g string s with a '.' and no 'e' is already repr(float(s)), so only
+    integers, exponents, -0, inf and nan are read back.  Such an s has at
+    most 9 significant digits and no trailing zeros, and two such decimals
+    differ by more than a float's spacing, so s is the shortest string that
+    reads back as float(s), which repr writes; like %g, repr writes no
+    exponent for a decimal exponent in [-4, 9).
+    """
     text = ",".join([NUMBER] * len(values)) % tuple(values)
-    return [_JSON_NONFINITE.get(r, r) for r in map(repr, map(float, text.split(",")))]
+    return [s if "." in s and "e" not in s else _JSON_NONFINITE.get(s) or repr(float(s))
+            for s in text.split(",")]
 
 
 # The fixed-schema JSON files, laid out as json.dump(payload, indent=2)

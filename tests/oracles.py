@@ -244,6 +244,70 @@ def crisp_hausdorff(s1: Ellipse, s2: Ellipse, directions: int = 360) -> float:
     return max(float(diff[best]), -neg)
 
 
+class _ReferenceLine:
+    """The line a*x + b*y = c as LineSpec held it before Hausdorff rows were
+    batched: a unit normal of canonical sign, with theta, direction and
+    anchor recomputed by every call."""
+
+    def __init__(self, a: float, b: float, c: float):
+        norm = math.hypot(a, b)
+        if norm == 0.0 or not math.isfinite(norm):
+            raise ValueError("line requires (a, b) != (0, 0)")
+        a, b, c = a / norm, b / norm, c / norm
+        if a < 0 or (a == 0 and b < 0):
+            a, b, c = -a, -b, -c
+        self.a, self.b, self.c = a, b, c
+
+    @property
+    def theta(self) -> float:
+        return math.atan2(-self.a, self.b) % math.pi
+
+    @property
+    def direction(self) -> tuple[float, float]:
+        t = self.theta
+        return (math.cos(t), math.sin(t))
+
+    @property
+    def anchor(self) -> fg.Point2:
+        if abs(self.b) >= abs(self.a):
+            return fg.Point2(0.0, self.c / self.b)
+        return fg.Point2(self.c / self.a, 0.0)
+
+    def contains(self, p, tol: float = 1e-9) -> bool:
+        ax, by = self.a * p.x, self.b * p.y
+        return abs(ax + by - self.c) <= tol * max(1.0, abs(ax) + abs(by) + abs(self.c))
+
+    def project(self, p: FuzzyPoint) -> fg.TriangularNumber:
+        if not self.contains(p.core):
+            raise ValueError("projection line must pass through the fuzzy point core")
+        cx, sx = self.direction
+        w = math.hypot(p.spread.p1 * cx, p.spread.p2 * sx)
+        ox, oy = self.anchor
+        s0 = (p.core.x - ox) * cx + (p.core.y - oy) * sx
+        return fg.TriangularNumber(s0 - w, s0, s0 + w)
+
+
+def hausdorff_reference(a: FuzzyPoint, b: FuzzyPoint) -> tuple:
+    """The 13 numbers of the fuzzy Hausdorff distance by the object path
+    that preceded hausdorff.hausdorff_rows: a line object, two projected
+    triangular numbers and the support-level cut of the nearer and the
+    farther projection.  (l, m, u), both projected triples, then the line's
+    a, b, c and theta; errors raise the messages that path raised.
+    """
+    if a.core.x == b.core.x and a.core.y == b.core.y:
+        raise ValueError("fuzzy Hausdorff distance requires distinct cores")
+    p, q = a.core, b.core
+    la, lb = q.y - p.y, p.x - q.x
+    line = _ReferenceLine(la, lb, la * p.x + lb * p.y)
+    pa, pb = line.project(a), line.project(b)
+    near, far = (pb, pa) if pb.summary.m < pa.summary.m else (pa, pb)
+    (a_lo, a_hi), (b_lo, b_hi) = near._ends(0.0), far._ends(0.0)
+    lo0, hi0 = float(np.maximum(0.0, b_lo - a_hi)), float(b_hi - a_lo)
+    summary = TriangularTriple(lo0, far.summary.m - near.summary.m, hi0)
+    return (*summary.as_tuple(), *pa.summary.as_tuple(), *pb.summary.as_tuple(),
+            line.a, line.b, line.c, line.theta)
+
+
 def ellipse_boundary(e, n):
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     return np.stack([e.cx + e.rx * np.cos(t), e.cy + e.ry * np.sin(t)], axis=1)

@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import fuzgeo as fg
+from fuzgeo.hausdorff import PairError, hausdorff_rows
 from oracles import (Ellipse, bisect_membership, crisp_hausdorff, hausdorff_boundary_oracle,
-                     hausdorff_support_oracle, membership_pairs, membership_probes,
-                     random_separated_pair)
+                     hausdorff_reference, hausdorff_support_oracle, membership_pairs,
+                     membership_probes, random_separated_pair)
 
 
 class TestCrispHausdorff:
@@ -152,3 +154,83 @@ class TestFuzzyHausdorff:
             # s-coordinates of the cores are about scale in size
             assert (lo, m, hi) == pytest.approx((max(0.0, dc - r1 - r2), dc, dc + r1 + r2),
                                                 abs=1e-14 * scale)
+
+
+def _hex(row):
+    return [x.hex() for x in row]
+
+
+def _point(rng, x, y, scale):
+    p1, p2 = (scale * rng.uniform(0.05, 1.0, 2)).tolist()
+    if rng.random() < 0.5:
+        return fg.FuzzyPoint.circular(x, y, p1)
+    return fg.FuzzyPoint.elliptical(x, y, p1, p2)
+
+
+def _mixed_pairs(rng, shift):
+    """Pairs of a seeded scene of circular and elliptical points at one scale
+    in 10^[-3, 3], shifted from the origin by shift times that scale, with
+    axis-parallel core lines and |a| == |b| ties among them.
+
+    Coordinates lie on a grid of 2^-20 times a power of two near the scale,
+    so a core moved by (d, 0), (0, d) or (d, +-d) moves exactly.
+    """
+    unit = 2.0 ** (np.floor(np.log2(10.0 ** rng.uniform(-3.0, 3.0))) - 20)
+    centre = np.round(shift * 2.0 ** 20 * rng.uniform(-1.0, 1.0, 2)) * unit
+    scale = unit * 2.0 ** 20
+    pairs = []
+    for _ in range(12):
+        x, y = (centre + np.round(rng.uniform(-2.0, 2.0, 2) * 2.0 ** 20) * unit).tolist()
+        d = float(np.round(rng.uniform(0.1, 3.0) * 2.0 ** 20) * unit) * rng.choice([-1, 1])
+        dx, dy = [(d, 0.0), (0.0, d), (d, d), (d, -d),
+                  tuple((rng.uniform(-3.0, 3.0, 2) * scale).tolist())][rng.integers(5)]
+        pairs.append((_point(rng, x, y, scale), _point(rng, x + dx, y + dy, scale)))
+    return pairs
+
+
+class TestHausdorffRows:
+    """hausdorff_rows against hausdorff_reference, the object path it replaced."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3, 1e5, 1e7])
+    def test_rows_equal_reference_bit_for_bit(self, rng, shift):
+        ties = axis = 0
+        for _ in range(25):
+            pairs = _mixed_pairs(rng, shift)
+            for (a, b), row in zip(pairs, hausdorff_rows(pairs)):
+                assert _hex(row) == _hex(hausdorff_reference(a, b))
+                ties += abs(row[9]) == abs(row[10])
+                axis += row[9] == 0.0 or row[10] == 0.0
+        # two fifths of the 300 pairs each
+        assert ties >= 60 and axis >= 60
+
+    def test_fuzzy_hausdorff_is_the_one_row_case(self, rng):
+        for a, b in _mixed_pairs(rng, 1e3) + _mixed_pairs(rng, 0.0):
+            res = fg.fuzzy_hausdorff(a, b)
+            got = (*res.summary.as_tuple(), *res.projected_a.summary.as_tuple(),
+                   *res.projected_b.summary.as_tuple(), res.line.a, res.line.b, res.line.c,
+                   res.line.theta)
+            assert _hex(got) == _hex(hausdorff_reference(a, b))
+            assert res.cut(0.0) == (res.summary.l, res.summary.u)
+            # the library's line and projection share the rows' arithmetic
+            line = fg.LineSpec.through_points(a.core, b.core)
+            assert _hex((line.a, line.b, line.c, line.theta)) == _hex(got[9:])
+            for p, projected in ((a, got[3:6]), (b, got[6:9])):
+                assert _hex(fg.project_onto_line(p, line).summary.as_tuple()) == _hex(projected)
+
+    @pytest.mark.parametrize("core_a, core_b, radius", [
+        ((1.0, 0.0), (1.0, 0.0), 1.0),             # coincident cores
+        ((1e200, 1e200), (2e200, 2e200), 1.0),     # c is inf - inf: a core off its line
+        ((1e300, 0.0), (-1e300, 1e300), 1.0),      # the anchor overflows
+        ((-1.7e308, 0.0), (1.7e308, 0.0), 1.0),    # the normal overflows
+        ((1e308, 0.0), (1.5e308, 0.0), 1e308),     # a projected end overflows
+    ], ids=["coincident", "off-line", "anchor", "normal", "triple"])
+    def test_failing_pair_named_with_reference_message(self, core_a, core_b, radius):
+        ok = (fg.FuzzyPoint.circular(0, 0, 1), fg.FuzzyPoint.circular(3, 4, 1))
+        bad = (fg.FuzzyPoint.circular(*core_a, radius), fg.FuzzyPoint.circular(*core_b, radius))
+        with pytest.raises(ValueError) as want:
+            hausdorff_reference(*bad)
+        with pytest.raises(PairError) as got:
+            hausdorff_rows([ok, ok, bad, bad, ok])
+        assert (got.value.index, str(got.value)) == (2, str(want.value))
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            fg.fuzzy_hausdorff(*bad)

@@ -71,3 +71,15 @@ def test_import_leaves_out_dataclasses():
     location, loaded = result.stdout.split()
     assert Path(location).resolve() == PACKAGE / "__init__.py"
     assert loaded == "False"
+
+
+def test_cli_builds_its_parser_on_first_run():
+    # the import leaves the parser unbuilt; the first run builds it, and the
+    # runs after it reuse it
+    code = ("import io, sys, fuzgeo.cli as cli; built = cli._parser.cache_info().currsize; "
+            "sys.stdout = io.StringIO(); codes = [cli.run(['--help']) for _ in range(3)]; "
+            "print(built, cli._parser.cache_info().misses, codes, file=sys.stderr)")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stderr.split("\n")[-2] == "0 1 [0, 0, 0]"

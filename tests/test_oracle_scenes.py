@@ -1,0 +1,104 @@
+"""The CLI's distance and hausdorff files on seeded random scenes, checked
+by the benchmark's independent oracles in bench/oracles.py, which re-derive
+every number from closed forms and angle fans without importing fuzgeo.
+
+A scene has four circular or elliptical points at one scale in 10^[-3, 3],
+with cores within 3 scales of its centre: the origin, or for a shifted
+scene a point 10^[3, 7] scales away.  Draws follow FUZGEO_SEED.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fuzgeo.cli import run
+from fuzgeo.hausdorff import hausdorff_rows
+from fuzgeo.scene import parse_scene
+from fuzgeo.svgout import fmt
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_oracles", Path(__file__).resolve().parent.parent / "bench" / "oracles.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+SCENES = 10
+LEVELS = 11
+
+
+class PrintPrecision(AssertionError):
+    """Oracle errors in files whose numbers pass once printed in full."""
+
+
+def _scenes(rng, shifted: bool):
+    """SCENES scenes as lists of scene-file points."""
+    for _ in range(SCENES):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        centre = np.zeros(2)
+        if shifted:
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            centre = 10.0 ** rng.uniform(3.0, 7.0) * scale * np.array([np.cos(phi), np.sin(phi)])
+        points = []
+        for i in range(4):
+            x, y = (centre + rng.uniform(-3.0, 3.0, 2) * scale).tolist()
+            p1, p2 = (rng.uniform(0.1, 1.0, 2) * scale).tolist()
+            kind = "circular" if rng.random() < 0.5 else "elliptical"
+            points.append({"name": f"P{i}", "core": [x, y], "spread": {
+                "kind": kind, "radii": [p1, p1] if kind == "circular" else [p1, p2]}})
+        yield points
+
+
+def _cli(path: Path, command: str, points, *args) -> tuple[str, list]:
+    """Run command on the scene of points; its --out and the oracle's pairs."""
+    path.mkdir()
+    (path / "scene.json").write_text(json.dumps({"points": points}))
+    out = str(path / "out")
+    assert run([command, "--scene", str(path / "scene.json"), "--out", out, *args]) == 0
+    return out, [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
+
+
+def _payload(a: str, b: str, row) -> dict:
+    """A hausdorff file's content for a row of hausdorff_rows."""
+    return {"pair": [a, b], "summary": list(row[:3]),
+            "projected": {a: list(row[3:6]), b: list(row[6:9])},
+            "line": dict(zip(("a", "b", "c", "theta"), row[9:]))}
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["origin", "shifted"])
+def test_distance(rng, tmp_path, shifted):
+    for k, points in enumerate(_scenes(rng, shifted)):
+        out, pairs = _cli(tmp_path / str(k), "distance", points, "--alpha-levels", str(LEVELS))
+        assert bench.check_distance(out, pairs, LEVELS) == [], points
+
+
+def test_hausdorff_at_origin(rng, tmp_path):
+    for k, points in enumerate(_scenes(rng, False)):
+        out, pairs = _cli(tmp_path / str(k), "hausdorff", points)
+        assert bench.check_hausdorff(out, pairs) == [], points
+
+
+@pytest.mark.xfail(strict=True, raises=PrintPrecision, reason=(
+    "ROADMAP item 6: %.9g keeps nine significant digits of s-coordinates and "
+    "line offsets, which a shift makes 1e3 to 1e7 times the pair's size"))
+def test_hausdorff_shifted(rng, tmp_path):
+    failed = []
+    for k, points in enumerate(_scenes(rng, True)):
+        out, pairs = _cli(tmp_path / str(k), "hausdorff", points)
+        # the kernel's rows, written in full, pass the same oracle, and the
+        # CLI's files hold them to nine digits
+        full = tmp_path / str(k) / "full"
+        full.mkdir()
+        scene = parse_scene(json.dumps({"points": points}))
+        for (a, b), row in zip(scene.pairs, hausdorff_rows(map(scene.pair_points, scene.pairs))):
+            name = f"{a}_{b}_hausdorff.json"
+            (full / name).write_text(json.dumps(_payload(a, b, row)))
+            printed = json.loads((Path(out) / name).read_text())
+            assert printed == _payload(a, b, [float(fmt(x)) for x in row])
+        assert bench.check_hausdorff(str(full), pairs) == [], points
+        errors = bench.check_hausdorff(out, pairs)
+        if errors:
+            failed.append(errors[0])
+    if failed:
+        raise PrintPrecision(f"{len(failed)} of {SCENES} scenes, first: {failed[0]}")

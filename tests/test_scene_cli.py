@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fuzgeo as fg
+from fuzgeo import cli
 from fuzgeo.cli import run
 from fuzgeo.svgout import distance_json, fmt, fmt_rows, hausdorff_json, invariance_json
 from oracles import midset_files_reference, reference_json, reference_rows
@@ -111,6 +112,33 @@ class TestParseScene:
         with pytest.raises(fg.SceneError, match="positive"):
             fg.parse_scene(text)
 
+    @pytest.mark.parametrize("radii, message", [
+        ("[0, 1.5]", "point 'B': spread radii must be positive, got (0.0, 1.5)"),
+        ("[1, -1]", "point 'B': spread radii must be positive, got (1.0, -1.0)"),
+        ("[1, Infinity]", "point 'B': spread radii must be finite, got [1.0, inf]"),
+    ])
+    def test_bad_radii_message(self, radii, message):
+        with pytest.raises(fg.SceneError, match=f"^{re.escape(message)}$"):
+            fg.parse_scene(EX22_SCENE.replace("[1, 1.5]", radii))
+
+    @pytest.mark.parametrize("spread, message", [
+        ('"kind": "circular", "radii": [1, 1.5]',
+         "point 'B': circular spread requires equal radii, got (1.0, 1.5)"),
+        ('"kind": "oval", "radii": [1, 1.5]',
+         "point 'B': spread kind must be 'circular' or 'elliptical', got 'oval'"),
+    ], ids=["unequal-circular", "unknown-kind"])
+    def test_bad_spread_message(self, spread, message):
+        text = EX22_SCENE.replace('"kind": "elliptical", "radii": [1, 1.5]', spread)
+        with pytest.raises(fg.SceneError, match=f"^{re.escape(message)}$"):
+            fg.parse_scene(text)
+
+    def test_points_equal_their_checked_construction(self):
+        points = fg.parse_scene(EX22_SCENE).points
+        assert points == {"A": fg.FuzzyPoint.circular(1.0, 0.0, 1.0),
+                          "B": fg.FuzzyPoint.elliptical(5.0, 2.0, 1.0, 1.5)}
+        assert all(type(v) is float for p in points.values()
+                   for v in (p.core.x, p.core.y, p.spread.p1, p.spread.p2))
+
     def test_malformed_json_reports_position(self):
         with pytest.raises(fg.SceneError, match=r"line \d+, column \d+"):
             fg.parse_scene('{"points": [,]}')
@@ -206,6 +234,11 @@ def scene_file(tmp_path):
         path.write_text(text)
         return str(path)
     return write
+
+
+def _files(path) -> dict:
+    """Name and bytes of every file in path; {} if path does not exist."""
+    return {p.name: p.read_bytes() for p in path.iterdir()} if path.exists() else {}
 
 
 class TestCli:
@@ -422,6 +455,21 @@ class TestCli:
         message = capsys.readouterr().err.splitlines()[-1]
         assert "pair ['A', 'C']" in message and "distinct cores" in message
 
+    @pytest.mark.parametrize("core_c, core_d, message", [
+        ([1, 0], [1, 0], "fuzzy Hausdorff distance requires distinct cores"),
+        # a*x + b*y overflows to inf - inf, so c is nan
+        ([1e200, 1e200], [2e200, 2e200], "projection line must pass through the fuzzy point core"),
+    ], ids=["coincident-cores", "core-off-its-line"])
+    def test_hausdorff_bad_pair_in_the_middle_named(self, core_c, core_d, message, scene_file,
+                                                    tmp_path, capsys):
+        points = [{"name": name, "core": core, "spread": {"kind": "circular", "radii": [1, 1]}}
+                  for name, core in (("A", [0, 0]), ("B", [3, 4]), ("C", core_c), ("D", core_d))]
+        text = json.dumps({"points": points, "pairs": [["A", "B"], ["C", "D"], ["A", "C"]]})
+        out = tmp_path / "out"
+        assert run(["hausdorff", "--scene", scene_file(text), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"fuzgeo: error: pair ['C', 'D']: {message}\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["midset", "classify", "invariance"])
     def test_elliptical_point_named_before_any_write(self, command, scene_file, tmp_path,
                                                      capsys):
@@ -499,6 +547,25 @@ class TestCli:
         assert run(argv) == 1
         assert named in capsys.readouterr().err.splitlines()[-1]
         assert not (tmp_path / "out").exists()
+
+    def test_reused_parser_matches_a_fresh_process(self, scene_file, tmp_path, capsys):
+        # run() builds its parser once per process; a flag given to one call,
+        # or an argument error, must not carry into the next
+        scene = scene_file(EX42_SCENE)
+        midset = ["midset", "--scene", scene, "--alpha-levels", "3", "--resolution", "16"]
+        sequence = [["distance", "--scene", scene, "--alpha-levels", "5"],
+                    ["distance", "--scene", scene],
+                    [*midset, "--format", "svg"], [*midset, "--format", "csv"],
+                    ["distance", "--scene", scene, "--alpha-levels", "x"],
+                    ["distance", "--scene", scene]]
+        for i, argv in enumerate(sequence):
+            here, fresh = tmp_path / f"run{i}", tmp_path / f"fresh{i}"
+            code = run([*argv, "--out", str(here)])
+            proc = subprocess.run([sys.executable, "-m", "fuzgeo", *argv, "--out", str(fresh)],
+                                  env=_module_env(), capture_output=True, text=True, timeout=60)
+            assert (code, capsys.readouterr().err) == (proc.returncode, proc.stderr), argv
+            assert _files(here) == _files(fresh), argv
+        assert cli._parser.cache_info().misses == 1
 
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
@@ -725,6 +792,11 @@ class TestJsonTemplates:
 
     @pytest.mark.parametrize("x, text", [(1.0, "1.0"), (-0.0, "-0.0"), (1e10, "10000000000.0"),
                                          (123456789012.0, "123456789000.0"),
-                                         (5e-324, "5e-324"), (np.inf, "Infinity")])
+                                         (5e-324, "5e-324"), (np.inf, "Infinity"),
+                                         (-np.inf, "-Infinity"), (np.nan, "NaN"),
+                                         (0.0001, "0.0001"), (1e-5, "1e-05"),
+                                         (-1.25, "-1.25"), (9.9999999996, "10.0"),
+                                         (123456789.4, "123456789.0"),
+                                         (0.123456789123, "0.123456789")])
     def test_number_spelling(self, x, text):
         assert f'"argmin_theta": {text},' in distance_json("A", "B", (0, 0, 0), x, 0.0, True)
