@@ -60,12 +60,19 @@ class Record:
 
 
 class Value(Record):
-    """A frozen, hashable Record; __init__ stores each field with _set."""
+    """A frozen, hashable Record; __init__ stores each field with _set.
+
+    A pickled Value comes back through _of, with its fields as stored.
+    """
 
     __slots__ = ()
 
     def __hash__(self) -> int:
         return hash(self._values())
+
+    def __reduce__(self):
+        # not through __init__, which may normalise the fields again
+        return (self._of, self._values())
 
     @classmethod
     def _of(cls, *values):

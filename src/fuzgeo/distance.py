@@ -17,17 +17,20 @@ spreads, so the membership of a distance value inverts a quadratic.  The
 roots are the eigenvalues of the quartics' companion matrices (A. Edelman
 and H. Murakami, Math. Comp. 64, 1995): a DistanceTable builds each pair's
 quartic with scalar arithmetic and solves all of them with one eigenvalue
-call on the stacked matrices.  When the supports overlap, the lower
-endpoint collapses to zero down to the level u0 at which the cuts
+call on the stacked matrices; FuzzyDistance(a, b) passes its one
+companion matrix to the same LAPACK call.  When the supports overlap, the
+lower endpoint collapses to zero down to the level u0 at which the cuts
 separate, and below u0 it grows linearly along the direction in which the
 cuts last touched.
 
 A DistanceTable holds the pairs' geometry and frozen directions as column
-arrays and cuts every pair in one broadcast.  A FuzzyDistance is one row of
-a table, and FuzzyDistance(a, b) the row of a one-pair table.  The branch
-of each pair's lower cut end is decided once, when the table is built, and
-_gap and _linear_end state the branch formulas: the table evaluates each
-on its own rows only, a row in scalar arithmetic, bit for bit alike.
+arrays and cuts every pair in one broadcast.  A FuzzyDistance is one row:
+rows() binds each to its row of a table, and FuzzyDistance(a, b) builds
+its one row directly, equal bit for bit to the row of a one-pair table.  The
+branch of each pair's lower cut end is decided once, by _lower_end, when
+the row is built, and _gap and _linear_end state the branch formulas: the
+table evaluates each on its own rows only, a row in scalar arithmetic,
+bit for bit alike.
 """
 
 from __future__ import annotations
@@ -132,18 +135,31 @@ def _quartic(p: DistanceMembershipParams) -> Optional[tuple[float, tuple]]:
 _SUBDIAGONAL = {k: [float(j % (k + 1) == 0) for j in range(k * (k - 1))] for k in range(1, 5)}
 
 
-def _eigvals(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of float64 square matrices, as complex numbers.
+# as a decorator, errstate is not built anew on every call
+@np.errstate(invalid="raise")
+def _lapack_eigvals(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of finite float64 square matrices, as complex numbers.
 
     The gufunc np.linalg.eigvals wraps, bit for bit the same eigenvalues,
     called without the wrapper's dtype dispatch and result cast, which cost
-    twice the LAPACK call itself on one 4 x 4 matrix.  As in the wrapper, a
-    non-finite entry and LAPACK non-convergence are errors.
+    twice the LAPACK call itself on one 4 x 4 matrix.  As in the wrapper,
+    LAPACK non-convergence is an error.
     """
+    # the first loop that takes float64 safely is d->D; a signature costs
+    # a fifth of the call
+    return _umath_linalg.eigvals(stack)
+
+
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    """_lapack_eigvals, with a non-finite entry an error as in np.linalg.eigvals."""
     if not np.isfinite(stack).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    with np.errstate(invalid="raise"):
-        return _umath_linalg.eigvals(stack, signature="d->D")
+    return _lapack_eigvals(stack)
+
+
+def _companion(c: Sequence[float], k: int) -> list[float]:
+    """The k x k companion matrix of the degree k polynomial c[:k + 1], flattened."""
+    return [-x / c[0] for x in c[1:k + 1]] + _SUBDIAGONAL[k]
 
 
 def _poly_roots(polys: Sequence[tuple[float, ...]]) -> np.ndarray:
@@ -164,8 +180,7 @@ def _poly_roots(polys: Sequence[tuple[float, ...]]) -> np.ndarray:
         by_degree.setdefault(k, []).append(i)
     roots = np.zeros((len(polys), size - 1))
     for k, rows in by_degree.items():
-        companion = np.array([[-c / polys[i][0] for c in polys[i][1:k + 1]] + _SUBDIAGONAL[k]
-                              for i in rows])
+        companion = np.array([_companion(polys[i], k) for i in rows])
         found = _eigvals(companion.reshape(-1, k, k)).real
         if k == size - 1 and len(rows) == len(polys):
             return found  # one stack of full degree holds every row, in order
@@ -197,19 +212,69 @@ def _extremal_directions(params: Sequence[DistanceMembershipParams]
         return out
     # (m, 1) columns, one row per solved pair
     phi, R1, R2, d1, d2 = np.array(columns).T[:, :, None]
-    thetas = phi + 2.0 * np.arctan(_poly_roots(quartics))
-    # gap(theta, 1) of every candidate; R * 1 == R, so the values are gap()'s
-    gaps = np.hypot(d1 + R1 * np.cos(thetas), d2 + R2 * np.sin(thetas))
-    # list.index(min(...)) is the first smallest, as argmin is
-    for i, row, g in zip(solved, thetas.tolist(), gaps.tolist()):
-        out[i] = (row[g.index(min(g))] % TWO_PI, row[g.index(max(g))] % TWO_PI, True)
+    thetas, gaps = _candidates(phi, R1, R2, d1, d2, _poly_roots(quartics))
+    for i, row, g in zip(solved, thetas, gaps):
+        out[i] = _pick(row, g)
     return out
+
+
+def _candidates(phi, R1, R2, d1, d2, roots) -> tuple[list, list]:
+    """Candidate directions phi + 2*atan(roots) and their gaps |V(theta, 1)|, as lists.
+
+    Elementwise on a pair's roots, or broadcast on (pairs, 1) columns and
+    (pairs, roots) roots; R * 1 == R, so the gaps are gap(theta, 1)'s.
+    """
+    thetas = phi + 2.0 * np.arctan(roots)
+    gaps = np.hypot(d1 + R1 * np.cos(thetas), d2 + R2 * np.sin(thetas))
+    return thetas.tolist(), gaps.tolist()
+
+
+def _pick(thetas: list, gaps: list) -> tuple[float, float, bool]:
+    """(theta_min, theta_max, True) from one pair's candidates."""
+    # list.index(min(...)) is the first smallest, as argmin is
+    return thetas[gaps.index(min(gaps))] % TWO_PI, thetas[gaps.index(max(gaps))] % TWO_PI, True
+
+
+def _pair_directions(p: DistanceMembershipParams) -> tuple[float, float, bool]:
+    """_extremal_directions([p])[0], bit for bit, for one pair.
+
+    A quartic of full degree whose companion matrix is finite goes straight
+    to LAPACK as one 4 x 4 matrix; the others (the flat profile, a zero
+    constant term, a non-finite entry) take the batched path.
+    """
+    q = _quartic(p)
+    if q is not None and q[1][4] != 0.0:
+        phi, quartic = q
+        companion = _companion(quartic, 4)
+        # a finite sum has finite entries; finite entries whose sum
+        # overflows only take the batched path, which checks each entry
+        if math.isfinite(sum(companion)):
+            roots = _lapack_eigvals(np.array(companion).reshape(4, 4)).real
+            return _pick(*_candidates(phi, p.R1, p.R2, p.d1, p.d2, roots))
+    return _extremal_directions([p])[0]
 
 
 # the branch of a pair's lower cut end: the gap at theta_min for separate
 # supports (u0 >= 1), linear below the touching level u0 for overlapping
 # ones, 0 for concentric cores
 _SEPARATE, _LINEAR, _ZERO = range(3)
+
+
+def _lower_end(p: DistanceMembershipParams, theta_min: float) -> tuple[float, int, float]:
+    """(u0, branch, direction) of a pair's lower cut end.
+
+    theta_min is the direction of the smallest support-level gap; it stays
+    the direction of separate supports.  Overlapping supports report the
+    angle at which the shrinking cuts last touch, concentric cores 0.
+    """
+    u0 = p.separation_level
+    if u0 >= 1.0:
+        return u0, _SEPARATE, theta_min
+    if u0 > 0.0:
+        # u0 > 0 cancels in atan2, and dividing by R * u0 could underflow to 0
+        return u0, _LINEAR, math.atan2(-p.d2 / p.R2, -p.d1 / p.R1) % TWO_PI
+    return u0, _ZERO, 0.0
+
 
 # the cut scale of the support level alpha = 0
 _SUPPORT_U = np.ones(1)
@@ -254,16 +319,7 @@ class DistanceTable:
         self._rows, self._lower = [], []
         for p, (theta_min, theta_max, refined) in zip(self.params,
                                                       _extremal_directions(self.params)):
-            u0 = p.separation_level
-            if u0 >= 1.0:
-                lower = _SEPARATE
-            elif u0 > 0.0:
-                lower = _LINEAR
-                # angle at which the shrinking cuts last touch; u0 > 0 cancels
-                # in atan2, and dividing by R * u0 could underflow to 0
-                theta_min = math.atan2(-p.d2 / p.R2, -p.d1 / p.R1) % TWO_PI
-            else:
-                lower, theta_min = _ZERO, 0.0
+            u0, lower, theta_min = _lower_end(p, theta_min)
             self._rows.append((p.R1, p.R2, p.d1, p.d2, p.dc, u0, theta_min, theta_max,
                                refined))
             self._lower.append(lower)
@@ -316,19 +372,34 @@ class DistanceTable:
 class FuzzyDistance(FuzzyNumber):
     """The fuzzy distance d(A, B) as a fuzzy number with closed-form cuts.
 
-    A FuzzyDistance is row `index` of the DistanceTable `table`: params,
-    argmin_theta, argmax_theta and refined are the row's entries as Python
-    values, and its cut takes the branch the table chose for the row.
+    params, argmin_theta, argmax_theta and refined are the pair's row as
+    Python values, and its cut takes the branch chosen for the row.  It is
+    row `index` of the DistanceTable `table`: FuzzyDistance(a, b) solves
+    its one pair directly and builds that one-pair table only on first use,
+    with the same row bit for bit.
     """
 
     def __init__(self, a: FuzzyPoint, b: FuzzyPoint):
-        self._bind(DistanceTable([(a, b)]), 0)
+        self.params = p = DistanceMembershipParams.from_points(a, b)
+        theta_min, self.argmax_theta, self.refined = _pair_directions(p)
+        self._u0, self._lower, self.argmin_theta = _lower_end(p, theta_min)
+        self.index = 0
 
     def _bind(self, table: DistanceTable, index: int) -> None:
         self.table, self.index = table, index
         self.params = table.params[index]
         self._lower = table._lower[index]
         *_, self._u0, self.argmin_theta, self.argmax_theta, self.refined = table._rows[index]
+
+    @cached_property
+    def table(self) -> DistanceTable:
+        """The one-pair table holding this distance's row, built on first use."""
+        p, table = self.params, DistanceTable([])
+        table.params.append(p)
+        table._rows.append((p.R1, p.R2, p.d1, p.d2, p.dc, self._u0, self.argmin_theta,
+                            self.argmax_theta, self.refined))
+        table._lower.append(self._lower)
+        return table
 
     def _ends(self, alphas):
         """Cut ends at the levels alphas, a float or an array.
@@ -350,8 +421,9 @@ class FuzzyDistance(FuzzyNumber):
 
     @cached_property
     def _support(self) -> tuple[float, float]:
-        """The support-level cut (lo0, hi0), computed on first use."""
-        return self.cut(0.0)
+        """The support-level cut (lo0, hi0), equal to cut(0.0), computed on first use."""
+        lo, hi = self._ends(0.0)
+        return float(lo), float(hi)
 
     @cached_property
     def _inverse(self) -> tuple:

@@ -452,14 +452,22 @@ def equidistant_membership(q: Point2, a: FuzzyPoint, b: FuzzyPoint) -> float:
     r1, r2, dc = _pair_radii(a, b)
     d1 = math.hypot(q.x - a.core.x, q.y - a.core.y)
     d2 = math.hypot(q.x - b.core.x, q.y - b.core.y)
-    roots = [(Branch.SAME, 1.0 - (d1 + d2) / (r1 + r2))]
+    grade = 0.0
+    alpha = 1.0 - (d1 + d2) / (r1 + r2)
+    if (0.0 <= alpha <= 1.0
+            and Branch.SAME in _ACTIVE_BRANCHES[_overlap_case(r1, r2, dc, 1.0 - alpha)]):
+        grade = alpha
     if r1 != r2:
-        roots.append((Branch.INVERSE, 1.0 - (d1 - d2) / (r1 - r2)))
+        alpha = 1.0 - (d1 - d2) / (r1 - r2)
     elif abs(d1 - d2) <= 1e-12:
-        roots.append((Branch.INVERSE, 1.0))
-    return max((alpha for branch, alpha in roots if 0.0 <= alpha <= 1.0
-                and branch in _ACTIVE_BRANCHES[_overlap_case(r1, r2, dc, 1.0 - alpha)]),
-               default=0.0)
+        alpha = 1.0
+    else:
+        return grade
+    # grade >= 0: only a root in (grade, 1] can raise it
+    if (grade < alpha <= 1.0
+            and Branch.INVERSE in _ACTIVE_BRANCHES[_overlap_case(r1, r2, dc, 1.0 - alpha)]):
+        grade = alpha
+    return grade
 
 
 class InvarianceReport(Record):

@@ -19,8 +19,9 @@ from fuzgeo.core import FuzzyPoint, TriangularTriple, tri_add
 from fuzgeo.distance import TWO_PI, DistanceMembershipParams, fuzzy_distances
 from fuzgeo.metric import (CheckResult, FuzzyDistance, KSAxiomReport, MetricAxiomReport,
                            _points_equal, closeness, fuzzy_distance)
-from fuzgeo.midset import (DEFAULT_RESOLUTION, Branch, InvarianceReport, OverlapCase,
-                           _pair_radii, active_branches, overlap_case, support_bbox)
+from fuzgeo.midset import (_ACTIVE_BRANCHES, DEFAULT_RESOLUTION, Branch, InvarianceReport,
+                           OverlapCase, _overlap_case, _pair_radii, active_branches,
+                           overlap_case, support_bbox)
 from fuzgeo.svgout import _alpha_color, fmt, fmt_rows
 
 # Draws a rejection-sampling helper makes before it gives up.
@@ -483,22 +484,24 @@ def general_position_points(rng, n, r_lo=0.05, r_hi=0.3, circular=False,
 
 
 def equidistant_membership_reference(q, a, b) -> float:
-    """Grade of a point in the fuzzy equidistant set, classifying each root anew.
+    """Grade of a point in the fuzzy equidistant set, gathering the active roots.
 
     Each branch residual is linear in u = 1 - alpha, with the one root
     u = (d1 - d2)/(r1 - r2) or u = (d1 + d2)/(r1 + r2) (grade 1 on the
     bisector when r1 = r2); the grade is the largest root level in [0, 1]
     at which its branch is active.
     """
-    r1, r2, _ = _pair_radii(a, b)
-    d1, d2 = q.distance_to(a.core), q.distance_to(b.core)
+    r1, r2, dc = _pair_radii(a, b)
+    d1 = math.hypot(q.x - a.core.x, q.y - a.core.y)
+    d2 = math.hypot(q.x - b.core.x, q.y - b.core.y)
     roots = [(Branch.SAME, 1.0 - (d1 + d2) / (r1 + r2))]
     if r1 != r2:
         roots.append((Branch.INVERSE, 1.0 - (d1 - d2) / (r1 - r2)))
     elif abs(d1 - d2) <= 1e-12:
         roots.append((Branch.INVERSE, 1.0))
     return max((alpha for branch, alpha in roots if 0.0 <= alpha <= 1.0
-                and branch in active_branches(overlap_case(a, b, alpha))), default=0.0)
+                and branch in _ACTIVE_BRANCHES[_overlap_case(r1, r2, dc, 1.0 - alpha)]),
+               default=0.0)
 
 
 def branch_residuals(pts, a, b, alpha, branch):

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuzgeo as fg
-from fuzgeo.distance import _extremal_directions, _poly_roots, _quartic
+from fuzgeo import distance
+from fuzgeo.distance import _extremal_directions, _pair_directions, _poly_roots, _quartic
 from oracles import (bisect_membership, bisect_root, distance_cut_reference,
                      distance_membership_reference,
                      extremal_directions_reference, general_position_triple,
@@ -321,11 +322,19 @@ def _bits(directions):
 
 
 def assert_solver_matches_reference(pairs):
-    """Alone and as one batch, every pair's directions equal the np.roots solver's bits."""
+    """Alone, as one batch and by the one-pair solve, every pair's directions
+    equal the np.roots solver's bits."""
     params = [fg.DistanceMembershipParams.from_points(a, b) for a, b in pairs]
-    want = _bits([extremal_directions_reference(p) for p in params])
+    reference = [extremal_directions_reference(p) for p in params]
+    want = _bits(reference)
     assert _bits([d for p in params for d in _extremal_directions([p])]) == want
     assert _bits(_extremal_directions(params)) == want
+    assert _bits([_pair_directions(p) for p in params]) == want
+    # FuzzyDistance(a, b) keeps the solve's upper direction; its lower one
+    # is the touching angle where the supports overlap
+    single = [fg.FuzzyDistance(a, b) for a, b in pairs]
+    assert _bits([(d.argmax_theta, 0.0, d.refined) for d in single]) == _bits(
+        [(theta_max, 0.0, refined) for _, theta_max, refined in reference])
 
 
 class TestExtremalDirections:
@@ -398,6 +407,25 @@ class TestBatchedSolver:
     @pytest.mark.parametrize("name", sorted(SPECIAL_PAIRS))
     def test_special_pairs(self, name):
         assert_solver_matches_reference([SPECIAL_PAIRS[name]])
+
+    def test_cut_table_pairs(self, rng):
+        # separate, overlapping, touching, concentric and flat pairs
+        for pairs in _cut_table_pairs(rng).values():
+            assert_solver_matches_reference(pairs)
+
+    def test_one_pair_solve_skips_the_batch(self, monkeypatch):
+        # a full-degree quartic goes straight to one 4 x 4 eigenvalue call;
+        # the flat profile and a zero constant term take the batched path
+        batched = []
+        monkeypatch.setattr(distance, "_extremal_directions",
+                            lambda params: batched.append(params) or _extremal_directions(params))
+        for a, b in QUARTIC_GEOMETRIES.values():
+            if _quartic(fg.DistanceMembershipParams.from_points(a, b))[1][4] != 0.0:
+                fg.FuzzyDistance(a, b)
+        assert batched == []
+        for name in ("flat, circular", "zero constant coefficient"):
+            fg.FuzzyDistance(*SPECIAL_PAIRS[name])
+        assert len(batched) == 2
 
     def test_mixed_batch(self, rng):
         # neighbours of every kind, including flat pairs the solve skips and a
@@ -577,7 +605,7 @@ class TestDistanceTable:
                               reference.view(np.int64))
 
     def test_rows_equal_single_pair_distances(self, rng):
-        pairs = _table_pairs(rng) + membership_pairs(rng, 12)
+        pairs = _table_pairs(rng) + membership_pairs(rng, 12) + list(SPECIAL_PAIRS.values())
         table = fg.DistanceTable(pairs)
         alphas = np.linspace(0.0, 1.0, 11)
         columns = zip(table.R1, table.R2, table.d1, table.d2, table.dc, table.u0,
@@ -588,8 +616,10 @@ class TestDistanceTable:
             assert row.params == p
             want = (p.R1, p.R2, p.d1, p.d2, p.dc, p.separation_level, single.argmin_theta,
                     single.argmax_theta, single.refined)
-            assert tuple(np.array(column).tolist()) == want
-            assert (row.argmin_theta, row.argmax_theta, row.refined) == want[-3:]
+            assert repr(tuple(np.array(column[:8]).tolist())) == repr(want[:8])
+            assert column[8] == want[8]
+            assert repr((row.argmin_theta, row.argmax_theta, row.refined)) == repr(want[-3:])
+            assert repr((row.summary, row._inverse)) == repr((single.summary, single._inverse))
             assert np.array_equal(np.array(row.cut_table(alphas)),
                                   np.array(single.cut_table(alphas)))
 

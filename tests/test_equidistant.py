@@ -323,11 +323,11 @@ def _query_points(a, b):
 
 
 class TestEquidistantMatchesReference:
-    """Grades from one classification on radii equal the per-root overlap_case loop."""
+    """Grades equal the reference's, gathered from a list of roots, sign of zero included."""
 
     def assert_grades_equal(self, a, b, points):
-        assert [fg.equidistant_membership(q, a, b) for q in points] == [
-            equidistant_membership_reference(q, a, b) for q in points]
+        assert [repr(fg.equidistant_membership(q, a, b)) for q in points] == [
+            repr(equidistant_membership_reference(q, a, b)) for q in points]
 
     def test_examples(self, ex41_pair, ex42_pair):
         for a, b in (ex41_pair, ex42_pair):
@@ -356,6 +356,58 @@ class TestEquidistantMatchesReference:
         for _ in range(6):
             a, b = random_circular(rng), random_circular(rng)
             self.assert_grades_equal(a, b, _query_points(a, b))
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CONFIGS))
+    def test_seeded_points_around_case_table(self, case, rng):
+        a, b = make_pair(TABLE_CONFIGS[case])
+        xmin, ymin, xmax, ymax = fg.support_bbox(a, b)
+        points = [fg.Point2(x, y) for x, y in
+                  rng.uniform((xmin, ymin), (xmax, ymax), size=(400, 2)).tolist()]
+        for pair in ((a, b), (b, a)):
+            self.assert_grades_equal(*pair, points)
+
+    def test_within_bisector_tolerance(self, ex41_pair):
+        # equal radii: |d1 - d2| on either side of the 1e-12 bisector test
+        a, b = ex41_pair
+        points = [fg.Point2(2.5 + dx, y) for dx in (0.0, 2e-13, 4e-13, 6e-13, 1e-12, 2e-12)
+                  for y in (0.0, 0.3, 1.7)]
+        gaps = {abs(q.distance_to(a.core) - q.distance_to(b.core)) <= 1e-12 for q in points}
+        assert gaps == {True, False}
+        self.assert_grades_equal(a, b, points)
+        self.assert_grades_equal(b, a, points)
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CONFIGS))
+    def test_points_on_cores(self, case):
+        a, b = make_pair(TABLE_CONFIGS[case])
+        for pair in ((a, b), (b, a)):
+            self.assert_grades_equal(*pair, [a.core, b.core])
+
+    @pytest.mark.parametrize("radii", [(1.0, 2.0), (1.5, 1.5)])
+    def test_concentric_cores(self, radii):
+        a = fg.FuzzyPoint.circular(0.5, -0.25, radii[0])
+        b = fg.FuzzyPoint.circular(0.5, -0.25, radii[1])
+        points = [fg.Point2(0.5 + dx, -0.25 + dy) for dx in (-2.0, -0.5, 0.0, 0.75, 1.25)
+                  for dy in (-1.0, 0.0, 0.5)]
+        self.assert_grades_equal(a, b, points)
+        self.assert_grades_equal(b, a, points)
+
+    def test_root_on_tangency(self):
+        # on the segment between the cores d1 + d2 = dc, so the SAME root is
+        # the separation threshold n; on the core line beyond the smaller
+        # disk d1 - d2 = dc, so the INVERSE root is the full-overlap
+        # threshold n1
+        a, b = fg.FuzzyPoint.circular(0, 0, 4), fg.FuzzyPoint.circular(1.5, 0, 1)
+        n, n1, _ = fg.alpha_thresholds(a, b)
+        assert (n, n1) == (0.7, 0.5)
+        between = [fg.Point2(x, 0.0) for x in (0.25, 0.5, 1.0, 1.25)]
+        beyond = [fg.Point2(x, 0.0) for x in (2.0, 2.5, 4.0)]
+        for q in between:
+            assert 1.0 - (q.distance_to(a.core) + q.distance_to(b.core)) / 5.0 == n
+        for q in beyond:
+            assert 1.0 - (q.distance_to(a.core) - q.distance_to(b.core)) / 3.0 == n1
+            assert fg.equidistant_membership(q, a, b) == n1
+        self.assert_grades_equal(a, b, between + beyond)
+        self.assert_grades_equal(b, a, between + beyond)
 
 
 class TestInvariance:

@@ -10,6 +10,7 @@ import pickle
 import pytest
 
 import fuzgeo as fg
+from fuzgeo.core import Value
 from fuzgeo.metric import CheckResult
 from fuzgeo.midset import Branch, OverlapCase
 
@@ -118,6 +119,17 @@ def test_repr(cls, kind, make):
 def test_pickle_round_trip(cls, kind, make):
     record = cls(**make(False))
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_pickle_keeps_stored_values(rng):
+    # a Value comes back with its fields as stored, not through an __init__
+    # that may normalise them again, as LineSpec's does
+    values = [cls(**make(False)) for cls, _, make in RECORDS if issubclass(cls, Value)]
+    values += [fg.LineSpec.through_points(fg.Point2(x, y), fg.Point2(u, v))
+               for x, y, u, v in rng.uniform(-10.0, 10.0, size=(20000, 4)).tolist()]
+    restored = pickle.loads(pickle.dumps(values))
+    assert [type(v) for v in restored] == [type(v) for v in values]
+    assert [v for v, w in zip(values, restored) if v != w] == []
 
 
 def test_reports_get_fresh_lists():
