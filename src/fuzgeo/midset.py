@@ -12,10 +12,11 @@ and the same-points branch solves
 
 Both are two-focus conics d1 -+ d2 = k with foci at the cores, one sheet
 of a hyperbola (the bisector when k = 0) and an ellipse, which
-``sample_branch`` evaluates in closed form and ``conic_class`` tags from k
-and the core distance dc alone; ``conic_coefficients`` gives the
-second-degree equation, by double squaring.  Which branches are active at
-a level follows from the overlap configuration of the two cut disks.
+``sample_branch`` evaluates in closed form, at vertices spaced by an exact
+bound on the conic's speed, and ``conic_class`` tags from k and the core
+distance dc alone; ``conic_coefficients`` gives the second-degree
+equation, by double squaring.  Which branches are active at a level
+follows from the overlap configuration of the two cut disks.
 
 Focal sets are restricted to circular spreads; elliptical spreads would
 need a direction-dependent cut radius and are out of scope.
@@ -285,10 +286,13 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
     parameters whose points can lie in the bbox are sampled: for the
     hyperbola the t between the bbox's nearest and farthest distance from
     the centre, for the ellipse, when the bbox excludes the centre, the arc
-    of s whose rays from the centre cross it.  x and y are sampled densely
-    as two 1-d arrays; exact vertices at equal arc-length steps of at most
-    one cell max(w, h)/(resolution - 1) are picked from them and split into
-    the runs inside the bbox.
+    of s whose rays from the centre cross it.  The speed of both conics has
+    a closed form, and its exact maximum on each piece of about 8 steps of
+    a span bounds the arc length piecewise linearly.  The curve is
+    evaluated only at equal steps of that bound, each at most 15/16 of one
+    cell max(w, h)/(resolution - 1), so the vertices are exact and every
+    chord, no longer than its arc, is within (15/16) cell.  They are split
+    into the runs inside the bbox.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
@@ -297,7 +301,7 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
     xmin, ymin, xmax, ymax = bbox
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"empty bounding box {bbox}")
-    cell = max(xmax - xmin, ymax - ymin) / (resolution - 1)
+    step = 15.0 / 16.0 * max(xmax - xmin, ymax - ymin) / (resolution - 1)
     case = overlap_case(a, b, alpha)
     if branch not in active_branches(case):
         return []
@@ -336,13 +340,27 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
 
     polylines = []
     for t0, t1 in spans:
-        # dense exact samples at most h = cell/16 apart; arc-length steps of
-        # at most cell - h snapped to them keep every chord within one cell
-        t = np.linspace(t0, t1, math.ceil(16.0 * speed * (t1 - t0) / cell) + 2)
+        # pieces of about 8 steps, each with its exact top speed: on the sheet
+        # speed^2 = minor^2 + half^2 t^2/(1 + t^2) rises with |t|; on the
+        # ellipse speed^2 = minor^2 + (half^2 - minor^2) sin^2 s peaks at a
+        # quarter turn pi/2 + m pi, else at an end of the piece
+        edges = np.linspace(t0, t1, math.ceil(speed * (t1 - t0) / (8.0 * step)) + 2)
+        if branch is Branch.INVERSE:
+            top = np.maximum(edges[:-1] ** 2, edges[1:] ** 2)
+            top *= half * half / (1.0 + top)
+        else:
+            top = np.sin(edges) ** 2
+            top = np.maximum(top[:-1], top[1:])
+            top[np.ceil(edges[:-1] / math.pi - 0.5) + 0.5 <= edges[1:] / math.pi] = 1.0
+            top *= half * half - minor * minor
+        # equal steps, at most step, of the arc-length bound sum(top speed dt)
+        bound = np.concatenate(([0.0], np.cumsum(np.sqrt(top + minor * minor) * np.diff(edges))))
+        t = np.interp(np.linspace(0.0, bound[-1], math.ceil(bound[-1] / step) + 1), bound, edges)
+        t[0], t[-1] = t0, t1
         # x = half sqrt(1 + t^2) or half cos t, y = minor t or minor sin t,
-        # then px = mx + x ex - y ey and py = my + x ey + y ex, all in place
-        # in the buffers t, x, px and tmp (a sum or product of two floats does
-        # not depend on their order)
+        # then px = mx + x ex - y ey and py = my + x ey + y ex, in place in
+        # the buffers t, x and tmp and the columns of pts (a sum or product
+        # of two floats does not depend on their order)
         if branch is Branch.INVERSE:
             x = t * t
             x += 1.0
@@ -354,32 +372,22 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
         y = t
         y *= minor
         tmp = y * ey
-        px = x * ex
+        pts = np.empty((len(t), 2))
+        px = np.multiply(x, ex, out=pts[:, 0])
         px += mx
         px -= tmp
-        py = np.multiply(x, ey, out=x)
+        py = np.multiply(x, ey, out=pts[:, 1])
         py += my
         py += np.multiply(y, ex, out=tmp)
         if closed:
-            px[-1], py[-1] = px[0], py[0]
-        # the chord lengths in tmp, the arc length at each sample in y
-        seg = np.subtract(px[1:], px[:-1], out=tmp[1:])
-        np.hypot(seg, np.subtract(py[1:], py[:-1], out=y[1:]), out=seg)
-        arc = y
-        arc[0] = 0.0
-        np.cumsum(seg, out=arc[1:])
-        steps = max(1, math.ceil(arc[-1] / (cell - seg.max())))
-        # searchsorted never decreases: a repeat equals the index before it
-        pick = np.searchsorted(arc, np.linspace(0.0, arc[-1], steps + 1))
-        pick = pick[np.concatenate(([True], pick[1:] != pick[:-1]))]
-        px, py = px[pick], py[pick]
+            pts[-1] = pts[0]
         inside = (px >= xmin) & (px <= xmax) & (py >= ymin) & (py <= ymax)
-        pts = np.column_stack((px, py))
-        runs = np.split(np.arange(len(pts)), np.flatnonzero(np.diff(inside)) + 1)
-        if closed and len(runs) > 1 and inside[0] and inside[-1]:
+        cut = (np.flatnonzero(np.diff(inside)) + 1).tolist()
+        runs = [pts[i:j] for i, j in zip([0] + cut, cut + [len(pts)]) if inside[i]]
+        if closed and cut and inside[0] and inside[-1]:
             # the closed ellipse re-enters at its start: join the first and last runs
             runs = [np.concatenate((runs[-1][:-1], runs[0]))] + runs[1:-1]
-        polylines += [pts[r] for r in runs if inside[r[0]] and len(r) > 1]
+        polylines += [run for run in runs if len(run) > 1]
     return polylines
 
 
