@@ -18,10 +18,9 @@ from .metric import (MINIMUM, PRODUCT, FuzzyCloseness, KSAxiomReport,
                      check_metric_axioms, closeness, closeness_spread, metric_md)
 from .midset import (Branch, ConicCoefficients, InvarianceReport, MidsetEntry,
                      MidsetResult, OverlapCase, Thresholds, active_branches,
-                     alpha_thresholds, branch_residual, classify_conic,
-                     compute_midset, conic_class, conic_coefficients, equidistant_membership,
-                     invariance_check, overlap_case, sample_branch, sample_midset,
-                     support_bbox)
+                     alpha_thresholds, classify_conic, compute_midset, conic_class,
+                     conic_coefficients, equidistant_membership, invariance_check,
+                     overlap_case, sample_branch, sample_midset, support_bbox)
 from .scene import GridSpec, Scene, SceneError, load_scene, parse_scene
 
 __version__ = "0.1.0"
@@ -33,7 +32,7 @@ __all__ = [
     "MetricAxiomReport", "MidsetEntry", "MidsetResult", "MINIMUM", "OverlapCase",
     "Point2", "PRODUCT", "ProjectedFuzzyNumber", "Scene", "SceneError", "Spread",
     "Thresholds", "TNorm", "TriangularNumber", "TriangularTriple",
-    "active_branches", "alpha_thresholds", "branch_residual", "check_ks_axioms",
+    "active_branches", "alpha_thresholds", "check_ks_axioms",
     "check_metric_axioms", "classify_conic", "classify_pair", "closeness",
     "closeness_spread", "compute_midset", "conic_class", "conic_coefficients",
     "distance_membership", "endpoint_distances", "equidistant_membership",

@@ -16,7 +16,11 @@ of a hyperbola (the bisector when k = 0) and an ellipse, which
 bound on the conic's speed, and ``conic_class`` tags from k and the core
 distance dc alone; ``conic_coefficients`` gives the second-degree
 equation, by double squaring.  Which branches are active at a level
-follows from the overlap configuration of the two cut disks.
+follows from the overlap case of the two cut disks, _CirclePair.case,
+with a tolerance relative to the pair, so a similar pair gets the same case.
+A point's grade needs no case: as |d1 - d2| <= dc <= d1 + d2, at its root
+level the inverse branch is active exactly when dc > tol, and the
+same-points branch when dc <= tol or d1 + d2 - dc > tol.
 
 Focal sets are restricted to circular spreads; elliptical spreads would
 need a direction-dependent cut radius and are out of scope.
@@ -33,7 +37,7 @@ import numpy as np
 from .core import FuzzyPoint, Point2, Record
 
 DEFAULT_RESOLUTION = 512
-_ZERO_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 class Branch(Enum):
@@ -60,60 +64,57 @@ _ACTIVE_BRANCHES = {
 }
 
 
-def _require_circular(p: FuzzyPoint, name: str) -> float:
-    spread = p.spread
-    if not spread.is_circular:
-        raise ValueError(f"midset focal point {name} must have a circular spread")
-    return spread.p1
+class _CirclePair(NamedTuple):
+    """Two circular fuzzy points as the midset layer sees them: the radii,
+    the core distance dc and tol = 1e-9 (r1 + r2) + 4 eps |(ax, ay, bx, by)|.
 
-
-def _pair_radii(a: FuzzyPoint, b: FuzzyPoint) -> tuple[float, float, float]:
-    r1 = _require_circular(a, "A")
-    r2 = _require_circular(b, "B")
-    dc = a.core.distance_to(b.core)
-    return r1, r2, dc
-
-
-def _branch_terms(d1, d2, r1: float, r2: float, u: float, branch: Branch):
-    """The terms (d1 - r1 u, +-(d2 - r2 u)) whose difference is the branch residual.
-
-    d1 and d2 are the distances to the cores, as floats or arrays.
+    dc is compared with (r1 + r2) u and |r1 - r2| u, of the pair's size, so
+    the first term gives a similar pair the same case at every scale.  But
+    each core coordinate carries up to half an ulp of its own magnitude, so
+    far from the origin dc is off by a few ulps of the largest coordinate
+    whatever the pair's size (the ulp of 1e8 is 1.5e-8); the second term,
+    at least 4 ulps of that coordinate, absorbs it.
     """
-    fb = d2 - r2 * u
-    return d1 - r1 * u, (fb if branch is Branch.INVERSE else -fb)
+
+    r1: float
+    r2: float
+    dc: float
+    tol: float
+
+    def case(self, u: float) -> OverlapCase:
+        """Relative position of the disks of radii r1 u and r2 u, tangencies within tol."""
+        r1, r2, dc, tol = self
+        if dc <= tol:
+            return OverlapCase.CONCENTRIC
+        sum_r = (r1 + r2) * u
+        diff_r = abs(r1 - r2) * u
+        if abs(dc - sum_r) <= tol:
+            return OverlapCase.EXTERNALLY_TANGENT
+        if dc > sum_r:
+            return OverlapCase.NON_OVERLAPPING
+        if abs(dc - diff_r) <= tol:
+            return OverlapCase.INTERNALLY_TANGENT
+        if dc < diff_r:
+            return OverlapCase.FULLY_OVERLAPPING
+        return OverlapCase.PARTIALLY_OVERLAPPING
 
 
-def branch_residual(q: Point2, a: FuzzyPoint, b: FuzzyPoint, alpha: float,
-                    branch: Branch) -> float:
-    r1, r2, _ = _pair_radii(a, b)
-    fa, fb = _branch_terms(q.distance_to(a.core), q.distance_to(b.core), r1, r2,
-                           1.0 - alpha, branch)
-    return fa - fb
+def _circle_pair(a: FuzzyPoint, b: FuzzyPoint) -> _CirclePair:
+    """The pair value of a and b; a ValueError names a point that is not circular."""
+    sa, sb, ca, cb = a.spread, b.spread, a.core, b.core
+    if sa.kind != "circular" or sb.kind != "circular":
+        raise ValueError(f"midset focal point {'A' if sa.kind != 'circular' else 'B'} must "
+                         "have a circular spread")
+    r1, r2, ax, ay, bx, by = sa.p1, sb.p1, ca.x, ca.y, cb.x, cb.y
+    # tuple.__new__, as _make uses, skips the NamedTuple's keyword __new__
+    return tuple.__new__(_CirclePair, (
+        r1, r2, math.hypot(ax - bx, ay - by),
+        1e-9 * (r1 + r2) + 4.0 * _EPS * math.hypot(ax, ay, bx, by)))
 
 
-def overlap_case(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
-                 tol: float = _ZERO_TOL) -> OverlapCase:
-    """Relative position of the two alpha-cut disks, tangencies within tol."""
-    r1, r2, dc = _pair_radii(a, b)
-    return _overlap_case(r1, r2, dc, 1.0 - alpha, tol)
-
-
-def _overlap_case(r1: float, r2: float, dc: float, u: float,
-                  tol: float = _ZERO_TOL) -> OverlapCase:
-    """overlap_case of disks of radii r1 u and r2 u whose centres are dc apart."""
-    if dc <= tol:
-        return OverlapCase.CONCENTRIC
-    sum_r = (r1 + r2) * u
-    diff_r = abs(r1 - r2) * u
-    if abs(dc - sum_r) <= tol:
-        return OverlapCase.EXTERNALLY_TANGENT
-    if dc > sum_r:
-        return OverlapCase.NON_OVERLAPPING
-    if abs(dc - diff_r) <= tol:
-        return OverlapCase.INTERNALLY_TANGENT
-    if dc < diff_r:
-        return OverlapCase.FULLY_OVERLAPPING
-    return OverlapCase.PARTIALLY_OVERLAPPING
+def overlap_case(a: FuzzyPoint, b: FuzzyPoint, alpha: float) -> OverlapCase:
+    """Relative position of the two alpha-cut disks (see _CirclePair.case)."""
+    return _circle_pair(a, b).case(1.0 - alpha)
 
 
 def active_branches(case: OverlapCase) -> tuple[Branch, ...]:
@@ -134,13 +135,11 @@ class Thresholds(NamedTuple):
 
 
 def alpha_thresholds(a: FuzzyPoint, b: FuzzyPoint) -> Thresholds:
-    r1, r2, dc = _pair_radii(a, b)
-    if dc <= _ZERO_TOL:
+    r1, r2, dc, tol = _circle_pair(a, b)
+    if dc <= tol:
         return Thresholds(n=None, n1=None, n2=None)
     n = min(1.0, max(0.0, 1.0 - dc / (r1 + r2)))
-    n1 = None
-    if r1 != r2:
-        n1 = min(1.0, max(0.0, 1.0 - dc / abs(r1 - r2)))
+    n1 = min(1.0, max(0.0, 1.0 - dc / abs(r1 - r2))) if r1 != r2 else None
     return Thresholds(n=n, n1=n1, n2=n)
 
 
@@ -181,10 +180,10 @@ def conic_coefficients(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
                        branch: Branch) -> ConicCoefficients:
     """Analytic conic of a midset branch, by double squaring of d1 -+ d2 = k.
 
-    The equal-radii inverse branch degenerates to the perpendicular
+    The inverse branch with k == 0, as in conic_class, is the perpendicular
     bisector and is returned directly as line coefficients.
     """
-    r1, r2, _ = _pair_radii(a, b)
+    r1, r2, _, _ = _circle_pair(a, b)
     u = 1.0 - alpha
     k = (r1 - r2) * u if branch is Branch.INVERSE else (r1 + r2) * u
 
@@ -195,7 +194,7 @@ def conic_coefficients(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
     l2 = 2.0 * (b2 - a2)
     l0 = (a1 * a1 + a2 * a2) - (b1 * b1 + b2 * b2)
 
-    if branch is Branch.INVERSE and abs(k) <= 1e-12:
+    if branch is Branch.INVERSE and k == 0.0:
         return ConicCoefficients(0.0, 0.0, 0.0, l1 / 2.0, l2 / 2.0, l0).normalized()
 
     k2 = k * k
@@ -210,7 +209,7 @@ def conic_coefficients(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
     return coeffs.normalized()
 
 
-def classify_conic(c: ConicCoefficients, tol: float = _ZERO_TOL) -> str:
+def classify_conic(c: ConicCoefficients, tol: float = 1e-9) -> str:
     """The paper's discriminant test: tag by Delta and delta after scaling
     the quadratic part to unit norm; a zero quadratic part is the bisector.
 
@@ -247,9 +246,9 @@ def conic_class(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch) -> s
     tangency, a segment: those are "degenerate".  Only k, dc and the overlap
     case decide, so the class does not depend on frame or scale.
     """
-    r1, r2, dc = _pair_radii(a, b)
+    r1, r2, _, _ = pair = _circle_pair(a, b)
     u = 1.0 - alpha
-    case = _overlap_case(r1, r2, dc, u)
+    case = pair.case(u)
     if branch not in _ACTIVE_BRANCHES[case]:
         return "degenerate"
     if branch is Branch.SAME:
@@ -292,7 +291,8 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
     evaluated only at equal steps of that bound, each at most 15/16 of one
     cell max(w, h)/(resolution - 1), so the vertices are exact and every
     chord, no longer than its arc, is within (15/16) cell.  They are split
-    into the runs inside the bbox.
+    into the runs of 2 or more inside the bbox; an arc inside that holds
+    fewer spans under two steps, so it lies within one cell of the edge.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
@@ -302,10 +302,10 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"empty bounding box {bbox}")
     step = 15.0 / 16.0 * max(xmax - xmin, ymax - ymin) / (resolution - 1)
-    case = overlap_case(a, b, alpha)
-    if branch not in active_branches(case):
+    r1, r2, dc, _ = pair = _circle_pair(a, b)
+    case = pair.case(1.0 - alpha)
+    if branch not in _ACTIVE_BRANCHES[case]:
         return []
-    r1, r2, dc = _pair_radii(a, b)
     k = ((r1 - r2) if branch is Branch.INVERSE else (r1 + r2)) * (1.0 - alpha)
     c = dc / 2.0
     mx, my = 0.5 * (a.core.x + b.core.x), 0.5 * (a.core.y + b.core.y)
@@ -395,11 +395,8 @@ def sample_midset(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
                   bbox: Optional[tuple] = None,
                   resolution: int = DEFAULT_RESOLUTION) -> dict[Branch, list[np.ndarray]]:
     """Polylines per branch active at this level."""
-    case = overlap_case(a, b, alpha)
-    return {
-        branch: sample_branch(a, b, alpha, branch, bbox, resolution)
-        for branch in active_branches(case)
-    }
+    return {branch: sample_branch(a, b, alpha, branch, bbox, resolution)
+            for branch in _ACTIVE_BRANCHES[overlap_case(a, b, alpha)]}
 
 
 class MidsetEntry(NamedTuple):
@@ -429,21 +426,22 @@ def compute_midset(a: FuzzyPoint, b: FuzzyPoint,
     is active; the same-points branch is reported alongside it in the
     overlapping regimes.
     """
+    pair = _circle_pair(a, b)
     if alphas is None:
         alphas = np.linspace(0.0, 1.0, 11)
     if bbox is None:
         bbox = support_bbox(a, b)
-    entries = []
-    for alpha in sorted(float(x) for x in alphas):
-        for branch, polylines in sample_midset(a, b, alpha, bbox, resolution).items():
-            entries.append(MidsetEntry(
-                alpha=alpha, branch=branch, polylines=tuple(polylines),
-                conic=conic_coefficients(a, b, alpha, branch),
-                conic_class=conic_class(a, b, alpha, branch),
-                accepted=branch is Branch.INVERSE))
+    entries = tuple(
+        MidsetEntry(alpha=alpha, branch=branch,
+                    polylines=tuple(sample_branch(a, b, alpha, branch, bbox, resolution)),
+                    conic=conic_coefficients(a, b, alpha, branch),
+                    conic_class=conic_class(a, b, alpha, branch),
+                    accepted=branch is Branch.INVERSE)
+        for alpha in sorted(float(x) for x in alphas)
+        for branch in _ACTIVE_BRANCHES[pair.case(1.0 - alpha)])
     return MidsetResult(
-        entries=tuple(entries),
-        case_at_support=overlap_case(a, b, 0.0),
+        entries=entries,
+        case_at_support=pair.case(1.0),
         thresholds=alpha_thresholds(a, b),
         bbox=tuple(bbox),
         resolution=resolution)
@@ -453,29 +451,26 @@ def equidistant_membership(q: Point2, a: FuzzyPoint, b: FuzzyPoint) -> float:
     """Grade of a point in the fuzzy equidistant set.
 
     Each branch residual is linear in u = 1 - alpha, with the one root
-    u = (d1 - d2)/(r1 - r2) or u = (d1 + d2)/(r1 + r2) (grade 1 on the
-    bisector when r1 = r2); the grade is the largest root level in [0, 1]
-    at which its branch is active.
+    u = (d1 + d2)/(r1 + r2) or u = (d1 - d2)/(r1 - r2) (grade 1 on the
+    bisector when r1 = r2, where |d1 - d2| is within 4 ulps of max(d1, d2));
+    the grade is the largest root level in [0, 1] at which its branch is
+    active, by the rule in the module docstring.
     """
-    r1, r2, dc = _pair_radii(a, b)
+    r1, r2, dc, tol = _circle_pair(a, b)
     d1 = math.hypot(q.x - a.core.x, q.y - a.core.y)
     d2 = math.hypot(q.x - b.core.x, q.y - b.core.y)
     grade = 0.0
     alpha = 1.0 - (d1 + d2) / (r1 + r2)
-    if (0.0 <= alpha <= 1.0
-            and Branch.SAME in _ACTIVE_BRANCHES[_overlap_case(r1, r2, dc, 1.0 - alpha)]):
+    if 0.0 <= alpha <= 1.0 and (dc <= tol or d1 + d2 - dc > tol):
         grade = alpha
     if r1 != r2:
         alpha = 1.0 - (d1 - d2) / (r1 - r2)
-    elif abs(d1 - d2) <= 1e-12:
+    elif abs(d1 - d2) <= 4.0 * _EPS * max(d1, d2):
         alpha = 1.0
     else:
         return grade
     # grade >= 0: only a root in (grade, 1] can raise it
-    if (grade < alpha <= 1.0
-            and Branch.INVERSE in _ACTIVE_BRANCHES[_overlap_case(r1, r2, dc, 1.0 - alpha)]):
-        grade = alpha
-    return grade
+    return alpha if grade < alpha <= 1.0 and dc > tol else grade
 
 
 class InvarianceReport(Record):
@@ -507,7 +502,6 @@ class InvarianceReport(Record):
 # and every grid point is evaluated.
 _EXACT_T_MIN = 2.0 ** -400
 _EXACT_SPAN_MAX = 2.0 ** 300
-_EPS = float(np.finfo(float).eps)
 # Grid points per side of the square blocks that invariance_check screens
 # whole, and the column and row of each point of a block, row-major.
 _BLOCK = 4
@@ -560,7 +554,7 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
     for t in t_values:
         if not (math.isfinite(t) and t > 0):
             raise ValueError(f"scale t must be finite and positive, got {t}")
-    r1, r2, _ = _pair_radii(a, b)
+    pair = _circle_pair(a, b)
     if bbox is None:
         bbox = support_bbox(a, b)
     xmin, ymin, xmax, ymax = bbox
@@ -599,8 +593,8 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
     report = InvarianceReport()
     for alpha in alphas:
         u = 1.0 - float(alpha)
-        c1, c2 = r1 * u, r2 * u
-        for branch in active_branches(overlap_case(a, b, float(alpha))):
+        c1, c2 = pair.r1 * u, pair.r2 * u
+        for branch in _ACTIVE_BRANCHES[pair.case(u)]:
             inverse = branch is Branch.INVERSE
             k = c1 - c2 if inverse else c1 + c2
             for t in t_values:
@@ -639,7 +633,7 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
                 blk, pt = near.nonzero()
                 # d1 and d2 there as the full grid has them
                 d1, d2 = np.hypot(off_x[bj[blk], :, pt], off_y[bi[blk], :, pt]).T
-                fa, fb = _branch_terms(d1, d2, r1, r2, u, branch)
+                fa, fb = d1 - c1, (d2 - c2 if inverse else c2 - d2)
                 res_d = fa - fb
                 res_m = t / (t + fa) - t / (t + fb)
                 scale = np.abs((t + fa) * (t + fb)) / t

@@ -20,8 +20,8 @@ from fuzgeo.distance import TWO_PI, DistanceMembershipParams, fuzzy_distances
 from fuzgeo.metric import (CheckResult, FuzzyDistance, KSAxiomReport, MetricAxiomReport,
                            _points_equal, closeness, fuzzy_distance)
 from fuzgeo.midset import (_ACTIVE_BRANCHES, DEFAULT_RESOLUTION, Branch, InvarianceReport,
-                           OverlapCase, _overlap_case, _pair_radii, active_branches,
-                           overlap_case, support_bbox)
+                           OverlapCase, _circle_pair, active_branches, overlap_case,
+                           support_bbox)
 from fuzgeo.svgout import _alpha_color, fmt, fmt_rows
 
 # Draws a rejection-sampling helper makes before it gives up.
@@ -488,20 +488,29 @@ def equidistant_membership_reference(q, a, b) -> float:
 
     Each branch residual is linear in u = 1 - alpha, with the one root
     u = (d1 - d2)/(r1 - r2) or u = (d1 + d2)/(r1 + r2) (grade 1 on the
-    bisector when r1 = r2); the grade is the largest root level in [0, 1]
-    at which its branch is active.
+    bisector when r1 = r2, where |d1 - d2| is within 4 ulps of the larger
+    distance); the grade is the largest root level in [0, 1] at which the
+    overlap case of the cut disks makes its branch active.
     """
-    r1, r2, dc = _pair_radii(a, b)
+    pair = _circle_pair(a, b)
+    r1, r2 = pair.r1, pair.r2
     d1 = math.hypot(q.x - a.core.x, q.y - a.core.y)
     d2 = math.hypot(q.x - b.core.x, q.y - b.core.y)
     roots = [(Branch.SAME, 1.0 - (d1 + d2) / (r1 + r2))]
     if r1 != r2:
         roots.append((Branch.INVERSE, 1.0 - (d1 - d2) / (r1 - r2)))
-    elif abs(d1 - d2) <= 1e-12:
+    elif abs(d1 - d2) <= 4.0 * np.finfo(float).eps * max(d1, d2):
         roots.append((Branch.INVERSE, 1.0))
     return max((alpha for branch, alpha in roots if 0.0 <= alpha <= 1.0
-                and branch in _ACTIVE_BRANCHES[_overlap_case(r1, r2, dc, 1.0 - alpha)]),
+                and branch in _ACTIVE_BRANCHES[pair.case(1.0 - alpha)]),
                default=0.0)
+
+
+def branch_residual(q, a, b, alpha, branch) -> float:
+    """Residual (d1 - r1 u) -+ (d2 - r2 u) of a midset branch at the point q."""
+    u = 1.0 - alpha
+    fb = q.distance_to(b.core) - b.radius * u
+    return q.distance_to(a.core) - a.radius * u - (fb if branch is Branch.INVERSE else -fb)
 
 
 def branch_residuals(pts, a, b, alpha, branch):
@@ -545,7 +554,7 @@ def invariance_reference(a, b, t_values, bbox=None, resolution=DEFAULT_RESOLUTIO
     for t in t_values:
         if t <= 0:
             raise ValueError(f"scale t must be positive, got {t}")
-    r1, r2, _ = _pair_radii(a, b)
+    r1, r2 = a.radius, b.radius
     if bbox is None:
         bbox = support_bbox(a, b)
     xmin, ymin, xmax, ymax = bbox
@@ -796,7 +805,7 @@ def sample_branch_reference(a, b, alpha, branch, bbox=None,
     case = overlap_case(a, b, alpha)
     if branch not in active_branches(case):
         return []
-    r1, r2, dc = _pair_radii(a, b)
+    r1, r2, dc, _ = _circle_pair(a, b)
     k = ((r1 - r2) if branch is Branch.INVERSE else (r1 + r2)) * (1.0 - alpha)
     c = dc / 2.0
     mx, my = 0.5 * (a.core.x + b.core.x), 0.5 * (a.core.y + b.core.y)

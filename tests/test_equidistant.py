@@ -7,7 +7,7 @@ import pytest
 
 import fuzgeo as fg
 from fuzgeo import Branch, OverlapCase
-from oracles import (branch_residuals, equidistant_membership_reference,
+from oracles import (branch_residual, branch_residuals, equidistant_membership_reference,
                      invariance_reference, midset_crossing_cells, random_circular,
                      sample_branch_reference)
 from scipy.spatial import cKDTree
@@ -38,25 +38,37 @@ class TestBranchResidual:
     def test_equal_spreads_bisector(self, ex41_pair):
         a, b = ex41_pair
         for alpha in (0.0, 0.3, 0.9):
-            res = fg.branch_residual(fg.Point2(2.5, 1.0), a, b, alpha, Branch.INVERSE)
+            res = branch_residual(fg.Point2(2.5, 1.0), a, b, alpha, Branch.INVERSE)
             assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_axis_solution(self, ex42_pair):
         a, b = ex42_pair
-        assert fg.branch_residual(fg.Point2(2, 0), a, b, 0.0, Branch.INVERSE) \
+        assert branch_residual(fg.Point2(2, 0), a, b, 0.0, Branch.INVERSE) \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_conjugate_point_not_zero(self, ex42_pair):
         # (3,0) solves the conjugate equation, not the midset
         a, b = ex42_pair
-        assert fg.branch_residual(fg.Point2(3, 0), a, b, 0.0, Branch.INVERSE) \
+        assert branch_residual(fg.Point2(3, 0), a, b, 0.0, Branch.INVERSE) \
             == pytest.approx(2.0, abs=1e-12)
 
     def test_elliptical_focal_points_rejected(self):
-        a = fg.FuzzyPoint.elliptical(0, 0, 1, 2)
-        b = fg.FuzzyPoint.circular(5, 0, 1)
-        with pytest.raises(ValueError):
-            fg.branch_residual(fg.Point2(2, 0), a, b, 0.0, Branch.INVERSE)
+        ellipse = fg.FuzzyPoint.elliptical(0, 0, 1, 2)
+        circle = fg.FuzzyPoint.circular(5, 0, 1)
+        calls = [
+            lambda a, b: fg.overlap_case(a, b, 0.0),
+            lambda a, b: fg.alpha_thresholds(a, b),
+            lambda a, b: fg.conic_coefficients(a, b, 0.0, Branch.INVERSE),
+            lambda a, b: fg.conic_class(a, b, 0.0, Branch.INVERSE),
+            lambda a, b: fg.sample_branch(a, b, 0.0, Branch.INVERSE, resolution=16),
+            lambda a, b: fg.compute_midset(a, b, resolution=16),
+            lambda a, b: fg.equidistant_membership(fg.Point2(2, 0), a, b),
+            lambda a, b: fg.invariance_check(a, b, (1.0,), resolution=16),
+        ]
+        for call in calls:
+            for (a, b), name in (((ellipse, circle), "A"), ((circle, ellipse), "B")):
+                with pytest.raises(ValueError, match=f"point {name} must have a circular"):
+                    call(a, b)
 
 
 class TestConicCoefficients:
@@ -94,6 +106,16 @@ class TestConicCoefficients:
         # the line is x = 2.5
         assert conic.A == conic.H == conic.B == 0.0
         assert -conic.C / (2 * conic.G) == pytest.approx(2.5, abs=1e-12)
+
+    def test_line_only_where_conic_class_says_line(self):
+        # r2 = r1 + 1e-13: k is 1e-13 u, a hyperbola to conic_class, so the
+        # coefficients keep a quadratic part; at alpha 1, k = 0 is the bisector
+        a, b = fg.FuzzyPoint.circular(0, 0, 1), fg.FuzzyPoint.circular(5, 0, 1 + 1e-13)
+        for alpha in (0.0, 0.5, 1.0):
+            conic = fg.conic_coefficients(a, b, alpha, Branch.INVERSE)
+            line = fg.conic_class(a, b, alpha, Branch.INVERSE) == "line"
+            assert line == (alpha == 1.0)
+            assert ((conic.A, conic.H, conic.B) == (0.0, 0.0, 0.0)) == line, alpha
 
 
 class TestClassifyConic:
@@ -195,8 +217,7 @@ class TestSampleMidset:
             assert len(pts) > 40
             ref_res = reference_hyperbola_residual(pts[:, 0], pts[:, 1], alpha)
             assert np.max(np.abs(ref_res)) < 1e-2
-            own_res = [abs(fg.branch_residual(fg.Point2(x, y), a, b, alpha,
-                                              Branch.INVERSE))
+            own_res = [abs(branch_residual(fg.Point2(x, y), a, b, alpha, Branch.INVERSE))
                        for x, y in pts]
             assert max(own_res) < 1e-8
 
@@ -352,10 +373,37 @@ class TestEquidistantMatchesReference:
         assert all(fg.equidistant_membership(q_, p, q) == 1.0 for q_ in points)
         self.assert_grades_equal(p, q, points)
 
+    def test_equal_radii_bisector_far_from_origin(self):
+        # the slanted pair above scaled by 1e6: d1 - d2 on its bisector is a
+        # few ulps of 1e6, far above the 1e-12 the bisector test once used
+        scale = 1e6
+        p = fg.FuzzyPoint.circular(0.1 * scale, 0.2 * scale, 1.5 * scale)
+        q = fg.FuzzyPoint.circular(3.3 * scale, 4.7 * scale, 1.5 * scale)
+        mx, my = 0.5 * (p.core.x + q.core.x), 0.5 * (p.core.y + q.core.y)
+        points = [fg.Point2(mx - 4.5 * s * scale, my + 3.2 * s * scale)
+                  for s in np.linspace(-3, 3, 61).tolist()]
+        assert max(abs(q_.distance_to(p.core) - q_.distance_to(q.core)) for q_ in points) > 1e-12
+        assert all(fg.equidistant_membership(q_, p, q) == 1.0 for q_ in points)
+        self.assert_grades_equal(p, q, points)
+
     def test_seeded_pairs(self, rng):
         for _ in range(6):
             a, b = random_circular(rng), random_circular(rng)
             self.assert_grades_equal(a, b, _query_points(a, b))
+
+    def test_similar_pairs(self, rng):
+        # seeded pairs and the case table scaled by 1e-12 to 1e6, turned and
+        # shifted up to 1e6 times their size
+        specs = list(TABLE_CONFIGS.values()) + [
+            tuple((p.core.x, p.core.y, p.radius) for p in
+                  (random_circular(rng, r_hi=4.0), random_circular(rng, r_hi=4.0)))
+            for _ in range(4)]
+        for spec_a, spec_b in specs:
+            for scale in 10.0 ** np.arange(-12, 7, 3):
+                a, b = similar(rng, spec_a, spec_b, scale)
+                points = _query_points(a, b)
+                for pair in ((a, b), (b, a)):
+                    self.assert_grades_equal(*pair, points)
 
     @pytest.mark.parametrize("case", sorted(TABLE_CONFIGS))
     def test_seeded_points_around_case_table(self, case, rng):
@@ -367,12 +415,17 @@ class TestEquidistantMatchesReference:
             self.assert_grades_equal(*pair, points)
 
     def test_within_bisector_tolerance(self, ex41_pair):
-        # equal radii: |d1 - d2| on either side of the 1e-12 bisector test
+        # equal radii: |d1 - d2| on either side of the bisector test, 4 ulps
+        # of the larger distance, and of the 1e-12 it replaced
         a, b = ex41_pair
-        points = [fg.Point2(2.5 + dx, y) for dx in (0.0, 2e-13, 4e-13, 6e-13, 1e-12, 2e-12)
+        ulp = math.ulp(2.5)
+        points = [fg.Point2(2.5 + dx, y)
+                  for dx in (0.0, ulp, 2 * ulp, 3 * ulp, 5 * ulp, 2e-13, 6e-13, 1e-12, 2e-12)
                   for y in (0.0, 0.3, 1.7)]
-        gaps = {abs(q.distance_to(a.core) - q.distance_to(b.core)) <= 1e-12 for q in points}
+        d = [(q.distance_to(a.core), q.distance_to(b.core)) for q in points]
+        gaps = {abs(d1 - d2) <= 4.0 * np.finfo(float).eps * max(d1, d2) for d1, d2 in d}
         assert gaps == {True, False}
+        assert {abs(d1 - d2) <= 1e-12 for d1, d2 in d} == {True, False}
         self.assert_grades_equal(a, b, points)
         self.assert_grades_equal(b, a, points)
 
@@ -559,7 +612,13 @@ class TestInvarianceAgainstReference:
 
 def assert_branch_sampled(a, b, alpha, branch, bbox, resolution):
     """Exact vertices, chords within (15/16) cell and none of zero length,
-    every crossing cell covered; a branch inactive at this level is empty."""
+    every crossing cell covered; a branch inactive at this level is empty.
+
+    An empty result of an active branch is accepted only when every
+    crossing cell lies within one cell of the bbox edge: a curve that dips
+    into the bbox for less than about two cells of arc may leave fewer than
+    the 2 vertices of a run inside it (see assert_matches_sampler_reference).
+    """
     polylines = fg.sample_branch(a, b, alpha, branch, bbox, resolution)
     if branch not in fg.active_branches(fg.overlap_case(a, b, alpha)):
         assert polylines == []
@@ -567,7 +626,9 @@ def assert_branch_sampled(a, b, alpha, branch, bbox, resolution):
     cell = max(bbox[2] - bbox[0], bbox[3] - bbox[1]) / (resolution - 1)
     centres = midset_crossing_cells(a, b, alpha, branch, bbox, resolution)
     if not polylines:
-        assert len(centres) == 0, (alpha, branch)
+        box = np.array(bbox)
+        depth = np.minimum(centres - box[:2], box[2:] - centres).min(axis=1)
+        assert np.all(depth <= cell), (alpha, branch, bbox, depth.max() / cell)
         return polylines
     verts = np.vstack(polylines)
     assert np.all((verts >= bbox[:2]) & (verts <= bbox[2:]))
@@ -835,6 +896,54 @@ def placed(spec, scale, theta=0.0, shift=(0.0, 0.0)):
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     return fg.FuzzyPoint.circular(cos_t * x - sin_t * y + shift[0],
                                   sin_t * x + cos_t * y + shift[1], r)
+
+
+def similar(rng, spec_a, spec_b, scale):
+    """The pair of circular points (x, y, r) scaled, turned by a random angle
+    and shifted 1 to 1e6 times its size, core distance plus radii, in a
+    random direction."""
+    (x1, y1, r1), (x2, y2, r2) = spec_a, spec_b
+    reach = scale * (math.hypot(x2 - x1, y2 - y1) + r1 + r2) * 10.0 ** rng.uniform(0.0, 6.0)
+    theta, phi = rng.uniform(0.0, 2.0 * math.pi, 2)
+    shift = (reach * math.cos(phi), reach * math.sin(phi))
+    return placed(spec_a, scale, theta, shift), placed(spec_b, scale, theta, shift)
+
+
+def classification(a, b, alphas):
+    """The overlap case and the class of both branches at each level."""
+    return [(fg.overlap_case(a, b, alpha), [fg.conic_class(a, b, alpha, br) for br in Branch])
+            for alpha in alphas]
+
+
+class TestSimilarPairs:
+    """A similar pair reads as the pair at unit scale at the origin: the
+    metamorphic relation of T. Y. Chen, S. C. Cheung and S. M. Yiu,
+    "Metamorphic Testing", HKUST-CS98-01 (1998)."""
+
+    def test_cases_thresholds_and_classes(self, rng):
+        named = dict(TABLE_CONFIGS, bisector=((0, 0, 2), (5, 0, 2)))
+        for i in range(10):
+            named[f"seeded {i}"] = tuple((p.core.x, p.core.y, p.radius) for p in (
+                random_circular(rng, r_hi=4.0), random_circular(rng, r_hi=4.0)))
+        for name, (spec_a, spec_b) in named.items():
+            a, b = placed(spec_a, 1.0), placed(spec_b, 1.0)
+            want_th = fg.alpha_thresholds(a, b)
+            # the support level and the midpoint of every band between the
+            # thresholds, as CLI classify cuts them
+            edges = sorted({0.0, 1.0} | {v for v in (want_th.n1, want_th.n2)
+                                         if v is not None and 0.0 < v < 1.0})
+            alphas = [0.0] + [0.5 * (lo + hi) for lo, hi in zip(edges[:-1], edges[1:])]
+            want = classification(a, b, alphas)
+            assert name not in TABLE_CONFIGS or want[0][0].value == name
+            for scale in 10.0 ** np.arange(-12, 7):
+                for _ in range(3):
+                    a, b = similar(rng, spec_a, spec_b, scale)
+                    where = (name, scale, a, b)
+                    assert classification(a, b, alphas) == want, where
+                    th = fg.alpha_thresholds(a, b)
+                    assert [v is None for v in th] == [v is None for v in want_th], where
+                    assert [v for v in th if v is not None] == pytest.approx(
+                        [v for v in want_th if v is not None], abs=1e-7), where
 
 
 class TestClassifyRigidMotion:
