@@ -138,9 +138,14 @@ def alpha_thresholds(a: FuzzyPoint, b: FuzzyPoint) -> Thresholds:
     r1, r2, dc, tol = _circle_pair(a, b)
     if dc <= tol:
         return Thresholds(n=None, n1=None, n2=None)
-    n = min(1.0, max(0.0, 1.0 - dc / (r1 + r2)))
-    n1 = min(1.0, max(0.0, 1.0 - dc / abs(r1 - r2))) if r1 != r2 else None
-    return Thresholds(n=n, n1=n1, n2=n)
+
+    def level(r: float) -> float:
+        """Where (1 - alpha) r reaches dc; a tangency within tol, as
+        _CirclePair.case reads it, is at the support level exactly."""
+        return 0.0 if abs(dc - r) <= tol else min(1.0, max(0.0, 1.0 - dc / r))
+
+    n = level(r1 + r2)
+    return Thresholds(n=n, n1=level(abs(r1 - r2)) if r1 != r2 else None, n2=n)
 
 
 class ConicCoefficients(NamedTuple):
@@ -507,6 +512,10 @@ _EXACT_SPAN_MAX = 2.0 ** 300
 _BLOCK = 4
 _BLOCK_COL = np.tile(np.arange(_BLOCK), _BLOCK)
 _BLOCK_ROW = np.repeat(np.arange(_BLOCK), _BLOCK)
+# Blocks per band of whole block rows that invariance_check screens at once
+# (one row when a row holds more), and flagged blocks per fine-stage chunk.
+_BAND_BLOCKS = 2 ** 14
+_CHUNK_BLOCKS = 2 ** 10
 
 
 # squares overflow only beyond the span limit, poles divide by 0 and scale
@@ -542,7 +551,20 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
     slack is taken from the bounds D_i + h on the grid maxima, so up to
     rounding it is at least the full grid's.  A larger slack only adds
     points, and by the identity those neither disagree nor are poles, so
-    the report cannot change.
+    the report cannot change.  Where slack is infinite every block and
+    point is taken.
+
+    The blocks are screened in bands of whole block rows, at most
+    _BAND_BLOCKS blocks (one row if a row holds more), and the flagged
+    blocks of a band are searched in chunks of _CHUNK_BLOCKS.  The band's
+    block-centre distances, work array and flag masks, and the chunk's
+    distance and mask arrays, are allocated once per call and reused for
+    every band and every (alpha, branch, t), so memory is O(resolution)
+    for the per-axis offsets plus one band and one chunk, whatever the
+    grid.  The range of D_i needs no band: D_i is the square root of a sum
+    of two squared per-axis offsets, and + and sqrt are monotone under
+    rounding, so the square root of the sum of the per-axis minima is the
+    rounded minimum over all blocks, and likewise the maximum.
 
     What passed verifies: by that identity the two residuals differ only by
     rounding, a few tens of units of roundoff (2^-53) of the grid span
@@ -572,25 +594,29 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
     cx, cy = 0.5 * (xs[first] + xs[last]), 0.5 * (ys[first] + ys[last])
     h = math.hypot(np.maximum(cx - xs[first], xs[last] - cx).max(),
                    np.maximum(cy - ys[first], ys[last] - cy).max())
-    # per (block column or row, core A or B, point) the grid offsets from
+    # per (core A or B, block column or row, point) the grid offsets from
     # the core, and their squares
-    core_x, core_y = np.array([[a.core.x], [b.core.x]]), np.array([[a.core.y], [b.core.y]])
-    off_x = xs[index[:, _BLOCK_COL]][:, None, :] - core_x
-    off_y = ys[index[:, _BLOCK_ROW]][:, None, :] - core_y
+    core_x = np.array([a.core.x, b.core.x])[:, None, None]
+    core_y = np.array([a.core.y, b.core.y])[:, None, None]
+    off_x = xs[index[:, _BLOCK_COL]] - core_x
+    off_y = ys[index[:, _BLOCK_ROW]] - core_y
     sq_x, sq_y = off_x * off_x, off_y * off_y
-    # block-centre distances D per (core, block row-major) and the ranges
-    # [min D - h, max D + h] that hold every grid distance.  A square root
-    # of squares is off by a few roundoffs, or by 1e-154 on underflow, far
+    # per (core, block column or row) the squared block-centre offsets; the
+    # block-centre distances D are square roots of their sums, and
+    # [min D - h, max D + h] holds every grid distance.  A square root of
+    # squares is off by a few roundoffs, or by 1e-154 on underflow, far
     # inside slack; where squares overflow, span is beyond its limit.
-    centre = np.sqrt((cx - core_x)[:, None, :] ** 2
-                     + (cy - core_y)[:, :, None] ** 2).reshape(2, -1)
-    d_range = [(lo - h, hi + h) for lo, hi in zip(centre.min(axis=1).tolist(),
-                                                  centre.max(axis=1).tolist())]
+    centre_x, centre_y = (cx - core_x[:, 0]) ** 2, (cy - core_y[:, 0]) ** 2
+    d_range = [(math.sqrt(lo_x + lo_y) - h, math.sqrt(hi_x + hi_y) + h)
+               for lo_x, lo_y, hi_x, hi_y in zip(
+                   centre_x.min(axis=1).tolist(), centre_y.min(axis=1).tolist(),
+                   centre_x.max(axis=1).tolist(), centre_y.max(axis=1).tolist())]
     d_max = d_range[0][1] + d_range[1][1]
-    focal = {Branch.INVERSE: centre[0] - centre[1], Branch.SAME: centre[0] + centre[1]}
-    work = np.empty(nb * nb)
 
-    report = InvarianceReport()
+    # per (alpha, active branch, t): whether the branch is inverse, k, the
+    # cut radii, t, slack and the (core, pole) pairs within reach of the
+    # grid distances
+    combos = []
     for alpha in alphas:
         u = 1.0 - float(alpha)
         c1, c2 = pair.r1 * u, pair.r2 * u
@@ -610,29 +636,77 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
                 span = d_max + abs(c1) + abs(c2) + t
                 slack = (64.0 * _EPS * span
                          if _EXACT_T_MIN <= t and span <= _EXACT_SPAN_MAX else math.inf)
-                # (core, pole) for the poles within reach of the grid distances
                 pole_values = (c1 - t, c2 - t if inverse else c2 + t)
                 poles_at = [(i, pole) for i, pole in enumerate(pole_values)
                             if d_range[i][0] - 2.0 * slack <= pole <= d_range[i][1] + 2.0 * slack]
-                # the blocks that can hold a candidate; "not above" keeps NaN
-                np.subtract(focal[branch], k, out=work)
-                flagged = ~(np.abs(work, out=work) > 2.0 * (tol + slack + h))
+                combos.append((inverse, k, c1, c2, t, slack, poles_at))
+
+    # the band buffers: D per (core, block), row-major, a work array and two
+    # flag masks; the chunk buffers: the point distances per (core, block,
+    # point) and a gather of squares, a work array and two point masks.
+    # Flat buffers keep each prefix reshaped to a band or chunk contiguous.
+    rows = max(1, _BAND_BLOCKS // nb)
+    size = min(rows, nb) * nb
+    centre, work = np.empty(2 * size), np.empty(size)
+    flags, more_flags = np.empty(size, bool), np.empty(size, bool)
+    chunk, per_block = min(_CHUNK_BLOCKS, size), _BLOCK * _BLOCK
+    points = chunk * per_block
+    dist, gather, point_work = np.empty(2 * points), np.empty(2 * points), np.empty(points)
+    near_buf, more_near = np.empty(points, bool), np.empty(points, bool)
+
+    report = InvarianceReport(checked=resolution * resolution * len(combos))
+    for row0 in range(0, nb, rows):
+        n = min(rows, nb - row0) * nb
+        band = centre[:2 * n].reshape(2, n)
+        work_n, flag, more = work[:n], flags[:n], more_flags[:n]
+        np.add(centre_x[:, None, :], centre_y[:, row0:row0 + rows, None],
+               out=band.reshape(2, -1, nb))
+        np.sqrt(band, out=band)
+        for inverse, k, c1, c2, t, slack, poles_at in combos:
+            # the band's blocks that can hold a candidate
+            exact = slack < math.inf
+            if exact:
+                (np.subtract if inverse else np.add)(band[0], band[1], out=work_n)
+                work_n -= k
+                np.less_equal(np.abs(work_n, out=work_n), 2.0 * (tol + slack + h), out=flag)
                 for i, pole in poles_at:
-                    np.subtract(centre[i], pole, out=work)
-                    flagged |= np.abs(work, out=work) <= 2.0 * slack + h
-                bi, bj = np.divmod(np.flatnonzero(flagged), nb)
+                    np.subtract(band[i], pole, out=work_n)
+                    flag |= np.less_equal(np.abs(work_n, out=work_n), 2.0 * slack + h,
+                                          out=more)
+            else:
+                flag.fill(True)
+            blocks = np.flatnonzero(flag)
+            for start in range(0, len(blocks), chunk):
+                bi, bj = np.divmod(blocks[start:start + chunk], nb)
+                bi += row0
+                shape, m = (len(bi), per_block), len(bi) * per_block
                 # their points that can be candidates, from square roots of
-                # squares, per (block, core, point)
-                dist = np.sqrt(sq_x[bj] + sq_y[bi])
-                focal_pt = dist[:, 0] - dist[:, 1] if inverse else dist[:, 0] + dist[:, 1]
-                near = ~(np.abs(focal_pt - k) > 2.0 * (tol + slack))
-                for i, pole in poles_at:
-                    near |= np.abs(dist[:, i] - pole) <= 2.0 * slack
+                # squares, per (core, block, point); the indices are in range,
+                # and clip mode skips the copy that take makes for "raise"
+                d = dist[:2 * m].reshape(2, m)
+                np.take(sq_x, bj, axis=1, out=d.reshape(2, *shape), mode="clip")
+                d += np.take(sq_y, bi, axis=1, out=gather[:2 * m].reshape(2, *shape),
+                             mode="clip").reshape(2, m)
+                np.sqrt(d, out=d)
+                near, pw, more_m = near_buf[:m], point_work[:m], more_near[:m]
+                if exact:
+                    (np.subtract if inverse else np.add)(d[0], d[1], out=pw)
+                    pw -= k
+                    np.less_equal(np.abs(pw, out=pw), 2.0 * (tol + slack), out=near)
+                    for i, pole in poles_at:
+                        np.subtract(d[i], pole, out=pw)
+                        near |= np.less_equal(np.abs(pw, out=pw), 2.0 * slack, out=more_m)
+                else:
+                    near.fill(True)
                 if inside is not None:
-                    near &= inside[0][bj] & inside[1][bi]
-                blk, pt = near.nonzero()
+                    for mask, idx in zip(inside, (bj, bi)):
+                        near &= np.take(mask, idx, axis=0, out=more_m.reshape(shape),
+                                        mode="clip").ravel()
+                if not near.any():
+                    continue
+                blk, pt = np.divmod(np.flatnonzero(near), per_block)
                 # d1 and d2 there as the full grid has them
-                d1, d2 = np.hypot(off_x[bj[blk], :, pt], off_y[bi[blk], :, pt]).T
+                d1, d2 = np.hypot(off_x[:, bj[blk], pt], off_y[:, bi[blk], pt])
                 fa, fb = d1 - c1, (d2 - c2 if inverse else c2 - d2)
                 res_d = fa - fb
                 res_m = t / (t + fa) - t / (t + fb)
@@ -646,7 +720,6 @@ def invariance_check(a: FuzzyPoint, b: FuzzyPoint,
                 clear_nonzero_m = res_m_scaled > 2.0 * tol
                 disagree = (zero_d & clear_nonzero_m) | (zero_m & clear_nonzero_d)
                 disagree &= ~poles
-                report.checked += resolution * resolution
                 report.disagreements += int(np.count_nonzero(disagree))
                 report.pole_points += int(np.count_nonzero(poles))
     return report

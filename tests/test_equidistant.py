@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import fuzgeo as fg
-from fuzgeo import Branch, OverlapCase
+from fuzgeo import Branch, OverlapCase, midset
+from fuzgeo.cli import run
 from oracles import (branch_residual, branch_residuals, equidistant_membership_reference,
                      invariance_reference, midset_crossing_cells, random_circular,
                      sample_branch_reference)
@@ -610,6 +612,69 @@ class TestInvarianceAgainstReference:
         assert_matches_reference(*ex42_pair, t_values=(t,), resolution=64, tol=0.0)
 
 
+class TestInvarianceBands:
+    """invariance_check screens the block grid in bands of whole block rows
+    and searches the flagged blocks in chunks; the report is the full grid's
+    whatever the band and chunk sizes."""
+
+    @pytest.mark.parametrize("resolution", [17, 100, 257])
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_small_bands_and_chunks(self, monkeypatch, resolution, tol):
+        # bands of two block rows over an odd number of rows: several bands
+        # and a partial last one; chunks of 5 flagged blocks
+        blocks = -(-resolution // midset._BLOCK)
+        assert blocks % 2 == 1
+        monkeypatch.setattr(midset, "_BAND_BLOCKS", 2 * blocks + 1)
+        monkeypatch.setattr(midset, "_CHUNK_BLOCKS", 5)
+        report = assert_matches_reference(*make_pair(POLE_PAIR),
+                                          **dict(POLE_GRID, resolution=resolution), tol=tol)
+        # steps of 1/2 and 1/32 put poles on grid points, 8/99 does not
+        assert (report.pole_points > 0) == (resolution != 100)
+        for ca, ra, cb, rb in CASE_TABLE_PAIRS:
+            a, b = fg.FuzzyPoint.circular(*ca, ra), fg.FuzzyPoint.circular(*cb, rb)
+            assert_matches_reference(a, b, t_values=(1.0,), resolution=resolution, tol=tol)
+
+    def test_band_of_one_row_and_chunk_of_one_block(self, monkeypatch):
+        monkeypatch.setattr(midset, "_BAND_BLOCKS", 1)
+        monkeypatch.setattr(midset, "_CHUNK_BLOCKS", 1)
+        assert_matches_reference(*make_pair(POLE_PAIR), **dict(POLE_GRID, resolution=33))
+
+    @pytest.mark.parametrize("band", [3, 2 ** 14])
+    def test_infinite_slack_flags_every_block(self, monkeypatch, ex42_pair, band):
+        # for t below 2^-400 or a span above 2^300 the rounding bound does
+        # not hold and every point is evaluated; POLE_PAIR scaled by a power
+        # of 2 keeps its poles on grid points
+        monkeypatch.setattr(midset, "_BAND_BLOCKS", band)
+        monkeypatch.setattr(midset, "_CHUNK_BLOCKS", 4)
+        for tol in (1e-9, 0.0):
+            assert_matches_reference(*ex42_pair, t_values=(1e-130,), resolution=37, tol=tol)
+            assert_matches_reference(*make_pair(POLE_PAIR), t_values=(1e-130, 0.5),
+                                     bbox=(-4, -4, 4, 4), resolution=33, tol=tol)
+            for scale in (2.0 ** -500, 2.0 ** 400):
+                (x1, y1, r1), (x2, y2, r2) = POLE_PAIR
+                a = fg.FuzzyPoint.circular(scale * x1, scale * y1, scale * r1)
+                b = fg.FuzzyPoint.circular(scale * x2, scale * y2, scale * r2)
+                report = assert_matches_reference(
+                    a, b, t_values=tuple(scale * t for t in POLE_GRID["t_values"]),
+                    bbox=tuple(scale * v for v in POLE_GRID["bbox"]), resolution=33, tol=tol)
+                assert report.pole_points > 0
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # the block-centre distances once took a whole-grid array: the peak
+        # at 2048 was about 9 times the peak at 512
+        a, b = make_pair(TABLE_CONFIGS["partially_overlapping"])
+        peaks = []
+        for resolution in (512, 2048):
+            fg.invariance_check(a, b, (1.0,), resolution=resolution)
+            tracemalloc.start()
+            try:
+                fg.invariance_check(a, b, (1.0,), resolution=resolution)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
+
 def assert_branch_sampled(a, b, alpha, branch, bbox, resolution):
     """Exact vertices, chords within (15/16) cell and none of zero length,
     every crossing cell covered; a branch inactive at this level is empty.
@@ -724,17 +789,28 @@ def assert_matches_sampler_reference(a, b, alpha, branch, bbox=None, resolution=
 
     A curve that dips into the bbox for less than about two cells of arc
     may give a run to one sampler only; such runs lie within one cell of
-    the bbox edge and are set aside when the counts differ.
+    the bbox edge and are set aside when the counts differ.  Likewise a
+    closed curve that leaves the bbox for less than about two cells of arc
+    may be cut there by one sampler only: the ends are not compared when
+    one polyline is closed and the other is open with both ends within one
+    cell of the bbox edge, as the ends of such a cut are.
     """
     got = fg.sample_branch(a, b, alpha, branch, bbox, resolution)
     want = sample_branch_reference(a, b, alpha, branch, bbox, resolution)
     box = np.array(fg.support_bbox(a, b) if bbox is None else bbox)
     cell = max(box[2] - box[0], box[3] - box[1]) / (resolution - 1)
 
+    def depth(points):
+        """Per point its distance inside the bbox from the nearest edge."""
+        return np.minimum(points - box[:2], box[2:] - points).min(axis=1)
+
     def inner(polylines):
         """The polylines with a vertex more than one cell inside the bbox."""
-        return [p for p in polylines
-                if np.minimum(p - box[:2], box[2:] - p).min(axis=1).max() > cell]
+        return [p for p in polylines if depth(p).max() > cell]
+
+    def cut_at_edge(closed, cut):
+        return (np.array_equal(closed[0], closed[-1]) and not np.array_equal(cut[0], cut[-1])
+                and depth(cut[[0, -1]]).max() <= cell)
 
     if len(got) != len(want):
         got, want = inner(got), inner(want)
@@ -742,7 +818,8 @@ def assert_matches_sampler_reference(a, b, alpha, branch, bbox=None, resolution=
     for g, w in zip(got, want):
         for p, q in ((g, w), (w, g)):
             assert cKDTree(q).query(p)[0].max() <= cell, (alpha, branch, bbox)
-        assert np.hypot(*(g[[0, -1]] - w[[0, -1]]).T).max() <= cell, (alpha, branch, bbox)
+        if not (cut_at_edge(g, w) or cut_at_edge(w, g)):
+            assert np.hypot(*(g[[0, -1]] - w[[0, -1]]).T).max() <= cell, (alpha, branch, bbox)
         chords = np.hypot(*np.diff(g, axis=0).T)
         assert chords.max() <= 15.0 / 16.0 * cell * (1.0 + 1e-12), (alpha, branch, bbox)
     return got
@@ -944,6 +1021,42 @@ class TestSimilarPairs:
                     assert [v is None for v in th] == [v is None for v in want_th], where
                     assert [v for v in th if v is not None] == pytest.approx(
                         [v for v in want_th if v is not None], abs=1e-7), where
+                    if name.endswith("_tangent"):
+                        # a tangency within the pair's tolerance is at alpha 0 exactly
+                        assert [v == 0.0 for v in th] == [v == 0.0 for v in want_th], where
+
+
+class TestTangentThresholds:
+    """Similar copies of the tangent table rows keep their tangency at alpha 0."""
+
+    def test_copies_give_zero_and_the_unit_bands(self, rng, tmp_path):
+        points, pairs = [], []
+        for name, zero in (("externally_tangent", "n"), ("internally_tangent", "n1")):
+            spec_a, spec_b = TABLE_CONFIGS[name]
+            copies = [(placed(spec_a, 1.0), placed(spec_b, 1.0))]
+            for _ in range(80):
+                # scaled by 1e-3 to 1e3, turned and shifted 6 to 6e6 times the scale
+                scale = 10.0 ** rng.uniform(-3.0, 3.0)
+                reach = 6.0 * scale * 10.0 ** rng.uniform(0.0, 6.0)
+                theta, phi = rng.uniform(0.0, 2.0 * math.pi, 2)
+                shift = (reach * math.cos(phi), reach * math.sin(phi))
+                copies.append((placed(spec_a, scale, theta, shift),
+                               placed(spec_b, scale, theta, shift)))
+            for i, (a, b) in enumerate(copies):
+                assert getattr(fg.alpha_thresholds(a, b), zero) == 0.0, (name, a, b)
+                points += [{"name": f"{name}{i}{end}", "core": [p.core.x, p.core.y],
+                            "spread": {"kind": "circular", "radii": [p.radius, p.radius]}}
+                           for p, end in ((a, "a"), (b, "b"))]
+                pairs.append([f"{name}{i}a", f"{name}{i}b"])
+        (tmp_path / "scene.json").write_text(json.dumps({"points": points, "pairs": pairs}))
+        out = tmp_path / "out"
+        assert run(["classify", "--scene", str(tmp_path / "scene.json"), "--out", str(out)]) == 0
+        for name in ("externally_tangent", "internally_tangent"):
+            files = [json.loads((out / f"{name}{i}a_{name}{i}b_classify.json").read_text())
+                     for i in range(81)]
+            for copy in files[1:]:
+                assert copy["bands"] == files[0]["bands"], copy["pair"]
+                assert copy["case_at_support"] == files[0]["case_at_support"] == name
 
 
 class TestClassifyRigidMotion:

@@ -1,10 +1,12 @@
-"""The CLI's distance and hausdorff files on seeded random scenes, checked
-by the benchmark's independent oracles in bench/oracles.py, which re-derive
-every number from closed forms and angle fans without importing fuzgeo.
+"""The CLI's distance, hausdorff and invariance files on seeded random
+scenes, checked by the benchmark's independent oracles in bench/oracles.py,
+which re-derive every number from closed forms and angle fans without
+importing fuzgeo.
 
 A scene has four circular or elliptical points at one scale in 10^[-3, 3],
 with cores within 3 scales of its centre: the origin, or for a shifted
-scene a point 10^[3, 7] scales away.  Draws follow FUZGEO_SEED.
+scene a point 10^[3, 7] scales away.  The invariance scenes are the same
+draws with every spread made circular.  Draws follow FUZGEO_SEED.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzgeo.cli import run
+from fuzgeo.cli import DEFAULT_INVARIANCE_T, run
 from fuzgeo.hausdorff import hausdorff_rows
 from fuzgeo.scene import parse_scene
 from fuzgeo.svgout import fmt
@@ -32,8 +34,8 @@ class PrintPrecision(AssertionError):
     """Oracle errors in files whose numbers pass once printed in full."""
 
 
-def _scenes(rng, shifted: bool):
-    """SCENES scenes as lists of scene-file points."""
+def _scenes(rng, shifted: bool, circular: bool = False):
+    """SCENES scenes as lists of scene-file points; all circular if circular."""
     for _ in range(SCENES):
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
         centre = np.zeros(2)
@@ -44,7 +46,7 @@ def _scenes(rng, shifted: bool):
         for i in range(4):
             x, y = (centre + rng.uniform(-3.0, 3.0, 2) * scale).tolist()
             p1, p2 = (rng.uniform(0.1, 1.0, 2) * scale).tolist()
-            kind = "circular" if rng.random() < 0.5 else "elliptical"
+            kind = "circular" if rng.random() < 0.5 or circular else "elliptical"
             points.append({"name": f"P{i}", "core": [x, y], "spread": {
                 "kind": kind, "radii": [p1, p1] if kind == "circular" else [p1, p2]}})
         yield points
@@ -71,6 +73,13 @@ def test_distance(rng, tmp_path, shifted):
     for k, points in enumerate(_scenes(rng, shifted)):
         out, pairs = _cli(tmp_path / str(k), "distance", points, "--alpha-levels", str(LEVELS))
         assert bench.check_distance(out, pairs, LEVELS) == [], points
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["origin", "shifted"])
+def test_invariance(rng, tmp_path, shifted):
+    for k, points in enumerate(_scenes(rng, shifted, circular=True)):
+        out, pairs = _cli(tmp_path / str(k), "invariance", points, "--resolution", "64")
+        assert bench.check_invariance(out, pairs, DEFAULT_INVARIANCE_T, 64) == [], points
 
 
 def test_hausdorff_at_origin(rng, tmp_path):
