@@ -6,10 +6,9 @@ closeness metric, the fuzzy Hausdorff distance, and graded
 equidistant sets with conic classification.
 """
 
-from .core import (AlphaBoundaryPair, FuzzyNumber, FuzzyPoint, Point2, Spread,
-                   TriangularNumber, TriangularTriple, fuzzy_leq, tri_add)
-from .distance import (DistanceMembershipParams, DistanceTable, FuzzyDistance,
-                       distance_membership, endpoint_distances, fuzzy_distance,
+from .core import (FuzzyNumber, FuzzyPoint, Point2, Spread, TriangularNumber,
+                   TriangularTriple, fuzzy_leq, tri_add)
+from .distance import (DistanceMembershipParams, DistanceTable, FuzzyDistance, fuzzy_distance,
                        fuzzy_distances, prop_core_angle)
 from .hausdorff import HausdorffResult, fuzzy_hausdorff
 from .lines import LineSpec, ProjectedFuzzyNumber, classify_pair, project_onto_line
@@ -26,17 +25,17 @@ from .scene import GridSpec, Scene, SceneError, load_scene, parse_scene
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaBoundaryPair", "Branch", "ConicCoefficients", "DistanceMembershipParams",
-    "DistanceTable", "FuzzyCloseness", "FuzzyDistance", "FuzzyNumber", "FuzzyPoint",
-    "GridSpec", "HausdorffResult", "InvarianceReport", "KSAxiomReport", "LineSpec",
+    "Branch", "ConicCoefficients", "DistanceMembershipParams", "DistanceTable",
+    "FuzzyCloseness", "FuzzyDistance", "FuzzyNumber", "FuzzyPoint", "GridSpec",
+    "HausdorffResult", "InvarianceReport", "KSAxiomReport", "LineSpec",
     "MetricAxiomReport", "MidsetEntry", "MidsetResult", "MINIMUM", "OverlapCase",
     "Point2", "PRODUCT", "ProjectedFuzzyNumber", "Scene", "SceneError", "Spread",
     "Thresholds", "TNorm", "TriangularNumber", "TriangularTriple",
     "active_branches", "alpha_thresholds", "check_ks_axioms",
     "check_metric_axioms", "classify_conic", "classify_pair", "closeness",
     "closeness_spread", "compute_midset", "conic_class", "conic_coefficients",
-    "distance_membership", "endpoint_distances", "equidistant_membership",
-    "fuzzy_distance", "fuzzy_distances", "fuzzy_hausdorff", "fuzzy_leq", "invariance_check",
-    "load_scene", "metric_md", "overlap_case", "parse_scene", "project_onto_line",
-    "prop_core_angle", "sample_branch", "sample_midset", "support_bbox", "tri_add",
+    "equidistant_membership", "fuzzy_distance", "fuzzy_distances", "fuzzy_hausdorff",
+    "fuzzy_leq", "invariance_check", "load_scene", "metric_md", "overlap_case",
+    "parse_scene", "project_onto_line", "prop_core_angle", "sample_branch",
+    "sample_midset", "support_bbox", "tri_add",
 ]

@@ -1,11 +1,15 @@
 """Command-line surface: scene in, CSV/JSON/SVG artifacts out.
 
-    fuzgeo <command> --scene scene.json --out results/
-           [--alpha-levels N] [--resolution N] [--t v1,v2,...]
-           [--format csv|svg]
+    fuzgeo distance     --scene S --out D [--alpha-levels N]
+    fuzgeo metric-curve --scene S --out D [--t v1,v2,...]
+    fuzgeo hausdorff    --scene S --out D
+    fuzgeo midset       --scene S --out D [--alpha-levels N] [--resolution N]
+                                          [--format csv|svg]
+    fuzgeo classify     --scene S --out D
+    fuzgeo invariance   --scene S --out D [--resolution N] [--t v1,v2,...]
 
-Commands: distance, metric-curve, hausdorff, midset, classify, invariance;
---format svg adds a midset SVG.  Exit status: 0 success, 1 argument,
+Each command accepts only the options it reads; any other is an argument
+error.  --format svg adds a midset SVG.  Exit status: 0 success, 1 argument,
 validation or I/O error, 2 internal numeric failure.  Every command names
 all its output files before it writes any, so a name too long for --out
 fails with nothing written.  svgout formats every number to 9 significant
@@ -76,6 +80,7 @@ def _alphas(levels: int) -> np.ndarray:
 
 
 def cmd_distance(scene: Scene, args, out: str) -> None:
+    """Distance summary JSON and cut ends per alpha as CSV, per pair."""
     alphas = _alphas(args.alpha_levels or scene.grids.alpha_levels)
     json_paths = _paths(out, scene.pairs, "_distance.json")
     csv_paths = _paths(out, scene.pairs, "_distance.csv")
@@ -98,6 +103,7 @@ def cmd_distance(scene: Scene, args, out: str) -> None:
 
 
 def cmd_metric_curve(scene: Scene, args, out: str) -> None:
+    """Fuzzy closeness against t as CSV, per pair."""
     if args.t_values:
         ts = args.t_values
     elif scene.t_values:
@@ -120,6 +126,7 @@ def cmd_metric_curve(scene: Scene, args, out: str) -> None:
 
 
 def cmd_hausdorff(scene: Scene, args, out: str) -> None:
+    """Fuzzy Hausdorff distance JSON with projected triples, per pair."""
     paths = _paths(out, scene.pairs, "_hausdorff.json")
     # one pass computes every pair's 13 numbers before any file is written,
     # so a failing pair leaves no partial output
@@ -132,6 +139,7 @@ def cmd_hausdorff(scene: Scene, args, out: str) -> None:
 
 
 def cmd_midset(scene: Scene, args, out: str) -> None:
+    """Midset polylines per alpha as CSV, and optionally SVG, per pair."""
     _require_circular(scene, "midset")
     alphas = _alphas(args.alpha_levels or scene.grids.alpha_levels)
     resolution = args.resolution or scene.grids.resolution
@@ -165,6 +173,7 @@ def cmd_midset(scene: Scene, args, out: str) -> None:
 
 
 def cmd_classify(scene: Scene, args, out: str) -> None:
+    """Alpha thresholds, overlap cases and conic classes, per pair."""
     _require_circular(scene, "classify")
     paths = _paths(out, scene.pairs, "_classify.json")
     for (name_a, name_b), path in zip(scene.pairs, paths):
@@ -192,6 +201,7 @@ def cmd_classify(scene: Scene, args, out: str) -> None:
 
 
 def cmd_invariance(scene: Scene, args, out: str) -> None:
+    """Zero-set agreement of the two midset forms, per pair."""
     _require_circular(scene, "invariance")
     ts = args.t_values or scene.t_values or DEFAULT_INVARIANCE_T
     resolution = args.resolution or scene.grids.resolution
@@ -207,16 +217,6 @@ def cmd_invariance(scene: Scene, args, out: str) -> None:
                                      report.passed))
 
 
-_COMMANDS = {
-    "distance": cmd_distance,
-    "metric-curve": cmd_metric_curve,
-    "hausdorff": cmd_hausdorff,
-    "midset": cmd_midset,
-    "classify": cmd_classify,
-    "invariance": cmd_invariance,
-}
-
-
 def _parse_t_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(v) for v in text.split(","))
@@ -227,35 +227,65 @@ def _parse_t_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
+_OPTIONS = {
+    "--alpha-levels": dict(type=int, dest="alpha_levels", metavar="N", help="at least 2"),
+    "--resolution": dict(type=int, metavar="N", help="grid points per side, at least 16"),
+    "--t": dict(type=_parse_t_list, dest="t_values", metavar="v1,v2,...", help="t > 0"),
+    "--format": dict(choices=("csv", "svg"), default="csv"),
+}
+
+# each command and the options it reads besides --scene and --out
+_COMMANDS = {
+    "distance": (cmd_distance, ("--alpha-levels",)),
+    "metric-curve": (cmd_metric_curve, ("--t",)),
+    "hausdorff": (cmd_hausdorff, ()),
+    "midset": (cmd_midset, ("--alpha-levels", "--resolution", "--format")),
+    "classify": (cmd_classify, ()),
+    "invariance": (cmd_invariance, ("--resolution", "--t")),
+}
+
+# lower bounds of the integer options
+_AT_LEAST = {"alpha_levels": ("--alpha-levels", 2), "resolution": ("--resolution", 16)}
+
+
+def build_parser() -> dict:
+    """The top-level parser under None, and each command's parser under its name."""
     parser = argparse.ArgumentParser(
         prog="fuzgeo",
         description="fuzzy-geometry analyses of scene files")
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--scene", required=True, help="scene JSON file")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--alpha-levels", type=int, dest="alpha_levels")
-    parser.add_argument("--resolution", type=int)
-    parser.add_argument("--t", type=_parse_t_list, dest="t_values")
-    parser.add_argument("--format", choices=("csv", "svg"), default="csv")
-    return parser
+    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (func, options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=func.__doc__, description=func.__doc__)
+        command.add_argument("--scene", required=True, help="scene JSON file")
+        command.add_argument("--out", required=True, help="output directory")
+        for flag in options:
+            command.add_argument(flag, **_OPTIONS[flag])
+        command.set_defaults(func=func)
+    return {None: parser, **commands.choices}
 
 
-# the parser of run(), built by its first call: parsing leaves no state in it
+# the parsers of run(), built by its first call: parsing leaves no state in them
 _parser = functools.lru_cache(maxsize=None)(build_parser)
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            # straight to the command's parser: through the top-level one,
+            # which lists the commands, its arguments are parsed twice
+            args = _parser()[argv[0]].parse_args(argv[1:])
+        else:
+            args = _parser()[None].parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage and the error
         return 1 if exc.code else 0
     try:
         scene = load_scene(args.scene)
-        if args.alpha_levels is not None and args.alpha_levels < 2:
-            raise SceneError("--alpha-levels must be at least 2")
-        if args.resolution is not None and args.resolution < 16:
-            raise SceneError("--resolution must be at least 16")
+        for dest, (flag, least) in _AT_LEAST.items():
+            # a command's namespace holds only the options it reads
+            value = getattr(args, dest, None)
+            if value is not None and value < least:
+                raise SceneError(f"{flag} must be at least {least}")
         out = args.out
         try:
             os.makedirs(out, exist_ok=True)
@@ -263,7 +293,7 @@ def run(argv=None) -> int:
             raise SceneError(f"cannot create output directory {out}: {exc}") from None
         if not os.access(out, os.W_OK):
             raise SceneError(f"output directory {out} is not writable")
-        _COMMANDS[args.command](scene, args, out)
+        args.func(scene, args, out)
     except (SceneError, ValueError, OSError) as exc:
         print(f"fuzgeo: error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ summary.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -141,13 +141,6 @@ class Spread(Value):
         return self.kind == "circular"
 
 
-class AlphaBoundaryPair(NamedTuple):
-    """Under/over boundary points of an alpha-cut along a direction."""
-
-    under: Point2
-    over: Point2
-
-
 class FuzzyPoint(Value):
     """A fuzzy location: core point plus spread with linear membership decay.
 
@@ -185,23 +178,6 @@ class FuzzyPoint(Value):
         )
         return max(0.0, 1.0 - rho)
 
-    def cut_boundary(self, alpha: float, theta: float) -> AlphaBoundaryPair:
-        """Boundary points of the alpha-cut ellipse at parametric angle theta."""
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        u = 1.0 - alpha
-        dx = self.spread.p1 * u * math.cos(theta)
-        dy = self.spread.p2 * u * math.sin(theta)
-        a1, a2 = self.core.x, self.core.y
-        return AlphaBoundaryPair(
-            under=Point2(a1 - dx, a2 - dy),
-            over=Point2(a1 + dx, a2 + dy),
-        )
-
-    def cut_radii(self, alpha: float) -> tuple[float, float]:
-        u = 1.0 - alpha
-        return (self.spread.p1 * u, self.spread.p2 * u)
-
 
 class TriangularTriple(Value):
     """Triangular summary (l, m, u) of a fuzzy number, l <= m <= u."""
@@ -225,13 +201,6 @@ class TriangularTriple(Value):
     def __le__(self, other: "TriangularTriple") -> bool:
         # componentwise fuzzy order; a partial order, not total
         return self.l <= other.l and self.m <= other.m and self.u <= other.u
-
-    def almost_equals(self, other: "TriangularTriple", tol: float = 1e-9) -> bool:
-        return (
-            abs(self.l - other.l) <= tol
-            and abs(self.m - other.m) <= tol
-            and abs(self.u - other.u) <= tol
-        )
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.l, self.m, self.u)
@@ -298,10 +267,6 @@ class FuzzyNumber:
     def membership(self, x: float) -> float:
         """Grade of x: the largest alpha whose cut contains x, 0 outside the support."""
         raise NotImplementedError
-
-    @staticmethod
-    def from_triple(l: float, m: float, u: float) -> "TriangularNumber":
-        return TriangularNumber(l, m, u)
 
 
 class TriangularNumber(FuzzyNumber):

@@ -24,13 +24,13 @@ separate, and below u0 it grows linearly along the direction in which the
 cuts last touched.
 
 A DistanceTable holds the pairs' geometry and frozen directions as column
-arrays and cuts every pair in one broadcast.  A FuzzyDistance is one row:
-rows() binds each to its row of a table, and FuzzyDistance(a, b) builds
-its one row directly, equal bit for bit to the row of a one-pair table.  The
-branch of each pair's lower cut end is decided once, by _lower_end, when
-the row is built, and _gap and _linear_end state the branch formulas: the
-table evaluates each on its own rows only, a row in scalar arithmetic,
-bit for bit alike.
+arrays and cuts every pair in one broadcast.  A FuzzyDistance holds one
+row's values: rows() copies each row of a table, and FuzzyDistance(a, b)
+builds its one row directly, equal bit for bit to the row of a one-pair
+table.  The branch of each pair's lower cut end is decided once, by
+_lower_end, when the row is built, and _gap and _linear_end state the
+branch formulas: the table evaluates each on its own rows only, a row in
+scalar arithmetic, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -323,14 +323,8 @@ class DistanceTable:
             self._rows.append((p.R1, p.R2, p.d1, p.d2, p.dc, u0, theta_min, theta_max,
                                refined))
             self._lower.append(lower)
-
-    @cached_property
-    def _cols(self) -> np.ndarray:
-        """The columns R1, ..., theta_max, refined as the rows of one array.
-
-        Built on first use: a FuzzyDistance reads its row's Python values.
-        """
-        return np.array(self._rows, dtype=float).reshape(-1, 9).T
+        # the columns R1, ..., theta_max, refined as the rows of one array
+        self._cols = np.array(self._rows, dtype=float).reshape(-1, 9).T
 
     R1, R2, d1, d2, dc, u0, theta_min, theta_max = (
         property(lambda self, i=i: self._cols[i]) for i in range(8))
@@ -347,7 +341,8 @@ class DistanceTable:
         out = []
         for i in range(len(self)):
             d = FuzzyDistance.__new__(FuzzyDistance)
-            d._bind(self, i)
+            d.params, d._lower = self.params[i], self._lower[i]
+            *_, d._u0, d.argmin_theta, d.argmax_theta, d.refined = self._rows[i]
             out.append(d)
         return out
 
@@ -373,33 +368,15 @@ class FuzzyDistance(FuzzyNumber):
     """The fuzzy distance d(A, B) as a fuzzy number with closed-form cuts.
 
     params, argmin_theta, argmax_theta and refined are the pair's row as
-    Python values, and its cut takes the branch chosen for the row.  It is
-    row `index` of the DistanceTable `table`: FuzzyDistance(a, b) solves
-    its one pair directly and builds that one-pair table only on first use,
-    with the same row bit for bit.
+    Python values, and its cut takes the branch chosen for the row.
+    FuzzyDistance(a, b) solves its one pair directly, and its row equals
+    the row of a one-pair DistanceTable bit for bit.
     """
 
     def __init__(self, a: FuzzyPoint, b: FuzzyPoint):
         self.params = p = DistanceMembershipParams.from_points(a, b)
         theta_min, self.argmax_theta, self.refined = _pair_directions(p)
         self._u0, self._lower, self.argmin_theta = _lower_end(p, theta_min)
-        self.index = 0
-
-    def _bind(self, table: DistanceTable, index: int) -> None:
-        self.table, self.index = table, index
-        self.params = table.params[index]
-        self._lower = table._lower[index]
-        *_, self._u0, self.argmin_theta, self.argmax_theta, self.refined = table._rows[index]
-
-    @cached_property
-    def table(self) -> DistanceTable:
-        """The one-pair table holding this distance's row, built on first use."""
-        p, table = self.params, DistanceTable([])
-        table.params.append(p)
-        table._rows.append((p.R1, p.R2, p.d1, p.d2, p.dc, self._u0, self.argmin_theta,
-                            self.argmax_theta, self.refined))
-        table._lower.append(self._lower)
-        return table
 
     def _ends(self, alphas):
         """Cut ends at the levels alphas, a float or an array.
@@ -473,16 +450,6 @@ class FuzzyDistance(FuzzyNumber):
         return TriangularTriple(lo0, self.params.dc, hi0)
 
 
-def endpoint_distances(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
-                       theta: float) -> tuple[float, float]:
-    """The two cross-boundary distances at a common direction, as (min, max)."""
-    ba = a.cut_boundary(alpha, theta)
-    bb = b.cut_boundary(alpha, theta)
-    d_under_over = ba.under.distance_to(bb.over)
-    d_over_under = ba.over.distance_to(bb.under)
-    return (min(d_under_over, d_over_under), max(d_under_over, d_over_under))
-
-
 def fuzzy_distance(a: FuzzyPoint, b: FuzzyPoint) -> FuzzyDistance:
     return FuzzyDistance(a, b)
 
@@ -490,13 +457,6 @@ def fuzzy_distance(a: FuzzyPoint, b: FuzzyPoint) -> FuzzyDistance:
 def fuzzy_distances(pairs: Iterable[tuple[FuzzyPoint, FuzzyPoint]]) -> list[FuzzyDistance]:
     """The fuzzy distance of every (a, b) pair: the rows of one DistanceTable."""
     return DistanceTable(pairs).rows()
-
-
-def distance_membership(a: FuzzyPoint, b: FuzzyPoint, x: float) -> float:
-    """Grade of a candidate distance value x in the fuzzy distance of (a, b)."""
-    if x < 0:
-        raise ValueError(f"distance value must be nonnegative, got {x}")
-    return fuzzy_distance(a, b).membership(x)
 
 
 def prop_core_angle(a: FuzzyPoint, b: FuzzyPoint) -> float:

@@ -1,6 +1,6 @@
-"""Lines in the plane, the rigid map to line coordinates, and projection
-of fuzzy points onto a line through their core, which gives a
-ProjectedFuzzyNumber: a triangular fuzzy number in line coordinates that
+"""Lines in the plane, the s-coordinate along a line, and projection of
+fuzzy points onto a line through their core, which gives a
+ProjectedFuzzyNumber: a triangular fuzzy number in s-coordinates that
 keeps its line.
 
 The s-coordinate along a line is anchored at the line's axis intercept
@@ -38,26 +38,10 @@ class LineSpec(Value):
             raise ValueError("two distinct points are needed to define a line")
         return cls._of(*_line_through(p, q))
 
-    @classmethod
-    def through_point_angle(cls, p: Point2, psi: float) -> "LineSpec":
-        a = -math.sin(psi)
-        b = math.cos(psi)
-        return cls(a, b, a * p.x + b * p.y)
-
     @property
     def theta(self) -> float:
         """Angle of elevation in [0, pi)."""
         return _frame(self.a, self.b, self.c)[3]
-
-    @property
-    def direction(self) -> tuple[float, float]:
-        return _frame(self.a, self.b, self.c)[4:6]
-
-    @property
-    def foot(self) -> Point2:
-        """Foot of the perpendicular from the origin (lies on the line)."""
-        d = self.a * self.a + self.b * self.b
-        return Point2(self.a * self.c / d, self.b * self.c / d)
 
     @property
     def anchor(self) -> Point2:
@@ -72,18 +56,6 @@ class LineSpec(Value):
         scales with that size where it exceeds 1.
         """
         return _on_line(self.a, self.b, self.c, p.x, p.y, tol)
-
-    def to_line_coords(self, q: Point2) -> tuple[float, float]:
-        """(s, n): coordinate along the line and signed offset from it."""
-        cx, sx = self.direction
-        ox, oy = self.anchor
-        dx, dy = q.x - ox, q.y - oy
-        return (dx * cx + dy * sx, -dx * sx + dy * cx)
-
-    def from_line_coords(self, s: float, n: float) -> Point2:
-        cx, sx = self.direction
-        ox, oy = self.anchor
-        return Point2(ox + s * cx - n * sx, oy + s * sx + n * cx)
 
 
 # LineSpec's arithmetic on floats, shared with the Hausdorff rows
@@ -133,7 +105,7 @@ def _project(p, frame):
 class ProjectedFuzzyNumber(TriangularNumber):
     """A fuzzy point seen as a triangular fuzzy number along a line through its core.
 
-    The numbers are s-coordinates along line (see to_line_coords).
+    The numbers are s-coordinates along line, as the module docstring defines them.
     """
 
     def __init__(self, line: LineSpec, l: float, m: float, u: float):

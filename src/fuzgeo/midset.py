@@ -408,7 +408,6 @@ class MidsetEntry(NamedTuple):
     alpha: float
     branch: Branch
     polylines: tuple
-    conic: ConicCoefficients
     conic_class: str
     accepted: bool
 
@@ -416,7 +415,6 @@ class MidsetEntry(NamedTuple):
 class MidsetResult(NamedTuple):
     entries: tuple
     case_at_support: OverlapCase
-    thresholds: Thresholds
     bbox: tuple
     resolution: int
 
@@ -439,7 +437,6 @@ def compute_midset(a: FuzzyPoint, b: FuzzyPoint,
     entries = tuple(
         MidsetEntry(alpha=alpha, branch=branch,
                     polylines=tuple(sample_branch(a, b, alpha, branch, bbox, resolution)),
-                    conic=conic_coefficients(a, b, alpha, branch),
                     conic_class=conic_class(a, b, alpha, branch),
                     accepted=branch is Branch.INVERSE)
         for alpha in sorted(float(x) for x in alphas)
@@ -447,7 +444,6 @@ def compute_midset(a: FuzzyPoint, b: FuzzyPoint,
     return MidsetResult(
         entries=entries,
         case_at_support=pair.case(1.0),
-        thresholds=alpha_thresholds(a, b),
         bbox=tuple(bbox),
         resolution=resolution)
 

@@ -112,14 +112,10 @@ def _parse_point(entry, index: int) -> tuple[str, FuzzyPoint]:
     if not (isinstance(radii, (list, tuple)) and len(radii) == 2):
         raise SceneError(f"point {name!r}: spread radii must be [p1, p2]")
     p1, p2 = _numbers(radii, f"point {name!r}: spread radii")
-    if p1 <= 0 or p2 <= 0:
-        raise SceneError(f"point {name!r}: spread radii must be positive, "
-                         f"got ({p1}, {p2})")
-    if kind == "circular" and p1 != p2:
-        raise SceneError(f"point {name!r}: circular spread requires equal radii, "
-                         f"got ({p1}, {p2})")
-    # the spread is checked above, with the messages of Spread
-    return name, FuzzyPoint(Point2(x, y), Spread._of(kind, p1, p2))
+    try:
+        return name, FuzzyPoint(Point2(x, y), Spread(kind, p1, p2))
+    except ValueError as exc:  # the radii checks of Spread
+        raise SceneError(f"point {name!r}: {exc}") from None
 
 
 def parse_scene(text: str) -> Scene:

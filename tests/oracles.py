@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,6 +27,80 @@ from fuzgeo.svgout import _alpha_color, fmt, fmt_rows
 
 # Draws a rejection-sampling helper makes before it gives up.
 MAX_DRAWS = 1000
+
+
+class AlphaBoundaryPair(NamedTuple):
+    """Under/over boundary points of an alpha-cut along a direction."""
+
+    under: fg.Point2
+    over: fg.Point2
+
+
+def cut_boundary(p: FuzzyPoint, alpha: float, theta: float) -> AlphaBoundaryPair:
+    """Boundary points of p's alpha-cut ellipse at parametric angle theta."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    u = 1.0 - alpha
+    dx = p.spread.p1 * u * math.cos(theta)
+    dy = p.spread.p2 * u * math.sin(theta)
+    a1, a2 = p.core.x, p.core.y
+    return AlphaBoundaryPair(under=fg.Point2(a1 - dx, a2 - dy), over=fg.Point2(a1 + dx, a2 + dy))
+
+
+def cut_radii(p: FuzzyPoint, alpha: float) -> tuple[float, float]:
+    """Semi-axes of p's alpha-cut ellipse."""
+    u = 1.0 - alpha
+    return (p.spread.p1 * u, p.spread.p2 * u)
+
+
+def endpoint_distances(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
+                       theta: float) -> tuple[float, float]:
+    """The two cross-boundary distances at a common direction, as (min, max)."""
+    ba = cut_boundary(a, alpha, theta)
+    bb = cut_boundary(b, alpha, theta)
+    d_under_over = ba.under.distance_to(bb.over)
+    d_over_under = ba.over.distance_to(bb.under)
+    return (min(d_under_over, d_over_under), max(d_under_over, d_over_under))
+
+
+def distance_membership(a: FuzzyPoint, b: FuzzyPoint, x: float) -> float:
+    """Grade of a candidate distance value x in the fuzzy distance of (a, b)."""
+    if x < 0:
+        raise ValueError(f"distance value must be nonnegative, got {x}")
+    return fuzzy_distance(a, b).membership(x)
+
+
+def almost_equals(t: TriangularTriple, other: TriangularTriple, tol: float = 1e-9) -> bool:
+    """Whether two triples agree componentwise to tol."""
+    return abs(t.l - other.l) <= tol and abs(t.m - other.m) <= tol and abs(t.u - other.u) <= tol
+
+
+def through_point_angle(p: fg.Point2, psi: float) -> fg.LineSpec:
+    """The line through p at elevation angle psi."""
+    a = -math.sin(psi)
+    b = math.cos(psi)
+    return fg.LineSpec(a, b, a * p.x + b * p.y)
+
+
+def line_foot(line: fg.LineSpec) -> fg.Point2:
+    """Foot of the perpendicular from the origin to line."""
+    d = line.a * line.a + line.b * line.b
+    return fg.Point2(line.a * line.c / d, line.b * line.c / d)
+
+
+def to_line_coords(line: fg.LineSpec, q: fg.Point2) -> tuple[float, float]:
+    """(s, n): q's s-coordinate along line and its signed offset from it."""
+    cx, sx = math.cos(line.theta), math.sin(line.theta)
+    ox, oy = line.anchor
+    dx, dy = q.x - ox, q.y - oy
+    return (dx * cx + dy * sx, -dx * sx + dy * cx)
+
+
+def from_line_coords(line: fg.LineSpec, s: float, n: float) -> fg.Point2:
+    """The point of line coordinates (s, n); the inverse of to_line_coords."""
+    cx, sx = math.cos(line.theta), math.sin(line.theta)
+    ox, oy = line.anchor
+    return fg.Point2(ox + s * cx - n * sx, oy + s * sx + n * cx)
 
 
 def theta_grid_extrema(a, b, alpha, samples=10_000):
@@ -186,7 +261,7 @@ class Ellipse:
 
     @classmethod
     def from_fuzzy_cut(cls, p: FuzzyPoint, alpha: float) -> "Ellipse":
-        rx, ry = p.cut_radii(alpha)
+        rx, ry = cut_radii(p, alpha)
         return cls(p.core.x, p.core.y, rx, ry)
 
     @property

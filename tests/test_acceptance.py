@@ -246,7 +246,7 @@ def test_criterion_13_property_suites(rng):
     objects = []
     for _ in range(50):
         l, m, u = np.sort(rng.uniform(-10, 10, size=3))
-        objects.append(fg.FuzzyNumber.from_triple(l, m, u))
+        objects.append(fg.TriangularNumber(l, m, u))
     for _ in range(25):
         objects.append(fg.fuzzy_distance(*random_separated_pair(rng)))
     for _ in range(25):

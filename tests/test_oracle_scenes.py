@@ -1,16 +1,18 @@
-"""The CLI's distance, hausdorff and invariance files on seeded random
-scenes, checked by the benchmark's independent oracles in bench/oracles.py,
-which re-derive every number from closed forms and angle fans without
-importing fuzgeo.
+"""The CLI's files of every command on seeded random scenes, checked by the
+benchmark's independent oracles in bench/oracles.py, which re-derive every
+number from closed forms and angle fans without importing fuzgeo.
 
 A scene has four circular or elliptical points at one scale in 10^[-3, 3],
 with cores within 3 scales of its centre: the origin, or for a shifted
-scene a point 10^[3, 7] scales away.  The invariance scenes are the same
-draws with every spread made circular.  Draws follow FUZGEO_SEED.
+scene a point 10^[3, 7] scales away.  The metric-curve, midset, classify
+and invariance scenes are the same draws with every spread made circular.
+Draws follow FUZGEO_SEED.
 """
 
 import importlib.util
 import json
+import shutil
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 
 from fuzgeo.cli import DEFAULT_INVARIANCE_T, run
 from fuzgeo.hausdorff import hausdorff_rows
+from fuzgeo.midset import compute_midset, support_bbox
 from fuzgeo.scene import parse_scene
 from fuzgeo.svgout import fmt
 
@@ -28,6 +31,14 @@ _spec.loader.exec_module(bench)
 
 SCENES = 10
 LEVELS = 11
+CURVE_T = (0.01, 0.3, 1.0, 3.0, 100.0)
+MIDSET_LEVELS, MIDSET_RESOLUTION = 3, 64
+MIDSET_ARGS = ("--alpha-levels", str(MIDSET_LEVELS), "--resolution", str(MIDSET_RESOLUTION),
+               "--format", "svg")
+
+# print precision is the subject of ROADMAP's output-layout item
+SHIFTED_REASON = ("%.9g keeps nine significant digits of {}, which a shift makes 1e3 to 1e7 "
+                  "times the pair's size")
 
 
 class PrintPrecision(AssertionError):
@@ -88,9 +99,8 @@ def test_hausdorff_at_origin(rng, tmp_path):
         assert bench.check_hausdorff(out, pairs) == [], points
 
 
-@pytest.mark.xfail(strict=True, raises=PrintPrecision, reason=(
-    "ROADMAP item 6: %.9g keeps nine significant digits of s-coordinates and "
-    "line offsets, which a shift makes 1e3 to 1e7 times the pair's size"))
+@pytest.mark.xfail(strict=True, raises=PrintPrecision,
+                   reason=SHIFTED_REASON.format("s-coordinates and line offsets"))
 def test_hausdorff_shifted(rng, tmp_path):
     failed = []
     for k, points in enumerate(_scenes(rng, True)):
@@ -107,6 +117,70 @@ def test_hausdorff_shifted(rng, tmp_path):
             assert printed == _payload(a, b, [float(fmt(x)) for x in row])
         assert bench.check_hausdorff(str(full), pairs) == [], points
         errors = bench.check_hausdorff(out, pairs)
+        if errors:
+            failed.append(errors[0])
+    if failed:
+        raise PrintPrecision(f"{len(failed)} of {SCENES} scenes, first: {failed[0]}")
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["origin", "shifted"])
+def test_metric_curve(rng, tmp_path, shifted):
+    for k, points in enumerate(_scenes(rng, shifted, circular=True)):
+        out, pairs = _cli(tmp_path / str(k), "metric-curve", points,
+                          "--t", ",".join(map(repr, CURVE_T)))
+        assert bench.check_metric_curve(out, pairs, CURVE_T) == [], points
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["origin", "shifted"])
+def test_classify(rng, tmp_path, shifted):
+    for k, points in enumerate(_scenes(rng, shifted, circular=True)):
+        out, pairs = _cli(tmp_path / str(k), "classify", points)
+        assert bench.check_classify(out, pairs) == [], points
+
+
+def test_midset_at_origin(rng, tmp_path):
+    for k, points in enumerate(_scenes(rng, False, circular=True)):
+        out, pairs = _cli(tmp_path / str(k), "midset", points, *MIDSET_ARGS)
+        assert bench.check_midset(out, pairs, MIDSET_LEVELS, MIDSET_RESOLUTION) == [], points
+
+
+def _midset_csvs(result, number) -> dict:
+    """A midset CSV's text per alpha level, every number spelled by number."""
+    texts = {}
+    for alpha, entries in groupby(result.entries, key=lambda e: e.alpha):
+        rows = ["branch,polyline,x,y\n"]
+        for entry in entries:
+            for j, polyline in enumerate(entry.polylines):
+                rows += [f"{entry.branch.value},{j},{number(x)},{number(y)}\n"
+                         for x, y in polyline.tolist()]
+        texts[alpha] = "".join(rows)
+    return texts
+
+
+@pytest.mark.xfail(strict=True, raises=PrintPrecision,
+                   reason=SHIFTED_REASON.format("vertex coordinates"))
+def test_midset_shifted(rng, tmp_path):
+    failed = []
+    for k, points in enumerate(_scenes(rng, True, circular=True)):
+        out, pairs = _cli(tmp_path / str(k), "midset", points, *MIDSET_ARGS)
+        # the kernel's vertices, written in full, pass the same oracle, and
+        # the CLI's files hold them to nine digits
+        full = tmp_path / str(k) / "full"
+        full.mkdir()
+        scene = parse_scene(json.dumps({"points": points}))
+        for a, b in scene.pairs:
+            pa, pb = scene.pair_points((a, b))
+            result = compute_midset(pa, pb, alphas=np.linspace(0.0, 1.0, MIDSET_LEVELS),
+                                    bbox=support_bbox(pa, pb), resolution=MIDSET_RESOLUTION)
+            printed, exact = _midset_csvs(result, fmt), _midset_csvs(result, repr)
+            for alpha in printed:
+                name = f"{a}_{b}_midset_a{alpha:.4f}.csv"
+                assert (Path(out) / name).read_text() == printed[alpha]
+                (full / name).write_text(exact[alpha])
+            shutil.copy(Path(out) / f"{a}_{b}_midset.svg", full)
+        assert bench.check_midset(str(full), pairs, MIDSET_LEVELS, MIDSET_RESOLUTION) == [], \
+            points
+        errors = bench.check_midset(out, pairs, MIDSET_LEVELS, MIDSET_RESOLUTION)
         if errors:
             failed.append(errors[0])
     if failed:

@@ -13,6 +13,7 @@ import fuzgeo as fg
 from fuzgeo.core import Value
 from fuzgeo.metric import CheckResult
 from fuzgeo.midset import Branch, OverlapCase
+from oracles import AlphaBoundaryPair
 
 VALUE, FROZEN, REPORT = "value", "frozen", "report"
 
@@ -28,7 +29,7 @@ def _checks(*names, checked=0):
 RECORDS = [
     (fg.Point2, VALUE, lambda o: dict(x=1.0, y=3.0 if o else 2.0)),
     (fg.Spread, VALUE, lambda o: dict(kind="elliptical", p1=1.0, p2=3.0 if o else 2.0)),
-    (fg.AlphaBoundaryPair, VALUE,
+    (AlphaBoundaryPair, VALUE,
      lambda o: dict(under=fg.Point2(0.0, 0.0), over=fg.Point2(2.0 if o else 1.0, 1.0))),
     (fg.FuzzyPoint, VALUE,
      lambda o: dict(core=fg.Point2(1.0, 2.0), spread=fg.Spread.circular(2.0 if o else 1.0))),
@@ -42,12 +43,10 @@ RECORDS = [
      lambda o: dict(A=1.0, H=0.0, B=-1.0, G=0.0, F=0.0, C=-2.0 if o else -1.0)),
     (fg.MidsetEntry, VALUE,
      lambda o: dict(alpha=0.5, branch=Branch.INVERSE, polylines=(),
-                    conic=fg.ConicCoefficients(1.0, 0.0, -1.0, 0.0, 0.0, -1.0),
                     conic_class="hyperbola", accepted=not o)),
     (fg.MidsetResult, VALUE,
      lambda o: dict(entries=(), case_at_support=OverlapCase.NON_OVERLAPPING,
-                    thresholds=fg.Thresholds(0.5, None, 0.5), bbox=(0.0, 0.0, 1.0, 1.0),
-                    resolution=128 if o else 64)),
+                    bbox=(0.0, 0.0, 1.0, 1.0), resolution=128 if o else 64)),
     (fg.GridSpec, VALUE, lambda o: dict(alpha_levels=11, bbox=None, resolution=32 if o else 64)),
     (fg.Scene, FROZEN,
      lambda o: dict(points={"A": fg.FuzzyPoint.circular(0.0, 0.0, 1.0)}, pairs=(),

@@ -69,6 +69,24 @@ MIXED_CIRCULAR_PAIRS = [["A", "C"], ["A", "D"], ["C", "D"]]
 MIXED_MIDSET_BBOX = (-2.0, -1.0, 6.0, 1.2)
 
 
+# the options each command reads besides --scene and --out, with a valid
+# value: small grids where a command has them
+READS = {
+    "distance": {"--alpha-levels": "3"},
+    "metric-curve": {"--t": "0.5,1"},
+    "hausdorff": {},
+    "midset": {"--alpha-levels": "3", "--resolution": "16", "--format": "csv"},
+    "classify": {},
+    "invariance": {"--resolution": "16", "--t": "1"},
+}
+OPTIONS = {"--alpha-levels": "3", "--resolution": "64", "--t": "1", "--format": "svg"}
+
+
+def _reads(command: str) -> list[str]:
+    """The arguments giving command every option it reads."""
+    return [arg for option in READS[command].items() for arg in option]
+
+
 def _module_env():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -433,7 +451,7 @@ class TestCli:
                   for i, name in enumerate(["A", "B", long_name])]
         out = tmp_path / "out"
         assert run([command, "--scene", scene_file(json.dumps({"points": points})),
-                    "--out", str(out), "--alpha-levels", "3", "--resolution", "16"]) == 1
+                    "--out", str(out), *_reads(command)]) == 1
         message = capsys.readouterr().err.splitlines()[-1]
         assert f"pair ['A', '{long_name}']" in message and "longer than" in message
         assert list(out.iterdir()) == []
@@ -479,7 +497,7 @@ class TestCli:
         text = text.replace('"grids"', '"pairs": [["A", "B"], ["A", "C"]], "grids"')
         out = tmp_path / "out"
         assert run([command, "--scene", scene_file(text), "--out", str(out),
-                    "--alpha-levels", "3", "--resolution", "16"]) == 1
+                    *_reads(command)]) == 1
         message = capsys.readouterr().err.splitlines()[-1]
         assert "pair ['A', 'C']" in message and "point 'C' is elliptical" in message
         assert list(out.iterdir()) == []
@@ -512,15 +530,15 @@ class TestCli:
         assert run([command, "--scene", scene_file(SUBNORMAL_SCENE), "--out", str(out)]) == 0
         assert len(list(out.iterdir())) >= 1
 
-    @pytest.mark.parametrize("extra, named", [
-        (["--out", "OUT", "--t", "-1"], "--t"),
-        (["--out", "OUT", "--alpha-levels", "abc"], "--alpha-levels"),
-        ([], "--out"),
-        (["--out", "OUT", "--format", "png"], "--format"),
-        (["--out", "OUT", "--format", "json"], "--format"),
+    @pytest.mark.parametrize("command, extra, named", [
+        ("invariance", ["--out", "OUT", "--t", "-1"], "--t"),
+        ("midset", ["--out", "OUT", "--alpha-levels", "abc"], "--alpha-levels"),
+        ("midset", [], "--out"),
+        ("midset", ["--out", "OUT", "--format", "png"], "--format"),
+        ("midset", ["--out", "OUT", "--format", "json"], "--format"),
     ], ids=["negative-t", "text-alpha-levels", "missing-out", "format-png", "format-json"])
-    def test_argument_errors_exit_1(self, extra, named, scene_file, tmp_path, capsys):
-        argv = ["midset", "--scene", scene_file(EX41_SCENE),
+    def test_argument_errors_exit_1(self, command, extra, named, scene_file, tmp_path, capsys):
+        argv = [command, "--scene", scene_file(EX41_SCENE),
                 *[str(tmp_path / "out") if v == "OUT" else v for v in extra]]
         proc = subprocess.run([sys.executable, "-m", "fuzgeo", *argv], env=_module_env(),
                               capture_output=True, text=True, timeout=60)
@@ -570,7 +588,42 @@ class TestCli:
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
         usage = capsys.readouterr().out
-        assert all(word in usage for word in ("distance", "invariance", "--scene", "--t"))
+        assert all(command in usage for command in READS)
+        assert run(["invariance", "--help"]) == 0
+        usage = capsys.readouterr().out
+        assert all(word in usage for word in ("--scene", "--t"))
+
+    @pytest.mark.parametrize("command", READS)
+    def test_command_help_lists_its_own_options(self, command, capsys):
+        assert run([command, "--help"]) == 0
+        usage = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z][a-z-]*", usage)) == {"--help", "--scene", "--out",
+                                                              *READS[command]}
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command in READS for option in OPTIONS
+        if option not in READS[command]])
+    def test_unread_option_exit_1(self, command, option, tmp_path, capsys):
+        # rejected before the scene is read: the scene file does not exist
+        out = tmp_path / "out"
+        assert run([command, "--scene", str(tmp_path / "missing.json"), "--out", str(out),
+                    option, OPTIONS[option]]) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "unrecognized arguments" in message and option in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option, least", [
+        ("distance", "--alpha-levels", 2), ("midset", "--alpha-levels", 2),
+        ("midset", "--resolution", 16), ("invariance", "--resolution", 16)])
+    def test_option_lower_bound(self, command, option, least, scene_file, tmp_path, capsys):
+        # the option's last value, given after _reads's, is the one read
+        argv = [command, "--scene", scene_file(EX42_SCENE), *_reads(command)]
+        low = tmp_path / "low"
+        assert run([*argv, "--out", str(low), option, str(least - 1)]) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message == f"fuzgeo: error: {option} must be at least {least}"
+        assert not low.exists()
+        assert run([*argv, "--out", str(tmp_path / "least"), option, str(least)]) == 0
 
 
 FLOATS = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
