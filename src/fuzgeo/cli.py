@@ -8,8 +8,8 @@
     fuzgeo classify     --scene S --out D
     fuzgeo invariance   --scene S --out D [--resolution N] [--t v1,v2,...]
 
-Each command accepts only the options it reads; any other is an argument
-error.  --format svg adds a midset SVG.  Exit status: 0 success, 1 argument,
+The command comes first.  Each command accepts only the options it reads;
+any other is an argument error.  --format svg adds a midset SVG.  Exit status: 0 success, 1 argument,
 validation or I/O error, 2 internal numeric failure.  Every command names
 all its output files before it writes any, so a name too long for --out
 fails with nothing written.  svgout formats every number to 9 significant
@@ -275,6 +275,11 @@ def run(argv=None) -> int:
             # straight to the command's parser: through the top-level one,
             # which lists the commands, its arguments are parsed twice
             args = _parser()[argv[0]].parse_args(argv[1:])
+        elif argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            # the top-level parser would take the first operand, such as the
+            # scene path of --scene S, for the command
+            _parser()[None].error("the command comes first, as in "
+                                  "fuzgeo <command> --scene S --out D")
         else:
             args = _parser()[None].parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage and the error

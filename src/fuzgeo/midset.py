@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -97,6 +98,17 @@ class _CirclePair(NamedTuple):
         if dc < diff_r:
             return OverlapCase.FULLY_OVERLAPPING
         return OverlapCase.PARTIALLY_OVERLAPPING
+
+    def conic_class(self, u: float, branch: Branch) -> str:
+        """The branch's class at u = 1 - alpha (see conic_class)."""
+        case = self.case(u)
+        if branch not in _ACTIVE_BRANCHES[case]:
+            return "degenerate"
+        if branch is Branch.SAME:
+            return "ellipse"
+        if (self.r1 - self.r2) * u == 0.0:
+            return "line"
+        return "degenerate" if case is OverlapCase.INTERNALLY_TANGENT else "hyperbola"
 
 
 def _circle_pair(a: FuzzyPoint, b: FuzzyPoint) -> _CirclePair:
@@ -251,16 +263,7 @@ def conic_class(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch) -> s
     tangency, a segment: those are "degenerate".  Only k, dc and the overlap
     case decide, so the class does not depend on frame or scale.
     """
-    r1, r2, _, _ = pair = _circle_pair(a, b)
-    u = 1.0 - alpha
-    case = pair.case(u)
-    if branch not in _ACTIVE_BRANCHES[case]:
-        return "degenerate"
-    if branch is Branch.SAME:
-        return "ellipse"
-    if (r1 - r2) * u == 0.0:
-        return "line"
-    return "degenerate" if case is OverlapCase.INTERNALLY_TANGENT else "hyperbola"
+    return _circle_pair(a, b).conic_class(1.0 - alpha, branch)
 
 
 def support_bbox(a: FuzzyPoint, b: FuzzyPoint) -> tuple[float, float, float, float]:
@@ -298,6 +301,38 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
     chord, no longer than its arc, is within (15/16) cell.  They are split
     into the runs of 2 or more inside the bbox; an arc inside that holds
     fewer spans under two steps, so it lies within one cell of the edge.
+
+    This is the one-entry call of the sampler that compute_midset runs once
+    over all (alpha, branch) entries of a pair; each entry's polylines are
+    the same bit for bit whichever other entries share the pass.
+    """
+    return _sample_levels(a, b, _circle_pair(a, b), [(alpha, branch)], bbox, resolution)[0]
+
+
+def _steps(delta: np.ndarray, div: np.ndarray, width: int) -> np.ndarray:
+    """Per row i, j delta[i]/div[i] for j = 0 .. width - 1, as np.linspace
+    computes its values before it adds the start: (j/div) delta where
+    delta/div underflows to 0.  delta and div are columns, div >= 1."""
+    j = np.arange(float(width))
+    step = delta / div
+    y = j * step
+    if np.count_nonzero(step) < len(step):
+        zero = step[:, 0] == 0.0
+        y[zero] = j / div[zero] * delta[zero]
+    return y
+
+
+def _sample_levels(a: FuzzyPoint, b: FuzzyPoint, pair: _CirclePair, levels: list,
+                   bbox: Optional[tuple], resolution: int) -> list[list[np.ndarray]]:
+    """The sample_branch polylines of every (alpha, branch) of levels, in one pass.
+
+    Each entry's spans are found in Python; every span's pieces, arc-length
+    bound, vertices and runs are then computed as whole arrays over all
+    spans, the sheets' spans first, each branch's formulas on its own
+    spans only.  Each span's bound is the cumsum of a row of a (span,
+    piece) array, padded with pieces of length 0, and is inverted by its
+    own np.interp, so no span's values depend on another's.  The operations
+    and their order are those of sampling each entry alone.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
@@ -307,101 +342,153 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"empty bounding box {bbox}")
     step = 15.0 / 16.0 * max(xmax - xmin, ymax - ymin) / (resolution - 1)
-    r1, r2, dc, _ = pair = _circle_pair(a, b)
-    case = pair.case(1.0 - alpha)
-    if branch not in _ACTIVE_BRANCHES[case]:
-        return []
-    k = ((r1 - r2) if branch is Branch.INVERSE else (r1 + r2)) * (1.0 - alpha)
+    r1, r2, dc, _ = pair
     c = dc / 2.0
     mx, my = 0.5 * (a.core.x + b.core.x), 0.5 * (a.core.y + b.core.y)
     ex, ey = ((b.core.x - mx) / c, (b.core.y - my) / c) if dc > 0.0 else (1.0, 0.0)
     # the bbox lies in the annulus near <= |P - centre| <= far
     far = max(math.hypot(x - mx, y - my) for x in (xmin, xmax) for y in (ymin, ymax))
     near = math.hypot(max(xmin - mx, 0.0, mx - xmax), max(ymin - my, 0.0, my - ymax))
-    if branch is Branch.INVERSE:
-        half = math.copysign(min(abs(k) / 2.0, c), k)
-        minor = math.sqrt(c * c - half * half)
-        # |P|^2 = half^2 + c^2 t^2, and P moves at most c per unit of t
-        t_lo, t_hi = (math.sqrt(max(r * r - half * half, 0.0)) / c for r in (near, far))
-        if case is OverlapCase.INTERNALLY_TANGENT:
-            spans = [(t_lo, t_hi)]
-        else:
-            spans = [(-t_hi, -t_lo), (t_lo, t_hi)] if t_lo > 0.0 else [(-t_hi, t_hi)]
-        speed = c
-    else:
-        half = max(k / 2.0, c)
-        minor = math.sqrt(half * half - c * c)
-        spans, speed = [(0.0, 2.0 * math.pi)], half
-        if near > 0.0:
-            # the bbox lies in the sector of the rays from the centre through
-            # its corners, less than pi wide; the ray at angle phi in the
-            # frame meets the ellipse at s = atan2(half sin phi, minor cos phi)
-            s = [math.atan2(half * (ex * (y - my) - ey * (x - mx)),
-                            minor * (ex * (x - mx) + ey * (y - my)))
-                 for x in (xmin, xmax) for y in (ymin, ymax)]
-            turn = [(v - s[0] + math.pi) % (2.0 * math.pi) - math.pi for v in s]
-            spans = [(s[0] + min(turn), s[0] + max(turn))]
-    closed = branch is Branch.SAME and near == 0.0
-
-    polylines = []
-    for t0, t1 in spans:
-        # pieces of about 8 steps, each with its exact top speed: on the sheet
-        # speed^2 = minor^2 + half^2 t^2/(1 + t^2) rises with |t|; on the
-        # ellipse speed^2 = minor^2 + (half^2 - minor^2) sin^2 s peaks at a
-        # quarter turn pi/2 + m pi, else at an end of the piece
-        edges = np.linspace(t0, t1, math.ceil(speed * (t1 - t0) / (8.0 * step)) + 2)
+    # the spans of the hyperbola sheets and of the ellipses, per span its
+    # entry, t0, t1, speed, half, minor and its top speed's coefficient
+    sheets, arcs = [], []
+    for entry, (alpha, branch) in enumerate(levels):
+        case = pair.case(1.0 - alpha)
+        if branch not in _ACTIVE_BRANCHES[case]:
+            continue
+        k = ((r1 - r2) if branch is Branch.INVERSE else (r1 + r2)) * (1.0 - alpha)
         if branch is Branch.INVERSE:
-            top = np.maximum(edges[:-1] ** 2, edges[1:] ** 2)
-            top *= half * half / (1.0 + top)
+            half = math.copysign(min(abs(k) / 2.0, c), k)
+            minor = math.sqrt(c * c - half * half)
+            # |P|^2 = half^2 + c^2 t^2, and P moves at most c per unit of t
+            t_lo, t_hi = (math.sqrt(max(r * r - half * half, 0.0)) / c for r in (near, far))
+            if case is OverlapCase.INTERNALLY_TANGENT:
+                spans = [(t_lo, t_hi)]
+            else:
+                spans = [(-t_hi, -t_lo), (t_lo, t_hi)] if t_lo > 0.0 else [(-t_hi, t_hi)]
+            sheets += [(entry, t0, t1, c, half, minor, half * half) for t0, t1 in spans]
         else:
-            top = np.sin(edges) ** 2
-            top = np.maximum(top[:-1], top[1:])
-            top[np.ceil(edges[:-1] / math.pi - 0.5) + 0.5 <= edges[1:] / math.pi] = 1.0
-            top *= half * half - minor * minor
-        # equal steps, at most step, of the arc-length bound sum(top speed dt)
-        bound = np.concatenate(([0.0], np.cumsum(np.sqrt(top + minor * minor) * np.diff(edges))))
-        t = np.interp(np.linspace(0.0, bound[-1], math.ceil(bound[-1] / step) + 1), bound, edges)
-        t[0], t[-1] = t0, t1
-        # x = half sqrt(1 + t^2) or half cos t, y = minor t or minor sin t,
-        # then px = mx + x ex - y ey and py = my + x ey + y ex, in place in
-        # the buffers t, x and tmp and the columns of pts (a sum or product
-        # of two floats does not depend on their order)
-        if branch is Branch.INVERSE:
-            x = t * t
-            x += 1.0
-            np.sqrt(x, out=x)
-        else:
-            x = np.cos(t)
-            np.sin(t, out=t)
-        x *= half
-        y = t
-        y *= minor
-        tmp = y * ey
-        pts = np.empty((len(t), 2))
-        px = np.multiply(x, ex, out=pts[:, 0])
-        px += mx
-        px -= tmp
-        py = np.multiply(x, ey, out=pts[:, 1])
-        py += my
-        py += np.multiply(y, ex, out=tmp)
-        if closed:
-            pts[-1] = pts[0]
-        inside = (px >= xmin) & (px <= xmax) & (py >= ymin) & (py <= ymax)
-        cut = (np.flatnonzero(np.diff(inside)) + 1).tolist()
-        runs = [pts[i:j] for i, j in zip([0] + cut, cut + [len(pts)]) if inside[i]]
-        if closed and cut and inside[0] and inside[-1]:
+            half = max(k / 2.0, c)
+            minor = math.sqrt(half * half - c * c)
+            span = (0.0, 2.0 * math.pi)
+            if near > 0.0:
+                # the bbox lies in the sector of the rays from the centre through
+                # its corners, less than pi wide; the ray at angle phi in the
+                # frame meets the ellipse at s = atan2(half sin phi, minor cos phi)
+                s = [math.atan2(half * (ex * (y - my) - ey * (x - mx)),
+                                minor * (ex * (x - mx) + ey * (y - my)))
+                     for x in (xmin, xmax) for y in (ymin, ymax)]
+                turn = [(v - s[0] + math.pi) % (2.0 * math.pi) - math.pi for v in s]
+                span = (s[0] + min(turn), s[0] + max(turn))
+            arcs.append((entry, *span, half, half, minor, half * half - minor * minor))
+    polylines = [[] for _ in levels]
+    if not sheets and not arcs:
+        return polylines
+    ns = len(sheets)
+    # pieces of about 8 steps, each with its exact top speed: on the sheet
+    # speed^2 = minor^2 + half^2 t^2/(1 + t^2) rises with |t|; on the
+    # ellipse speed^2 = minor^2 + (half^2 - minor^2) sin^2 s peaks at a
+    # quarter turn pi/2 + m pi, else at an end of the piece
+    rows = [(entry, t0, t1, t1 - t0, math.ceil(speed * (t1 - t0) / (8.0 * step)) + 1,
+             half, minor, coef) for entry, t0, t1, speed, half, minor, coef in sheets + arcs]
+    entries, *columns = zip(*rows)
+    n_edges = [n + 1 for n in columns[3]]
+    # per span a column of t0, t1, t1 - t0, pieces, half, minor, and the
+    # top speed's coefficient half^2 or half^2 - minor^2
+    t0, t1, delta, pieces, half, minor, coef = np.array(columns)[:, :, None]
+    # per span a row of edges as np.linspace(t0, t1, pieces + 1) gives
+    # them, padded with t1, so the padding's pieces have length 0
+    edges = _steps(delta, pieces, max(n_edges))
+    edges += t0
+    np.copyto(edges, t1, where=np.arange(max(n_edges)) >= pieces)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    # per span a row [0, cumsum(top speed dt)] of the arc-length bound
+    bound = np.zeros(edges.shape)
+    top = bound[:, 1:]
+    if sheets:
+        sheet = np.maximum(lo[:ns] ** 2, hi[:ns] ** 2, out=top[:ns])
+        sheet *= coef[:ns] / (1.0 + sheet)
+    if arcs:
+        turns = np.sin(edges[ns:]) ** 2
+        arc = np.maximum(turns[:, :-1], turns[:, 1:], out=top[ns:])
+        np.divide(edges[ns:], math.pi, out=turns)
+        arc[np.ceil(turns[:, :-1] - 0.5) + 0.5 <= turns[:, 1:]] = 1.0
+        arc *= coef[ns:]
+    top += minor * minor
+    np.sqrt(top, out=top)
+    top *= hi - lo
+    np.add.accumulate(bound, axis=1, out=bound)
+    # equal steps, at most step, of the bound, as np.linspace(0, length,
+    # cells + 1) gives them but for the last, which like the first is set
+    # to the span's end below
+    length = bound[:, -1:]
+    cells = np.ceil(length / step)
+    n_vertices = [int(n) + 1 for n in cells[:, 0].tolist()]
+    targets = _steps(length, np.maximum(cells, 1.0), max(n_vertices))
+    ends = list(accumulate(n_vertices))
+    t = np.empty(ends[-1])
+    for i, (nv, ne, end) in enumerate(zip(n_vertices, n_edges, ends)):
+        t[end - nv:end] = np.interp(targets[i, :nv], bound[i, :ne], edges[i, :ne])
+        t[end - nv], t[end - 1] = columns[0][i], columns[1][i]
+    del targets
+    # x = half sqrt(1 + t^2) or half cos t, y = minor t or minor sin t,
+    # then px = mx + x ex - y ey and py = my + x ey + y ex, in place in
+    # the buffers t, x and tmp and the columns of pts (a sum or product
+    # of two floats does not depend on their order)
+    arc0 = ends[ns - 1] if sheets else 0
+    x = np.empty(len(t))
+    if sheets:
+        sheet = np.multiply(t[:arc0], t[:arc0], out=x[:arc0])
+        sheet += 1.0
+        np.sqrt(sheet, out=sheet)
+    if arcs:
+        np.cos(t[arc0:], out=x[arc0:])
+        np.sin(t[arc0:], out=t[arc0:])
+    x *= half[:, 0].repeat(n_vertices)
+    y = t
+    y *= minor[:, 0].repeat(n_vertices)
+    # the whole ellipse closes on its start (the same x and y give the same
+    # point below)
+    closed = bool(arcs) and near == 0.0
+    if closed:
+        for nv, end in zip(n_vertices[ns:], ends[ns:]):
+            x[end - 1], y[end - 1] = x[end - nv], y[end - nv]
+    tmp = y * ey
+    pts = np.empty((len(t), 2))
+    px = np.multiply(x, ex, out=pts[:, 0])
+    px += mx
+    px -= tmp
+    py = np.multiply(x, ey, out=pts[:, 1])
+    py += my
+    py += np.multiply(y, ex, out=tmp)
+    inside = (px >= xmin) & (px <= xmax) & (py >= ymin) & (py <= ymax)
+    # the runs of equal inside within each span
+    cuts = (inside[1:] != inside[:-1]).nonzero()[0] + 1
+    starts = sorted(set(cuts.tolist()).union(e - n for e, n in zip(ends, n_vertices)))
+    run_inside = inside[starts].tolist()
+    starts.append(len(t))
+    j = 0
+    for i, end in enumerate(ends):
+        first, runs = j, []
+        while starts[j] < end:
+            if run_inside[j]:
+                runs.append(pts[starts[j]:starts[j + 1]])
+            j += 1
+        if closed and i >= ns and j - first > 1 and run_inside[first] and run_inside[j - 1]:
             # the closed ellipse re-enters at its start: join the first and last runs
             runs = [np.concatenate((runs[-1][:-1], runs[0]))] + runs[1:-1]
-        polylines += [run for run in runs if len(run) > 1]
+        polylines[entries[i]] += [run for run in runs if len(run) > 1]
     return polylines
 
 
 def sample_midset(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
                   bbox: Optional[tuple] = None,
                   resolution: int = DEFAULT_RESOLUTION) -> dict[Branch, list[np.ndarray]]:
-    """Polylines per branch active at this level."""
-    return {branch: sample_branch(a, b, alpha, branch, bbox, resolution)
-            for branch in _ACTIVE_BRANCHES[overlap_case(a, b, alpha)]}
+    """Polylines per branch active at this level, sampled in one pass."""
+    pair = _circle_pair(a, b)
+    branches = _ACTIVE_BRANCHES[pair.case(1.0 - alpha)]
+    return dict(zip(branches, _sample_levels(a, b, pair, [(alpha, branch) for branch in branches],
+                                             bbox, resolution)))
 
 
 class MidsetEntry(NamedTuple):
@@ -416,7 +503,6 @@ class MidsetResult(NamedTuple):
     entries: tuple
     case_at_support: OverlapCase
     bbox: tuple
-    resolution: int
 
 
 def compute_midset(a: FuzzyPoint, b: FuzzyPoint,
@@ -427,25 +513,24 @@ def compute_midset(a: FuzzyPoint, b: FuzzyPoint,
 
     The inverse-points branch is the accepted equidistant set whenever it
     is active; the same-points branch is reported alongside it in the
-    overlapping regimes.
+    overlapping regimes.  One pass of the sampler samples every (alpha,
+    active branch) entry of the pair, each with the polylines that
+    sample_branch gives for it alone.
     """
     pair = _circle_pair(a, b)
     if alphas is None:
         alphas = np.linspace(0.0, 1.0, 11)
     if bbox is None:
         bbox = support_bbox(a, b)
+    levels = [(alpha, branch) for alpha in sorted(float(x) for x in alphas)
+              for branch in _ACTIVE_BRANCHES[pair.case(1.0 - alpha)]]
+    polylines = _sample_levels(a, b, pair, levels, bbox, resolution)
     entries = tuple(
-        MidsetEntry(alpha=alpha, branch=branch,
-                    polylines=tuple(sample_branch(a, b, alpha, branch, bbox, resolution)),
-                    conic_class=conic_class(a, b, alpha, branch),
+        MidsetEntry(alpha=alpha, branch=branch, polylines=tuple(lines),
+                    conic_class=pair.conic_class(1.0 - alpha, branch),
                     accepted=branch is Branch.INVERSE)
-        for alpha in sorted(float(x) for x in alphas)
-        for branch in _ACTIVE_BRANCHES[pair.case(1.0 - alpha)])
-    return MidsetResult(
-        entries=entries,
-        case_at_support=pair.case(1.0),
-        bbox=tuple(bbox),
-        resolution=resolution)
+        for (alpha, branch), lines in zip(levels, polylines))
+    return MidsetResult(entries=entries, case_at_support=pair.case(1.0), bbox=tuple(bbox))
 
 
 def equidistant_membership(q: Point2, a: FuzzyPoint, b: FuzzyPoint) -> float:

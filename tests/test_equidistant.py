@@ -967,6 +967,67 @@ class TestZoomedEllipseWindow:
         assert arc[0, 1] * arc[-1, 1] < 0.0
 
 
+def batch_windows(a, b):
+    """The support bbox, an off-centre window (as wide as the support, above
+    a strip that keeps the core centre out) and a zoomed window (1/25 of the
+    support's width about a vertex of the first polyline at support)."""
+    x0, _, x1, _ = fg.support_bbox(a, b)
+    w, my = x1 - x0, 0.5 * (a.core.y + b.core.y)
+    off_centre = (x0, my + 0.05 * w, x1, my + w)
+    line = fg.sample_midset(a, b, 0.0, resolution=64)
+    line = next(p for polylines in line.values() for p in polylines)
+    px, py = line[len(line) // 3]
+    zoomed = (px - 0.02 * w, py - 0.02 * w, px + 0.02 * w, py + 0.02 * w)
+    return {"support": None, "off-centre": off_centre, "zoomed": zoomed}
+
+
+def assert_bitwise(got, want, where):
+    assert len(got) == len(want), where
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), where
+
+
+def assert_batch_is_per_entry(a, b, alphas, bbox, resolution):
+    """Every compute_midset entry is sample_branch's polylines for its (alpha,
+    branch) alone, bit for bit, and a level's entries are the same when it
+    is requested alone, or with every other level; returns the vertex count."""
+    result = fg.compute_midset(a, b, alphas=alphas, bbox=bbox, resolution=resolution)
+    for entry in result.entries:
+        assert_bitwise(entry.polylines, fg.sample_branch(a, b, entry.alpha, entry.branch,
+                                                         bbox, resolution), entry[:2])
+    levels = sorted(float(x) for x in alphas)
+    for subset in [[alpha] for alpha in levels] + [levels[::2], levels[1::2]]:
+        part = fg.compute_midset(a, b, alphas=subset, bbox=bbox, resolution=resolution)
+        want = [e for e in result.entries if e.alpha in subset]
+        assert [e[:2] for e in part.entries] == [e[:2] for e in want]
+        for got, entry in zip(part.entries, want):
+            assert_bitwise(got.polylines, entry.polylines, (subset, entry[:2]))
+    return sum(len(p) for entry in result.entries for p in entry.polylines)
+
+
+class TestMidsetBatch:
+    """compute_midset samples every (alpha, branch) entry of a pair in one
+    pass; no entry's vertices may depend on the others in that pass."""
+
+    @pytest.mark.parametrize("name", TABLE_CONFIGS)
+    @pytest.mark.parametrize("window", ["support", "off-centre", "zoomed"])
+    def test_case_table_rows(self, name, window):
+        a, b = make_pair(TABLE_CONFIGS[name])
+        bbox = batch_windows(a, b)[window]
+        alphas = np.linspace(0.0, 1.0, 11)
+        for resolution in (96, 512):
+            assert assert_batch_is_per_entry(a, b, alphas, bbox, resolution) > 0
+
+    def test_seeded_pairs(self, rng):
+        vertices = 0
+        for _ in range(12):
+            a, b = random_circular(rng, r_hi=4.0), random_circular(rng, r_hi=4.0)
+            alphas = rng.uniform(0.0, 1.0, 5)
+            for bbox in batch_windows(a, b).values():
+                vertices += assert_batch_is_per_entry(a, b, alphas, bbox, 96)
+        assert vertices > 1000
+
+
 def placed(spec, scale, theta=0.0, shift=(0.0, 0.0)):
     """The circular point (x, y, r) scaled, then turned by theta and shifted."""
     x, y, r = (scale * v for v in spec)

@@ -46,7 +46,7 @@ RECORDS = [
                     conic_class="hyperbola", accepted=not o)),
     (fg.MidsetResult, VALUE,
      lambda o: dict(entries=(), case_at_support=OverlapCase.NON_OVERLAPPING,
-                    bbox=(0.0, 0.0, 1.0, 1.0), resolution=128 if o else 64)),
+                    bbox=(0.0, 0.0, 1.0, 2.0 if o else 1.0))),
     (fg.GridSpec, VALUE, lambda o: dict(alpha_levels=11, bbox=None, resolution=32 if o else 64)),
     (fg.Scene, FROZEN,
      lambda o: dict(points={"A": fg.FuzzyPoint.circular(0.0, 0.0, 1.0)}, pairs=(),

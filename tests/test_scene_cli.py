@@ -566,6 +566,16 @@ class TestCli:
         assert named in capsys.readouterr().err.splitlines()[-1]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", READS)
+    def test_options_before_the_command_exit_1(self, command, scene_file, tmp_path, capsys):
+        # the scene path must not be read as the command
+        out = tmp_path / "out"
+        assert run(["--scene", scene_file(EX41_SCENE), "--out", str(out), command]) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message == ("fuzgeo: error: the command comes first, as in "
+                           "fuzgeo <command> --scene S --out D")
+        assert not out.exists()
+
     def test_reused_parser_matches_a_fresh_process(self, scene_file, tmp_path, capsys):
         # run() builds its parser once per process; a flag given to one call,
         # or an argument error, must not carry into the next
