@@ -9,11 +9,12 @@
     fuzgeo invariance   --scene S --out D [--resolution N] [--t v1,v2,...]
 
 The command comes first.  Each command accepts only the options it reads;
-any other is an argument error.  --format svg adds a midset SVG.  Exit status: 0 success, 1 argument,
-validation or I/O error, 2 internal numeric failure.  Every command names
-all its output files before it writes any, so a name too long for --out
-fails with nothing written.  svgout formats every number to 9 significant
-digits, so identical inputs give identical files.
+any other is an argument error.  --format svg adds a midset SVG.  Exit
+status: 0 success, 1 argument, validation or I/O error, 2 internal numeric
+failure.  Every command names all its output files before it writes any,
+so a name too long for --out fails with nothing written.  svgout formats
+every number to 9 significant digits, so identical inputs give identical
+files.
 
 The environment variable FUZGEO_SEED fixes the seed used by randomized
 test sampling helpers; the CLI commands themselves are deterministic.

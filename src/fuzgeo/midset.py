@@ -309,17 +309,34 @@ def sample_branch(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch,
     return _sample_levels(a, b, _circle_pair(a, b), [(alpha, branch)], bbox, resolution)[0]
 
 
-def _steps(delta: np.ndarray, div: np.ndarray, width: int) -> np.ndarray:
-    """Per row i, j delta[i]/div[i] for j = 0 .. width - 1, as np.linspace
-    computes its values before it adds the start: (j/div) delta where
-    delta/div underflows to 0.  delta and div are columns, div >= 1."""
-    j = np.arange(float(width))
-    step = delta / div
-    y = j * step
-    if np.count_nonzero(step) < len(step):
-        zero = step[:, 0] == 0.0
-        y[zero] = j / div[zero] * delta[zero]
-    return y
+def _arc_bounds(edges: np.ndarray, sheets: int, minor: np.ndarray,
+                coef: np.ndarray) -> np.ndarray:
+    """Per span, the row [0, cumsum(top speed dt)] over its row of edges.
+
+    The first sheets rows are hyperbola sheets, where speed^2 = minor^2 +
+    half^2 t^2/(1 + t^2) rises with |t|, and the rest ellipse arcs, where
+    speed^2 = minor^2 + (half^2 - minor^2) sin^2 s peaks at a quarter turn
+    pi/2 + m pi, else at an end of the piece.  minor and coef, half^2 or
+    half^2 - minor^2, are columns.  This bounds the arc length piecewise
+    linearly, each piece at its exact top speed.
+    """
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    bound = np.zeros(edges.shape)
+    top = bound[:, 1:]
+    if sheets:
+        sheet = np.maximum(lo[:sheets] ** 2, hi[:sheets] ** 2, out=top[:sheets])
+        sheet *= coef[:sheets] / (1.0 + sheet)
+    if sheets < len(edges):
+        turns = np.sin(edges[sheets:]) ** 2
+        arc = np.maximum(turns[:, :-1], turns[:, 1:], out=top[sheets:])
+        np.divide(edges[sheets:], math.pi, out=turns)
+        arc[np.ceil(turns[:, :-1] - 0.5) + 0.5 <= turns[:, 1:]] = 1.0
+        arc *= coef[sheets:]
+    top += minor * minor
+    np.sqrt(top, out=top)
+    top *= hi - lo
+    np.add.accumulate(bound, axis=1, out=bound)
+    return bound
 
 
 def _sample_levels(a: FuzzyPoint, b: FuzzyPoint, pair: _CirclePair, levels: list,
@@ -385,67 +402,55 @@ def _sample_levels(a: FuzzyPoint, b: FuzzyPoint, pair: _CirclePair, levels: list
     if not sheets and not arcs:
         return polylines
     ns = len(sheets)
-    # pieces of about 8 steps, each with its exact top speed: on the sheet
-    # speed^2 = minor^2 + half^2 t^2/(1 + t^2) rises with |t|; on the
-    # ellipse speed^2 = minor^2 + (half^2 - minor^2) sin^2 s peaks at a
-    # quarter turn pi/2 + m pi, else at an end of the piece
+    # pieces of about 8 steps; per span a column of t0, t1, t1 - t0, pieces,
+    # half, minor, and the top speed's coefficient
     rows = [(entry, t0, t1, t1 - t0, math.ceil(speed * (t1 - t0) / (8.0 * step)) + 1,
              half, minor, coef) for entry, t0, t1, speed, half, minor, coef in sheets + arcs]
     entries, *columns = zip(*rows)
     n_edges = [n + 1 for n in columns[3]]
-    # per span a column of t0, t1, t1 - t0, pieces, half, minor, and the
-    # top speed's coefficient half^2 or half^2 - minor^2
     t0, t1, delta, pieces, half, minor, coef = np.array(columns)[:, :, None]
-    # per span a row of edges as np.linspace(t0, t1, pieces + 1) gives
-    # them, padded with t1, so the padding's pieces have length 0
-    edges = _steps(delta, pieces, max(n_edges))
+    # per span a row of edges, np.linspace(t0, t1, pieces + 1) by numpy's
+    # arithmetic: j (delta/pieces) + t0, or (j/pieces) delta + t0 where
+    # delta/pieces underflows to 0, and t1 last; padded with t1, so the
+    # padding's pieces have length 0
+    j = np.arange(float(max(n_edges)))
+    width = delta / pieces
+    edges = j * width
+    if np.count_nonzero(width) < len(width):
+        zero = width[:, 0] == 0.0
+        edges[zero] = j / pieces[zero] * delta[zero]
     edges += t0
-    np.copyto(edges, t1, where=np.arange(max(n_edges)) >= pieces)
-    lo, hi = edges[:, :-1], edges[:, 1:]
-    # per span a row [0, cumsum(top speed dt)] of the arc-length bound
-    bound = np.zeros(edges.shape)
-    top = bound[:, 1:]
-    if sheets:
-        sheet = np.maximum(lo[:ns] ** 2, hi[:ns] ** 2, out=top[:ns])
-        sheet *= coef[:ns] / (1.0 + sheet)
-    if arcs:
-        turns = np.sin(edges[ns:]) ** 2
-        arc = np.maximum(turns[:, :-1], turns[:, 1:], out=top[ns:])
-        np.divide(edges[ns:], math.pi, out=turns)
-        arc[np.ceil(turns[:, :-1] - 0.5) + 0.5 <= turns[:, 1:]] = 1.0
-        arc *= coef[ns:]
-    top += minor * minor
-    np.sqrt(top, out=top)
-    top *= hi - lo
-    np.add.accumulate(bound, axis=1, out=bound)
-    # equal steps, at most step, of the bound, as np.linspace(0, length,
-    # cells + 1) gives them but for the last, which like the first is set
-    # to the span's end below
-    length = bound[:, -1:]
-    cells = np.ceil(length / step)
-    n_vertices = [int(n) + 1 for n in cells[:, 0].tolist()]
-    targets = _steps(length, np.maximum(cells, 1.0), max(n_vertices))
+    np.copyto(edges, t1, where=j >= pieces)
+    bound = _arc_bounds(edges, ns, minor, coef)
+    # equal steps, at most step, of the bound: np.linspace(0, length, cells
+    # + 1), as above, but for its last value, which like the first is set
+    # to the span's end
+    length = bound[:, -1].tolist()
+    n_vertices = [math.ceil(size / step) + 1 for size in length]
     ends = list(accumulate(n_vertices))
+    j = np.arange(float(max(n_vertices)))
     t = np.empty(ends[-1])
-    for i, (nv, ne, end) in enumerate(zip(n_vertices, n_edges, ends)):
-        t[end - nv:end] = np.interp(targets[i, :nv], bound[i, :ne], edges[i, :ne])
+    for i, (size, nv, ne, end) in enumerate(zip(length, n_vertices, n_edges, ends)):
+        cells = max(nv - 1, 1)
+        targets = j[:nv] * (size / cells) if size / cells else j[:nv] / cells * size
+        t[end - nv:end] = np.interp(targets, bound[i, :ne], edges[i, :ne])
         t[end - nv], t[end - 1] = columns[0][i], columns[1][i]
-    del targets
+    del j, targets, edges, bound
     # x = half sqrt(1 + t^2) or half cos t, y = minor t or minor sin t,
-    # then px = mx + x ex - y ey and py = my + x ey + y ex, in place in
-    # the buffers t, x and tmp and the columns of pts (a sum or product
-    # of two floats does not depend on their order)
+    # then py = my + x ey + y ex and px = mx + x ex - y ey, in place in
+    # the buffers t and tmp and the columns of pts, x in the first (a sum
+    # or product of two floats does not depend on their order)
     arc0 = ends[ns - 1] if sheets else 0
-    x = np.empty(len(t))
+    pts = np.empty((len(t), 2))
+    x, y = pts[:, 0], t
     if sheets:
-        sheet = np.multiply(t[:arc0], t[:arc0], out=x[:arc0])
+        sheet = np.multiply(y[:arc0], y[:arc0], out=x[:arc0])
         sheet += 1.0
         np.sqrt(sheet, out=sheet)
     if arcs:
-        np.cos(t[arc0:], out=x[arc0:])
-        np.sin(t[arc0:], out=t[arc0:])
+        np.cos(y[arc0:], out=x[arc0:])
+        np.sin(y[arc0:], out=y[arc0:])
     x *= half[:, 0].repeat(n_vertices)
-    y = t
     y *= minor[:, 0].repeat(n_vertices)
     # the whole ellipse closes on its start (the same x and y give the same
     # point below)
@@ -453,28 +458,28 @@ def _sample_levels(a: FuzzyPoint, b: FuzzyPoint, pair: _CirclePair, levels: list
     if closed:
         for nv, end in zip(n_vertices[ns:], ends[ns:]):
             x[end - 1], y[end - 1] = x[end - nv], y[end - nv]
-    tmp = y * ey
-    pts = np.empty((len(t), 2))
-    px = np.multiply(x, ex, out=pts[:, 0])
-    px += mx
-    px -= tmp
     py = np.multiply(x, ey, out=pts[:, 1])
     py += my
-    py += np.multiply(y, ex, out=tmp)
+    tmp = y * ex
+    py += tmp
+    px = x
+    px *= ex
+    px += mx
+    px -= np.multiply(y, ey, out=tmp)
     inside = (px >= xmin) & (px <= xmax) & (py >= ymin) & (py <= ymax)
-    # the runs of equal inside within each span
+    # the runs of equal inside within each span, r indexing them
     cuts = (inside[1:] != inside[:-1]).nonzero()[0] + 1
     starts = sorted(set(cuts.tolist()).union(e - n for e, n in zip(ends, n_vertices)))
     run_inside = inside[starts].tolist()
     starts.append(len(t))
-    j = 0
+    r = 0
     for i, end in enumerate(ends):
-        first, runs = j, []
-        while starts[j] < end:
-            if run_inside[j]:
-                runs.append(pts[starts[j]:starts[j + 1]])
-            j += 1
-        if closed and i >= ns and j - first > 1 and run_inside[first] and run_inside[j - 1]:
+        first, runs = r, []
+        while starts[r] < end:
+            if run_inside[r]:
+                runs.append(pts[starts[r]:starts[r + 1]])
+            r += 1
+        if closed and i >= ns and r - first > 1 and run_inside[first] and run_inside[r - 1]:
             # the closed ellipse re-enters at its start: join the first and last runs
             runs = [np.concatenate((runs[-1][:-1], runs[0]))] + runs[1:-1]
         polylines[entries[i]] += [run for run in runs if len(run) > 1]
