@@ -15,13 +15,14 @@ extremal direction is the core-to-core slope for every alpha) and it keeps
 the squared per-alpha endpoints exact quadratics in alpha for elliptical
 spreads, so the membership of a distance value inverts a quadratic.  The
 roots are the eigenvalues of the quartics' companion matrices (A. Edelman
-and H. Murakami, Math. Comp. 64, 1995): a DistanceTable builds each pair's
-quartic with scalar arithmetic and solves all of them with one eigenvalue
-call on the stacked matrices; FuzzyDistance(a, b) passes its one
-companion matrix to the same LAPACK call.  When the supports overlap, the
-lower endpoint collapses to zero down to the level u0 at which the cuts
-separate, and below u0 it grows linearly along the direction in which the
-cuts last touched.
+and H. Murakami, Math. Comp. 64, 1995): a DistanceTable computes every
+pair's quartic, companion matrix and candidate directions as column
+arrays and solves all quartics with one eigenvalue call on the stacked
+matrices; FuzzyDistance(a, b) does the same arithmetic in scalars and
+passes its one companion matrix to the same LAPACK call.  When the
+supports overlap, the lower endpoint collapses to zero down to the level
+u0 at which the cuts separate, and below u0 it grows linearly along the
+direction in which the cuts last touched.
 
 A DistanceTable holds the pairs' geometry and frozen directions as column
 arrays and cuts every pair in one broadcast.  A FuzzyDistance holds one
@@ -95,12 +96,15 @@ class DistanceMembershipParams(Value):
 
 
 # g at eight equally spaced directions, as cos, sin and sin of the double
-# angle; a base angle phi and its cos and sin for each direction phi + pi
+# angle; a base angle phi and its cos and sin for each direction phi + pi.
+# The tuples serve one pair's scalar solve, and the arrays, one row per
+# quantity and one column per direction, the table's.
 _SAMPLES = np.arange(8) * (math.pi / 4.0)
 _SAMPLE_TRIG = tuple(zip(np.cos(_SAMPLES).tolist(), np.sin(_SAMPLES).tolist(),
                          np.sin(2.0 * _SAMPLES).tolist()))
 _BASES = tuple((phi, math.cos(phi), math.sin(phi))
                for phi in (s - math.pi for s in _SAMPLES.tolist()))
+_SAMPLE_TRIG_COLS, _BASE_COLS = np.array(_SAMPLE_TRIG).T, np.array(_BASES).T
 
 
 def _quartic(p: DistanceMembershipParams) -> Optional[tuple[float, tuple]]:
@@ -123,16 +127,23 @@ def _quartic(p: DistanceMembershipParams) -> Optional[tuple[float, tuple]]:
         return None
     g = [abs(a1 * c + b1 * s + b2 * s2) for c, s, s2 in _SAMPLE_TRIG]
     phi, c, s = _BASES[g.index(max(g))]
+    return phi, _quartic_terms(a1, b1, b2, c, s)
+
+
+def _quartic_terms(a1, b1, b2, c, s) -> tuple:
+    """The quartic's coefficients, highest power first, from g's and the base angle's.
+
+    Elementwise on floats or on column arrays.
+    """
     # g(phi + psi) = A1 cos(psi) + B1 sin(psi) + A2 cos(2 psi) + B2 sin(2 psi)
     A1, B1 = a1 * c + b1 * s, b1 * c - a1 * s
     A2, B2 = 2.0 * b2 * s * c, b2 * (c * c - s * s)
-    return phi, (A2 - A1, 2.0 * (B1 - 2.0 * B2), -6.0 * A2,
-                 2.0 * (B1 + 2.0 * B2), A1 + A2)
+    return (A2 - A1, 2.0 * (B1 - 2.0 * B2), -6.0 * A2, 2.0 * (B1 + 2.0 * B2), A1 + A2)
 
 
-# per degree k, the rows below the first of a k x k companion matrix,
-# flattened: ones on the subdiagonal
-_SUBDIAGONAL = {k: [float(j % (k + 1) == 0) for j in range(k * (k - 1))] for k in range(1, 5)}
+# the rows below the first of a 4 x 4 companion matrix, flattened: ones on
+# the subdiagonal
+_SUBDIAGONAL = [float(j % 5 == 0) for j in range(12)]
 
 
 # as a decorator, errstate is not built anew on every call
@@ -157,12 +168,22 @@ def _eigvals(stack: np.ndarray) -> np.ndarray:
     return _lapack_eigvals(stack)
 
 
-def _companion(c: Sequence[float], k: int) -> list[float]:
-    """The k x k companion matrix of the degree k polynomial c[:k + 1], flattened."""
-    return [-x / c[0] for x in c[1:k + 1]] + _SUBDIAGONAL[k]
+def _companion(c: Sequence[float]) -> list[float]:
+    """The 4 x 4 companion matrix of the quartic c, flattened."""
+    return [-x / c[0] for x in c[1:]] + _SUBDIAGONAL
 
 
-def _poly_roots(polys: Sequence[tuple[float, ...]]) -> np.ndarray:
+def _companions(polys: np.ndarray) -> np.ndarray:
+    """The (rows, k, k) companion matrices of the degree k polynomials polys (rows, k + 1)."""
+    rows, k = polys.shape[0], polys.shape[1] - 1
+    stack = np.zeros((rows, k * k))
+    stack[:, :k] = -polys[:, 1:] / polys[:, :1]
+    # the subdiagonal (r + 1, r) sits at the flat index k + r*(k + 1)
+    stack[:, k::k + 1] = 1.0
+    return stack.reshape(rows, k, k)
+
+
+def _poly_roots(polys) -> np.ndarray:
     """Real parts of the roots of polynomials of one length, highest power first.
 
     Row i holds the roots of polys[i], whose leading coefficient must be
@@ -171,86 +192,100 @@ def _poly_roots(polys: Sequence[tuple[float, ...]]) -> np.ndarray:
     numpy.roots does, and bit for bit like it, trailing zero coefficients
     are stripped and give exact zero roots after the others.
     """
-    size = len(polys[0])
-    by_degree = {}
-    for i, c in enumerate(polys):
-        k = size - 1
-        while c[k] == 0.0:
-            k -= 1
-        by_degree.setdefault(k, []).append(i)
+    polys = np.asarray(polys, dtype=float)
+    if np.count_nonzero(polys[:, -1]) == len(polys):
+        # one stack of full degree holds every row, in order
+        return _eigvals(_companions(polys)).real
+    size = polys.shape[1]
+    # each row's degree: its size - 1 less the run of zeros at its end
+    trailing = np.logical_and.accumulate(polys[:, :0:-1] == 0.0, axis=1).sum(axis=1)
+    degree = size - 1 - trailing
     roots = np.zeros((len(polys), size - 1))
-    for k, rows in by_degree.items():
-        companion = np.array([_companion(polys[i], k) for i in rows])
-        found = _eigvals(companion.reshape(-1, k, k)).real
-        if k == size - 1 and len(rows) == len(polys):
-            return found  # one stack of full degree holds every row, in order
-        roots[rows, :k] = found
+    for k in np.unique(degree).tolist():
+        rows = degree == k
+        roots[rows, :k] = _eigvals(_companions(polys[rows, :k + 1])).real
     return roots
+
+
+# arithmetic that overflows warns nothing: _eigvals rejects the geometry's
+# non-finite companion matrices
+@np.errstate(all="ignore")
+def _solve_directions(geometry: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directions of the smallest and largest support-level gap |V(theta, 1)| per pair.
+
+    geometry holds the rows R1, R2, d1, d2, one column per pair.  The
+    arithmetic of _pair_directions, elementwise on arrays: each pair's
+    stationary directions are phi + 2*atan(t) over the real parts of its
+    quartic's roots; a complex root only adds a losing candidate.  All
+    quartics are solved together, and every pair's candidate gaps are
+    computed in one broadcast.
+
+    Returns the arrays (theta_min, theta_max, refined); refined is False
+    only for the flat profile, whose directions are both 0.
+    """
+    m = np.maximum(geometry[0], geometry[1])
+    # r1, r2 and d1, d2 in units of m
+    r, d = geometry[:2] / m, geometry[2:] / m
+    rd, rr = r * d, r * r
+    # a1, b1, b2 per pair; rounding is symmetric in sign, so b1 =
+    # -(r1 * (d1/m)) is _quartic's (-r1) * (d1/m)
+    coef = np.array((rd[1], -rd[0], 0.5 * (rr[1] - rr[0])))
+    refined = coef.any(axis=0)
+    solved = np.count_nonzero(refined)
+    if not solved:
+        return np.zeros(len(m)), np.zeros(len(m)), refined
+    if solved < len(m):
+        geometry, coef = geometry[:, refined], coef[:, refined]
+    # |g| per (pair, sample), summed in _quartic's order
+    g = coef[:, :, None] * _SAMPLE_TRIG_COLS[:, None]
+    g = np.abs(g[0] + g[1] + g[2])
+    # argmax is the first largest, as g.index(max(g)) is
+    phi, c, s = _BASE_COLS[:, g.argmax(axis=1)]
+    # the quartics as the rows of a (pairs, 5) view
+    roots = _poly_roots(np.array(_quartic_terms(*coef, c, s)).T)
+    thetas = phi[:, None] + 2.0 * np.arctan(roots)
+    R1, R2, d1, d2 = geometry[:, :, None]
+    gaps = np.hypot(d1 + R1 * np.cos(thetas), d2 + R2 * np.sin(thetas))
+    # argmin and argmax are the first smallest and largest, as in _pair_directions
+    picks = np.array((gaps.argmin(axis=1), gaps.argmax(axis=1)))
+    directions = np.remainder(thetas[np.arange(solved), picks], TWO_PI)
+    if solved < len(refined):
+        every = np.zeros((2, len(refined)))
+        every[:, refined] = directions
+        directions = every
+    return directions[0], directions[1], refined
 
 
 def _extremal_directions(params: Sequence[DistanceMembershipParams]
                          ) -> list[tuple[float, float, bool]]:
-    """Directions of the smallest and largest support-level gap |V(theta, 1)| per pair.
-
-    Each pair's stationary directions are phi + 2*atan(t) over the real
-    parts of its quartic's roots (see _quartic); a complex root only adds a
-    losing candidate.  All quartics are solved together, and every pair's
-    candidate gaps are computed in one broadcast.
-
-    Each entry is (theta_min, theta_max, refined); refined is False only for
-    the flat profile, whose directions are both 0.
-    """
-    out = [(0.0, 0.0, False)] * len(params)
-    solved, columns, quartics = [], [], []
-    for i, p in enumerate(params):
-        q = _quartic(p)
-        if q is not None:
-            solved.append(i)
-            columns.append((q[0], p.R1, p.R2, p.d1, p.d2))
-            quartics.append(q[1])
-    if not solved:
-        return out
-    # (m, 1) columns, one row per solved pair
-    phi, R1, R2, d1, d2 = np.array(columns).T[:, :, None]
-    thetas, gaps = _candidates(phi, R1, R2, d1, d2, _poly_roots(quartics))
-    for i, row, g in zip(solved, thetas, gaps):
-        out[i] = _pick(row, g)
-    return out
-
-
-def _candidates(phi, R1, R2, d1, d2, roots) -> tuple[list, list]:
-    """Candidate directions phi + 2*atan(roots) and their gaps |V(theta, 1)|, as lists.
-
-    Elementwise on a pair's roots, or broadcast on (pairs, 1) columns and
-    (pairs, roots) roots; R * 1 == R, so the gaps are gap(theta, 1)'s.
-    """
-    thetas = phi + 2.0 * np.arctan(roots)
-    gaps = np.hypot(d1 + R1 * np.cos(thetas), d2 + R2 * np.sin(thetas))
-    return thetas.tolist(), gaps.tolist()
-
-
-def _pick(thetas: list, gaps: list) -> tuple[float, float, bool]:
-    """(theta_min, theta_max, True) from one pair's candidates."""
-    # list.index(min(...)) is the first smallest, as argmin is
-    return thetas[gaps.index(min(gaps))] % TWO_PI, thetas[gaps.index(max(gaps))] % TWO_PI, True
+    """(theta_min, theta_max, refined) per pair, from _solve_directions."""
+    columns = np.array([(p.R1, p.R2, p.d1, p.d2) for p in params], dtype=float)
+    return list(zip(*(col.tolist() for col in _solve_directions(columns.reshape(-1, 4).T))))
 
 
 def _pair_directions(p: DistanceMembershipParams) -> tuple[float, float, bool]:
     """_extremal_directions([p])[0], bit for bit, for one pair.
 
     A quartic of full degree whose companion matrix is finite goes straight
-    to LAPACK as one 4 x 4 matrix; the others (the flat profile, a zero
-    constant term, a non-finite entry) take the batched path.
+    to LAPACK as one 4 x 4 matrix in scalar arithmetic; the others (the
+    flat profile, a zero constant term, a non-finite entry) take the array
+    solve.
     """
     q = _quartic(p)
     if q is not None and q[1][4] != 0.0:
         phi, quartic = q
-        companion = _companion(quartic, 4)
+        companion = _companion(quartic)
         # a finite sum has finite entries; finite entries whose sum
-        # overflows only take the batched path, which checks each entry
+        # overflows only take the array solve, which checks each entry
         if math.isfinite(sum(companion)):
             roots = _lapack_eigvals(np.array(companion).reshape(4, 4)).real
-            return _pick(*_candidates(phi, p.R1, p.R2, p.d1, p.d2, roots))
+            thetas = phi + 2.0 * np.arctan(roots)
+            # R * 1 == R, so the gaps are gap(theta, 1)'s
+            gaps = np.hypot(p.d1 + p.R1 * np.cos(thetas), p.d2 + p.R2 * np.sin(thetas)).tolist()
+            thetas = thetas.tolist()
+            # list.index(min(...)) is the first smallest, as argmin is
+            return (thetas[gaps.index(min(gaps))] % TWO_PI,
+                    thetas[gaps.index(max(gaps))] % TWO_PI, True)
     return _extremal_directions([p])[0]
 
 
@@ -260,19 +295,20 @@ def _pair_directions(p: DistanceMembershipParams) -> tuple[float, float, bool]:
 _SEPARATE, _LINEAR, _ZERO = range(3)
 
 
-def _lower_end(p: DistanceMembershipParams, theta_min: float) -> tuple[float, int, float]:
-    """(u0, branch, direction) of a pair's lower cut end.
+def _lower_end(R1: float, R2: float, d1: float, d2: float, theta_min: float
+               ) -> tuple[float, int, float]:
+    """(u0, branch, direction) of a pair's lower cut end, from its geometry.
 
     theta_min is the direction of the smallest support-level gap; it stays
     the direction of separate supports.  Overlapping supports report the
     angle at which the shrinking cuts last touch, concentric cores 0.
     """
-    u0 = p.separation_level
+    u0 = math.hypot(d1 / R1, d2 / R2)
     if u0 >= 1.0:
         return u0, _SEPARATE, theta_min
     if u0 > 0.0:
         # u0 > 0 cancels in atan2, and dividing by R * u0 could underflow to 0
-        return u0, _LINEAR, math.atan2(-p.d2 / p.R2, -p.d1 / p.R1) % TWO_PI
+        return u0, _LINEAR, math.atan2(-d2 / R2, -d1 / R1) % TWO_PI
     return u0, _ZERO, 0.0
 
 
@@ -280,30 +316,29 @@ def _lower_end(p: DistanceMembershipParams, theta_min: float) -> tuple[float, in
 _SUPPORT_U = np.ones(1)
 
 
-def _cut_ends(cols: np.ndarray, lower: Sequence[int], u: np.ndarray
+def _cut_ends(cols: np.ndarray, zero: list[int], linear: list[int], u: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """Cut ends (lo, hi) per (pair, level) at the cut scales u = 1 - alpha.
 
     cols holds the table columns R1, R2, d1, d2, dc, u0, theta_min,
-    theta_max and any after them, one entry per pair, lower the pairs' lower
-    end branches, and u is 1-d.  hi is the gap at theta_max and lo the gap
-    at theta_min, replaced on the rows of the other two branches; each
+    theta_max and any after them, one entry per pair, zero the rows whose
+    lower end is not the gap at theta_min, linear those of them that are
+    linear below u0, and u is 1-d.  hi is the gap at theta_max and lo the
+    gap at theta_min, replaced on the rows of the other two branches; each
     branch is only evaluated on its own rows.  Every branch is already at
     least +0.0.
     """
     # one end at a time keeps fewer (pairs, levels) temporaries alive
     lo, hi = (_gap(*cols[:4, :, None], theta, u) for theta in cols[6:8, :, None])
-    zero = [i for i, branch in enumerate(lower) if branch != _SEPARATE]
     if zero:
         lo[zero] = 0.0
-    linear = [i for i, branch in enumerate(lower) if branch == _LINEAR]
     if linear:
         lo[linear] = _linear_end(*cols[4:6, linear, None], u)
     return lo, hi
 
 
 class DistanceTable:
-    """The fuzzy distances of many point pairs, from one batched solve.
+    """The fuzzy distances of many point pairs, from one array solve.
 
     Column arrays hold one entry per pair: the summed spreads R1, R2, the
     core offset d1, d2, the core distance dc, the separation level u0, the
@@ -315,16 +350,23 @@ class DistanceTable:
     """
 
     def __init__(self, pairs: Iterable[tuple[FuzzyPoint, FuzzyPoint]]):
-        self.params = [DistanceMembershipParams.from_points(a, b) for a, b in pairs]
-        self._rows, self._lower = [], []
-        for p, (theta_min, theta_max, refined) in zip(self.params,
-                                                      _extremal_directions(self.params)):
-            u0, lower, theta_min = _lower_end(p, theta_min)
-            self._rows.append((p.R1, p.R2, p.d1, p.d2, p.dc, u0, theta_min, theta_max,
-                               refined))
-            self._lower.append(lower)
+        # R1, R2, d1, d2 per pair, summed as DistanceMembershipParams.from_points sums them
+        geometry = [(a.spread.p1 + b.spread.p1, a.spread.p2 + b.spread.p2,
+                     a.core.x - b.core.x, a.core.y - b.core.y) for a, b in pairs]
+        cols = np.array(geometry, dtype=float).reshape(-1, 4).T
+        theta_min, theta_max, refined = _solve_directions(cols)
+        # each lower end's (u0, branch, direction), and dc, in scalar
+        # arithmetic as FuzzyDistance(a, b) computes them: np.hypot may
+        # differ from math.hypot in the last bit
+        R1, R2, d1, d2 = cols.tolist()
+        ends = list(map(_lower_end, R1, R2, d1, d2, theta_min.tolist()))
+        dc = list(map(math.hypot, d1, d2))
+        u0, theta_min = [end[0] for end in ends], [end[2] for end in ends]
+        self._lower = [end[1] for end in ends]
+        self._zero = [i for i, branch in enumerate(self._lower) if branch != _SEPARATE]
+        self._linear = [i for i, branch in enumerate(self._lower) if branch == _LINEAR]
         # the columns R1, ..., theta_max, refined as the rows of one array
-        self._cols = np.array(self._rows, dtype=float).reshape(-1, 9).T
+        self._cols = np.array((*cols, dc, u0, theta_min, theta_max, refined))
 
     R1, R2, d1, d2, dc, u0, theta_min, theta_max = (
         property(lambda self, i=i: self._cols[i]) for i in range(8))
@@ -334,15 +376,17 @@ class DistanceTable:
         return self._cols[8] == 1.0
 
     def __len__(self) -> int:
-        return len(self.params)
+        return self._cols.shape[1]
 
     def rows(self) -> list["FuzzyDistance"]:
         """Every pair's distance, in pair order."""
         out = []
-        for i in range(len(self)):
+        for (R1, R2, d1, d2, dc, u0, theta_min, theta_max, refined), lower in zip(
+                self._cols.T.tolist(), self._lower):
             d = FuzzyDistance.__new__(FuzzyDistance)
-            d.params, d._lower = self.params[i], self._lower[i]
-            *_, d._u0, d.argmin_theta, d.argmax_theta, d.refined = self._rows[i]
+            d.params = DistanceMembershipParams(R1, R2, d1, d2, dc)
+            d._u0, d._lower, d.argmin_theta, d.argmax_theta = u0, lower, theta_min, theta_max
+            d.refined = refined == 1.0
             out.append(d)
         return out
 
@@ -351,11 +395,12 @@ class DistanceTable:
 
         Row i equals rows()[i].cut_table(alphas) bit for bit.
         """
-        return _cut_ends(self._cols, self._lower, 1.0 - alpha_levels(alphas).reshape(-1))
+        return _cut_ends(self._cols, self._zero, self._linear,
+                         1.0 - alpha_levels(alphas).reshape(-1))
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """The support-level cut ends (lo0, hi0), one entry per pair."""
-        lo, hi = _cut_ends(self._cols, self._lower, _SUPPORT_U)
+        lo, hi = _cut_ends(self._cols, self._zero, self._linear, _SUPPORT_U)
         return lo[:, 0], hi[:, 0]
 
     def summary(self) -> np.ndarray:
@@ -376,7 +421,8 @@ class FuzzyDistance(FuzzyNumber):
     def __init__(self, a: FuzzyPoint, b: FuzzyPoint):
         self.params = p = DistanceMembershipParams.from_points(a, b)
         theta_min, self.argmax_theta, self.refined = _pair_directions(p)
-        self._u0, self._lower, self.argmin_theta = _lower_end(p, theta_min)
+        self._u0, self._lower, self.argmin_theta = _lower_end(p.R1, p.R2, p.d1, p.d2,
+                                                              theta_min)
 
     def _ends(self, alphas):
         """Cut ends at the levels alphas, a float or an array.

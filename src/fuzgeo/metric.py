@@ -13,8 +13,9 @@ check_metric_axioms audits the George-Veeramani axioms of the closeness
 (positivity, identity, symmetry, the t-norm quadrangle inequality on
 summaries and cuts, continuity in t).  It cuts every pair's distance in
 one DistanceTable broadcast over the alpha grid and evaluates every check
-as numpy comparisons over whole (pair or triple, t, s, alpha) arrays, so a
-t-norm's fn must work elementwise on arrays.
+as numpy comparisons over whole arrays with the pair axis innermost, the
+quadrangle one first index at a time, so a t-norm's fn must work
+elementwise on arrays.
 """
 
 from __future__ import annotations
@@ -182,11 +183,13 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
     table = DistanceTable([(a, b) for a in points for b in points])
     lo, hi = table.cut_table(alphas)
     # distances whose images t/(t + d) are the closeness cut ends (lo, hi),
-    # i.e. the distance cut ends reversed, per (end, i, j, alpha), and the
-    # closeness summary (l, m, u) per (component, i, j); alphas[0] is 0
-    ends_d = np.stack((hi, lo)).reshape(2, n, n, -1)
-    summary_d = np.stack((hi[:, 0], table.dc, lo[:, 0])).reshape(3, n, n)
+    # i.e. the distance cut ends reversed, per (end, alpha, pair), and the
+    # closeness summary (l, m, u) per (component, pair), pair i*n + j;
+    # alphas[0] is 0
+    ends_d = np.stack((hi.T, lo.T))
+    summary_d = np.stack((hi[:, 0], table.dc, lo[:, 0]))
     upper_i, upper_j = np.triu_indices(n, 1)
+    upper, lower = upper_i * n + upper_j, upper_j * n + upper_i
 
     positivity = CheckResult("positivity")
     identity = CheckResult("identity")
@@ -195,19 +198,21 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
     quadrangle_cuts = CheckResult("quadrangle_cuts")
     continuity = CheckResult("continuity")
 
-    # closeness cut ends per (end, i, j, alpha, t) and summaries per
-    # (component, i, j, t) at the scale t, and both at the scale t + s with
-    # trailing (t, s) axes: every value the checks compare, computed once
-    t_, s_ = t[:, None], t[None, :]
-    cl, cl_ts = _scaled(ends_d[..., None], t), _scaled(ends_d[..., None, None], t_ + s_)
-    sm, sm_ts = _scaled(summary_d[..., None], t), _scaled(summary_d[..., None, None], t_ + s_)
+    # closeness cut ends per (end, alpha, t, pair) and summaries per
+    # (component, t, pair) at the scale t, the pair axis innermost, and the
+    # quadrangle's right sides M(i, k, t + s) + tol of both per
+    # (..., t, s, pair): every value the checks compare, computed once
+    t_, ts_ = t[:, None], (t[:, None] + t[None, :])[..., None]
+    cl, sm = _scaled(ends_d[:, :, None], t_), _scaled(summary_d[:, None], t_)
+    cl_bound = _scaled(ends_d[:, :, None, None], ts_) + tol
+    sm_bound = _scaled(summary_d[:, None, None], ts_) + tol
 
     # support lower end per (i, j, t)
-    lo0 = sm[0]
+    lo0 = sm[0].T.reshape(n, n, -1)
     _record(positivity, lo0 > 0.0, lambda i, j, a: (i, j, ts[a], float(lo0[i, j, a])))
 
     # closeness core t/(t + hi(alpha = 1)) within tol of 1, per (i, j) at every t
-    core_one = np.all(np.abs(cl[0, :, :, -1] - 1.0) <= tol, axis=-1).tolist()
+    core_one = np.all(np.abs(cl[0, -1] - 1.0) <= tol, axis=0).reshape(n, n).tolist()
     for i in range(n):
         for j in range(n):
             cores_eq, spreads_eq = _points_equal(points[i], points[j])
@@ -218,32 +223,43 @@ def check_metric_axioms(points: Sequence[FuzzyPoint],
                  "spread_equal": spreads_eq, "closeness_core_is_one": core_grade_one})
 
     # worst cut end gap per (i < j, t)
-    worst = np.abs(cl - cl.swapaxes(1, 2)).max(axis=(0, 3))[upper_i, upper_j]
+    worst = np.abs(cl[..., upper] - cl[..., lower]).max(axis=(0, 1)).T
     _record(symmetry, worst <= tol, lambda p, a: (int(upper_i[p]), int(upper_j[p]),
                                                    ts[a], float(worst[p, a])))
 
-    def quadrangle_sides(c, c_ts, i, j, k):
-        """T(M(i, j, t), M(j, k, s)) and M(i, k, t + s) with trailing (t, s) axes."""
-        return tnorm(c[:, i, j][..., :, None], c[:, j, k][..., None, :]), c_ts[:, i, k]
+    # distinct triples (i, j, k) in (i, j, k) order, q = (n - 1)(n - 2) of
+    # them per first index i, and the pairs they compare
+    i_, j_, k_ = np.indices((n, n, n)).reshape(3, -1)
+    distinct = (i_ != j_) & (j_ != k_) & (i_ != k_)
+    i_, j_, k_ = i_[distinct], j_[distinct], k_[distinct]
+    ij, jk, ik = i_ * n + j_, j_ * n + k_, i_ * n + k_
+    q = len(i_) // n
 
-    # (j, k) with j != k in (j, k) order; one first index i at a time keeps
-    # the (j, k, alpha, t, s) arrays small
-    pairs_jk = np.array([(j, k) for j in range(n) for k in range(n) if j != k]).T
-    for i in range(n):
-        j, k = pairs_jk[:, (pairs_jk[0] != i) & (pairs_jk[1] != i)]
+    def detail(p, a, b):
+        return (int(i_[p]), int(j_[p]), int(k_[p]), ts[a], ts[b])
 
-        def detail(p, a, b):
-            return (i, int(j[p]), int(k[p]), ts[a], ts[b])
-
-        lhs, rhs = quadrangle_sides(sm, sm_ts, i, j, k)
-        _record(quadrangle, np.all(lhs <= rhs + tol, axis=0), detail)
-        lhs, rhs = quadrangle_sides(cl, cl_ts, i, j, k)
-        _record(quadrangle_cuts, ~np.any(lhs > rhs + tol, axis=(0, 2)), detail)
+    # T(M(i, j, t), M(j, k, s)) against M(i, k, t + s) + tol per
+    # (..., t, s, triple); ok per (t, s, triple), recorded per (triple, t, s).
+    # np.take gathers each operand as a contiguous array, the triple axis
+    # innermost.  Summaries take every triple at once; the cut sides, with
+    # the end and alpha axes, one first index i at a time:
+    # (end, alpha, t, s, q) arrays, 2 * 11 * 3 * 3 * 56 values for 9
+    # points, 11 levels and 3 scales
+    lhs = tnorm(np.take(sm, ij, axis=-1)[:, :, None], np.take(sm, jk, axis=-1)[:, None])
+    ok = np.all(lhs <= np.take(sm_bound, ik, axis=-1), axis=0)
+    _record(quadrangle, ok.transpose(2, 0, 1), detail)
+    for first in range(0, len(i_), q):
+        rows = slice(first, first + q)
+        lhs = tnorm(np.take(cl, ij[rows], axis=-1)[:, :, :, None],
+                    np.take(cl, jk[rows], axis=-1)[:, :, None])
+        ok = ~np.any(lhs > np.take(cl_bound, ik[rows], axis=-1), axis=(0, 1))
+        _record(quadrangle_cuts, ok.transpose(2, 0, 1),
+                lambda p, a, b: detail(first + p, a, b))
 
     # summary change between t-grid neighbours against the Lipschitz bound
     # of t/(t + d), per (component, i < j, grid step)
     t_grid = np.geomspace(min(ts) / 2.0, max(ts) * 2.0, 64)
-    d = summary_d[:, upper_i, upper_j, None]
+    d = summary_d[:, upper, None]
     v = _scaled(d, t_grid)
     t1, t2 = t_grid[:-1], t_grid[1:]
     bound = (t2 - t1) * d / ((t1 + d) * (t2 + d))
@@ -292,16 +308,18 @@ def check_ks_axioms(points: Sequence[FuzzyPoint], tol: float = 1e-9) -> KSAxiomR
     symmetry = CheckResult("symmetry")
     triangle = CheckResult("triangle")
 
+    # one pass cuts every pair at the support and the core level
     dists = DistanceTable([(a, b) for a in points for b in points])
+    lo, hi = dists.cut_table([0.0, 1.0])
     # distance core hi(alpha = 1) within tol of 0, per (i, j)
-    core_zero = (dists.cut_table([1.0])[1][:, 0] <= tol).reshape(n, n).tolist()
+    core_zero = (hi[:, 1] <= tol).reshape(n, n).tolist()
     for i in range(n):
         for j in range(n):
             cores_eq, _ = _points_equal(points[i], points[j])
             zero_core.count(core_zero[i][j] == cores_eq, (i, j))
 
     # the (l, m, u) summary per (i, j, component); worst gap per pair i < j
-    table = dists.summary().reshape(n, n, 3)
+    table = np.column_stack((lo[:, 0], dists.dc, hi[:, 0])).reshape(n, n, 3)
     upper_i, upper_j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     worst = np.abs(table[upper_i, upper_j] - table[upper_j, upper_i]).max(axis=1)
     _record(symmetry, worst <= tol, lambda p: (int(upper_i[p]), int(upper_j[p]),

@@ -585,6 +585,30 @@ def _table_pairs(rng, scale=1.0):
     return [(_scaled_point(a, scale), _scaled_point(b, scale)) for a, b in pairs]
 
 
+def _shifted(p, x):
+    """p with its core moved by x along the first axis."""
+    return fg.FuzzyPoint(fg.Point2(p.core.x + x, p.core.y), p.spread)
+
+
+def assert_rows_equal_single_pair_distances(table, pairs):
+    """Each row and column entry of the table equals FuzzyDistance(a, b) bit for bit."""
+    alphas = np.linspace(0.0, 1.0, 11)
+    columns = zip(table.R1, table.R2, table.d1, table.d2, table.dc, table.u0,
+                  table.theta_min, table.theta_max, table.refined)
+    for row, column, (a, b) in zip(table.rows(), columns, pairs, strict=True):
+        single = fg.FuzzyDistance(a, b)
+        p = single.params
+        assert row.params == p
+        want = (p.R1, p.R2, p.d1, p.d2, p.dc, p.separation_level, single.argmin_theta,
+                single.argmax_theta, single.refined)
+        assert repr(tuple(np.array(column[:8]).tolist())) == repr(want[:8])
+        assert column[8] == want[8]
+        assert repr((row.argmin_theta, row.argmax_theta, row.refined)) == repr(want[-3:])
+        assert repr((row.summary, row._inverse)) == repr((single.summary, single._inverse))
+        assert np.array_equal(np.array(row.cut_table(alphas)),
+                              np.array(single.cut_table(alphas)))
+
+
 class TestDistanceTable:
     """One table for many pairs: its arrays equal the per-pair scalar cuts bit for bit.
 
@@ -606,22 +630,39 @@ class TestDistanceTable:
 
     def test_rows_equal_single_pair_distances(self, rng):
         pairs = _table_pairs(rng) + membership_pairs(rng, 12) + list(SPECIAL_PAIRS.values())
+        assert_rows_equal_single_pair_distances(fg.DistanceTable(pairs), pairs)
+
+    def test_all_flat_rows(self, rng):
+        # concentric cores and equal summed spreads: nothing to solve
+        pairs = [SPECIAL_PAIRS["flat, circular"], SPECIAL_PAIRS["flat, same point"],
+                 *_cut_table_pairs(rng)["flat"]]
         table = fg.DistanceTable(pairs)
-        alphas = np.linspace(0.0, 1.0, 11)
-        columns = zip(table.R1, table.R2, table.d1, table.d2, table.dc, table.u0,
-                      table.theta_min, table.theta_max, table.refined)
-        for row, column, (a, b) in zip(table.rows(), columns, pairs, strict=True):
-            single = fg.FuzzyDistance(a, b)
-            p = single.params
-            assert row.params == p
-            want = (p.R1, p.R2, p.d1, p.d2, p.dc, p.separation_level, single.argmin_theta,
-                    single.argmax_theta, single.refined)
-            assert repr(tuple(np.array(column[:8]).tolist())) == repr(want[:8])
-            assert column[8] == want[8]
-            assert repr((row.argmin_theta, row.argmax_theta, row.refined)) == repr(want[-3:])
-            assert repr((row.summary, row._inverse)) == repr((single.summary, single._inverse))
-            assert np.array_equal(np.array(row.cut_table(alphas)),
-                                  np.array(single.cut_table(alphas)))
+        assert not table.refined.any()
+        assert_rows_equal_single_pair_distances(table, pairs)
+
+    def test_cubic_rows_only(self):
+        # every quartic with a zero constant term: one stack of 3 x 3 matrices
+        a, b = ZERO_CONSTANT_PAIR
+        pairs = [(_shifted(_scaled_point(a, s), x), _shifted(_scaled_point(b, s), x))
+                 for s in (2.0 ** -30, 0.25, 1.0, 1024.0) for x in (0.0, 3.0, -7.0)]
+        for a, b in pairs:
+            quartic = _quartic(fg.DistanceMembershipParams.from_points(a, b))[1]
+            assert quartic[4] == 0.0 and quartic[3] != 0.0
+        assert_rows_equal_single_pair_distances(fg.DistanceTable(pairs), pairs)
+
+    @pytest.mark.parametrize("name", sorted(QUARTIC_GEOMETRIES) + sorted(SPECIAL_PAIRS))
+    def test_one_pair_table(self, name):
+        pair = {**QUARTIC_GEOMETRIES, **SPECIAL_PAIRS}[name]
+        assert_rows_equal_single_pair_distances(fg.DistanceTable([pair]), [pair])
+
+    def test_square_table_with_self_pairs(self, rng):
+        # as the axiom reports build it: flat circular and concentric
+        # elliptical self-pairs on the diagonal
+        points = [a for pair in membership_pairs(rng, 3) for a in pair]
+        pairs = [(a, b) for a in points for b in points]
+        table = fg.DistanceTable(pairs)
+        assert not table.refined.all()
+        assert_rows_equal_single_pair_distances(table, pairs)
 
     def test_support_and_summary_match_rows(self, rng):
         table = fg.DistanceTable(_table_pairs(rng))
@@ -638,6 +679,8 @@ class TestDistanceTable:
         # summed spreads overflow to inf
         (fg.FuzzyPoint.circular(0, 0, 1e308), fg.FuzzyPoint.circular(3, 0, 1e308)),
     ], ids=["offset", "spreads"])
+    # the array solve's arithmetic on inf and NaN warns nothing
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_geometry_rejected_before_the_solve(self, far, capfd):
         # as np.linalg.eigvals rejects it, and LAPACK never sees it
         near = (fg.FuzzyPoint.circular(0, 0, 1), fg.FuzzyPoint.circular(3, 0, 1))

@@ -175,24 +175,40 @@ class TestMetricAxioms:
                                    (1.0,), fg.PRODUCT)
 
 
+LUKASIEWICZ = fg.TNorm("lukasiewicz", lambda x, y: np.maximum(0.0, x + y - 1.0))
+
+
+def assert_report_matches_loop(pts, tnorm, tol):
+    """The array report equals the scalar loop's; returns it."""
+    report = fg.check_metric_axioms(pts, (0.5, 1.0, 2.0), tnorm, tol=tol)
+    assert_reports_equal(report, metric_axioms_reference(pts, (0.5, 1.0, 2.0),
+                                                         tnorm, tol=tol))
+    if tol < 0:
+        # a negative tolerance fails every case of the tolerance checks
+        assert len(report.symmetry.failures) == report.symmetry.checked
+        assert len(report.continuity.failures) == report.continuity.checked
+    return report
+
+
 class TestMetricAxiomsAgainstLoop:
     """The array checks against the scalar loop they replaced."""
 
     @pytest.mark.parametrize("tol", [1e-9, -0.01, -0.1])
-    @pytest.mark.parametrize("tnorm", [fg.PRODUCT, fg.MINIMUM])
+    @pytest.mark.parametrize("tnorm", [fg.PRODUCT, fg.MINIMUM, LUKASIEWICZ])
     def test_random_points(self, rng, tnorm, tol):
-        pts = general_position_points(rng, 6)
-        report = fg.check_metric_axioms(pts, (0.5, 1.0, 2.0), tnorm, tol=tol)
-        assert_reports_equal(report, metric_axioms_reference(pts, (0.5, 1.0, 2.0),
-                                                             tnorm, tol=tol))
-        if tol < 0:
-            # a negative tolerance fails every case of the tolerance checks
-            assert len(report.symmetry.failures) == report.symmetry.checked
-            assert len(report.continuity.failures) == report.continuity.checked
+        report = assert_report_matches_loop(general_position_points(rng, 6), tnorm, tol)
         if tol == -0.1:
-            # ... and some, not all, quadrangle cases
+            # it fails some, not all, quadrangle cases
             for check in (report.quadrangle, report.quadrangle_cuts):
                 assert 0 < len(check.failures) < check.checked
+
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("tol", [1e-9, -0.01, -0.1])
+    @pytest.mark.parametrize("tnorm", [fg.PRODUCT, fg.MINIMUM, LUKASIEWICZ])
+    def test_point_counts(self, rng, tnorm, tol, n):
+        # 2 and 72 (j, k) pairs per first index: the failure lists' order
+        # along the pair axis and across first indices
+        assert_report_matches_loop(general_position_points(rng, n), tnorm, tol)
 
     @pytest.mark.parametrize("tol", [1e-9, -0.01])
     @pytest.mark.parametrize("tnorm", [fg.PRODUCT, fg.MINIMUM])
@@ -297,6 +313,12 @@ class TestKSAxiomsAgainstLoop:
         if tol == -4.0:
             # some, not all, triangle cases fail
             assert 0 < len(report.triangle.failures) < report.triangle.checked
+
+    @pytest.mark.parametrize("tol", [1e-9, -0.01, -4.0])
+    def test_ten_points(self, rng, tol):
+        pts = general_position_points(rng, 10)
+        assert_ks_reports_equal(fg.check_ks_axioms(pts, tol=tol),
+                                ks_axioms_reference(pts, tol=tol))
 
     @pytest.mark.parametrize("pts", [
         [(0, 0, 1), (2, 0, 1), (5, 0, 1)],
