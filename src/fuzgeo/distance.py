@@ -20,18 +20,19 @@ pair's quartic, companion matrix and candidate directions as column
 arrays and solves all quartics with one eigenvalue call on the stacked
 matrices; FuzzyDistance(a, b) does the same arithmetic in scalars and
 passes its one companion matrix to the same LAPACK call.  When the
-supports overlap, the lower endpoint collapses to zero down to the level
-u0 at which the cuts separate, and below u0 it grows linearly along the
-direction in which the cuts last touched.
+supports overlap, the lower endpoint is zero down to the level u0 at which
+the cuts separate, and below u0 it is the gap along the direction in which
+the cuts last touched, where V(theta, u) = (d1, d2)(1 - u/u0) grows
+linearly.  So one formula, _cut, gives every pair's cut: hi is the gap at
+theta_max, and lo the gap at theta_min where u < u0 and 0 elsewhere.
 
 A DistanceTable holds the pairs' geometry and frozen directions as column
 arrays and cuts every pair in one broadcast.  A FuzzyDistance holds one
 row's values: rows() copies each row of a table, and FuzzyDistance(a, b)
 builds its one row directly, equal bit for bit to the row of a one-pair
-table.  The branch of each pair's lower cut end is decided once, by
-_lower_end, when the row is built, and _gap and _linear_end state the
-branch formulas: the table evaluates each on its own rows only, a row in
-scalar arithmetic, bit for bit alike.
+table.  _lower_end sets each row's u0 and theta_min once, when the row is
+built, and _cut evaluates them on the table's columns and on a row's
+Python floats, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -53,16 +54,28 @@ def _gap(R1, R2, d1, d2, theta, u):
     return np.hypot(d1 + R1 * u * np.cos(theta), d2 + R2 * u * np.sin(theta))
 
 
-def _linear_end(dc, u0, u):
-    """The lower cut end below the touching level u0 of overlapping supports.
+def _cut(R1, R2, d1, d2, u0, theta_min, theta_max, u):
+    """Cut ends (lo, hi) at the cut scales u = 1 - alpha, elementwise on floats or broadcast arrays.
 
-    Only for 0 < u0 < 1: it divides by u0.
+    hi is the gap at theta_max; lo is the gap at theta_min where u < u0 and
+    0 elsewhere, where the cuts overlap.  Below the touching level u0 of
+    overlapping supports, theta_min is the touching direction, along which
+    V(theta_min, u) = (d1, d2)(1 - u/u0), so lo grows as dc (u0 - u)/u0.
     """
-    return dc * np.maximum(0.0, u0 - u) / u0
+    # times 1 or 0: the gap there is finite, so this is np.where's result,
+    # at a twentieth of its cost on one float
+    return (_gap(R1, R2, d1, d2, theta_min, u) * (u < u0),
+            _gap(R1, R2, d1, d2, theta_max, u))
 
 
 class DistanceMembershipParams(Value):
-    """Shared geometry of a fuzzy point pair: summed spreads and core offset."""
+    """Shared geometry of a fuzzy point pair: summed spreads and core offset.
+
+    dc is np.hypot(d1, d2), the gap at u = 0, so the core cut is (dc, dc)
+    bit for bit.  The midset layer's _CirclePair.dc (math.hypot of the core
+    difference) and the Hausdorff core gap m (a difference of projected
+    coordinates) are separate values, not meant to equal it.
+    """
 
     __slots__ = ("R1", "R2", "d1", "d2", "dc")
 
@@ -82,7 +95,7 @@ class DistanceMembershipParams(Value):
             R2=a.spread.p2 + b.spread.p2,
             d1=d1,
             d2=d2,
-            dc=math.hypot(d1, d2),
+            dc=float(np.hypot(d1, d2)),
         )
 
     def gap(self, theta, u):
@@ -289,64 +302,35 @@ def _pair_directions(p: DistanceMembershipParams) -> tuple[float, float, bool]:
     return _extremal_directions([p])[0]
 
 
-# the branch of a pair's lower cut end: the gap at theta_min for separate
-# supports (u0 >= 1), linear below the touching level u0 for overlapping
-# ones, 0 for concentric cores
-_SEPARATE, _LINEAR, _ZERO = range(3)
-
-
 def _lower_end(R1: float, R2: float, d1: float, d2: float, theta_min: float
-               ) -> tuple[float, int, float]:
-    """(u0, branch, direction) of a pair's lower cut end, from its geometry.
+               ) -> tuple[float, float]:
+    """(u0, direction) of a pair's lower cut end, from its geometry.
 
     theta_min is the direction of the smallest support-level gap; it stays
-    the direction of separate supports.  Overlapping supports report the
-    angle at which the shrinking cuts last touch, concentric cores 0.
+    the direction of separate supports (u0 >= 1).  Overlapping supports
+    report the angle at which the shrinking cuts last touch, concentric
+    cores (u0 = 0, where the lower end is 0 at every level) 0.
     """
     u0 = math.hypot(d1 / R1, d2 / R2)
     if u0 >= 1.0:
-        return u0, _SEPARATE, theta_min
+        return u0, theta_min
     if u0 > 0.0:
         # u0 > 0 cancels in atan2, and dividing by R * u0 could underflow to 0
-        return u0, _LINEAR, math.atan2(-d2 / R2, -d1 / R1) % TWO_PI
-    return u0, _ZERO, 0.0
-
-
-# the cut scale of the support level alpha = 0
-_SUPPORT_U = np.ones(1)
-
-
-def _cut_ends(cols: np.ndarray, zero: list[int], linear: list[int], u: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Cut ends (lo, hi) per (pair, level) at the cut scales u = 1 - alpha.
-
-    cols holds the table columns R1, R2, d1, d2, dc, u0, theta_min,
-    theta_max and any after them, one entry per pair, zero the rows whose
-    lower end is not the gap at theta_min, linear those of them that are
-    linear below u0, and u is 1-d.  hi is the gap at theta_max and lo the
-    gap at theta_min, replaced on the rows of the other two branches; each
-    branch is only evaluated on its own rows.  Every branch is already at
-    least +0.0.
-    """
-    # one end at a time keeps fewer (pairs, levels) temporaries alive
-    lo, hi = (_gap(*cols[:4, :, None], theta, u) for theta in cols[6:8, :, None])
-    if zero:
-        lo[zero] = 0.0
-    if linear:
-        lo[linear] = _linear_end(*cols[4:6, linear, None], u)
-    return lo, hi
+        return u0, math.atan2(-d2 / R2, -d1 / R1) % TWO_PI
+    return u0, 0.0
 
 
 class DistanceTable:
     """The fuzzy distances of many point pairs, from one array solve.
 
     Column arrays hold one entry per pair: the summed spreads R1, R2, the
-    core offset d1, d2, the core distance dc, the separation level u0, the
-    frozen directions theta_min and theta_max of the lower and upper cut
-    ends, and refined, False only for the flat profile.  theta_min is the
-    direction in which the cuts last touch when the supports overlap, and 0
-    for concentric cores.  cut_table, support and summary evaluate every
-    pair in one broadcast; rows() gives each pair as a FuzzyDistance.
+    core offset d1, d2, the separation level u0, the frozen directions
+    theta_min and theta_max of the lower and upper cut ends, the core
+    distance dc, and refined, False only for the flat profile.  theta_min
+    is the direction in which the cuts last touch when the supports
+    overlap, and 0 for concentric cores.  cut_table, support and summary
+    evaluate _cut on every pair in one broadcast; rows() gives each pair as
+    a FuzzyDistance.
     """
 
     def __init__(self, pairs: Iterable[tuple[FuzzyPoint, FuzzyPoint]]):
@@ -355,20 +339,17 @@ class DistanceTable:
                      a.core.x - b.core.x, a.core.y - b.core.y) for a, b in pairs]
         cols = np.array(geometry, dtype=float).reshape(-1, 4).T
         theta_min, theta_max, refined = _solve_directions(cols)
-        # each lower end's (u0, branch, direction), and dc, in scalar
-        # arithmetic as FuzzyDistance(a, b) computes them: np.hypot may
-        # differ from math.hypot in the last bit
+        # each lower end's (u0, direction) in scalar arithmetic, as
+        # FuzzyDistance(a, b) computes it: u0 is math.hypot's, from which
+        # np.hypot may differ in the last bit
         R1, R2, d1, d2 = cols.tolist()
-        ends = list(map(_lower_end, R1, R2, d1, d2, theta_min.tolist()))
-        dc = list(map(math.hypot, d1, d2))
-        u0, theta_min = [end[0] for end in ends], [end[2] for end in ends]
-        self._lower = [end[1] for end in ends]
-        self._zero = [i for i, branch in enumerate(self._lower) if branch != _SEPARATE]
-        self._linear = [i for i, branch in enumerate(self._lower) if branch == _LINEAR]
-        # the columns R1, ..., theta_max, refined as the rows of one array
-        self._cols = np.array((*cols, dc, u0, theta_min, theta_max, refined))
+        ends = np.array(list(map(_lower_end, R1, R2, d1, d2, theta_min.tolist())))
+        # the columns R1, ..., theta_max, the arguments of _cut, then dc and
+        # refined, as the rows of one array
+        self._cols = np.array((*cols, *ends.reshape(-1, 2).T, theta_max,
+                               np.hypot(cols[2], cols[3]), refined))
 
-    R1, R2, d1, d2, dc, u0, theta_min, theta_max = (
+    R1, R2, d1, d2, u0, theta_min, theta_max, dc = (
         property(lambda self, i=i: self._cols[i]) for i in range(8))
 
     @property
@@ -381,11 +362,10 @@ class DistanceTable:
     def rows(self) -> list["FuzzyDistance"]:
         """Every pair's distance, in pair order."""
         out = []
-        for (R1, R2, d1, d2, dc, u0, theta_min, theta_max, refined), lower in zip(
-                self._cols.T.tolist(), self._lower):
+        for R1, R2, d1, d2, u0, theta_min, theta_max, dc, refined in self._cols.T.tolist():
             d = FuzzyDistance.__new__(FuzzyDistance)
             d.params = DistanceMembershipParams(R1, R2, d1, d2, dc)
-            d._u0, d._lower, d.argmin_theta, d.argmax_theta = u0, lower, theta_min, theta_max
+            d._u0, d.argmin_theta, d.argmax_theta = u0, theta_min, theta_max
             d.refined = refined == 1.0
             out.append(d)
         return out
@@ -395,13 +375,11 @@ class DistanceTable:
 
         Row i equals rows()[i].cut_table(alphas) bit for bit.
         """
-        return _cut_ends(self._cols, self._zero, self._linear,
-                         1.0 - alpha_levels(alphas).reshape(-1))
+        return _cut(*self._cols[:7, :, None], 1.0 - alpha_levels(alphas).reshape(-1))
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """The support-level cut ends (lo0, hi0), one entry per pair."""
-        lo, hi = _cut_ends(self._cols, self._zero, self._linear, _SUPPORT_U)
-        return lo[:, 0], hi[:, 0]
+        return _cut(*self._cols[:7], 1.0)
 
     def summary(self) -> np.ndarray:
         """The (lo0, dc, hi0) summary triple per pair, as rows of an array."""
@@ -413,7 +391,7 @@ class FuzzyDistance(FuzzyNumber):
     """The fuzzy distance d(A, B) as a fuzzy number with closed-form cuts.
 
     params, argmin_theta, argmax_theta and refined are the pair's row as
-    Python values, and its cut takes the branch chosen for the row.
+    Python values, and its cut is _cut on them.
     FuzzyDistance(a, b) solves its one pair directly, and its row equals
     the row of a one-pair DistanceTable bit for bit.
     """
@@ -421,26 +399,17 @@ class FuzzyDistance(FuzzyNumber):
     def __init__(self, a: FuzzyPoint, b: FuzzyPoint):
         self.params = p = DistanceMembershipParams.from_points(a, b)
         theta_min, self.argmax_theta, self.refined = _pair_directions(p)
-        self._u0, self._lower, self.argmin_theta = _lower_end(p.R1, p.R2, p.d1, p.d2,
-                                                              theta_min)
+        self._u0, self.argmin_theta = _lower_end(p.R1, p.R2, p.d1, p.d2, theta_min)
 
     def _ends(self, alphas):
         """Cut ends at the levels alphas, a float or an array.
 
-        The branches of _cut_ends in scalar arithmetic, which costs a fifth
-        of the broadcast for one pair and level; the table's cut_table
-        equals it bit for bit.
+        _cut on the row's Python floats; the table's cut_table evaluates it
+        on its columns, bit for bit alike.
         """
         p = self.params
-        u = 1.0 - alphas
-        hi = p.gap(self.argmax_theta, u)
-        if self._lower == _SEPARATE:
-            lo = p.gap(self.argmin_theta, u)
-        elif self._lower == _LINEAR:
-            lo = _linear_end(p.dc, self._u0, u)
-        else:
-            lo = np.zeros_like(u)
-        return lo, hi
+        return _cut(p.R1, p.R2, p.d1, p.d2, self._u0, self.argmin_theta, self.argmax_theta,
+                    1.0 - alphas)
 
     @cached_property
     def _support(self) -> tuple[float, float]:
@@ -455,8 +424,8 @@ class FuzzyDistance(FuzzyNumber):
         (lo0, hi0, dc, u0, m, (dc/m)^2, lower, upper) with m = max(R1, R2).
         lower and upper hold (K1, K2, branch) for the cut end below and
         above dc, the terms of x^2 = dc^2 + 2*u*K1 + u^2*K2 in units of m at
-        the end's frozen direction; lower is None where that end is linear
-        (u0 < 1).
+        the end's frozen direction; lower is None where the supports overlap
+        (u0 < 1) and membership inverts the linear end.
         """
         p = self.params
         m = max(p.R1, p.R2)
@@ -473,9 +442,13 @@ class FuzzyDistance(FuzzyNumber):
         """Grade 1 - u of x, inverting the cut in closed form.
 
         Each endpoint is the gap at its frozen direction, so u solves
-        x^2 = dc^2 + 2*u*K1 + u^2*K2 in units of max(R1, R2); below the
+        x^2 = dc^2 + 2*u*K1 + u^2*K2 in units of max(R1, R2).  Below the
         touching level u0 of overlapping supports the lower endpoint is
-        linear.  The terms come from _inverse, built once per distance.
+        dc (u0 - u)/u0, inverted as that line: along the touching direction
+        the quadratic is the perfect square (dc (1 - u/u0))^2, so near x = 0
+        its discriminant cancels to rounding and the root keeps only half
+        the digits (grade errors of 1e-8 and more).  The terms come from
+        _inverse, built once per distance.
         """
         lo0, hi0, dc, u0, m, dc_sq, lower, upper = self._inverse
         if not lo0 <= x <= hi0:

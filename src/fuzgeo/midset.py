@@ -501,12 +501,10 @@ class MidsetEntry(NamedTuple):
     branch: Branch
     polylines: tuple
     conic_class: str
-    accepted: bool
 
 
 class MidsetResult(NamedTuple):
     entries: tuple
-    case_at_support: OverlapCase
     bbox: tuple
 
 
@@ -532,10 +530,9 @@ def compute_midset(a: FuzzyPoint, b: FuzzyPoint,
     polylines = _sample_levels(a, b, pair, levels, bbox, resolution)
     entries = tuple(
         MidsetEntry(alpha=alpha, branch=branch, polylines=tuple(lines),
-                    conic_class=pair.conic_class(1.0 - alpha, branch),
-                    accepted=branch is Branch.INVERSE)
+                    conic_class=pair.conic_class(1.0 - alpha, branch))
         for (alpha, branch), lines in zip(levels, polylines))
-    return MidsetResult(entries=entries, case_at_support=pair.case(1.0), bbox=tuple(bbox))
+    return MidsetResult(entries=entries, bbox=tuple(bbox))
 
 
 def equidistant_membership(q: Point2, a: FuzzyPoint, b: FuzzyPoint) -> float:

@@ -190,19 +190,16 @@ def distance_membership_reference(d: FuzzyDistance, x: float) -> float:
 def distance_cut_reference(d: FuzzyDistance, alpha: float) -> tuple[float, float]:
     """The cut (lo, hi) of d at one level, in Python scalar arithmetic.
 
-    An independent statement of the three cut branches, which
-    FuzzyDistance.cut_table must equal bit for bit.
+    An independent statement of the two-case cut, which
+    FuzzyDistance.cut_table must equal bit for bit: hi is the gap at the
+    upper direction, and lo the gap at the lower direction below the
+    separation level u0 and 0 from u0 on.
     """
     p = d.params
     u = 1.0 - alpha
     hi = float(p.gap(d.argmax_theta, u))
-    if d._u0 >= 1.0:
-        lo = float(p.gap(d.argmin_theta, u))
-    elif d._u0 > 0.0:
-        lo = p.dc * max(0.0, d._u0 - u) / d._u0
-    else:
-        lo = 0.0
-    return (max(0.0, lo), hi)
+    lo = float(p.gap(d.argmin_theta, u)) if u < p.separation_level else 0.0
+    return (lo, hi)
 
 
 def bisect_membership(cut, x: float, tol: float = 1e-10) -> float:

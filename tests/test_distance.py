@@ -509,7 +509,7 @@ class TestMembershipMatchesReference:
 
 
 def _cut_table_pairs(rng):
-    """Four seeded pairs of each geometry whose cut() takes a different branch."""
+    """Four seeded pairs of each geometry: separate, overlapping, touching, concentric, flat."""
     pairs = {"separate": [], "overlapping": [], "touching": [], "concentric": [], "flat": []}
     for _ in range(4):
         pairs["separate"].append(random_separated_pair(rng))
@@ -579,7 +579,7 @@ class TestCutTable:
 
 
 def _table_pairs(rng, scale=1.0):
-    """The quartic geometries and the seeded pairs of every cut branch, scaled by scale."""
+    """The quartic geometries and the seeded pairs of every geometry, scaled by scale."""
     pairs = [*QUARTIC_GEOMETRIES.values(),
              *(pair for kind in _cut_table_pairs(rng).values() for pair in kind)]
     return [(_scaled_point(a, scale), _scaled_point(b, scale)) for a, b in pairs]
@@ -612,9 +612,10 @@ def assert_rows_equal_single_pair_distances(table, pairs):
 class TestDistanceTable:
     """One table for many pairs: its arrays equal the per-pair scalar cuts bit for bit.
 
-    Every table mixes all three lower end branches, so a linear end evaluated
-    on a concentric row divides 0 by 0, which the RuntimeWarning filter of
-    the test configuration turns into a failure.
+    Every table mixes separate, overlapping, touching, concentric and flat
+    pairs, so the lower end is the gap on some rows and 0 on others, and the
+    RuntimeWarning filter of the test configuration turns any invalid
+    arithmetic on either into a failure.
     """
 
     @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e160])
@@ -700,6 +701,61 @@ class TestDistanceTable:
     def test_alpha_outside_unit_interval_rejected(self, ex22_pair, bad):
         with pytest.raises(ValueError, match="alpha must be in"):
             fg.DistanceTable([ex22_pair]).cut_table([0.0, bad])
+
+
+class TestCutFormula:
+    """One cut for every pair: hi is the gap at theta_max, and lo the gap at
+    theta_min below the separation level u0 and 0 from u0 on."""
+
+    def test_overlapped_lower_end_is_linear(self, rng):
+        # along the touching direction V(theta_min, u) = (d1, d2)(1 - u/u0)
+        pairs = [(random_circular(rng, -1.0, 1.0, 1.5, 2.0),
+                  random_circular(rng, -1.0, 1.0, 1.5, 2.0)) for _ in range(20)]
+        pairs += [(random_elliptical(rng, -1.0, 1.0, 1.5, 2.0),
+                   random_elliptical(rng, -1.0, 1.0, 1.5, 2.0)) for _ in range(20)]
+        table = fg.DistanceTable(pairs)
+        dc, u0 = table.dc[:, None], table.u0[:, None]
+        assert ((0.0 < u0) & (u0 < 1.0)).all()
+        # a uniform grid, and levels just above and below each pair's u0
+        alphas = np.concatenate([np.linspace(0.0, 1.0, 101), rng.random(50),
+                                 1.0 - np.outer(table.u0, (1.0 - 1e-9, 1.0 + 1e-9)).ravel()])
+        u = 1.0 - alphas
+        lo, _ = table.cut_table(alphas)
+        linear = dc * np.maximum(0.0, u0 - u) / u0
+        assert (np.abs(lo - linear) <= 4.0 * np.finfo(float).eps * dc).all()
+        assert (lo[u >= u0] == 0.0).all() and (lo[u < u0] > 0.0).all()
+        for row, ends in zip(table.rows(), lo):
+            assert np.array_equal(row.cut_table(alphas)[0], ends)
+
+    def test_tangent_supports_touch_at_zero(self, rng):
+        # u0 is exactly 1.0: the support-level lower end is 0, not the
+        # rounding residue of the gap at theta_min
+        pairs = [(fg.FuzzyPoint.circular(0, 0, 1), fg.FuzzyPoint.circular(0, 3, 2)),
+                 (fg.FuzzyPoint.circular(1, 1, 0.5), fg.FuzzyPoint.circular(-1, 1, 1.5)),
+                 *_cut_table_pairs(rng)["touching"]]
+        table = fg.DistanceTable(pairs)
+        assert (table.u0 == 1.0).all()
+        lo0, hi0 = table.support()
+        assert (lo0 == 0.0).all() and (table.cut_table([0.0])[0] == 0.0).all()
+        for a, b in pairs:
+            d = fg.FuzzyDistance(a, b)
+            assert d.cut(0.0)[0] == d.summary.l == 0.0
+
+    def test_core_cut_is_core_distance(self, rng):
+        # np.hypot and math.hypot differ in the last bit on this offset
+        pairs = [(fg.FuzzyPoint.circular(-2.0427581255842817, 8.113791585783197, 0.5),
+                  fg.FuzzyPoint.elliptical(0.0, 0.0, 0.3, 0.7))]
+        pairs += [(random_point(rng, core_lo=-10.0, core_hi=10.0),
+                   random_point(rng, core_lo=-10.0, core_hi=10.0)) for _ in range(1000)]
+        pairs += _table_pairs(rng) + list(SPECIAL_PAIRS.values())
+        table = fg.DistanceTable(pairs)
+        lo, hi = table.cut_table([1.0])
+        assert np.array_equal(np.column_stack((lo[:, 0], hi[:, 0])).view(np.int64),
+                              np.column_stack((table.dc, table.dc)).view(np.int64))
+        for a, b in pairs[:50]:
+            d = fg.FuzzyDistance(a, b)
+            assert repr(d.cut(1.0)) == repr((d.params.dc, d.params.dc))
+            assert d.membership(d.params.dc) == 1.0
 
 
 class TestCoreAngleProposition:

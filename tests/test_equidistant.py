@@ -262,17 +262,19 @@ class TestComputeMidset:
                                    resolution=64)
         alphas = [e.alpha for e in result.entries]
         assert alphas == sorted(alphas)
-        assert result.case_at_support == OverlapCase.NON_OVERLAPPING
-        for entry in result.entries:
-            assert entry.accepted == (entry.branch is Branch.INVERSE)
+        assert fg.overlap_case(*ex42_pair, 0.0) == OverlapCase.NON_OVERLAPPING
+        assert [e.branch for e in result.entries] == [Branch.INVERSE] * 3
 
     def test_accepted_is_always_inverse(self):
+        # the accepted set is the inverse branch: an entry wherever the
+        # level's case makes it active, alongside the same-points branch
         a, b = make_pair(TABLE_CONFIGS["partially_overlapping"])
         result = fg.compute_midset(a, b, alphas=np.linspace(0, 1, 5),
                                    resolution=64)
-        for entry in result.entries:
-            if entry.accepted:
-                assert entry.branch is Branch.INVERSE
+        levels = [(e.alpha, e.branch) for e in result.entries]
+        assert levels == [(alpha, branch) for alpha in np.linspace(0, 1, 5).tolist()
+                          for branch in fg.active_branches(fg.overlap_case(a, b, alpha))]
+        assert (0.0, Branch.INVERSE) in levels
 
     def test_classes_match_table_prediction(self):
         a, b = make_pair(TABLE_CONFIGS["fully_overlapping"])

@@ -12,7 +12,7 @@ import pytest
 import fuzgeo as fg
 from fuzgeo.core import Value
 from fuzgeo.metric import CheckResult
-from fuzgeo.midset import Branch, OverlapCase
+from fuzgeo.midset import Branch
 from oracles import AlphaBoundaryPair
 
 VALUE, FROZEN, REPORT = "value", "frozen", "report"
@@ -43,10 +43,9 @@ RECORDS = [
      lambda o: dict(A=1.0, H=0.0, B=-1.0, G=0.0, F=0.0, C=-2.0 if o else -1.0)),
     (fg.MidsetEntry, VALUE,
      lambda o: dict(alpha=0.5, branch=Branch.INVERSE, polylines=(),
-                    conic_class="hyperbola", accepted=not o)),
+                    conic_class="ellipse" if o else "hyperbola")),
     (fg.MidsetResult, VALUE,
-     lambda o: dict(entries=(), case_at_support=OverlapCase.NON_OVERLAPPING,
-                    bbox=(0.0, 0.0, 1.0, 2.0 if o else 1.0))),
+     lambda o: dict(entries=(), bbox=(0.0, 0.0, 1.0, 2.0 if o else 1.0))),
     (fg.GridSpec, VALUE, lambda o: dict(alpha_levels=11, bbox=None, resolution=32 if o else 64)),
     (fg.Scene, FROZEN,
      lambda o: dict(points={"A": fg.FuzzyPoint.circular(0.0, 0.0, 1.0)}, pairs=(),
