@@ -55,15 +55,15 @@ def _gap(R1, R2, d1, d2, theta, u):
 
 
 def _cut(R1, R2, d1, d2, u0, theta_min, theta_max, u):
-    """Cut ends (lo, hi) at the cut scales u = 1 - alpha, elementwise on floats or broadcast arrays.
+    """Cut ends (lo, hi) at the cut scales u = 1 - alpha, on floats or broadcast arrays.
 
     hi is the gap at theta_max; lo is the gap at theta_min where u < u0 and
     0 elsewhere, where the cuts overlap.  Below the touching level u0 of
     overlapping supports, theta_min is the touching direction, along which
     V(theta_min, u) = (d1, d2)(1 - u/u0), so lo grows as dc (u0 - u)/u0.
     """
-    # times 1 or 0: the gap there is finite, so this is np.where's result,
-    # at a twentieth of its cost on one float
+    # a finite gap times the mask, 1 or 0, is np.where(u < u0, gap, 0.0), at
+    # a twentieth of its cost on one float
     return (_gap(R1, R2, d1, d2, theta_min, u) * (u < u0),
             _gap(R1, R2, d1, d2, theta_max, u))
 
