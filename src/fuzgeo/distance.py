@@ -8,23 +8,24 @@ the over/under boundary gap is |V(theta, u)| and the two cross pairings of
 a direction are |V(theta, u)| and |V(theta + pi, u)|.  Extremizing over the
 full circle therefore reduces to extremizing the single function |V|.
 
-The extremal directions are located once at the support level, as roots
-of a quartic in tan(theta/2) (the point-to-ellipse distance problem), and
-then held fixed across alpha; for circular spreads this is exact (the
-extremal direction is the core-to-core slope for every alpha) and it keeps
-the squared per-alpha endpoints exact quadratics in alpha for elliptical
-spreads, so the membership of a distance value inverts a quadratic.  The
-roots are the eigenvalues of the quartics' companion matrices (A. Edelman
-and H. Murakami, Math. Comp. 64, 1995): a DistanceTable computes every
-pair's quartic, companion matrix and candidate directions as column
-arrays and solves all quartics with one eigenvalue call on the stacked
-matrices; FuzzyDistance(a, b) does the same arithmetic in scalars and
-passes its one companion matrix to the same LAPACK call.  When the
-supports overlap, the lower endpoint is zero down to the level u0 at which
-the cuts separate, and below u0 it is the gap along the direction in which
-the cuts last touched, where V(theta, u) = (d1, d2)(1 - u/u0) grows
-linearly.  So one formula, _cut, gives every pair's cut: hi is the gap at
-theta_max, and lo the gap at theta_min where u < u0 and 0 elsewhere.
+The extremal directions are located once at the support level and then
+held fixed across alpha: exact for circular spreads, and it keeps the
+squared per-alpha endpoints quadratics in alpha, so the membership of a
+distance value inverts a quadratic.  With equal summed spreads, R1 == R2
+(every circular pair), the support sum is a circle: theta_max =
+atan2(d2, d1) lies along the core offset and theta_min opposite it (the
+circle case of the point-to-ellipse problem, D. Eberly, 2011), and the
+flat profile, coincident cores, has one gap in every direction.  Other
+pairs' directions are roots of a quartic in tan(theta/2), the eigenvalues
+of its companion matrix (A. Edelman and H. Murakami, Math. Comp. 64,
+1995), solved for all of a DistanceTable's pairs with one eigenvalue call
+on the stacked matrices, and by FuzzyDistance(a, b) with one 4 x 4 matrix.
+Below the level u0 at which overlapping supports separate, the lower
+endpoint is the gap along the direction in which the cuts last touched,
+where V(theta, u) = (d1, d2)(1 - u/u0) grows linearly, as it does along
+theta_min of separate supports with R1 == R2.  So one formula, _cut, gives
+every pair's cut: hi is the gap at theta_max, and lo the gap at theta_min
+where u < u0 and 0 elsewhere.
 
 A DistanceTable holds the pairs' geometry and frozen directions as column
 arrays and cuts every pair in one broadcast.  A FuzzyDistance holds one
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -120,8 +121,8 @@ _BASES = tuple((phi, math.cos(phi), math.sin(phi))
 _SAMPLE_TRIG_COLS, _BASE_COLS = np.array(_SAMPLE_TRIG).T, np.array(_BASES).T
 
 
-def _quartic(p: DistanceMembershipParams) -> Optional[tuple[float, tuple]]:
-    """Base angle phi and the quartic in t = tan((theta - phi)/2), or None if flat.
+def _quartic(p: DistanceMembershipParams) -> tuple[float, tuple]:
+    """Base angle phi and the quartic in t = tan((theta - phi)/2), for R1 != R2.
 
     The stationary directions of |V(theta, 1)| zero
     g = R2*d2*cos(theta) - R1*d1*sin(theta) + (e/2)*sin(2*theta),
@@ -130,14 +131,11 @@ def _quartic(p: DistanceMembershipParams) -> Optional[tuple[float, tuple]]:
     largest |g| of eight equally spaced directions (at least the coefficient
     norm over sqrt(2)) keeps all roots bounded; with phi = 0 a root near
     infinity swamps the others as the cores meet.  Lengths are in units of
-    max(R1, R2).  g is identically zero only for the flat profile
-    (concentric cores, R1 == R2).
+    max(R1, R2).  With R1 != R2, e is not 0, so g is never identically zero.
     """
     m = max(p.R1, p.R2)
     r1, r2 = p.R1 / m, p.R2 / m
     a1, b1, b2 = r2 * (p.d2 / m), -r1 * (p.d1 / m), 0.5 * (r2 * r2 - r1 * r1)
-    if a1 == b1 == b2 == 0.0:
-        return None
     g = [abs(a1 * c + b1 * s + b2 * s2) for c, s, s2 in _SAMPLE_TRIG]
     phi, c, s = _BASES[g.index(max(g))]
     return phi, _quartic_terms(a1, b1, b2, c, s)
@@ -220,22 +218,48 @@ def _poly_roots(polys) -> np.ndarray:
     return roots
 
 
+def _circle_directions(R: float, d1: float, d2: float) -> tuple[float, float, bool]:
+    """(theta_min, theta_max, refined) of a pair whose summed spreads are both R.
+
+    The gap is then largest along the core offset and smallest opposite it;
+    the flat profile, coincident cores, has directions 0 and refined False.
+    math.atan2 serves the table too: np.arctan2 may differ in the last bit.
+    Geometry not finite in units of R is an error, as on the quartic path.
+    """
+    if not (math.isfinite(R) and math.isfinite(d1 / R) and math.isfinite(d2 / R)):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    if d1 == d2 == 0.0:
+        return 0.0, 0.0, False
+    return math.atan2(-d2, -d1) % TWO_PI, math.atan2(d2, d1) % TWO_PI, True
+
+
 # arithmetic that overflows warns nothing: _eigvals rejects the geometry's
 # non-finite companion matrices
 @np.errstate(all="ignore")
 def _solve_directions(geometry: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directions of the smallest and largest support-level gap |V(theta, 1)| per pair.
 
-    geometry holds the rows R1, R2, d1, d2, one column per pair.  The
-    arithmetic of _pair_directions, elementwise on arrays: each pair's
-    stationary directions are phi + 2*atan(t) over the real parts of its
-    quartic's roots; a complex root only adds a losing candidate.  All
-    quartics are solved together, and every pair's candidate gaps are
-    computed in one broadcast.
+    geometry holds the rows R1, R2, d1, d2, one column per pair.  Pairs with
+    R1 == R2 take _circle_directions; the others, the arithmetic of
+    _pair_directions on arrays: each pair's stationary directions are
+    phi + 2*atan(t) over the real parts of its quartic's roots (a complex
+    root only adds a losing candidate), all quartics solved together and
+    every pair's candidate gaps computed in one broadcast.
 
     Returns the arrays (theta_min, theta_max, refined); refined is False
     only for the flat profile, whose directions are both 0.
     """
+    equal = geometry[0] == geometry[1]
+    # theta_min, theta_max and refined (1.0 or 0.0) as rows
+    out, solved = np.ones((3, len(equal))), slice(None)
+    if equal.any():
+        # the rows R2, d1, d2 of the equal pairs, as lists
+        out[:, equal] = np.array(list(map(_circle_directions,
+                                          *geometry[1:, equal].tolist()))).T
+        if equal.all():
+            return out[0], out[1], out[2] == 1.0
+        solved = ~equal
+        geometry = geometry[:, solved]
     m = np.maximum(geometry[0], geometry[1])
     # r1, r2 and d1, d2 in units of m
     r, d = geometry[:2] / m, geometry[2:] / m
@@ -243,12 +267,6 @@ def _solve_directions(geometry: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     # a1, b1, b2 per pair; rounding is symmetric in sign, so b1 =
     # -(r1 * (d1/m)) is _quartic's (-r1) * (d1/m)
     coef = np.array((rd[1], -rd[0], 0.5 * (rr[1] - rr[0])))
-    refined = coef.any(axis=0)
-    solved = np.count_nonzero(refined)
-    if not solved:
-        return np.zeros(len(m)), np.zeros(len(m)), refined
-    if solved < len(m):
-        geometry, coef = geometry[:, refined], coef[:, refined]
     # |g| per (pair, sample), summed in _quartic's order
     g = coef[:, :, None] * _SAMPLE_TRIG_COLS[:, None]
     g = np.abs(g[0] + g[1] + g[2])
@@ -261,12 +279,8 @@ def _solve_directions(geometry: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     gaps = np.hypot(d1 + R1 * np.cos(thetas), d2 + R2 * np.sin(thetas))
     # argmin and argmax are the first smallest and largest, as in _pair_directions
     picks = np.array((gaps.argmin(axis=1), gaps.argmax(axis=1)))
-    directions = np.remainder(thetas[np.arange(solved), picks], TWO_PI)
-    if solved < len(refined):
-        every = np.zeros((2, len(refined)))
-        every[:, refined] = directions
-        directions = every
-    return directions[0], directions[1], refined
+    out[:2, solved] = np.remainder(thetas[np.arange(len(m)), picks], TWO_PI)
+    return out[0], out[1], out[2] == 1.0
 
 
 def _extremal_directions(params: Sequence[DistanceMembershipParams]
@@ -279,14 +293,15 @@ def _extremal_directions(params: Sequence[DistanceMembershipParams]
 def _pair_directions(p: DistanceMembershipParams) -> tuple[float, float, bool]:
     """_extremal_directions([p])[0], bit for bit, for one pair.
 
-    A quartic of full degree whose companion matrix is finite goes straight
-    to LAPACK as one 4 x 4 matrix in scalar arithmetic; the others (the
-    flat profile, a zero constant term, a non-finite entry) take the array
-    solve.
+    R1 == R2 takes _circle_directions.  A quartic of full degree whose
+    companion matrix is finite goes straight to LAPACK as one 4 x 4 matrix
+    in scalar arithmetic; the others (a zero constant term, a non-finite
+    entry) take the array solve.
     """
-    q = _quartic(p)
-    if q is not None and q[1][4] != 0.0:
-        phi, quartic = q
+    if p.R1 == p.R2:
+        return _circle_directions(p.R1, p.d1, p.d2)
+    phi, quartic = _quartic(p)
+    if quartic[4] != 0.0:
         companion = _companion(quartic)
         # a finite sum has finite entries; finite entries whose sum
         # overflows only take the array solve, which checks each entry
@@ -326,11 +341,11 @@ class DistanceTable:
     Column arrays hold one entry per pair: the summed spreads R1, R2, the
     core offset d1, d2, the separation level u0, the frozen directions
     theta_min and theta_max of the lower and upper cut ends, the core
-    distance dc, and refined, False only for the flat profile.  theta_min
-    is the direction in which the cuts last touch when the supports
-    overlap, and 0 for concentric cores.  cut_table, support and summary
-    evaluate _cut on every pair in one broadcast; rows() gives each pair as
-    a FuzzyDistance.
+    distance dc, and refined, False only for the flat profile (R1 == R2,
+    coincident cores).  theta_min is the direction in which the cuts last
+    touch when the supports overlap, and 0 for concentric cores.
+    cut_table, support and summary evaluate _cut on every pair in one
+    broadcast; rows() gives each pair as a FuzzyDistance.
     """
 
     def __init__(self, pairs: Iterable[tuple[FuzzyPoint, FuzzyPoint]]):
@@ -424,8 +439,8 @@ class FuzzyDistance(FuzzyNumber):
         (lo0, hi0, dc, u0, m, (dc/m)^2, lower, upper) with m = max(R1, R2).
         lower and upper hold (K1, K2, branch) for the cut end below and
         above dc, the terms of x^2 = dc^2 + 2*u*K1 + u^2*K2 in units of m at
-        the end's frozen direction; lower is None where the supports overlap
-        (u0 < 1) and membership inverts the linear end.
+        the end's frozen direction; lower is None where that end is the
+        line dc (1 - u/u0) (u0 < 1, or R1 == R2) and membership inverts it.
         """
         p = self.params
         m = max(p.R1, p.R2)
@@ -434,7 +449,7 @@ class FuzzyDistance(FuzzyNumber):
             w1, w2 = p.R1 / m * math.cos(theta), p.R2 / m * math.sin(theta)
             return p.d1 / m * w1 + p.d2 / m * w2, w1 * w1 + w2 * w2, branch
 
-        lower = terms(self.argmin_theta, -1.0) if self._u0 >= 1.0 else None
+        lower = terms(self.argmin_theta, -1.0) if self._u0 >= 1.0 and p.R1 != p.R2 else None
         return (*self._support, p.dc, self._u0, m, (p.dc / m) ** 2, lower,
                 terms(self.argmax_theta, 1.0))
 
@@ -442,12 +457,12 @@ class FuzzyDistance(FuzzyNumber):
         """Grade 1 - u of x, inverting the cut in closed form.
 
         Each endpoint is the gap at its frozen direction, so u solves
-        x^2 = dc^2 + 2*u*K1 + u^2*K2 in units of max(R1, R2).  Below the
-        touching level u0 of overlapping supports the lower endpoint is
-        dc (u0 - u)/u0, inverted as that line: along the touching direction
-        the quadratic is the perfect square (dc (1 - u/u0))^2, so near x = 0
-        its discriminant cancels to rounding and the root keeps only half
-        the digits (grade errors of 1e-8 and more).  The terms come from
+        x^2 = dc^2 + 2*u*K1 + u^2*K2 in units of max(R1, R2).  Where the
+        lower endpoint is the line dc (1 - u/u0), below the touching level
+        u0 of overlapping supports and wherever R1 == R2, it is inverted as
+        that line: the quadratic there is the perfect square
+        (dc (1 - u/u0))^2, so near x = 0 its root keeps only half the
+        digits (grade errors of 1e-8 and more).  The terms come from
         _inverse, built once per distance.
         """
         lo0, hi0, dc, u0, m, dc_sq, lower, upper = self._inverse
@@ -455,7 +470,7 @@ class FuzzyDistance(FuzzyNumber):
             return 0.0
         if x <= dc:
             if lower is None:
-                return 1.0 if dc == 0.0 else 1.0 - u0 * (1.0 - x / dc)
+                return 1.0 if dc == 0.0 else max(0.0, 1.0 - u0 * (1.0 - x / dc))
             k1, k2, branch = lower
         else:
             k1, k2, branch = upper

@@ -111,13 +111,19 @@ class _CirclePair(NamedTuple):
         return "degenerate" if case is OverlapCase.INTERNALLY_TANGENT else "hyperbola"
 
 
-def _circle_pair(a: FuzzyPoint, b: FuzzyPoint) -> _CirclePair:
-    """The pair value of a and b; a ValueError names a point that is not circular."""
-    sa, sb, ca, cb = a.spread, b.spread, a.core, b.core
+def _radii(a: FuzzyPoint, b: FuzzyPoint) -> tuple[float, float]:
+    """The radii of a and b; a ValueError names a point that is not circular."""
+    sa, sb = a.spread, b.spread
     if sa.kind != "circular" or sb.kind != "circular":
         raise ValueError(f"midset focal point {'A' if sa.kind != 'circular' else 'B'} must "
                          "have a circular spread")
-    r1, r2, ax, ay, bx, by = sa.p1, sb.p1, ca.x, ca.y, cb.x, cb.y
+    return sa.p1, sb.p1
+
+
+def _circle_pair(a: FuzzyPoint, b: FuzzyPoint, radii: Optional[tuple] = None) -> _CirclePair:
+    """The pair value of a and b, of the radii _radii(a, b) unless given."""
+    r1, r2 = radii or _radii(a, b)
+    ax, ay, bx, by = a.core.x, a.core.y, b.core.x, b.core.y
     # tuple.__new__, as _make uses, skips the NamedTuple's keyword __new__
     return tuple.__new__(_CirclePair, (
         r1, r2, math.hypot(ax - bx, ay - by),
@@ -542,23 +548,23 @@ def equidistant_membership(q: Point2, a: FuzzyPoint, b: FuzzyPoint) -> float:
     u = (d1 + d2)/(r1 + r2) or u = (d1 - d2)/(r1 - r2) (grade 1 on the
     bisector when r1 = r2, where |d1 - d2| is within 4 ulps of max(d1, d2));
     the grade is the largest root level in [0, 1] at which its branch is
-    active, by the rule in the module docstring.
+    active, by the rule in the module docstring, which alone reads the
+    pair's dc and tol: most points have no root level in [0, 1] and skip it.
     """
-    r1, r2, dc, tol = _circle_pair(a, b)
+    radii = r1, r2 = _radii(a, b)
     d1 = math.hypot(q.x - a.core.x, q.y - a.core.y)
     d2 = math.hypot(q.x - b.core.x, q.y - b.core.y)
-    grade = 0.0
-    alpha = 1.0 - (d1 + d2) / (r1 + r2)
-    if 0.0 <= alpha <= 1.0 and (dc <= tol or d1 + d2 - dc > tol):
-        grade = alpha
+    same = 1.0 - (d1 + d2) / (r1 + r2)
     if r1 != r2:
-        alpha = 1.0 - (d1 - d2) / (r1 - r2)
-    elif abs(d1 - d2) <= 4.0 * _EPS * max(d1, d2):
-        alpha = 1.0
-    else:
-        return grade
+        inverse = 1.0 - (d1 - d2) / (r1 - r2)
+    else:  # 1 on the bisector, and off it -1.0: no root level
+        inverse = 1.0 if abs(d1 - d2) <= 4.0 * _EPS * max(d1, d2) else -1.0
+    if not (0.0 <= same <= 1.0 or 0.0 <= inverse <= 1.0):
+        return 0.0
+    _, _, dc, tol = _circle_pair(a, b, radii)
+    grade = same if 0.0 <= same <= 1.0 and (dc <= tol or d1 + d2 - dc > tol) else 0.0
     # grade >= 0: only a root in (grade, 1] can raise it
-    return alpha if grade < alpha <= 1.0 and dc > tol else grade
+    return inverse if grade < inverse <= 1.0 and dc > tol else grade
 
 
 class InvarianceReport(Record):

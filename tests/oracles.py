@@ -139,14 +139,20 @@ def extremal_directions_reference(p: DistanceMembershipParams) -> tuple[float, f
     root near infinity swamps the others as the cores meet.  A complex root
     only adds a losing candidate.  Lengths are in units of max(R1, R2).
 
-    refined is False only for the flat profile, g identically zero
-    (concentric cores, R1 == R2); both directions are then 0.
+    With R1 == R2 (e = 0) the gap is the distance from -(d1, d2) to a circle
+    of radius R1, largest along the core offset and smallest opposite it,
+    so those directions are atan2 of the offset and of its negative, with
+    math.atan2 as the kernel takes it.  refined is False only for the flat
+    profile, g identically zero (concentric cores, R1 == R2); both
+    directions are then 0.
     """
+    if p.R1 == p.R2:
+        if p.d1 == p.d2 == 0.0:
+            return 0.0, 0.0, False
+        return (math.atan2(-p.d2, -p.d1) % TWO_PI, math.atan2(p.d2, p.d1) % TWO_PI, True)
     m = max(p.R1, p.R2)
     r1, r2 = p.R1 / m, p.R2 / m
     a1, b1, b2 = r2 * (p.d2 / m), -r1 * (p.d1 / m), 0.5 * (r2 * r2 - r1 * r1)
-    if a1 == b1 == b2 == 0.0:
-        return 0.0, 0.0, False
     samples = np.arange(8) * (math.pi / 4.0)
     g = a1 * np.cos(samples) + b1 * np.sin(samples) + b2 * np.sin(2.0 * samples)
     phi = float(samples[np.argmax(np.abs(g))]) - math.pi
@@ -167,15 +173,16 @@ def distance_membership_reference(d: FuzzyDistance, x: float) -> float:
 
     Each endpoint is the gap at its frozen direction, so u solves
     x^2 = dc^2 + 2*u*K1 + u^2*K2 in units of max(R1, R2); below the
-    touching level u0 of overlapping supports the lower endpoint is linear.
+    touching level u0 of overlapping supports, and for every pair with
+    R1 == R2, the lower endpoint is the line dc (1 - u/u0).
     A NaN x passes both range tests and gets grade 1.
     """
     p = d.params
     lo0, hi0 = d.cut(0.0)
     if x < lo0 or x > hi0:
         return 0.0
-    if x <= p.dc and d._u0 < 1.0:
-        return 1.0 if p.dc == 0.0 else 1.0 - d._u0 * (1.0 - x / p.dc)
+    if x <= p.dc and (d._u0 < 1.0 or p.R1 == p.R2):
+        return 1.0 if p.dc == 0.0 else max(0.0, 1.0 - d._u0 * (1.0 - x / p.dc))
     theta, branch = ((d.argmin_theta, -1.0) if x <= p.dc
                      else (d.argmax_theta, 1.0))
     m = max(p.R1, p.R2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import fuzgeo as fg
 from fuzgeo import distance
-from fuzgeo.distance import _extremal_directions, _pair_directions, _poly_roots, _quartic
+from fuzgeo.distance import TWO_PI, _extremal_directions, _pair_directions, _poly_roots, _quartic
 from oracles import (almost_equals, bisect_membership, bisect_root, distance_cut_reference,
                      distance_membership, distance_membership_reference, endpoint_distances,
                      extremal_directions_reference, general_position_triple,
@@ -314,6 +315,27 @@ SPECIAL_PAIRS = {
     "zero constant coefficient": ZERO_CONSTANT_PAIR,
 }
 
+def _circ(x, y, r):
+    return fg.FuzzyPoint.circular(x, y, r)
+
+
+# summed spreads R1 == R2: the support sum is a circle and the directions
+# have a closed form
+EQUAL_SPREAD_PAIRS = {
+    "circular, separate": (_circ(0, 0, 1), _circ(3, 1, 2)),
+    "circular, overlapping": (_circ(0, 0, 1.5), _circ(1, -0.5, 2)),
+    "circular, tangent": (_circ(0, 0, 1), _circ(0, 3, 2)),
+    "circular, cores 1e-25 apart": (_circ(0, 0, 1), _circ(1e-25, -1e-25, 2)),
+    "circular, 1000 from the origin": (_circ(1000, 700, 0.8), _circ(1003, 702, 0.2)),
+    "swapped radii, separate": (_ell(0, 0, 1, 2), _ell(4, -3, 2, 1)),
+    "swapped radii, overlapping": (_ell(0, 0, 1, 2), _ell(0.5, 1, 2, 1)),
+    "flat, circular": SPECIAL_PAIRS["flat, circular"],
+    "flat, same point": SPECIAL_PAIRS["flat, same point"],
+}
+EQUAL_SPREAD_PAIRS.update({
+    f"{name}, scaled {scale:g}": tuple(_scaled_point(p, scale) for p in EQUAL_SPREAD_PAIRS[name])
+    for name in ("circular, separate", "swapped radii, separate") for scale in (1e-200, 1e160)})
+
 
 def _bits(directions):
     """(theta_min, theta_max) as raw float64 bits, and refined, per pair."""
@@ -414,18 +436,20 @@ class TestBatchedSolver:
             assert_solver_matches_reference(pairs)
 
     def test_one_pair_solve_skips_the_batch(self, monkeypatch):
-        # a full-degree quartic goes straight to one 4 x 4 eigenvalue call;
-        # the flat profile and a zero constant term take the batched path
+        # a full-degree quartic goes straight to one 4 x 4 eigenvalue call,
+        # and equal summed spreads, the flat profile among them, take the
+        # closed form; only a zero constant term takes the batched path
         batched = []
         monkeypatch.setattr(distance, "_extremal_directions",
                             lambda params: batched.append(params) or _extremal_directions(params))
         for a, b in QUARTIC_GEOMETRIES.values():
             if _quartic(fg.DistanceMembershipParams.from_points(a, b))[1][4] != 0.0:
                 fg.FuzzyDistance(a, b)
+        for a, b in EQUAL_SPREAD_PAIRS.values():
+            fg.FuzzyDistance(a, b)
         assert batched == []
-        for name in ("flat, circular", "zero constant coefficient"):
-            fg.FuzzyDistance(*SPECIAL_PAIRS[name])
-        assert len(batched) == 2
+        fg.FuzzyDistance(*SPECIAL_PAIRS["zero constant coefficient"])
+        assert len(batched) == 1
 
     def test_mixed_batch(self, rng):
         # neighbours of every kind, including flat pairs the solve skips and a
@@ -456,6 +480,166 @@ class TestBatchedSolver:
                 single.argmin_theta, single.argmax_theta, single.refined)
             assert np.array_equal(np.array(batched.cut_table(alphas)),
                                   np.array(single.cut_table(alphas)))
+
+
+# the 22 points of the CI timing step: circular and elliptical, 231 pairs,
+# separate and overlapping, the circular pairs with equal summed spreads
+CI_POINTS = [fg.FuzzyPoint.circular(math.cos(i), 2 * math.sin(1.3 * i), 0.2 + 0.03 * i) if i % 2
+             else _ell(3 * math.sin(i), math.cos(0.7 * i), 0.3, 0.1 + 0.04 * i)
+             for i in range(22)]
+
+
+def _axis_pairs(offset):
+    """A circular and an elliptical pair with equal summed spreads and core offset offset."""
+    return [(fg.FuzzyPoint(fg.Point2(*offset), sa), fg.FuzzyPoint(fg.Point2(0.0, 0.0), sb))
+            for sa, sb in ((fg.Spread.circular(0.5), fg.Spread.circular(0.7)),
+                           (fg.Spread("elliptical", 0.3, 0.9), fg.Spread("elliptical", 0.9, 0.3)))]
+
+
+class TestClosedFormDirections:
+    """With R1 == R2 the support sum is a circle: theta_max lies along the core
+    offset and theta_min opposite it, with no quartic solved."""
+
+    @pytest.mark.parametrize("name", sorted(EQUAL_SPREAD_PAIRS))
+    def test_matches_dense_fan(self, name):
+        p = fg.DistanceMembershipParams.from_points(*EQUAL_SPREAD_PAIRS[name])
+        assert p.R1 == p.R2
+        theta_min, theta_max, refined = _pair_directions(p)
+        assert refined == (p.dc != 0.0)
+        # in units of the pair's size, in which the gap is at most 1
+        size = p.R1 + p.dc
+        fan = p.gap(np.linspace(0.0, TWO_PI, 100_000, endpoint=False), 1.0) / size
+        lo, hi = p.gap(theta_min, 1.0) / size, p.gap(theta_max, 1.0) / size
+        eps = 4.0 * np.finfo(float).eps
+        assert lo <= fan.min() + eps and hi >= fan.max() - eps
+        assert abs(lo - abs(p.dc - p.R1) / size) <= eps and abs(hi - 1.0) <= eps
+
+    @pytest.mark.parametrize("name", sorted(EQUAL_SPREAD_PAIRS))
+    def test_solves_match_reference(self, name):
+        assert_solver_matches_reference([EQUAL_SPREAD_PAIRS[name]])
+        assert_rows_equal_single_pair_distances(fg.DistanceTable([EQUAL_SPREAD_PAIRS[name]]),
+                                                [EQUAL_SPREAD_PAIRS[name]])
+
+    @pytest.mark.parametrize("offset, theta_min, theta_max", [
+        ((3.0, 0.0), math.pi, 0.0),
+        ((0.0, 3.0), 3 * math.pi / 2, math.pi / 2),
+        ((-3.0, 0.0), 0.0, math.pi),
+        ((0.0, -3.0), math.pi / 2, 3 * math.pi / 2),
+        ((3.0, -0.0), math.pi, 0.0),
+        ((-3.0, -0.0), 0.0, math.pi),
+        ((-0.0, -3.0), math.pi / 2, 3 * math.pi / 2),
+    ])
+    def test_axis_aligned_offsets(self, offset, theta_min, theta_max):
+        # exact angles, with +0.0 for 0, by every path
+        for pair in _axis_pairs(offset):
+            p = fg.DistanceMembershipParams.from_points(*pair)
+            assert repr((p.d1, p.d2)) == repr(offset)
+            d, table = fg.FuzzyDistance(*pair), fg.DistanceTable([pair])
+            for got in (_pair_directions(p)[:2], _extremal_directions([p])[0][:2],
+                        (d.argmin_theta, d.argmax_theta),
+                        (table.theta_min[0], table.theta_max[0])):
+                assert repr(tuple(float(t) for t in got)) == repr((theta_min, theta_max))
+
+    def test_mixed_tables_equal_single_pair_distances(self, rng):
+        ci_pairs = list(itertools.combinations(CI_POINTS, 2))
+        pairs = [*EQUAL_SPREAD_PAIRS.values(), *QUARTIC_GEOMETRIES.values(),
+                 *SPECIAL_PAIRS.values(), *_random_pairs(rng), *membership_pairs(rng, 12)]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        for table_pairs in (ci_pairs, ci_pairs[:7], pairs):
+            table = fg.DistanceTable(table_pairs)
+            assert_rows_equal_single_pair_distances(table, table_pairs)
+            assert _bits(_extremal_directions([d.params for d in table.rows()])) == _bits(
+                [extremal_directions_reference(d.params) for d in table.rows()])
+
+    def test_no_quartic_for_equal_spreads(self, monkeypatch):
+        # neither the array quartic solve nor LAPACK sees an equal-spread pair
+        def fail(*args):
+            raise AssertionError("equal summed spreads reached the quartic solve")
+
+        monkeypatch.setattr(distance, "_poly_roots", fail)
+        monkeypatch.setattr(distance, "_lapack_eigvals", fail)
+        pairs = list(EQUAL_SPREAD_PAIRS.values())
+        circular = [(a, b) for a, b in itertools.combinations(CI_POINTS, 2)
+                    if a.is_circular and b.is_circular]
+        for table_pairs in (pairs, circular[:7], circular):
+            table = fg.DistanceTable(table_pairs)
+            assert (table.theta_min != table.theta_max).any()
+            for a, b in table_pairs:
+                fg.FuzzyDistance(a, b)
+
+    @pytest.mark.parametrize("offset", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0),
+                                        (1e300, 1.0)])
+    def test_nonfinite_unit_geometry_rejected(self, offset):
+        # as on the quartic path: an offset that overflows in units of R
+        pair = (fg.FuzzyPoint(fg.Point2(0.0, 0.0), fg.Spread.circular(1e-10)),
+                fg.FuzzyPoint(fg.Point2(0.0, 0.0), fg.Spread.circular(1e-10)))
+        p = fg.DistanceMembershipParams(2e-10, 2e-10, *offset, math.hypot(*offset))
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            _pair_directions(p)
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            distance._solve_directions(np.array([[1.0, 2e-10], [1.0, 2e-10], [0.0, offset[0]],
+                                                 [3.0, offset[1]]]))
+        assert fg.FuzzyDistance(*pair).refined is False
+
+
+class TestEqualSpreadLowerEnd:
+    """With R1 == R2 the lower end is the line dc (1 - u/u0) below u0, for
+    separate supports too, and membership inverts it as a line."""
+
+    @staticmethod
+    def tangent_pairs(rng, n):
+        pairs = []
+        for _ in range(n):
+            r1, r2 = rng.uniform(0.2, 2.0, size=2)
+            x, y = rng.uniform(-5.0, 5.0, size=2)
+            phi = rng.uniform(0.0, TWO_PI)
+            pairs.append((fg.FuzzyPoint.circular(x, y, r1),
+                          fg.FuzzyPoint.circular(x + (r1 + r2) * math.cos(phi),
+                                                 y + (r1 + r2) * math.sin(phi), r2)))
+        return pairs
+
+    def test_near_tangent_grades_keep_their_digits(self, rng):
+        # the quadratic's root near tangency kept half the digits (2e-8)
+        eps = np.finfo(float).eps
+        u0s = []
+        for a, b in self.tangent_pairs(rng, 200):
+            d = fg.fuzzy_distance(a, b)
+            dc, u0 = d.params.dc, d.params.separation_level
+            u0s.append(u0)
+            for x in (dc * np.geomspace(1e-12, 0.5, 40)).tolist():
+                if x < d.summary.l:
+                    continue
+                grade = d.membership(x)
+                assert abs(grade - (1.0 - u0 * (1.0 - x / dc))) <= 2.0 * eps
+                assert abs(d.cut(grade)[0] - x) <= 4.0 * eps * dc
+        # rounding puts u0 on both sides of 1
+        assert min(u0s) < 1.0 < max(u0s)
+
+    def test_separate_pairs_invert_the_line(self, rng):
+        eps = np.finfo(float).eps
+        # circular pairs, and elliptical ones with swapped radii
+        pairs = [tuple(fg.FuzzyPoint(p.core, fg.Spread.circular(p.spread.p1)) for p in pair)
+                 for pair in (random_separated_pair(rng) for _ in range(20))]
+        pairs += [_axis_pairs((s * math.cos(t), s * math.sin(t)))[1]
+                  for s, t in rng.uniform((1.3, 0.0), (5.0, TWO_PI), size=(20, 2)).tolist()]
+        for a, b in pairs:
+            d = fg.fuzzy_distance(a, b)
+            assert d.params.separation_level > 1.0
+            assert d.params.R1 == d.params.R2 and d._inverse[6] is None
+            lo0, dc = d.summary.l, d.params.dc
+            # the grade's slope is u0/dc, so x's rounding costs u0 ulps of 1
+            assert 0.0 <= d.membership(lo0) <= 4.0 * eps * d.params.separation_level
+            assert d.membership(math.nextafter(lo0, -math.inf)) == 0.0
+            for x in np.linspace(lo0, dc, 33).tolist():
+                grade = d.membership(x)
+                assert 0.0 <= grade <= 1.0
+                assert abs(d.cut(grade)[0] - x) <= 8.0 * eps * dc
+
+    def test_unequal_spreads_keep_the_quadratic(self, rng):
+        for a, b in [random_separated_pair(rng) for _ in range(40)]:
+            d = fg.fuzzy_distance(a, b)
+            if d.params.R1 != d.params.R2:
+                assert d._inverse[6] is not None
 
 
 def _edge_values(d):
@@ -793,4 +977,6 @@ class TestCoreAngleProposition:
             for alpha in (0.0, 0.5):
                 theta = fg.fuzzy_distance(a, b).argmin_theta % math.pi
                 delta = abs(theta - psi)
-                assert min(delta, math.pi - delta) < 1e-6
+                # atan2 and the reductions mod 2 pi and mod pi round apart:
+                # at most 2 ulps of pi over 300k uniform offsets
+                assert min(delta, math.pi - delta) <= 2.0 * math.ulp(math.pi)

@@ -71,6 +71,10 @@ class TestBranchResidual:
             for (a, b), name in (((ellipse, circle), "A"), ((circle, ellipse), "B")):
                 with pytest.raises(ValueError, match=f"point {name} must have a circular"):
                     call(a, b)
+        # a grade with no root level in range is still refused
+        for (a, b), name in (((ellipse, circle), "A"), ((circle, ellipse), "B")):
+            with pytest.raises(ValueError, match=f"point {name} must have a circular"):
+                fg.equidistant_membership(fg.Point2(100.0, -100.0), a, b)
 
 
 class TestConicCoefficients:
@@ -465,6 +469,83 @@ class TestEquidistantMatchesReference:
             assert fg.equidistant_membership(q, a, b) == n1
         self.assert_grades_equal(a, b, between + beyond)
         self.assert_grades_equal(b, a, between + beyond)
+
+    @staticmethod
+    def root_levels(q, a, b):
+        """The same-points and inverse-points root levels of q, None where absent."""
+        d1, d2 = q.distance_to(a.core), q.distance_to(b.core)
+        same = 1.0 - (d1 + d2) / (a.radius + b.radius)
+        if a.radius != b.radius:
+            return same, 1.0 - (d1 - d2) / (a.radius - b.radius)
+        return same, None
+
+    def test_points_with_no_root_level_in_range(self, rng):
+        # far outside the supports, and inside a smaller disk's own support
+        # where d1 - d2 exceeds the radius difference; grade 0 without the
+        # pair's core distance or tolerance.  Concentric cores put every
+        # point's inverse root at level 1.
+        configs = [c for case, c in TABLE_CONFIGS.items() if case != "concentric"]
+        for config in [*configs, ((0, 0, 1), (5, 0, 1))]:
+            a, b = make_pair(config)
+            xmin, ymin, xmax, ymax = fg.support_bbox(a, b)
+            points = [fg.Point2(x, y) for x, y in
+                      rng.uniform((xmin - 30.0, ymin - 30.0), (xmax + 30.0, ymax + 30.0),
+                                  size=(400, 2)).tolist()]
+            for pair in ((a, b), (b, a)):
+                out = [q for q in points
+                       if not any(r is not None and 0.0 <= r <= 1.0
+                                  for r in self.root_levels(q, *pair))]
+                assert len(out) > 100
+                self.assert_grades_equal(*pair, out)
+                assert all(fg.equidistant_membership(q, *pair) == 0.0 for q in out)
+
+    def test_one_root_level_in_range(self, rng):
+        # each root alone decides the grade: a gate that reads one root only
+        # gives these points 0
+        a, b = make_pair(TABLE_CONFIGS["partially_overlapping"])
+        xmin, ymin, xmax, ymax = fg.support_bbox(a, b)
+        points = [fg.Point2(x, y) for x, y in
+                  rng.uniform((xmin, ymin), (xmax, ymax), size=(2000, 2)).tolist()]
+        for pair in ((a, b), (b, a)):
+            kinds = {}
+            for q in points:
+                same, inverse = (0.0 <= r <= 1.0 for r in self.root_levels(q, *pair))
+                if same != inverse:
+                    kinds.setdefault(same, []).append(q)
+            assert len(kinds[True]) > 20 and len(kinds[False]) > 20
+            for group in kinds.values():
+                self.assert_grades_equal(*pair, group)
+                assert all(fg.equidistant_membership(q, *pair) > 0.0 for q in group)
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CONFIGS))
+    def test_pairs_far_from_origin(self, case, rng):
+        # the case table 1e3 from the origin: the tolerance's ulp term
+        (x1, y1, r1), (x2, y2, r2) = TABLE_CONFIGS[case]
+        a = fg.FuzzyPoint.circular(x1 + 1e3, y1 - 1e3, r1)
+        b = fg.FuzzyPoint.circular(x2 + 1e3, y2 - 1e3, r2)
+        points = _query_points(a, b)
+        xmin, ymin, xmax, ymax = fg.support_bbox(a, b)
+        points += [fg.Point2(x, y) for x, y in
+                   rng.uniform((xmin - 5.0, ymin - 5.0), (xmax + 5.0, ymax + 5.0),
+                               size=(300, 2)).tolist()]
+        for pair in ((a, b), (b, a)):
+            self.assert_grades_equal(*pair, points)
+
+    def test_equal_radii_bisector_band(self, rng):
+        # points within a few ulps of the bisector and just outside the
+        # 4-ulp band, of a slanted pair near and 1e3 from the origin
+        for shift in (0.0, 1e3):
+            p = fg.FuzzyPoint.circular(0.1 + shift, 0.2, 1.5)
+            q = fg.FuzzyPoint.circular(3.3 + shift, 4.7, 1.5)
+            mx, my = 0.5 * (p.core.x + q.core.x), 0.5 * (p.core.y + q.core.y)
+            points = [fg.Point2(mx - 4.5 * s + 3.2 * e, my + 3.2 * s + 4.5 * e)
+                      for s in rng.uniform(-3.0, 3.0, size=40).tolist()
+                      for e in (0.0, 1e-16, -1e-15, 5e-15, -2e-14, 1e-12, 0.01)]
+            d = [(x.distance_to(p.core), x.distance_to(q.core)) for x in points]
+            band = {abs(d1 - d2) <= 4.0 * np.finfo(float).eps * max(d1, d2) for d1, d2 in d}
+            assert band == {True, False}
+            for pair in ((p, q), (q, p)):
+                self.assert_grades_equal(*pair, points)
 
 
 class TestInvariance:
