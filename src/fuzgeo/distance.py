@@ -18,8 +18,8 @@ circle case of the point-to-ellipse problem, D. Eberly, 2011), and the
 flat profile, coincident cores, has one gap in every direction.  Other
 pairs' directions are roots of a quartic in tan(theta/2), the eigenvalues
 of its companion matrix (A. Edelman and H. Murakami, Math. Comp. 64,
-1995), solved for all of a DistanceTable's pairs with one eigenvalue call
-on the stacked matrices, and by FuzzyDistance(a, b) with one 4 x 4 matrix.
+1995), solved for all such pairs of a DistanceTable with one eigenvalue
+call on the stacked matrices, and by FuzzyDistance(a, b) with one matrix.
 Below the level u0 at which overlapping supports separate, the lower
 endpoint is the gap along the direction in which the cuts last touched,
 where V(theta, u) = (d1, d2)(1 - u/u0) grows linearly, as it does along

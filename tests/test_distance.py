@@ -570,16 +570,13 @@ class TestClosedFormDirections:
     @pytest.mark.parametrize("offset", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0),
                                         (1e300, 1.0)])
     def test_nonfinite_unit_geometry_rejected(self, offset):
-        # as on the quartic path: an offset that overflows in units of R
-        pair = (fg.FuzzyPoint(fg.Point2(0.0, 0.0), fg.Spread.circular(1e-10)),
-                fg.FuzzyPoint(fg.Point2(0.0, 0.0), fg.Spread.circular(1e-10)))
+        # as the quartic path rejects it: an offset that is not finite, or
+        # that overflows in units of R = 2e-10
         p = fg.DistanceMembershipParams(2e-10, 2e-10, *offset, math.hypot(*offset))
-        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-            _pair_directions(p)
-        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-            distance._solve_directions(np.array([[1.0, 2e-10], [1.0, 2e-10], [0.0, offset[0]],
-                                                 [3.0, offset[1]]]))
-        assert fg.FuzzyDistance(*pair).refined is False
+        geometry = np.array([[1.0, 1.0, 0.0, 3.0], [2e-10, 2e-10, *offset]]).T
+        for solve in (lambda: _pair_directions(p), lambda: distance._solve_directions(geometry)):
+            with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+                solve()
 
 
 class TestEqualSpreadLowerEnd:
@@ -634,12 +631,6 @@ class TestEqualSpreadLowerEnd:
                 grade = d.membership(x)
                 assert 0.0 <= grade <= 1.0
                 assert abs(d.cut(grade)[0] - x) <= 8.0 * eps * dc
-
-    def test_unequal_spreads_keep_the_quadratic(self, rng):
-        for a, b in [random_separated_pair(rng) for _ in range(40)]:
-            d = fg.fuzzy_distance(a, b)
-            if d.params.R1 != d.params.R2:
-                assert d._inverse[6] is not None
 
 
 def _edge_values(d):

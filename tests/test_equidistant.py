@@ -531,6 +531,18 @@ class TestEquidistantMatchesReference:
         for pair in ((a, b), (b, a)):
             self.assert_grades_equal(*pair, points)
 
+    @pytest.mark.parametrize("offset", [1e-12, 1e-10, 2e-9, 1e-6])
+    def test_nearly_concentric_pairs(self, offset, rng):
+        # cores closer than tol = 1e-9 (r1 + r2) count as concentric, and
+        # then no inverse root counts, although one lies near level 1
+        for shift in (0.0, 1e3):
+            a = fg.FuzzyPoint.circular(0.5 + shift, -0.25, 1.0)
+            b = fg.FuzzyPoint.circular(0.5 + shift + offset, -0.25 + offset, 2.0)
+            points = [fg.Point2(shift + x, y)
+                      for x, y in rng.uniform(-3.0, 3.0, size=(200, 2)).tolist()]
+            for pair in ((a, b), (b, a)):
+                self.assert_grades_equal(*pair, points)
+
     def test_equal_radii_bisector_band(self, rng):
         # points within a few ulps of the bisector and just outside the
         # 4-ulp band, of a slanted pair near and 1e3 from the origin
