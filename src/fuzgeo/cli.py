@@ -159,7 +159,7 @@ def cmd_midset(scene: Scene, args, out: str) -> None:
         bbox = scene.grids.bbox or support_bbox(a, b)
         result = compute_midset(a, b, alphas=alphas, bbox=bbox, resolution=resolution)
         # every polyline formatted once, as x,y lines, for the CSV and the SVG
-        texts = [[fmt_rows("", polyline) for polyline in entry.polylines]
+        texts = [[fmt_rows(polyline) for polyline in entry.polylines]
                  for entry in result.entries]
         # entries come sorted by alpha: one CSV per level
         for alpha, group in groupby(zip(result.entries, texts), key=lambda e: e[0].alpha):

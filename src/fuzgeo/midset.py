@@ -273,15 +273,15 @@ def conic_class(a: FuzzyPoint, b: FuzzyPoint, alpha: float, branch: Branch) -> s
 
 
 def support_bbox(a: FuzzyPoint, b: FuzzyPoint) -> tuple[float, float, float, float]:
-    """Union of the two support boxes, grown by half about its center, as a square."""
+    """Union of the two support boxes, grown by half about its center, as a square
+    at least 4 ulps of the centre's magnitude wide each way, as _CirclePair's
+    tol, so a pair below an ulp of its coordinates still gets a window."""
     xmin = min(a.core.x - a.spread.p1, b.core.x - b.spread.p1)
     xmax = max(a.core.x + a.spread.p1, b.core.x + b.spread.p1)
     ymin = min(a.core.y - a.spread.p2, b.core.y - b.spread.p2)
     ymax = max(a.core.y + a.spread.p2, b.core.y + b.spread.p2)
     cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-    hx = 0.5 * (xmax - xmin) * 1.5
-    hy = 0.5 * (ymax - ymin) * 1.5
-    half = max(hx, hy, 1e-6)
+    half = max(0.75 * (xmax - xmin), 0.75 * (ymax - ymin), 4.0 * _EPS * math.hypot(cx, cy))
     return (cx - half, cy - half, cx + half, cy + half)
 
 
@@ -368,7 +368,7 @@ def _sample_levels(a: FuzzyPoint, b: FuzzyPoint, pair: _CirclePair, levels: list
     r1, r2, dc, _ = pair
     c = dc / 2.0
     mx, my = 0.5 * (a.core.x + b.core.x), 0.5 * (a.core.y + b.core.y)
-    ex, ey = ((b.core.x - mx) / c, (b.core.y - my) / c) if dc > 0.0 else (1.0, 0.0)
+    ex, ey = ((b.core.x - mx) / c, (b.core.y - my) / c) if c > 0.0 else (1.0, 0.0)
     # the bbox lies in the annulus near <= |P - centre| <= far
     far = max(math.hypot(x - mx, y - my) for x in (xmin, xmax) for y in (ymin, ymax))
     near = math.hypot(max(xmin - mx, 0.0, mx - xmax), max(ymin - my, 0.0, my - ymax))

@@ -1,7 +1,9 @@
-"""Self-contained SVG rendering of midset curves, and the number format:
-fmt and fmt_rows write every CSV and SVG number to 9 significant digits, and
-the JSON templates write every JSON number as json.dump writes that
-9-digit value read back as a float."""
+"""Self-contained SVG rendering of midset curves, the fixed-schema JSON
+files and the number format: fmt and fmt_rows write every CSV and SVG
+number to 9 significant digits, and the JSON writers write every JSON
+number as json.dump writes that 9-digit value read back as a float.  The
+JSON layouts are json.dumps(payload, indent=2) of placeholder payloads,
+laid out once at import and filled per file with %."""
 
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ def fmt(x) -> str:
     return NUMBER % x
 
 
-def fmt_rows(prefix: str, block, end: str = "\n") -> str:
-    """Every row of a 2-d numpy array in one % operation: prefix, then the values."""
-    row = prefix.replace("%", "%%") + ",".join([NUMBER] * block.shape[1]) + end
+def fmt_rows(block) -> str:
+    """Every row of a 2-d numpy array as a line of values, in one % operation."""
+    row = ",".join([NUMBER] * block.shape[1]) + "\n"
     return (row * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -40,70 +42,26 @@ def _json_numbers(values) -> list[str]:
             for s in text.split(",")]
 
 
-# The fixed-schema JSON files, laid out as json.dump(payload, indent=2)
-# lays them out, with a newline at the end.  Names go through json.dumps.
-_DISTANCE_JSON = """\
-{
-  "pair": [
-    %s,
-    %s
-  ],
-  "summary": [
-    %s,
-    %s,
-    %s
-  ],
-  "argmin_theta": %s,
-  "argmax_theta": %s,
-  "refined": %s
-}
-"""
+def _template(payload) -> str:
+    """payload laid out as json.dump(payload, indent=2) lays it out, with a
+    newline at the end, and each placeholder string made its bare %s or %d
+    slot; the two projected keys need distinct strings, "%s a" and "%s b"."""
+    text = json.dumps(payload, indent=2)
+    for placeholder in ("%s", "%d", "%s a", "%s b"):
+        text = text.replace(f'"{placeholder}"', placeholder[:2])
+    return text + "\n"
 
-_HAUSDORFF_JSON = """\
-{
-  "pair": [
-    %s,
-    %s
-  ],
-  "summary": [
-    %s,
-    %s,
-    %s
-  ],
-  "projected": {
-    %s: [
-      %s,
-      %s,
-      %s
-    ],
-    %s: [
-      %s,
-      %s,
-      %s
-    ]
-  },
-  "line": {
-    "a": %s,
-    "b": %s,
-    "c": %s,
-    "theta": %s
-  }
-}
-"""
 
-_INVARIANCE_JSON = """\
-{
-  "pair": [
-    %s,
-    %s
-  ],
-  "t": %s,
-  "checked": %d,
-  "disagreements": %d,
-  "pole_points": %d,
-  "agreed": %s
-}
-"""
+# The fixed-schema JSON files.  Names go through json.dumps.
+_PAIR = ["%s"] * 2
+_TRIPLE = ["%s"] * 3
+_DISTANCE_JSON = _template({"pair": _PAIR, "summary": _TRIPLE, "argmin_theta": "%s",
+                            "argmax_theta": "%s", "refined": "%s"})
+_HAUSDORFF_JSON = _template({"pair": _PAIR, "summary": _TRIPLE,
+                             "projected": {"%s a": _TRIPLE, "%s b": _TRIPLE},
+                             "line": dict.fromkeys(("a", "b", "c", "theta"), "%s")})
+_INVARIANCE_JSON = _template({"pair": _PAIR, "t": "%s", "checked": "%d",
+                              "disagreements": "%d", "pole_points": "%d", "agreed": "%s"})
 
 
 def _json_bool(flag: bool) -> str:
@@ -146,7 +104,7 @@ def _alpha_color(alpha: float, branch: Branch) -> str:
 def render_midset_svg(a: FuzzyPoint, b: FuzzyPoint, result: MidsetResult, texts) -> str:
     """One 640-pixel SVG document with support disks, cores and per-alpha curves.
 
-    texts holds, per entry of result, each polyline as fmt_rows("", polyline)
+    texts holds, per entry of result, each polyline as fmt_rows(polyline)
     formats it, one x,y line per vertex.  Curve coordinates are emitted in
     data units inside a y-flipping group, so the raw point lists in the
     document match the plane geometry.

@@ -23,7 +23,7 @@ from fuzgeo.metric import (CheckResult, FuzzyDistance, KSAxiomReport, MetricAxio
 from fuzgeo.midset import (_ACTIVE_BRANCHES, DEFAULT_RESOLUTION, Branch, InvarianceReport,
                            OverlapCase, _circle_pair, active_branches, overlap_case,
                            support_bbox)
-from fuzgeo.svgout import _alpha_color, fmt, fmt_rows
+from fuzgeo.svgout import _alpha_color, fmt
 
 # Draws a rejection-sampling helper makes before it gives up.
 MAX_DRAWS = 1000
@@ -888,7 +888,7 @@ def sample_branch_reference(a, b, alpha, branch, bbox=None,
     k = ((r1 - r2) if branch is Branch.INVERSE else (r1 + r2)) * (1.0 - alpha)
     c = dc / 2.0
     mx, my = 0.5 * (a.core.x + b.core.x), 0.5 * (a.core.y + b.core.y)
-    ex, ey = ((b.core.x - mx) / c, (b.core.y - my) / c) if dc > 0.0 else (1.0, 0.0)
+    ex, ey = ((b.core.x - mx) / c, (b.core.y - my) / c) if c > 0.0 else (1.0, 0.0)
     # the bbox lies in the annulus near <= |P - centre| <= far
     far = max(math.hypot(x - mx, y - my) for x in (xmin, xmax) for y in (ymin, ymax))
     near = math.hypot(max(xmin - mx, 0.0, mx - xmax), max(ymin - my, 0.0, my - ymax))
@@ -935,15 +935,17 @@ def sample_branch_reference(a, b, alpha, branch, bbox=None,
 
 def midset_files_reference(a, b, result, size=640):
     """The midset CSV texts per level and the SVG text, as the CLI wrote them
-    when each vertex was formatted once for the CSV and again for the SVG.
+    when each vertex was formatted once for the CSV and again for the SVG,
+    every value formatted on its own by reference_rows.
 
     Returns ({alpha: csv text}, svg text).
     """
     csvs = {}
     for alpha, entries in groupby(result.entries, key=attrgetter("alpha")):
-        csvs[alpha] = "branch,polyline,x,y\n" + "".join([
-            fmt_rows(f"{entry.branch.value},{fmt(j)},", polyline)
-            for entry in entries for j, polyline in enumerate(entry.polylines)])
+        csvs[alpha] = "branch,polyline,x,y\n" + reference_rows(
+            (entry.branch.value, j, x, y)
+            for entry in entries for j, polyline in enumerate(entry.polylines)
+            for x, y in polyline.tolist())
 
     xmin, ymin, xmax, ymax = result.bbox
     width = xmax - xmin
@@ -974,7 +976,7 @@ def midset_files_reference(a, b, result, size=640):
         color = _alpha_color(entry.alpha, entry.branch)
         for polyline in entry.polylines:
             parts.append(
-                f'<polyline points="{fmt_rows("", polyline, end=" ")[:-1]}" '
+                f'<polyline points="{reference_rows(polyline, end=" ")[:-1]}" '
                 f'fill="none" stroke="{color}" stroke-width="{fmt(stroke)}"/>')
 
     parts.append("</g>")

@@ -292,6 +292,59 @@ class TestComputeMidset:
         assert (0.95, Branch.SAME) not in classes
 
 
+def _vertex_counts(a, b):
+    result = fg.compute_midset(a, b, alphas=(0.0, 0.5), resolution=64)
+    return [(e.alpha, e.branch, [len(p) for p in e.polylines]) for e in result.entries]
+
+
+class TestMidsetOfTinyPairs:
+    """The default window scales with the pair however small it is, and
+    cores too close to halve their distance sample as concentric ones."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-10, 1e-100])
+    def test_scaled_pair_samples_as_the_unit_pair(self, scale):
+        unit = make_pair(TABLE_CONFIGS["partially_overlapping"])
+        a, b = make_pair([(x * scale, y * scale, r * scale)
+                          for x, y, r in TABLE_CONFIGS["partially_overlapping"]])
+        np.testing.assert_allclose(fg.support_bbox(a, b),
+                                   np.multiply(fg.support_bbox(*unit), scale), rtol=1e-12)
+        assert _vertex_counts(a, b) == _vertex_counts(*unit)
+        assert fg.invariance_check(a, b, (0.5, 1.0, 10.0), resolution=64).passed
+
+    def test_pair_below_the_ulp_of_its_cores(self):
+        # the cores and support edges round to x = 1e8: the window is a few
+        # ulps of 1e8 wide, and the same-points circles fall inside it
+        a, b = fg.FuzzyPoint.circular(1e8, 0, 1e-10), fg.FuzzyPoint.circular(1e8 + 2e-10, 0, 2e-10)
+        xmin, ymin, xmax, ymax = fg.support_bbox(a, b)
+        assert xmin < 1e8 < xmax and ymin < 0.0 < ymax
+        result = fg.compute_midset(a, b, alphas=(0.0, 0.5), resolution=64)
+        assert [e.branch for e in result.entries] == [Branch.SAME] * 2
+        assert all(len(p) >= 2 for e in result.entries for p in e.polylines)
+
+    def test_cores_a_subnormal_distance_apart(self, tmp_path):
+        # dc = 5e-324 halves to 0: the pair samples as its concentric twin
+        a, b = fg.FuzzyPoint.circular(0, 0, 1), fg.FuzzyPoint.circular(5e-324, 0, 1)
+        twin = fg.FuzzyPoint.circular(0, 0, 1)
+        assert fg.overlap_case(a, b, 0.0) is OverlapCase.CONCENTRIC
+        got, want = (fg.compute_midset(a, other, alphas=(0.0, 0.5), resolution=64)
+                     for other in (b, twin))
+        assert [(e.alpha, e.branch) for e in got.entries] == [(0.0, Branch.SAME),
+                                                              (0.5, Branch.SAME)]
+        for g, w in zip(got.entries, want.entries, strict=True):
+            assert len(g.polylines) == len(w.polylines) == 1
+            np.testing.assert_array_equal(g.polylines[0], w.polylines[0])
+        for sample in (fg.sample_branch, sample_branch_reference):
+            (circle,) = sample(a, b, 0.0, Branch.SAME, resolution=64)
+            np.testing.assert_array_equal(circle, sample(a, twin, 0.0, Branch.SAME,
+                                                         resolution=64)[0])
+        scene = {"points": [{"name": name, "core": [p.core.x, p.core.y],
+                             "spread": {"kind": "circular", "radii": [1, 1]}}
+                            for name, p in (("A", a), ("B", b))]}
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        assert run(["midset", "--scene", str(tmp_path / "scene.json"), "--out",
+                    str(tmp_path / "out"), "--resolution", "64", "--format", "svg"]) == 0
+
+
 class TestEquidistantMembership:
     def test_bisector_point_full_grade(self, ex41_pair):
         assert fg.equidistant_membership(fg.Point2(2.5, 0), *ex41_pair) == 1.0

@@ -646,17 +646,16 @@ class TestBlockFormatter:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(FLOATS, st.sampled_from(SPECIAL)), max_size=40),
-           st.integers(1, 5), st.one_of(st.text(), st.text("%s,9g")), st.integers(0, 2**53))
-    def test_rows_match_reference(self, values, width, text, index):
+           st.integers(1, 5))
+    def test_rows_match_reference(self, values, width):
         block = np.array(values[:len(values) // width * width], dtype=float).reshape(-1, width)
-        assert fmt_rows(f"{text},{fmt(index)},", block) == reference_rows(
-            (text, index, *row) for row in block.tolist())
+        assert fmt_rows(block) == reference_rows(block)
         # the SVG points attribute: x,y pairs joined by spaces
-        assert fmt_rows("", block, end=" ")[:-1] == reference_rows(block, end=" ")[:-1]
+        assert fmt_rows(block)[:-1].replace("\n", " ") == reference_rows(block, end=" ")[:-1]
 
     def test_special_values(self):
         block = np.array(SPECIAL).reshape(-1, 2)
-        assert fmt_rows("", block) == reference_rows(block)
+        assert fmt_rows(block) == reference_rows(block)
         for x in SPECIAL:
             assert fmt(x) == format(float(x), ".9g")
 
