@@ -222,12 +222,15 @@ def alpha_levels(alphas) -> np.ndarray:
     return alphas
 
 
-def tri_add(a: TriangularTriple, b: TriangularTriple) -> TriangularTriple:
-    return a + b
-
-
-def fuzzy_leq(a: TriangularTriple, b: TriangularTriple) -> bool:
-    return a <= b
+def _linear_grade(x, l, m, u):
+    """Grade of x in the triangle (l, m, u), inverting the linear cut end
+    that passes through x; x must lie in the support."""
+    # IEEE subtraction is monotone, so both quotients stay in [0, 1]
+    if x < m:
+        return (x - l) / (m - l)
+    if x > m:
+        return (u - x) / (u - m)
+    return 1.0
 
 
 class FuzzyNumber:
@@ -284,9 +287,4 @@ class TriangularNumber(FuzzyNumber):
         l, m, u = self.summary.as_tuple()
         if not l <= x <= u:
             return 0.0
-        # IEEE subtraction is monotone, so both quotients stay in [0, 1]
-        if x < m:
-            return (x - l) / (m - l)
-        if x > m:
-            return (u - x) / (u - m)
-        return 1.0
+        return _linear_grade(x, l, m, u)

@@ -488,11 +488,6 @@ def fuzzy_distance(a: FuzzyPoint, b: FuzzyPoint) -> FuzzyDistance:
     return FuzzyDistance(a, b)
 
 
-def fuzzy_distances(pairs: Iterable[tuple[FuzzyPoint, FuzzyPoint]]) -> list[FuzzyDistance]:
-    """The fuzzy distance of every (a, b) pair: the rows of one DistanceTable."""
-    return DistanceTable(pairs).rows()
-
-
 def prop_core_angle(a: FuzzyPoint, b: FuzzyPoint) -> float:
     """Slope angle of the core-joining line, in [0, pi).
 

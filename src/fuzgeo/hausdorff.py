@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import FuzzyNumber, FuzzyPoint, TriangularTriple, _triple
+from .core import FuzzyNumber, FuzzyPoint, TriangularTriple, _linear_grade, _triple
 from .lines import LineSpec, ProjectedFuzzyNumber, _frame, _line_through, _project
 
 
@@ -77,12 +77,7 @@ class HausdorffResult(FuzzyNumber):
         lo0, m, hi0 = far.l - near.u, far.m - near.m, far.u - near.l
         if not max(0.0, lo0) <= x <= hi0:
             return 0.0
-        # IEEE subtraction is monotone, so both quotients stay in [0, 1]
-        if x < m:
-            return (x - lo0) / (m - lo0)
-        if x > m:
-            return (hi0 - x) / (hi0 - m)
-        return 1.0
+        return _linear_grade(x, lo0, m, hi0)
 
 
 def fuzzy_hausdorff(a: FuzzyPoint, b: FuzzyPoint) -> HausdorffResult:

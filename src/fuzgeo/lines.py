@@ -38,16 +38,6 @@ class LineSpec(Value):
             raise ValueError("two distinct points are needed to define a line")
         return cls._of(*_line_through(p, q))
 
-    @property
-    def theta(self) -> float:
-        """Angle of elevation in [0, pi)."""
-        return _frame(self.a, self.b, self.c)[3]
-
-    @property
-    def anchor(self) -> Point2:
-        """Origin of the s-coordinate: the better conditioned axis intercept."""
-        return Point2(*_frame(self.a, self.b, self.c)[6:])
-
     def contains(self, p: Point2, tol: float = 1e-9) -> bool:
         """Whether p is on the line, to tol relative to the size of the terms.
 
@@ -122,34 +112,3 @@ def project_onto_line(p: FuzzyPoint, line: LineSpec) -> ProjectedFuzzyNumber:
     the radius for every line angle.
     """
     return ProjectedFuzzyNumber(line, *_project(p, _frame(line.a, line.b, line.c)))
-
-
-def classify_pair(a: FuzzyPoint, p1: Point2, b: FuzzyPoint, p2: Point2,
-                  tol: float = 1e-9) -> str:
-    """Classify two support points as 'same', 'inverse' or 'neither'.
-
-    Same/inverse points carry equal membership grades and parallel
-    core-to-point offsets; they lie on the same or on opposite sides of
-    the line joining the cores.  For offsets along that line the side test
-    is vacuous and the (anti)parallel direction decides.
-    """
-    for fp, pt in ((a, p1), (b, p2)):
-        rho = math.hypot((pt.x - fp.core.x) / fp.spread.p1,
-                         (pt.y - fp.core.y) / fp.spread.p2)
-        if rho > 1.0 + tol:
-            raise ValueError(f"point {pt} lies outside the support of its fuzzy point")
-
-    if abs(a.membership(p1) - b.membership(p2)) > tol:
-        return "neither"
-
-    o1 = (p1.x - a.core.x, p1.y - a.core.y)
-    o2 = (p2.x - b.core.x, p2.y - b.core.y)
-    cross = o1[0] * o2[1] - o1[1] * o2[0]
-    scale = math.hypot(*o1) * math.hypot(*o2)
-    if scale == 0.0:
-        # at least one point sits at its core; grades match, offsets trivial
-        return "same"
-    if abs(cross) > tol * max(1.0, scale):
-        return "neither"
-    dot = o1[0] * o2[0] + o1[1] * o2[1]
-    return "same" if dot > 0 else "inverse"

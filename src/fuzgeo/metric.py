@@ -85,12 +85,6 @@ def closeness(dist: FuzzyDistance, t: float) -> FuzzyCloseness:
     return FuzzyCloseness(dist, t)
 
 
-def closeness_spread(a: FuzzyPoint, b: FuzzyPoint, t: float) -> float:
-    """Width of the closeness support; charts uncertainty against t."""
-    lo, hi = metric_md(a, b, t).cut(0.0)
-    return hi - lo
-
-
 class CheckResult(Record):
     """Cases checked and the failures found; failures and notes are fresh lists by default."""
 

@@ -492,16 +492,6 @@ def _sample_levels(a: FuzzyPoint, b: FuzzyPoint, pair: _CirclePair, levels: list
     return polylines
 
 
-def sample_midset(a: FuzzyPoint, b: FuzzyPoint, alpha: float,
-                  bbox: Optional[tuple] = None,
-                  resolution: int = DEFAULT_RESOLUTION) -> dict[Branch, list[np.ndarray]]:
-    """Polylines per branch active at this level, sampled in one pass."""
-    pair = _circle_pair(a, b)
-    branches = _ACTIVE_BRANCHES[pair.case(1.0 - alpha)]
-    return dict(zip(branches, _sample_levels(a, b, pair, [(alpha, branch) for branch in branches],
-                                             bbox, resolution)))
-
-
 class MidsetEntry(NamedTuple):
     alpha: float
     branch: Branch

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 import fuzgeo as fg
-from fuzgeo.core import FuzzyPoint, TriangularTriple, tri_add
-from fuzgeo.distance import TWO_PI, DistanceMembershipParams, fuzzy_distances
+from fuzgeo.core import FuzzyPoint, TriangularTriple
+from fuzgeo.distance import TWO_PI, DistanceMembershipParams, DistanceTable
 from fuzgeo.metric import (CheckResult, FuzzyDistance, KSAxiomReport, MetricAxiomReport,
                            _points_equal, closeness, fuzzy_distance)
 from fuzgeo.midset import (_ACTIVE_BRANCHES, DEFAULT_RESOLUTION, Branch, InvarianceReport,
@@ -88,19 +88,59 @@ def line_foot(line: fg.LineSpec) -> fg.Point2:
     return fg.Point2(line.a * line.c / d, line.b * line.c / d)
 
 
+def line_frame(line) -> tuple[float, tuple[float, float]]:
+    """(theta, anchor) of a unit-normal line a*x + b*y = c: its elevation
+    angle in [0, pi), and the origin of its s-coordinate, the better
+    conditioned axis intercept."""
+    a, b, c = line.a, line.b, line.c
+    anchor = (0.0, c / b) if abs(b) >= abs(a) else (c / a, 0.0)
+    return math.atan2(-a, b) % math.pi, anchor
+
+
 def to_line_coords(line: fg.LineSpec, q: fg.Point2) -> tuple[float, float]:
     """(s, n): q's s-coordinate along line and its signed offset from it."""
-    cx, sx = math.cos(line.theta), math.sin(line.theta)
-    ox, oy = line.anchor
+    theta, (ox, oy) = line_frame(line)
+    cx, sx = math.cos(theta), math.sin(theta)
     dx, dy = q.x - ox, q.y - oy
     return (dx * cx + dy * sx, -dx * sx + dy * cx)
 
 
 def from_line_coords(line: fg.LineSpec, s: float, n: float) -> fg.Point2:
     """The point of line coordinates (s, n); the inverse of to_line_coords."""
-    cx, sx = math.cos(line.theta), math.sin(line.theta)
-    ox, oy = line.anchor
+    theta, (ox, oy) = line_frame(line)
+    cx, sx = math.cos(theta), math.sin(theta)
     return fg.Point2(ox + s * cx - n * sx, oy + s * sx + n * cx)
+
+
+def classify_pair(a: FuzzyPoint, p1: fg.Point2, b: FuzzyPoint, p2: fg.Point2,
+                  tol: float = 1e-9) -> str:
+    """Classify two support points as 'same', 'inverse' or 'neither'.
+
+    Same/inverse points carry equal membership grades and parallel
+    core-to-point offsets; they lie on the same or on opposite sides of
+    the line joining the cores.  For offsets along that line the side test
+    is vacuous and the (anti)parallel direction decides.
+    """
+    for fp, pt in ((a, p1), (b, p2)):
+        rho = math.hypot((pt.x - fp.core.x) / fp.spread.p1,
+                         (pt.y - fp.core.y) / fp.spread.p2)
+        if rho > 1.0 + tol:
+            raise ValueError(f"point {pt} lies outside the support of its fuzzy point")
+
+    if abs(a.membership(p1) - b.membership(p2)) > tol:
+        return "neither"
+
+    o1 = (p1.x - a.core.x, p1.y - a.core.y)
+    o2 = (p2.x - b.core.x, p2.y - b.core.y)
+    cross = o1[0] * o2[1] - o1[1] * o2[0]
+    scale = math.hypot(*o1) * math.hypot(*o2)
+    if scale == 0.0:
+        # at least one point sits at its core; grades match, offsets trivial
+        return "same"
+    if abs(cross) > tol * max(1.0, scale):
+        return "neither"
+    dot = o1[0] * o2[0] + o1[1] * o2[1]
+    return "same" if dot > 0 else "inverse"
 
 
 def theta_grid_extrema(a, b, alpha, samples=10_000):
@@ -340,7 +380,7 @@ class _ReferenceLine:
 
     @property
     def theta(self) -> float:
-        return math.atan2(-self.a, self.b) % math.pi
+        return line_frame(self)[0]
 
     @property
     def direction(self) -> tuple[float, float]:
@@ -349,9 +389,7 @@ class _ReferenceLine:
 
     @property
     def anchor(self) -> fg.Point2:
-        if abs(self.b) >= abs(self.a):
-            return fg.Point2(0.0, self.c / self.b)
-        return fg.Point2(self.c / self.a, 0.0)
+        return fg.Point2(*line_frame(self)[1])
 
     def contains(self, p, tol: float = 1e-9) -> bool:
         ax, by = self.a * p.x, self.b * p.y
@@ -498,6 +536,32 @@ def membership_probes(number, pad):
             core, core - 1e-3 * (core - lo0), core + 1e-3 * (hi0 - core)]
 
 
+def linear_membership_reference(number, x: float) -> float:
+    """Grade of x in a TriangularNumber or a HausdorffResult, each inverted
+    by its own copy of the linear formula; the Hausdorff support starts at
+    max(0, lo0)."""
+    if isinstance(number, fg.HausdorffResult):
+        near, far = number.near.summary, number.far.summary
+        l, m, u = far.l - near.u, far.m - near.m, far.u - near.l
+        start = max(0.0, l)
+    else:
+        l, m, u = number.summary.as_tuple()
+        start = l
+    if not start <= x <= u:
+        return 0.0
+    if x < m:
+        return (x - l) / (m - l)
+    if x > m:
+        return (u - x) / (u - m)
+    return 1.0
+
+
+def support_width(number) -> float:
+    """hi - lo of a fuzzy number's cut at alpha = 0."""
+    lo, hi = number.cut(0.0)
+    return hi - lo
+
+
 def min_triangle_slack(cores) -> float:
     """Smallest (leg + leg - base) over ordered triples of distinct core points."""
     c = np.asarray(cores, dtype=float)
@@ -621,6 +685,13 @@ def midset_crossing_cells(a, b, alpha, branch, bbox, resolution):
     corners = np.stack([pos[:-1, :-1], pos[:-1, 1:], pos[1:, :-1], pos[1:, 1:]])
     iy, ix = np.nonzero(corners.any(axis=0) & ~corners.all(axis=0))
     return np.column_stack([0.5 * (xs[ix] + xs[ix + 1]), 0.5 * (ys[iy] + ys[iy + 1])])
+
+
+def midset_polylines(a, b, alpha, **kwargs) -> dict:
+    """The polylines of each branch active at alpha: the entries of
+    compute_midset at that one level."""
+    return {entry.branch: entry.polylines
+            for entry in fg.compute_midset(a, b, alphas=[alpha], **kwargs).entries}
 
 
 def invariance_reference(a, b, t_values, bbox=None, resolution=DEFAULT_RESOLUTION,
@@ -785,7 +856,7 @@ def ks_axioms_reference(points, tol=1e-9):
 
     The loop check_ks_axioms replaced (with L = Min and R = Max); its
     reports must agree check by check, failure lists included, and an
-    overflowing sum raises ValueError from tri_add.
+    overflowing sum raises ValueError from TriangularTriple's +.
     """
     if len(points) < 3:
         raise ValueError("at least three points are needed for the axiom checks")
@@ -795,7 +866,7 @@ def ks_axioms_reference(points, tol=1e-9):
     symmetry = CheckResult("symmetry")
     triangle = CheckResult("triangle")
 
-    dists = fuzzy_distances([(a, b) for a in points for b in points])
+    dists = DistanceTable([(a, b) for a in points for b in points]).rows()
 
     def summary(i: int, j: int) -> TriangularTriple:
         return dists[i * n + j].summary
@@ -816,7 +887,7 @@ def ks_axioms_reference(points, tol=1e-9):
                 if len({i, j, k}) < 3:
                     continue
                 lhs = summary(i, j)
-                rhs = tri_add(summary(i, k), summary(k, j))
+                rhs = summary(i, k) + summary(k, j)
                 ok = (lhs.l <= rhs.l + tol and lhs.m <= rhs.m + tol
                       and lhs.u <= rhs.u + tol)
                 triangle.count(ok, {"triple": (i, j, k),

@@ -12,8 +12,8 @@ import pytest
 import fuzgeo as fg
 from fuzgeo import Branch, OverlapCase
 from conftest import env_seed
-from oracles import (general_position_points, general_position_triple,
-                     random_separated_pair, theta_grid_extrema)
+from oracles import (general_position_points, general_position_triple, midset_polylines,
+                     random_separated_pair, support_width, theta_grid_extrema)
 
 LO_SQ = (5.667025, 9.883959, 4.449017)
 HI_SQ = (43.618887, -28.497955, 4.879067)
@@ -113,8 +113,7 @@ def test_criterion_7_equal_spread_midset(ex41):
     resolution = 512
     cell = max(bbox[2] - bbox[0], bbox[3] - bbox[1]) / (resolution - 1)
     for alpha in (0.0, 0.5, 1.0):
-        polys = fg.sample_midset(*ex41, alpha=alpha, bbox=bbox,
-                                 resolution=resolution)
+        polys = midset_polylines(*ex41, alpha, bbox=bbox, resolution=resolution)
         pts = np.vstack(polys[Branch.INVERSE])
         assert len(pts) > 100
         assert np.max(np.abs(pts[:, 0] - 2.5)) < 2 * cell
@@ -131,7 +130,7 @@ def test_criterion_8_hyperbola_midset(ex42):
     bbox = (-1.0, -4.0, 6.0, 4.0)
     for alpha in (0.0, 0.25, 0.5):
         u = 1.0 - alpha
-        polys = fg.sample_midset(*ex42, alpha=alpha, bbox=bbox, resolution=512)
+        polys = midset_polylines(*ex42, alpha, bbox=bbox, resolution=512)
         pts = np.vstack(polys[Branch.INVERSE])
         assert len(pts) > 100
         residual = ((2 * pts[:, 0] - 5) ** 2 / u ** 2
@@ -212,9 +211,9 @@ def test_criterion_10_metric_axioms():
 def test_criterion_11_closeness_curve_shape(ex22):
     """closeness spread is small at extreme t and peaks above 0.15"""
     a, b = ex22
-    assert fg.closeness_spread(a, b, 1e-4) < 1e-3
-    assert fg.closeness_spread(a, b, 1e4) < 1e-2
-    peak = max(fg.closeness_spread(a, b, float(t))
+    assert support_width(fg.metric_md(a, b, 1e-4)) < 1e-3
+    assert support_width(fg.metric_md(a, b, 1e4)) < 1e-2
+    peak = max(support_width(fg.metric_md(a, b, float(t)))
                for t in np.geomspace(1.0, 10.0, 40))
     assert peak > 0.15
     lo, hi = fg.metric_md(a, b, 1.0).cut(0.0)
@@ -275,10 +274,9 @@ def test_criterion_13_property_suites(rng):
     for _ in range(30):
         pts = general_position_triple(rng)
         lhs = fg.fuzzy_distance(pts[0], pts[1]).summary
-        rhs = fg.tri_add(fg.fuzzy_distance(pts[0], pts[2]).summary,
-                         fg.fuzzy_distance(pts[2], pts[1]).summary)
-        assert fg.fuzzy_leq(lhs, fg.TriangularTriple(
-            rhs.l + 1e-9, rhs.m + 1e-9, rhs.u + 1e-9))
+        rhs = (fg.fuzzy_distance(pts[0], pts[2]).summary
+               + fg.fuzzy_distance(pts[2], pts[1]).summary)
+        assert lhs <= fg.TriangularTriple(rhs.l + 1e-9, rhs.m + 1e-9, rhs.u + 1e-9)
 
     # optimizer extrema match the dense grid oracle
     for _ in range(100):

@@ -143,7 +143,7 @@ class TestFuzzyDistance:
             d_ab = fg.fuzzy_distance(pts[0], pts[1]).summary
             d_ac = fg.fuzzy_distance(pts[0], pts[2]).summary
             d_cb = fg.fuzzy_distance(pts[2], pts[1]).summary
-            total = fg.tri_add(d_ac, d_cb)
+            total = d_ac + d_cb
             assert d_ab.l <= total.l + 1e-9
             assert d_ab.m <= total.m + 1e-9
             assert d_ab.u <= total.u + 1e-9
@@ -472,8 +472,8 @@ class TestBatchedSolver:
         pairs = [*QUARTIC_GEOMETRIES.values(), *_random_pairs(rng), *SPECIAL_PAIRS.values(),
                  *(pair for kind in _cut_table_pairs(rng).values() for pair in kind)]
         alphas = np.linspace(0.0, 1.0, 11)
-        assert fg.fuzzy_distances([]) == []
-        for batched, (a, b) in zip(fg.fuzzy_distances(pairs), pairs):
+        assert fg.DistanceTable([]).rows() == []
+        for batched, (a, b) in zip(fg.DistanceTable(pairs).rows(), pairs):
             single = fg.FuzzyDistance(a, b)
             assert batched.params == single.params
             assert (batched.argmin_theta, batched.argmax_theta, batched.refined) == (
@@ -677,7 +677,7 @@ class TestMembershipMatchesReference:
 
     def test_batched_distances_share_grades(self, rng):
         pairs = membership_pairs(rng, 12)
-        for d, (a, b) in zip(fg.fuzzy_distances(pairs), pairs):
+        for d, (a, b) in zip(fg.DistanceTable(pairs).rows(), pairs):
             xs = membership_probes(d, 0.1) + _edge_values(d)
             assert [d.membership(x) for x in xs] == [
                 distance_membership_reference(fg.FuzzyDistance(a, b), x) for x in xs]

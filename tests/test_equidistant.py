@@ -10,8 +10,8 @@ import fuzgeo as fg
 from fuzgeo import Branch, OverlapCase, midset
 from fuzgeo.cli import run
 from oracles import (branch_residual, branch_residuals, equidistant_membership_reference,
-                     invariance_reference, midset_crossing_cells, random_circular,
-                     sample_branch_reference)
+                     invariance_reference, midset_crossing_cells, midset_polylines,
+                     random_circular, sample_branch_reference)
 from scipy.spatial import cKDTree
 
 # the six configurations of the overlap-case table, one per row
@@ -208,7 +208,7 @@ class TestSampleMidset:
         a, b = ex41_pair
         cell = 7.0 / 127
         for alpha in (0.0, 0.3, 1.0):
-            polys = fg.sample_midset(a, b, alpha, bbox=(-1, -4, 6, 4),
+            polys = midset_polylines(a, b, alpha, bbox=(-1, -4, 6, 4),
                                      resolution=128)
             pts = np.vstack(polys[Branch.INVERSE])
             assert len(pts) > 50
@@ -217,7 +217,7 @@ class TestSampleMidset:
     def test_hyperbola_residuals_after_refinement(self, ex42_pair):
         a, b = ex42_pair
         for alpha in (0.0, 0.3, 0.6):
-            polys = fg.sample_midset(a, b, alpha, bbox=(-1, -4, 6, 4),
+            polys = midset_polylines(a, b, alpha, bbox=(-1, -4, 6, 4),
                                      resolution=256)
             pts = np.vstack(polys[Branch.INVERSE])
             assert len(pts) > 40
@@ -236,7 +236,7 @@ class TestSampleMidset:
         # no emitted inverse point satisfies the conjugate equation unless
         # it is degenerate (d1 = d2 and c1 = c2)
         a, b = ex42_pair
-        polys = fg.sample_midset(a, b, 0.0, bbox=(-1, -4, 6, 4), resolution=128)
+        polys = midset_polylines(a, b, 0.0, bbox=(-1, -4, 6, 4), resolution=128)
         for pts in polys[Branch.INVERSE]:
             for x, y in pts:
                 d1 = math.hypot(x - a.core.x, y - a.core.y)
@@ -246,7 +246,7 @@ class TestSampleMidset:
 
     def test_fully_overlapping_has_only_same_branch(self):
         a, b = make_pair(TABLE_CONFIGS["fully_overlapping"])
-        polys = fg.sample_midset(a, b, 0.0, resolution=128)
+        polys = midset_polylines(a, b, 0.0, resolution=128)
         assert set(polys) == {Branch.SAME}
         pts = np.vstack(polys[Branch.SAME])
         # the same-points locus is the ellipse d1 + d2 = 6
@@ -368,7 +368,7 @@ class TestEquidistantMembership:
     def test_superlevel_sets_match_midsets(self, ex42_pair):
         a, b = ex42_pair
         for alpha in (0.2, 0.5, 0.8):
-            polys = fg.sample_midset(a, b, alpha, bbox=(-1, -4, 6, 4),
+            polys = midset_polylines(a, b, alpha, bbox=(-1, -4, 6, 4),
                                      resolution=64)
             pts = np.vstack(polys[Branch.INVERSE])
             for x, y in pts[::5]:
@@ -399,7 +399,7 @@ def _query_points(a, b):
     pts += [(a.core.x + s * (b.core.x - a.core.x), a.core.y + s * (b.core.y - a.core.y))
             for s in np.linspace(-1.0, 2.0, 61).tolist()]
     for alpha in (0.0, 0.3, 0.5, 0.9, 1.0):
-        for polys in fg.sample_midset(a, b, alpha, resolution=32).values():
+        for polys in midset_polylines(a, b, alpha, resolution=32).values():
             pts += [tuple(v) for poly in polys for v in poly[::3].tolist()]
     return [fg.Point2(x, y) for x, y in pts]
 
@@ -877,7 +877,7 @@ class TestClosedFormSampler:
     def test_internally_tangent_inverse_is_ray(self):
         a, b = make_pair(TABLE_CONFIGS["internally_tangent"])
         assert fg.overlap_case(a, b, 0.0) == OverlapCase.INTERNALLY_TANGENT
-        polys = fg.sample_midset(a, b, 0.0, bbox=(-4, -3, 4, 3), resolution=64)
+        polys = midset_polylines(a, b, 0.0, bbox=(-4, -3, 4, 3), resolution=64)
         (ray,) = polys[Branch.INVERSE]
         # d2 - d1 = dc: the ray from core A away from core B
         assert tuple(ray[0]) == (0.0, 0.0)
@@ -1122,7 +1122,7 @@ def batch_windows(a, b):
     x0, _, x1, _ = fg.support_bbox(a, b)
     w, my = x1 - x0, 0.5 * (a.core.y + b.core.y)
     off_centre = (x0, my + 0.05 * w, x1, my + w)
-    line = fg.sample_midset(a, b, 0.0, resolution=64)
+    line = midset_polylines(a, b, 0.0, resolution=64)
     line = next(p for polylines in line.values() for p in polylines)
     px, py = line[len(line) // 3]
     zoomed = (px - 0.02 * w, py - 0.02 * w, px + 0.02 * w, py + 0.02 * w)

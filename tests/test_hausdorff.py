@@ -8,8 +8,9 @@ import fuzgeo as fg
 from fuzgeo.hausdorff import PairError, hausdorff_rows
 from oracles import (Ellipse, almost_equals, bisect_membership, crisp_hausdorff,
                      hausdorff_boundary_oracle,
-                     hausdorff_reference, hausdorff_support_oracle, membership_pairs,
-                     membership_probes, random_separated_pair)
+                     hausdorff_reference, hausdorff_support_oracle,
+                     linear_membership_reference, membership_pairs, membership_probes,
+                     random_separated_pair)
 
 
 class TestCrispHausdorff:
@@ -135,6 +136,11 @@ class TestFuzzyHausdorff:
                 assert value.membership(x) == pytest.approx(
                     bisect_membership(value.cut, x), abs=1e-8)
             assert value.membership(value.summary.m) == 1.0
+            # the shared linear inversion gives each class's own grades bit for bit
+            for number in (value, value.near, value.far):
+                xs = membership_probes(number, 0.1) + [0.0]
+                assert [number.membership(x).hex() for x in xs] == [
+                    linear_membership_reference(number, x).hex() for x in xs]
 
     def test_far_from_origin(self):
         a = fg.FuzzyPoint.circular(1.3e7, 7e6, 1.0)
@@ -208,13 +214,13 @@ class TestHausdorffRows:
         for a, b in _mixed_pairs(rng, 1e3) + _mixed_pairs(rng, 0.0):
             res = fg.fuzzy_hausdorff(a, b)
             got = (*res.summary.as_tuple(), *res.projected_a.summary.as_tuple(),
-                   *res.projected_b.summary.as_tuple(), res.line.a, res.line.b, res.line.c,
-                   res.line.theta)
-            assert _hex(got) == _hex(hausdorff_reference(a, b))
+                   *res.projected_b.summary.as_tuple(), res.line.a, res.line.b, res.line.c)
+            # the line keeps a, b and c; theta is the rows' alone
+            assert _hex(got) == _hex(hausdorff_reference(a, b)[:12])
             assert res.cut(0.0) == (res.summary.l, res.summary.u)
             # the library's line and projection share the rows' arithmetic
             line = fg.LineSpec.through_points(a.core, b.core)
-            assert _hex((line.a, line.b, line.c, line.theta)) == _hex(got[9:])
+            assert _hex((line.a, line.b, line.c)) == _hex(got[9:])
             for p, projected in ((a, got[3:6]), (b, got[6:9])):
                 assert _hex(fg.project_onto_line(p, line).summary.as_tuple()) == _hex(projected)
 

@@ -1,12 +1,14 @@
-"""Every name a fuzgeo module imports is used in that module, and the
-package imports without the dataclasses machinery.
+"""Every name a fuzgeo module imports is used in that module, __all__
+names exactly what __init__ imports, every name the benchmark's tracer
+wraps exists, and the package imports without the dataclasses machinery.
 
-__init__ re-exports what it imports, so it is left out; so are
-``from __future__`` imports.  A name counts as used where it appears as a
-name in the code or in a string annotation.
+__init__ re-exports what it imports, so it is left out of the unused
+import check; so are ``from __future__`` imports.  A name counts as used
+where it appears as a name in the code or in a string annotation.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -55,6 +57,42 @@ def test_finds_an_unused_import():
                      "def f(a: 'sep') -> None:\n    return path\n")
     names = imported_names(tree)
     assert {n: names[n] for n in names if n not in used_names(tree)} == {"math": 1, "z": 3}
+
+
+def test_all_is_what_init_imports():
+    import fuzgeo
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert len(set(fuzgeo.__all__)) == len(fuzgeo.__all__)
+    assert set(fuzgeo.__all__) == set(imported_names(tree))
+    namespace = {}
+    exec("from fuzgeo import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(fuzgeo.__all__)
+
+
+def test_tracer_finds_every_name_and_restores_it():
+    # bench/tracer.py looks fuzgeo's functions and methods up by name: a
+    # missing one fails install, and restore must put every original back.
+    # Every module install imports is loaded first, so that none is bound
+    # on the package between the two snapshots.
+    from fuzgeo import (cli, core, distance, hausdorff, lines,  # noqa: F401
+                        metric, midset, scene, svgout)
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", PACKAGE.parent.parent / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    owners = [mod for name, mod in sorted(sys.modules.items())
+              if name == "fuzgeo" or name.startswith("fuzgeo.")]
+    owners += [distance.FuzzyDistance, core.FuzzyNumber]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+        assert tracer._patches
+    finally:
+        tracer.restore()
+    assert [dict(vars(owner)) for owner in owners] == before
 
 
 def test_import_leaves_out_dataclasses():

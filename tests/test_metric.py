@@ -4,7 +4,7 @@ import pytest
 import fuzgeo as fg
 from oracles import (bisect_membership, general_position_points, general_position_triple,
                      ks_axioms_reference, membership_pairs, membership_probes,
-                     metric_axioms_reference)
+                     metric_axioms_reference, support_width)
 
 
 def assert_reports_equal(got, want):
@@ -106,10 +106,10 @@ class TestMetricMd:
         far = fg.FuzzyPoint.circular(7, 0, 0.5)
         d_near = fg.fuzzy_distance(a, near).summary
         d_far = fg.fuzzy_distance(a, far).summary
-        assert fg.fuzzy_leq(d_near, d_far)
+        assert d_near <= d_far
         m_near = fg.metric_md(a, near, 1.0).summary
         m_far = fg.metric_md(a, far, 1.0).summary
-        assert fg.fuzzy_leq(m_far, m_near)
+        assert m_far <= m_near
 
 
 class TestClosenessMembership:
@@ -130,16 +130,16 @@ class TestClosenessMembership:
 class TestClosenessSpread:
     def test_limits(self, ex22_pair):
         a, b = ex22_pair
-        assert fg.closeness_spread(a, b, 1e-4) < 1e-3
-        assert fg.closeness_spread(a, b, 1e4) < 1e-2
+        assert support_width(fg.metric_md(a, b, 1e-4)) < 1e-3
+        assert support_width(fg.metric_md(a, b, 1e4)) < 1e-2
 
     def test_reference_value_at_one(self, ex22_pair):
-        assert fg.closeness_spread(*ex22_pair, t=1.0) == pytest.approx(
+        assert support_width(fg.metric_md(*ex22_pair, t=1.0)) == pytest.approx(
             0.164308, abs=1e-4)
 
     def test_peaks_in_unit_decade(self, ex22_pair):
         a, b = ex22_pair
-        peak = max(fg.closeness_spread(a, b, float(t))
+        peak = max(support_width(fg.metric_md(a, b, float(t)))
                    for t in np.geomspace(1, 10, 30))
         assert peak > 0.15
 

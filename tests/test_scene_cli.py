@@ -13,7 +13,7 @@ import fuzgeo as fg
 from fuzgeo import cli
 from fuzgeo.cli import run
 from fuzgeo.svgout import distance_json, fmt, fmt_rows, hausdorff_json, invariance_json
-from oracles import midset_files_reference, reference_json, reference_rows
+from oracles import line_frame, midset_files_reference, reference_json, reference_rows
 
 EX22_SCENE = """
 {
@@ -780,7 +780,7 @@ class TestBlockFormatter:
                 "pair": [a_name, b_name], "summary": res.summary.as_tuple(),
                 "projected": {a_name: res.projected_a.summary.as_tuple(),
                               b_name: res.projected_b.summary.as_tuple()},
-                "line": {"a": line.a, "b": line.b, "c": line.c, "theta": line.theta}}
+                "line": {"a": line.a, "b": line.b, "c": line.c, "theta": line_frame(line)[0]}}
         for a_name, b_name in MIXED_CIRCULAR_PAIRS:
             a, b = scene.pair_points((a_name, b_name))
             th = fg.alpha_thresholds(a, b)
