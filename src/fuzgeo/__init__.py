@@ -7,8 +7,7 @@ equidistant sets with conic classification.
 """
 
 from .core import FuzzyNumber, FuzzyPoint, Point2, Spread, TriangularNumber, TriangularTriple
-from .distance import (DistanceMembershipParams, DistanceTable, FuzzyDistance, fuzzy_distance,
-                       prop_core_angle)
+from .distance import DistanceTable, FuzzyDistance, fuzzy_distance, prop_core_angle
 from .hausdorff import HausdorffResult, fuzzy_hausdorff
 from .lines import LineSpec, ProjectedFuzzyNumber, project_onto_line
 from .metric import (MINIMUM, PRODUCT, FuzzyCloseness, KSAxiomReport,
@@ -24,7 +23,7 @@ from .scene import GridSpec, Scene, SceneError, load_scene, parse_scene
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch", "ConicCoefficients", "DistanceMembershipParams", "DistanceTable",
+    "Branch", "ConicCoefficients", "DistanceTable",
     "FuzzyCloseness", "FuzzyDistance", "FuzzyNumber", "FuzzyPoint", "GridSpec",
     "HausdorffResult", "InvarianceReport", "KSAxiomReport", "LineSpec",
     "MetricAxiomReport", "MidsetEntry", "MidsetResult", "MINIMUM", "OverlapCase",

@@ -16,10 +16,15 @@ distance value inverts a quadratic.  With equal summed spreads, R1 == R2
 atan2(d2, d1) lies along the core offset and theta_min opposite it (the
 circle case of the point-to-ellipse problem, D. Eberly, 2011), and the
 flat profile, coincident cores, has one gap in every direction.  Other
-pairs' directions are roots of a quartic in tan(theta/2), the eigenvalues
-of its companion matrix (A. Edelman and H. Murakami, Math. Comp. 64,
-1995), solved for all such pairs of a DistanceTable with one eigenvalue
-call on the stacked matrices, and by FuzzyDistance(a, b) with one matrix.
+pairs' directions are roots of a quartic in tan((theta - phi)/2), the
+eigenvalues of its companion matrix (A. Edelman and H. Murakami, Math.
+Comp. 64, 1995), solved for all such pairs of a DistanceTable with one
+eigenvalue call on the stacked matrices, and by FuzzyDistance(a, b) with
+one matrix.  The base angle phi follows from three signs: phi + pi lies
+on the diagonal (-sgn(d1)*sgn(e), sgn(d2)*sgn(e))/sqrt(2), e = R2^2 - R1^2,
+where the terms of the quartic's leading coefficient share a sign (the
+reflection symmetry of the point-to-ellipse problem), so no root runs off
+to infinity, and swapping the points is a relabelling.
 Below the level u0 at which overlapping supports separate, the lower
 endpoint is the gap along the direction in which the cuts last touched,
 where V(theta, u) = (d1, d2)(1 - u/u0) grows linearly, as it does along
@@ -29,11 +34,12 @@ where u < u0 and 0 elsewhere.
 
 A DistanceTable holds the pairs' geometry and frozen directions as column
 arrays and cuts every pair in one broadcast.  A FuzzyDistance holds one
-row's values: rows() copies each row of a table, and FuzzyDistance(a, b)
-builds its one row directly, equal bit for bit to the row of a one-pair
-table.  _lower_end sets each row's u0 and theta_min once, when the row is
-built, and _cut evaluates them on the table's columns and on a row's
-Python floats, bit for bit alike.
+row's values as fields named like the columns (R1, R2, d1, d2, dc, u0):
+rows() copies each row of a table, and FuzzyDistance(a, b) builds its one
+row directly from the same _geometry, equal bit for bit to the row of a
+one-pair table.  _lower_end sets each row's u0 and theta_min once, when
+the row is built, and _cut evaluates them on the table's columns and on
+a row's Python floats, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import FuzzyNumber, FuzzyPoint, TriangularTriple, Value, _set, alpha_levels
+from .core import FuzzyNumber, FuzzyPoint, TriangularTriple, alpha_levels
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,75 +75,39 @@ def _cut(R1, R2, d1, d2, u0, theta_min, theta_max, u):
             _gap(R1, R2, d1, d2, theta_max, u))
 
 
-class DistanceMembershipParams(Value):
-    """Shared geometry of a fuzzy point pair: summed spreads and core offset.
-
-    dc is np.hypot(d1, d2), the gap at u = 0, so the core cut is (dc, dc)
-    bit for bit.  The midset layer's _CirclePair.dc (math.hypot of the core
-    difference) and the Hausdorff core gap m (a difference of projected
-    coordinates) are separate values, not meant to equal it.
-    """
-
-    __slots__ = ("R1", "R2", "d1", "d2", "dc")
-
-    def __init__(self, R1: float, R2: float, d1: float, d2: float, dc: float):
-        _set(self, "R1", R1)
-        _set(self, "R2", R2)
-        _set(self, "d1", d1)
-        _set(self, "d2", d2)
-        _set(self, "dc", dc)
-
-    @classmethod
-    def from_points(cls, a: FuzzyPoint, b: FuzzyPoint) -> "DistanceMembershipParams":
-        d1 = a.core.x - b.core.x
-        d2 = a.core.y - b.core.y
-        return cls(
-            R1=a.spread.p1 + b.spread.p1,
-            R2=a.spread.p2 + b.spread.p2,
-            d1=d1,
-            d2=d2,
-            dc=float(np.hypot(d1, d2)),
-        )
-
-    def gap(self, theta, u):
-        """Distance between the over-boundary of A and under-boundary of B."""
-        return _gap(self.R1, self.R2, self.d1, self.d2, theta, u)
-
-    @property
-    def separation_level(self) -> float:
-        """u0: the largest cut scale at which the two cuts do not overlap."""
-        return math.hypot(self.d1 / self.R1, self.d2 / self.R2)
+def _geometry(a: FuzzyPoint, b: FuzzyPoint) -> tuple[float, float, float, float]:
+    """(R1, R2, d1, d2): the pair's summed spreads and core offset."""
+    return (a.spread.p1 + b.spread.p1, a.spread.p2 + b.spread.p2,
+            a.core.x - b.core.x, a.core.y - b.core.y)
 
 
-# g at eight equally spaced directions, as cos, sin and sin of the double
-# angle; a base angle phi and its cos and sin for each direction phi + pi.
-# The tuples serve one pair's scalar solve, and the arrays, one row per
-# quantity and one column per direction, the table's.
-_SAMPLES = np.arange(8) * (math.pi / 4.0)
-_SAMPLE_TRIG = tuple(zip(np.cos(_SAMPLES).tolist(), np.sin(_SAMPLES).tolist(),
-                         np.sin(2.0 * _SAMPLES).tolist()))
-_BASES = tuple((phi, math.cos(phi), math.sin(phi))
-               for phi in (s - math.pi for s in _SAMPLES.tolist()))
-_SAMPLE_TRIG_COLS, _BASE_COLS = np.array(_SAMPLE_TRIG).T, np.array(_BASES).T
+# (phi, cos(phi), sin(phi)) of the four base angles, phi + pi on a diagonal,
+# in the order _quartic indexes them; the columns serve the table's solve
+_H = math.sqrt(0.5)
+_BASES = tuple((math.atan2(s, c), c, s) for c, s in ((_H, -_H), (_H, _H), (-_H, -_H), (-_H, _H)))
+_BASE_COLS = np.array(_BASES).T
 
 
-def _quartic(p: DistanceMembershipParams) -> tuple[float, tuple]:
+def _quartic(R1: float, R2: float, d1: float, d2: float) -> tuple[float, tuple]:
     """Base angle phi and the quartic in t = tan((theta - phi)/2), for R1 != R2.
 
     The stationary directions of |V(theta, 1)| zero
     g = R2*d2*cos(theta) - R1*d1*sin(theta) + (e/2)*sin(2*theta),
     e = R2^2 - R1^2 (the point-to-ellipse problem), and t makes g = 0 a
-    quartic with t^4 coefficient g(phi + pi).  Placing phi + pi at the
-    largest |g| of eight equally spaced directions (at least the coefficient
-    norm over sqrt(2)) keeps all roots bounded; with phi = 0 a root near
-    infinity swamps the others as the cores meet.  Lengths are in units of
-    max(R1, R2).  With R1 != R2, e is not 0, so g is never identically zero.
+    quartic with t^4 coefficient g(phi + pi).  Lengths are in units of
+    m = max(R1, R2).  With a zero counted as positive, phi + pi lies on the
+    diagonal (-sgn(d1)*sgn(e), sgn(d2)*sgn(e))/sqrt(2), where the three
+    terms of g agree in sign: |g(phi + pi)| = (r2|d2| + r1|d1|)/sqrt(2) +
+    |e|/2, at least the coefficient norm over sqrt(2), which keeps all
+    roots bounded; with phi = 0 a root near infinity swamps the others as
+    the cores meet.  Swapping the points negates (d1, d2), takes the
+    opposite diagonal and leaves the quartic unchanged bit for bit.  With
+    R1 != R2, e is not 0, so g is never identically zero.
     """
-    m = max(p.R1, p.R2)
-    r1, r2 = p.R1 / m, p.R2 / m
-    a1, b1, b2 = r2 * (p.d2 / m), -r1 * (p.d1 / m), 0.5 * (r2 * r2 - r1 * r1)
-    g = [abs(a1 * c + b1 * s + b2 * s2) for c, s, s2 in _SAMPLE_TRIG]
-    phi, c, s = _BASES[g.index(max(g))]
+    m = max(R1, R2)
+    r1, r2 = R1 / m, R2 / m
+    a1, b1, b2 = r2 * (d2 / m), -r1 * (d1 / m), 0.5 * (r2 * r2 - r1 * r1)
+    phi, c, s = _BASES[2 * ((d1 < 0.0) != (b2 < 0.0)) + ((d2 < 0.0) != (b2 < 0.0))]
     return phi, _quartic_terms(a1, b1, b2, c, s)
 
 
@@ -267,40 +237,37 @@ def _solve_directions(geometry: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     # a1, b1, b2 per pair; rounding is symmetric in sign, so b1 =
     # -(r1 * (d1/m)) is _quartic's (-r1) * (d1/m)
     coef = np.array((rd[1], -rd[0], 0.5 * (rr[1] - rr[0])))
-    # |g| per (pair, sample), summed in _quartic's order
-    g = coef[:, :, None] * _SAMPLE_TRIG_COLS[:, None]
-    g = np.abs(g[0] + g[1] + g[2])
-    # argmax is the first largest, as g.index(max(g)) is
-    phi, c, s = _BASE_COLS[:, g.argmax(axis=1)]
+    # the base angle's index from the signs of d1, d2 and b2, as in _quartic
+    flips = (geometry[2:] < 0.0) != (coef[2] < 0.0)
+    phi, c, s = _BASE_COLS[:, 2 * flips[0] + flips[1]]
     # the quartics as the rows of a (pairs, 5) view
     roots = _poly_roots(np.array(_quartic_terms(*coef, c, s)).T)
     thetas = phi[:, None] + 2.0 * np.arctan(roots)
-    R1, R2, d1, d2 = geometry[:, :, None]
-    gaps = np.hypot(d1 + R1 * np.cos(thetas), d2 + R2 * np.sin(thetas))
+    gaps = _gap(*geometry[:, :, None], thetas, 1.0)
     # argmin and argmax are the first smallest and largest, as in _pair_directions
     picks = np.array((gaps.argmin(axis=1), gaps.argmax(axis=1)))
     out[:2, solved] = np.remainder(thetas[np.arange(len(m)), picks], TWO_PI)
     return out[0], out[1], out[2] == 1.0
 
 
-def _extremal_directions(params: Sequence[DistanceMembershipParams]
+def _extremal_directions(geometries: Sequence[tuple[float, float, float, float]]
                          ) -> list[tuple[float, float, bool]]:
-    """(theta_min, theta_max, refined) per pair, from _solve_directions."""
-    columns = np.array([(p.R1, p.R2, p.d1, p.d2) for p in params], dtype=float)
-    return list(zip(*(col.tolist() for col in _solve_directions(columns.reshape(-1, 4).T))))
+    """(theta_min, theta_max, refined) per (R1, R2, d1, d2), from _solve_directions."""
+    columns = np.array(geometries, dtype=float).reshape(-1, 4).T
+    return list(zip(*(col.tolist() for col in _solve_directions(columns))))
 
 
-def _pair_directions(p: DistanceMembershipParams) -> tuple[float, float, bool]:
-    """_extremal_directions([p])[0], bit for bit, for one pair.
+def _pair_directions(R1: float, R2: float, d1: float, d2: float) -> tuple[float, float, bool]:
+    """_extremal_directions([(R1, R2, d1, d2)])[0], bit for bit, for one pair.
 
     R1 == R2 takes _circle_directions.  A quartic of full degree whose
     companion matrix is finite goes straight to LAPACK as one 4 x 4 matrix
     in scalar arithmetic; the others (a zero constant term, a non-finite
     entry) take the array solve.
     """
-    if p.R1 == p.R2:
-        return _circle_directions(p.R1, p.d1, p.d2)
-    phi, quartic = _quartic(p)
+    if R1 == R2:
+        return _circle_directions(R1, d1, d2)
+    phi, quartic = _quartic(R1, R2, d1, d2)
     if quartic[4] != 0.0:
         companion = _companion(quartic)
         # a finite sum has finite entries; finite entries whose sum
@@ -308,13 +275,11 @@ def _pair_directions(p: DistanceMembershipParams) -> tuple[float, float, bool]:
         if math.isfinite(sum(companion)):
             roots = _lapack_eigvals(np.array(companion).reshape(4, 4)).real
             thetas = phi + 2.0 * np.arctan(roots)
-            # R * 1 == R, so the gaps are gap(theta, 1)'s
-            gaps = np.hypot(p.d1 + p.R1 * np.cos(thetas), p.d2 + p.R2 * np.sin(thetas)).tolist()
-            thetas = thetas.tolist()
+            gaps, thetas = _gap(R1, R2, d1, d2, thetas, 1.0).tolist(), thetas.tolist()
             # list.index(min(...)) is the first smallest, as argmin is
             return (thetas[gaps.index(min(gaps))] % TWO_PI,
                     thetas[gaps.index(max(gaps))] % TWO_PI, True)
-    return _extremal_directions([p])[0]
+    return _extremal_directions([(R1, R2, d1, d2)])[0]
 
 
 def _lower_end(R1: float, R2: float, d1: float, d2: float, theta_min: float
@@ -339,20 +304,20 @@ class DistanceTable:
     """The fuzzy distances of many point pairs, from one array solve.
 
     Column arrays hold one entry per pair: the summed spreads R1, R2, the
-    core offset d1, d2, the separation level u0, the frozen directions
-    theta_min and theta_max of the lower and upper cut ends, the core
-    distance dc, and refined, False only for the flat profile (R1 == R2,
-    coincident cores).  theta_min is the direction in which the cuts last
-    touch when the supports overlap, and 0 for concentric cores.
-    cut_table, support and summary evaluate _cut on every pair in one
-    broadcast; rows() gives each pair as a FuzzyDistance.
+    core offset d1, d2, the separation level u0 = hypot(d1/R1, d2/R2), the
+    frozen directions theta_min and theta_max of the lower and upper cut
+    ends, the core distance dc = np.hypot(d1, d2), whose core cut is
+    (dc, dc) bit for bit, and refined, False only for the flat profile
+    (R1 == R2, coincident cores).  theta_min is the direction in which the
+    cuts last touch when the supports overlap, and 0 for concentric cores.
+    Pairs with R1 != R2 solve _quartic's quartic about its diagonal base
+    angle.  cut_table, support and summary evaluate _cut on every pair in
+    one broadcast; rows() gives each pair as a FuzzyDistance whose row
+    fields carry the column names.
     """
 
     def __init__(self, pairs: Iterable[tuple[FuzzyPoint, FuzzyPoint]]):
-        # R1, R2, d1, d2 per pair, summed as DistanceMembershipParams.from_points sums them
-        geometry = [(a.spread.p1 + b.spread.p1, a.spread.p2 + b.spread.p2,
-                     a.core.x - b.core.x, a.core.y - b.core.y) for a, b in pairs]
-        cols = np.array(geometry, dtype=float).reshape(-1, 4).T
+        cols = np.array([_geometry(a, b) for a, b in pairs], dtype=float).reshape(-1, 4).T
         theta_min, theta_max, refined = _solve_directions(cols)
         # each lower end's (u0, direction) in scalar arithmetic, as
         # FuzzyDistance(a, b) computes it: u0 is math.hypot's, from which
@@ -379,9 +344,8 @@ class DistanceTable:
         out = []
         for R1, R2, d1, d2, u0, theta_min, theta_max, dc, refined in self._cols.T.tolist():
             d = FuzzyDistance.__new__(FuzzyDistance)
-            d.params = DistanceMembershipParams(R1, R2, d1, d2, dc)
-            d._u0, d.argmin_theta, d.argmax_theta = u0, theta_min, theta_max
-            d.refined = refined == 1.0
+            d.R1, d.R2, d.d1, d.d2, d.dc, d.u0 = R1, R2, d1, d2, dc, u0
+            d.argmin_theta, d.argmax_theta, d.refined = theta_min, theta_max, refined == 1.0
             out.append(d)
         return out
 
@@ -405,16 +369,19 @@ class DistanceTable:
 class FuzzyDistance(FuzzyNumber):
     """The fuzzy distance d(A, B) as a fuzzy number with closed-form cuts.
 
-    params, argmin_theta, argmax_theta and refined are the pair's row as
-    Python values, and its cut is _cut on them.
-    FuzzyDistance(a, b) solves its one pair directly, and its row equals
-    the row of a one-pair DistanceTable bit for bit.
+    R1, R2, d1, d2, dc, u0, argmin_theta, argmax_theta and refined are the
+    pair's row as Python values, under DistanceTable's column names
+    (argmin_theta and argmax_theta are its theta_min and theta_max), and
+    its cut is _cut on them.  FuzzyDistance(a, b) solves its one pair
+    directly, and its row equals the row of a one-pair DistanceTable bit
+    for bit.
     """
 
     def __init__(self, a: FuzzyPoint, b: FuzzyPoint):
-        self.params = p = DistanceMembershipParams.from_points(a, b)
-        theta_min, self.argmax_theta, self.refined = _pair_directions(p)
-        self._u0, self.argmin_theta = _lower_end(p.R1, p.R2, p.d1, p.d2, theta_min)
+        self.R1, self.R2, self.d1, self.d2 = R1, R2, d1, d2 = _geometry(a, b)
+        self.dc = float(np.hypot(d1, d2))
+        theta_min, self.argmax_theta, self.refined = _pair_directions(R1, R2, d1, d2)
+        self.u0, self.argmin_theta = _lower_end(R1, R2, d1, d2, theta_min)
 
     def _ends(self, alphas):
         """Cut ends at the levels alphas, a float or an array.
@@ -422,9 +389,8 @@ class FuzzyDistance(FuzzyNumber):
         _cut on the row's Python floats; the table's cut_table evaluates it
         on its columns, bit for bit alike.
         """
-        p = self.params
-        return _cut(p.R1, p.R2, p.d1, p.d2, self._u0, self.argmin_theta, self.argmax_theta,
-                    1.0 - alphas)
+        return _cut(self.R1, self.R2, self.d1, self.d2, self.u0, self.argmin_theta,
+                    self.argmax_theta, 1.0 - alphas)
 
     @cached_property
     def _support(self) -> tuple[float, float]:
@@ -442,16 +408,15 @@ class FuzzyDistance(FuzzyNumber):
         the end's frozen direction; lower is None where that end is the
         line dc (1 - u/u0) (u0 < 1, or R1 == R2) and membership inverts it.
         """
-        p = self.params
-        m = max(p.R1, p.R2)
+        R1, R2, d1, d2, dc, u0 = self.R1, self.R2, self.d1, self.d2, self.dc, self.u0
+        m = max(R1, R2)
 
         def terms(theta: float, branch: float) -> tuple[float, float, float]:
-            w1, w2 = p.R1 / m * math.cos(theta), p.R2 / m * math.sin(theta)
-            return p.d1 / m * w1 + p.d2 / m * w2, w1 * w1 + w2 * w2, branch
+            w1, w2 = R1 / m * math.cos(theta), R2 / m * math.sin(theta)
+            return d1 / m * w1 + d2 / m * w2, w1 * w1 + w2 * w2, branch
 
-        lower = terms(self.argmin_theta, -1.0) if self._u0 >= 1.0 and p.R1 != p.R2 else None
-        return (*self._support, p.dc, self._u0, m, (p.dc / m) ** 2, lower,
-                terms(self.argmax_theta, 1.0))
+        lower = terms(self.argmin_theta, -1.0) if u0 >= 1.0 and R1 != R2 else None
+        return (*self._support, dc, u0, m, (dc / m) ** 2, lower, terms(self.argmax_theta, 1.0))
 
     def membership(self, x: float) -> float:
         """Grade 1 - u of x, inverting the cut in closed form.
@@ -481,7 +446,7 @@ class FuzzyDistance(FuzzyNumber):
     @cached_property
     def summary(self) -> TriangularTriple:
         lo0, hi0 = self._support
-        return TriangularTriple(lo0, self.params.dc, hi0)
+        return TriangularTriple(lo0, self.dc, hi0)
 
 
 def fuzzy_distance(a: FuzzyPoint, b: FuzzyPoint) -> FuzzyDistance:

@@ -61,9 +61,9 @@ def _unit_normal(a, b, c):
 
 
 def _line_through(p, q):
-    a = q.y - p.y
-    b = p.x - q.x
-    return _unit_normal(a, b, a * p.x + b * p.y)
+    # c from the unit normal: from the unnormalised one it overflows from 2^511 up
+    a, b, _ = _unit_normal(q.y - p.y, p.x - q.x, 0.0)
+    return a, b, a * p.x + b * p.y
 
 
 def _frame(a, b, c):

@@ -62,7 +62,7 @@ class FuzzyCloseness(FuzzyNumber):
             raise ValueError(f"scale t must be finite and positive, got {t}")
         self.dist, self.t = dist, t
         lo0, hi0 = self.cut(0.0)
-        self.summary = TriangularTriple(lo0, t / (t + dist.params.dc), hi0)
+        self.summary = TriangularTriple(lo0, t / (t + dist.dc), hi0)
 
     def _ends(self, alphas):
         t = self.t

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 import fuzgeo as fg
 from fuzgeo.core import FuzzyPoint, TriangularTriple
-from fuzgeo.distance import TWO_PI, DistanceMembershipParams, DistanceTable
+from fuzgeo.distance import TWO_PI, DistanceTable, _gap
 from fuzgeo.metric import (CheckResult, FuzzyDistance, KSAxiomReport, MetricAxiomReport,
                            _points_equal, closeness, fuzzy_distance)
 from fuzgeo.midset import (_ACTIVE_BRANCHES, DEFAULT_RESOLUTION, Branch, InvarianceReport,
@@ -168,16 +168,20 @@ def theta_grid_extrema(a, b, alpha, samples=10_000):
             float(thetas[i_lo]), float(thetas[i_hi]))
 
 
-def extremal_directions_reference(p: DistanceMembershipParams) -> tuple[float, float, bool]:
+def extremal_directions_reference(geometry: tuple[float, float, float, float]
+                                  ) -> tuple[float, float, bool]:
     """Directions of the smallest and largest support-level gap |V(theta, 1)|.
 
-    They zero g = R2*d2*cos(theta) - R1*d1*sin(theta) + (e/2)*sin(2*theta),
+    geometry is (R1, R2, d1, d2).  The directions zero
+    g = R2*d2*cos(theta) - R1*d1*sin(theta) + (e/2)*sin(2*theta),
     e = R2^2 - R1^2 (the point-to-ellipse problem); t = tan((theta - phi)/2)
     makes g = 0 a quartic with t^4 coefficient g(phi + pi).  Placing phi + pi
-    at the largest |g| of eight equally spaced directions (at least the
-    coefficient norm over sqrt(2)) keeps all roots bounded; with phi = 0 a
-    root near infinity swamps the others as the cores meet.  A complex root
-    only adds a losing candidate.  Lengths are in units of max(R1, R2).
+    on the diagonal (-sgn(d1)*sgn(e), sgn(d2)*sgn(e))/sqrt(2), a zero counted
+    as positive, makes the three terms of g there agree in sign, so |g(phi +
+    pi)| is at least the coefficient norm over sqrt(2) and keeps all roots
+    bounded; with phi = 0 a root near infinity swamps the others as the
+    cores meet.  A complex root only adds a losing candidate.  Lengths are
+    in units of max(R1, R2).
 
     With R1 == R2 (e = 0) the gap is the distance from -(d1, d2) to a circle
     of radius R1, largest along the core offset and smallest opposite it,
@@ -186,24 +190,26 @@ def extremal_directions_reference(p: DistanceMembershipParams) -> tuple[float, f
     profile, g identically zero (concentric cores, R1 == R2); both
     directions are then 0.
     """
-    if p.R1 == p.R2:
-        if p.d1 == p.d2 == 0.0:
+    R1, R2, d1, d2 = geometry
+    if R1 == R2:
+        if d1 == d2 == 0.0:
             return 0.0, 0.0, False
-        return (math.atan2(-p.d2, -p.d1) % TWO_PI, math.atan2(p.d2, p.d1) % TWO_PI, True)
-    m = max(p.R1, p.R2)
-    r1, r2 = p.R1 / m, p.R2 / m
-    a1, b1, b2 = r2 * (p.d2 / m), -r1 * (p.d1 / m), 0.5 * (r2 * r2 - r1 * r1)
-    samples = np.arange(8) * (math.pi / 4.0)
-    g = a1 * np.cos(samples) + b1 * np.sin(samples) + b2 * np.sin(2.0 * samples)
-    phi = float(samples[np.argmax(np.abs(g))]) - math.pi
+        return (math.atan2(-d2, -d1) % TWO_PI, math.atan2(d2, d1) % TWO_PI, True)
+    m = max(R1, R2)
+    r1, r2 = R1 / m, R2 / m
+    a1, b1, b2 = r2 * (d2 / m), -r1 * (d1 / m), 0.5 * (r2 * r2 - r1 * r1)
+    sign_e = -1.0 if b2 < 0.0 else 1.0
+    # phi + pi at (-sgn(d1) sgn(e), sgn(d2) sgn(e)) / sqrt(2), so phi at its negative
+    c = math.sqrt(0.5) * (-1.0 if d1 < 0.0 else 1.0) * sign_e
+    s = -math.sqrt(0.5) * (-1.0 if d2 < 0.0 else 1.0) * sign_e
+    phi = math.atan2(s, c)
     # g(phi + psi) = A1 cos(psi) + B1 sin(psi) + A2 cos(2 psi) + B2 sin(2 psi)
-    c, s = math.cos(phi), math.sin(phi)
     A1, B1 = a1 * c + b1 * s, b1 * c - a1 * s
     A2, B2 = 2.0 * b2 * s * c, b2 * (c * c - s * s)
     quartic = (A2 - A1, 2.0 * (B1 - 2.0 * B2), -6.0 * A2,
                2.0 * (B1 + 2.0 * B2), A1 + A2)
     thetas = phi + 2.0 * np.arctan(np.roots(quartic).real)
-    gaps = p.gap(thetas, 1.0)
+    gaps = _gap(R1, R2, d1, d2, thetas, 1.0)
     return (float(thetas[np.argmin(gaps)]) % TWO_PI,
             float(thetas[np.argmax(gaps)]) % TWO_PI, True)
 
@@ -217,19 +223,18 @@ def distance_membership_reference(d: FuzzyDistance, x: float) -> float:
     R1 == R2, the lower endpoint is the line dc (1 - u/u0).
     A NaN x passes both range tests and gets grade 1.
     """
-    p = d.params
     lo0, hi0 = d.cut(0.0)
     if x < lo0 or x > hi0:
         return 0.0
-    if x <= p.dc and (d._u0 < 1.0 or p.R1 == p.R2):
-        return 1.0 if p.dc == 0.0 else max(0.0, 1.0 - d._u0 * (1.0 - x / p.dc))
-    theta, branch = ((d.argmin_theta, -1.0) if x <= p.dc
+    if x <= d.dc and (d.u0 < 1.0 or d.R1 == d.R2):
+        return 1.0 if d.dc == 0.0 else max(0.0, 1.0 - d.u0 * (1.0 - x / d.dc))
+    theta, branch = ((d.argmin_theta, -1.0) if x <= d.dc
                      else (d.argmax_theta, 1.0))
-    m = max(p.R1, p.R2)
-    w1, w2 = p.R1 / m * math.cos(theta), p.R2 / m * math.sin(theta)
-    k1 = p.d1 / m * w1 + p.d2 / m * w2
+    m = max(d.R1, d.R2)
+    w1, w2 = d.R1 / m * math.cos(theta), d.R2 / m * math.sin(theta)
+    k1 = d.d1 / m * w1 + d.d2 / m * w2
     k2 = w1 * w1 + w2 * w2
-    disc = k1 * k1 - k2 * ((p.dc / m) ** 2 - (x / m) ** 2)
+    disc = k1 * k1 - k2 * ((d.dc / m) ** 2 - (x / m) ** 2)
     u = (-k1 + branch * math.sqrt(max(0.0, disc))) / k2
     return min(1.0, max(0.0, 1.0 - u))
 
@@ -240,12 +245,12 @@ def distance_cut_reference(d: FuzzyDistance, alpha: float) -> tuple[float, float
     An independent statement of the two-case cut, which
     FuzzyDistance.cut_table must equal bit for bit: hi is the gap at the
     upper direction, and lo the gap at the lower direction below the
-    separation level u0 and 0 from u0 on.
+    separation level u0 = hypot(d1/R1, d2/R2) and 0 from u0 on.
     """
-    p = d.params
     u = 1.0 - alpha
-    hi = float(p.gap(d.argmax_theta, u))
-    lo = float(p.gap(d.argmin_theta, u)) if u < p.separation_level else 0.0
+    hi = float(_gap(d.R1, d.R2, d.d1, d.d2, d.argmax_theta, u))
+    u0 = math.hypot(d.d1 / d.R1, d.d2 / d.R2)
+    lo = float(_gap(d.R1, d.R2, d.d1, d.d2, d.argmin_theta, u)) if u < u0 else 0.0
     return (lo, hi)
 
 
@@ -415,8 +420,9 @@ def hausdorff_reference(a: FuzzyPoint, b: FuzzyPoint) -> tuple:
     if a.core.x == b.core.x and a.core.y == b.core.y:
         raise ValueError("fuzzy Hausdorff distance requires distinct cores")
     p, q = a.core, b.core
-    la, lb = q.y - p.y, p.x - q.x
-    line = _ReferenceLine(la, lb, la * p.x + lb * p.y)
+    line = _ReferenceLine(q.y - p.y, p.x - q.x, 0.0)
+    # c from the unit normal, which overflows only where the coordinates do
+    line.c = line.a * p.x + line.b * p.y
     pa, pb = line.project(a), line.project(b)
     near, far = (pb, pa) if pb.summary.m < pa.summary.m else (pa, pb)
     (a_lo, a_hi), (b_lo, b_hi) = near._ends(0.0), far._ends(0.0)
@@ -839,7 +845,7 @@ def metric_axioms_reference(points, t_samples, tnorm, alpha_samples=11, tol=1e-9
                 m1 = closeness(d_ij, float(t1)).summary
                 m2 = closeness(d_ij, float(t2)).summary
                 dt = float(t2 - t1)
-                for v1, v2, d in ((m1.l, m2.l, hi_d), (m1.m, m2.m, d_ij.params.dc),
+                for v1, v2, d in ((m1.l, m2.l, hi_d), (m1.m, m2.m, d_ij.dc),
                                   (m1.u, m2.u, lo_d)):
                     bound = dt * d / ((t1 + d) * (t2 + d)) if d > 0 else 0.0
                     worst_excess = max(worst_excess, abs(v2 - v1) - bound)

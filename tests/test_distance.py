@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import fuzgeo as fg
 from fuzgeo import distance
-from fuzgeo.distance import TWO_PI, _extremal_directions, _pair_directions, _poly_roots, _quartic
+from fuzgeo.distance import (TWO_PI, _extremal_directions, _gap, _geometry, _pair_directions,
+                             _poly_roots, _quartic)
 from oracles import (almost_equals, bisect_membership, bisect_root, distance_cut_reference,
                      distance_membership, distance_membership_reference, endpoint_distances,
                      extremal_directions_reference, general_position_triple,
@@ -59,7 +60,7 @@ class TestDistanceAlpha:
         a, b = ex22_pair
         d = fg.fuzzy_distance(a, b)
         lo, hi = d.cut(1.0)
-        assert (lo, d.params.dc, hi) == pytest.approx(
+        assert (lo, d.dc, hi) == pytest.approx(
             (4.472136, 4.472136, 4.472136), abs=1e-6)
 
     def test_circular_pair_closed_form(self):
@@ -68,7 +69,7 @@ class TestDistanceAlpha:
         b = fg.FuzzyPoint.circular(5, 0, 2)
         d = fg.fuzzy_distance(a, b)
         d_lo, d_hi = d.cut(0.5)
-        assert (d_lo, d.params.dc, d_hi) == pytest.approx((3.5, 5.0, 6.5), abs=1e-9)
+        assert (d_lo, d.dc, d_hi) == pytest.approx((3.5, 5.0, 6.5), abs=1e-9)
         lo, hi, _, _ = theta_grid_extrema(a, b, 0.5)
         assert d_lo == pytest.approx(lo, abs=1e-6)
         assert d_hi == pytest.approx(hi, abs=1e-6)
@@ -79,7 +80,7 @@ class TestDistanceAlpha:
             for alpha in (0.0, 0.3, 0.7, 1.0):
                 d = fg.fuzzy_distance(a, b)
                 lo, hi = d.cut(alpha)
-                assert 0.0 <= lo <= d.params.dc <= hi
+                assert 0.0 <= lo <= d.dc <= hi
 
 
 class TestFuzzyDistance:
@@ -269,12 +270,12 @@ def assert_extrema_match_fan(a, b):
     """
     d = fg.fuzzy_distance(a, b)
     fan_lo, fan_hi, _, _ = theta_grid_extrema(a, b, 0.0, samples=200_000)
-    [(theta_min, theta_max, refined)] = _extremal_directions([d.params])
-    p = d.params
-    flat = p.d1 == p.d2 == 0.0 and p.R1 == p.R2
+    geometry = _geometry(a, b)
+    [(theta_min, theta_max, refined)] = _extremal_directions([geometry])
+    flat = d.d1 == d.d2 == 0.0 and d.R1 == d.R2
     assert refined == (not flat)
-    assert d.params.gap(theta_min, 1.0) <= fan_lo + 1e-9
-    assert d.params.gap(theta_max, 1.0) >= fan_hi - 1e-9
+    assert _gap(*geometry, theta_min, 1.0) <= fan_lo + 1e-9
+    assert _gap(*geometry, theta_max, 1.0) >= fan_hi - 1e-9
     lo0, hi0 = d.cut(0.0)
     assert lo0 <= fan_lo + 1e-9
     assert hi0 >= fan_hi - 1e-9
@@ -343,15 +344,20 @@ def _bits(directions):
             [d[2] for d in directions])
 
 
+def _row(d):
+    """The row fields (R1, R2, d1, d2, dc, u0) of a FuzzyDistance."""
+    return (d.R1, d.R2, d.d1, d.d2, d.dc, d.u0)
+
+
 def assert_solver_matches_reference(pairs):
     """Alone, as one batch and by the one-pair solve, every pair's directions
     equal the np.roots solver's bits."""
-    params = [fg.DistanceMembershipParams.from_points(a, b) for a, b in pairs]
-    reference = [extremal_directions_reference(p) for p in params]
+    geometries = [_geometry(a, b) for a, b in pairs]
+    reference = [extremal_directions_reference(g) for g in geometries]
     want = _bits(reference)
-    assert _bits([d for p in params for d in _extremal_directions([p])]) == want
-    assert _bits(_extremal_directions(params)) == want
-    assert _bits([_pair_directions(p) for p in params]) == want
+    assert _bits([d for g in geometries for d in _extremal_directions([g])]) == want
+    assert _bits(_extremal_directions(geometries)) == want
+    assert _bits([_pair_directions(*g) for g in geometries]) == want
     # FuzzyDistance(a, b) keeps the solve's upper direction; its lower one
     # is the touching angle where the supports overlap
     single = [fg.FuzzyDistance(a, b) for a, b in pairs]
@@ -397,7 +403,7 @@ class TestExtremalDirections:
                 b = fg.FuzzyPoint(a.core, random_point(rng).spread)
             d = fg.fuzzy_distance(a, b)
             lo0, hi0 = d.cut(0.0)
-            xs = np.append(np.linspace(max(0.0, lo0 - 0.1), hi0 + 0.1, 25), d.params.dc)
+            xs = np.append(np.linspace(max(0.0, lo0 - 0.1), hi0 + 0.1, 25), d.dc)
             for x in xs:
                 assert d.membership(float(x)) == pytest.approx(
                     bisect_membership(d.cut, float(x)), abs=1e-8)
@@ -414,8 +420,8 @@ class TestExtremalDirections:
         tol = 1e-12 * (1.0 + hi[0])
         assert np.all(np.diff(lo) >= -tol)
         assert np.all(np.diff(hi) <= tol)
-        assert np.all(lo <= d.params.dc + tol)
-        assert np.all(hi >= d.params.dc - tol)
+        assert np.all(lo <= d.dc + tol)
+        assert np.all(hi >= d.dc - tol)
 
 
 class TestBatchedSolver:
@@ -441,9 +447,10 @@ class TestBatchedSolver:
         # closed form; only a zero constant term takes the batched path
         batched = []
         monkeypatch.setattr(distance, "_extremal_directions",
-                            lambda params: batched.append(params) or _extremal_directions(params))
+                            lambda geometries: batched.append(geometries)
+                            or _extremal_directions(geometries))
         for a, b in QUARTIC_GEOMETRIES.values():
-            if _quartic(fg.DistanceMembershipParams.from_points(a, b))[1][4] != 0.0:
+            if _quartic(*_geometry(a, b))[1][4] != 0.0:
                 fg.FuzzyDistance(a, b)
         for a, b in EQUAL_SPREAD_PAIRS.values():
             fg.FuzzyDistance(a, b)
@@ -459,8 +466,7 @@ class TestBatchedSolver:
         assert_solver_matches_reference([pairs[i] for i in order])
 
     def test_zero_constant_term_is_stripped_like_np_roots(self):
-        p = fg.DistanceMembershipParams.from_points(*ZERO_CONSTANT_PAIR)
-        quartic = _quartic(p)[1]
+        quartic = _quartic(*_geometry(*ZERO_CONSTANT_PAIR))[1]
         assert quartic[-1] == 0.0 and quartic[-2] != 0.0
         polys = [quartic, (1.0, 2.0, 3.0, 4.0, 5.0), (1.0, -6.0, 11.0, -6.0, 0.0),
                  (1.0, 0.0, -1.0, 0.0, 0.0), (-2.0, 1.0, 0.5, -3.0, 7.0)]
@@ -473,13 +479,57 @@ class TestBatchedSolver:
                  *(pair for kind in _cut_table_pairs(rng).values() for pair in kind)]
         alphas = np.linspace(0.0, 1.0, 11)
         assert fg.DistanceTable([]).rows() == []
-        for batched, (a, b) in zip(fg.DistanceTable(pairs).rows(), pairs):
+        table = fg.DistanceTable(pairs)
+        columns = np.array((table.R1, table.R2, table.d1, table.d2, table.dc, table.u0)).T
+        for batched, column, (a, b) in zip(table.rows(), columns.tolist(), pairs, strict=True):
             single = fg.FuzzyDistance(a, b)
-            assert batched.params == single.params
+            # the row fields, bit for bit: repr tells 0.0 from -0.0
+            assert repr(_row(batched)) == repr(_row(single)) == repr(tuple(column))
             assert (batched.argmin_theta, batched.argmax_theta, batched.refined) == (
                 single.argmin_theta, single.argmax_theta, single.refined)
             assert np.array_equal(np.array(batched.cut_table(alphas)),
                                   np.array(single.cut_table(alphas)))
+
+
+def _bound_geometries(rng):
+    """Seeded (R1, R2, d1, d2) with R1 != R2: random offsets, d1 = 0 (either
+    sign of zero), d2 = 0, offsets times 1e-12 and concentric cores."""
+    geometries = []
+    for _ in range(60):
+        R1, R2 = rng.uniform(0.05, 3.0, 2).tolist()
+        d1, d2 = rng.uniform(-5.0, 5.0, 2).tolist()
+        geometries += [(R1, R2, d1, d2), (R1, R2, 0.0, d2), (R1, R2, -0.0, d2),
+                       (R1, R2, d1, 0.0), (R1, R2, 1e-12 * d1, 1e-12 * d2), (R1, R2, 0.0, 0.0)]
+    return geometries
+
+
+class TestBaseAngle:
+    """phi + pi on the diagonal that the signs of d1, d2 and R2 - R1 pick."""
+
+    def test_leading_coefficient_bound(self, rng):
+        # |g(phi + pi)| >= |(r2 d2, r1 d1, e/2)| / sqrt(2) in units of
+        # max(R1, R2): the quartic's roots stay bounded
+        for R1, R2, d1, d2 in _bound_geometries(rng):
+            m = max(R1, R2)
+            r1, r2 = R1 / m, R2 / m
+            norm = math.hypot(r2 * (d2 / m), r1 * (d1 / m), 0.5 * (r2 * r2 - r1 * r1))
+            lead = _quartic(R1, R2, d1, d2)[1][0]
+            assert abs(lead) >= (1.0 - 1e-12) * norm / math.sqrt(2.0), (R1, R2, d1, d2)
+
+    def test_swap_is_a_relabelling(self, rng):
+        # swapping A and B negates the offset: the opposite diagonal, the
+        # same quartic bit for bit, and every direction turned by pi
+        pairs = [(random_elliptical(rng), random_elliptical(rng)) for _ in range(100)]
+        pairs += [(random_elliptical(rng, -1.0, 1.0, 1.5, 2.0),
+                   random_elliptical(rng, -1.0, 1.0, 1.5, 2.0)) for _ in range(100)]
+        for a, b in pairs:
+            R1, R2, d1, d2 = _geometry(a, b)
+            assert d1 != 0.0 and d2 != 0.0 and R1 != R2
+            assert repr(_quartic(R1, R2, -d1, -d2)[1]) == repr(_quartic(R1, R2, d1, d2)[1])
+            ab, ba = fg.FuzzyDistance(a, b), fg.FuzzyDistance(b, a)
+            for t_ab, t_ba in ((ab.argmin_theta, ba.argmin_theta),
+                               (ab.argmax_theta, ba.argmax_theta)):
+                assert abs((t_ba - t_ab) % TWO_PI - math.pi) <= 2.0 * math.ulp(math.pi), (a, b)
 
 
 # the 22 points of the CI timing step: circular and elliptical, 231 pairs,
@@ -502,17 +552,18 @@ class TestClosedFormDirections:
 
     @pytest.mark.parametrize("name", sorted(EQUAL_SPREAD_PAIRS))
     def test_matches_dense_fan(self, name):
-        p = fg.DistanceMembershipParams.from_points(*EQUAL_SPREAD_PAIRS[name])
-        assert p.R1 == p.R2
-        theta_min, theta_max, refined = _pair_directions(p)
-        assert refined == (p.dc != 0.0)
+        geometry = R1, R2, _, _ = _geometry(*EQUAL_SPREAD_PAIRS[name])
+        dc = fg.FuzzyDistance(*EQUAL_SPREAD_PAIRS[name]).dc
+        assert R1 == R2
+        theta_min, theta_max, refined = _pair_directions(*geometry)
+        assert refined == (dc != 0.0)
         # in units of the pair's size, in which the gap is at most 1
-        size = p.R1 + p.dc
-        fan = p.gap(np.linspace(0.0, TWO_PI, 100_000, endpoint=False), 1.0) / size
-        lo, hi = p.gap(theta_min, 1.0) / size, p.gap(theta_max, 1.0) / size
+        size = R1 + dc
+        fan = _gap(*geometry, np.linspace(0.0, TWO_PI, 100_000, endpoint=False), 1.0) / size
+        lo, hi = _gap(*geometry, theta_min, 1.0) / size, _gap(*geometry, theta_max, 1.0) / size
         eps = 4.0 * np.finfo(float).eps
         assert lo <= fan.min() + eps and hi >= fan.max() - eps
-        assert abs(lo - abs(p.dc - p.R1) / size) <= eps and abs(hi - 1.0) <= eps
+        assert abs(lo - abs(dc - R1) / size) <= eps and abs(hi - 1.0) <= eps
 
     @pytest.mark.parametrize("name", sorted(EQUAL_SPREAD_PAIRS))
     def test_solves_match_reference(self, name):
@@ -532,10 +583,10 @@ class TestClosedFormDirections:
     def test_axis_aligned_offsets(self, offset, theta_min, theta_max):
         # exact angles, with +0.0 for 0, by every path
         for pair in _axis_pairs(offset):
-            p = fg.DistanceMembershipParams.from_points(*pair)
-            assert repr((p.d1, p.d2)) == repr(offset)
+            geometry = _geometry(*pair)
+            assert repr(geometry[2:]) == repr(offset)
             d, table = fg.FuzzyDistance(*pair), fg.DistanceTable([pair])
-            for got in (_pair_directions(p)[:2], _extremal_directions([p])[0][:2],
+            for got in (_pair_directions(*geometry)[:2], _extremal_directions([geometry])[0][:2],
                         (d.argmin_theta, d.argmax_theta),
                         (table.theta_min[0], table.theta_max[0])):
                 assert repr(tuple(float(t) for t in got)) == repr((theta_min, theta_max))
@@ -548,8 +599,9 @@ class TestClosedFormDirections:
         for table_pairs in (ci_pairs, ci_pairs[:7], pairs):
             table = fg.DistanceTable(table_pairs)
             assert_rows_equal_single_pair_distances(table, table_pairs)
-            assert _bits(_extremal_directions([d.params for d in table.rows()])) == _bits(
-                [extremal_directions_reference(d.params) for d in table.rows()])
+            geometries = [_row(d)[:4] for d in table.rows()]
+            assert _bits(_extremal_directions(geometries)) == _bits(
+                [extremal_directions_reference(g) for g in geometries])
 
     def test_no_quartic_for_equal_spreads(self, monkeypatch):
         # neither the array quartic solve nor LAPACK sees an equal-spread pair
@@ -572,9 +624,9 @@ class TestClosedFormDirections:
     def test_nonfinite_unit_geometry_rejected(self, offset):
         # as the quartic path rejects it: an offset that is not finite, or
         # that overflows in units of R = 2e-10
-        p = fg.DistanceMembershipParams(2e-10, 2e-10, *offset, math.hypot(*offset))
         geometry = np.array([[1.0, 1.0, 0.0, 3.0], [2e-10, 2e-10, *offset]]).T
-        for solve in (lambda: _pair_directions(p), lambda: distance._solve_directions(geometry)):
+        for solve in (lambda: _pair_directions(2e-10, 2e-10, *offset),
+                      lambda: distance._solve_directions(geometry)):
             with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
                 solve()
 
@@ -601,7 +653,7 @@ class TestEqualSpreadLowerEnd:
         u0s = []
         for a, b in self.tangent_pairs(rng, 200):
             d = fg.fuzzy_distance(a, b)
-            dc, u0 = d.params.dc, d.params.separation_level
+            dc, u0 = d.dc, d.u0
             u0s.append(u0)
             for x in (dc * np.geomspace(1e-12, 0.5, 40)).tolist():
                 if x < d.summary.l:
@@ -621,11 +673,11 @@ class TestEqualSpreadLowerEnd:
                   for s, t in rng.uniform((1.3, 0.0), (5.0, TWO_PI), size=(20, 2)).tolist()]
         for a, b in pairs:
             d = fg.fuzzy_distance(a, b)
-            assert d.params.separation_level > 1.0
-            assert d.params.R1 == d.params.R2 and d._inverse[6] is None
-            lo0, dc = d.summary.l, d.params.dc
+            assert d.u0 > 1.0
+            assert d.R1 == d.R2 and d._inverse[6] is None
+            lo0, dc = d.summary.l, d.dc
             # the grade's slope is u0/dc, so x's rounding costs u0 ulps of 1
-            assert 0.0 <= d.membership(lo0) <= 4.0 * eps * d.params.separation_level
+            assert 0.0 <= d.membership(lo0) <= 4.0 * eps * d.u0
             assert d.membership(math.nextafter(lo0, -math.inf)) == 0.0
             for x in np.linspace(lo0, dc, 33).tolist():
                 grade = d.membership(x)
@@ -707,7 +759,7 @@ class TestCutTable:
         for kind, pairs in _cut_table_pairs(rng).items():
             for a, b in pairs:
                 d = fg.fuzzy_distance(a, b)
-                u0 = d.params.separation_level
+                u0 = d.u0
                 assert {"separate": u0 > 1.0, "overlapping": 0.0 < u0 < 1.0,
                         "touching": u0 == 1.0, "concentric": u0 == 0.0 and d.refined,
                         "flat": not d.refined}[kind]
@@ -772,10 +824,8 @@ def assert_rows_equal_single_pair_distances(table, pairs):
                   table.theta_min, table.theta_max, table.refined)
     for row, column, (a, b) in zip(table.rows(), columns, pairs, strict=True):
         single = fg.FuzzyDistance(a, b)
-        p = single.params
-        assert row.params == p
-        want = (p.R1, p.R2, p.d1, p.d2, p.dc, p.separation_level, single.argmin_theta,
-                single.argmax_theta, single.refined)
+        assert repr(_row(row)) == repr(_row(single))
+        want = (*_row(single), single.argmin_theta, single.argmax_theta, single.refined)
         assert repr(tuple(np.array(column[:8]).tolist())) == repr(want[:8])
         assert column[8] == want[8]
         assert repr((row.argmin_theta, row.argmax_theta, row.refined)) == repr(want[-3:])
@@ -822,7 +872,7 @@ class TestDistanceTable:
         pairs = [(_shifted(_scaled_point(a, s), x), _shifted(_scaled_point(b, s), x))
                  for s in (2.0 ** -30, 0.25, 1.0, 1024.0) for x in (0.0, 3.0, -7.0)]
         for a, b in pairs:
-            quartic = _quartic(fg.DistanceMembershipParams.from_points(a, b))[1]
+            quartic = _quartic(*_geometry(a, b))[1]
             assert quartic[4] == 0.0 and quartic[3] != 0.0
         assert_rows_equal_single_pair_distances(fg.DistanceTable(pairs), pairs)
 
@@ -929,8 +979,8 @@ class TestCutFormula:
                               np.column_stack((table.dc, table.dc)).view(np.int64))
         for a, b in pairs[:50]:
             d = fg.FuzzyDistance(a, b)
-            assert repr(d.cut(1.0)) == repr((d.params.dc, d.params.dc))
-            assert d.membership(d.params.dc) == 1.0
+            assert repr(d.cut(1.0)) == repr((d.dc, d.dc))
+            assert d.membership(d.dc) == 1.0
 
 
 class TestCoreAngleProposition:

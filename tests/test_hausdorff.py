@@ -174,6 +174,12 @@ def _point(rng, x, y, scale):
     return fg.FuzzyPoint.elliptical(x, y, p1, p2)
 
 
+def _scaled(p, s):
+    """p with its core coordinates and spread radii multiplied by s."""
+    return fg.FuzzyPoint(fg.Point2(p.core.x * s, p.core.y * s),
+                         fg.Spread(p.spread.kind, p.spread.p1 * s, p.spread.p2 * s))
+
+
 def _mixed_pairs(rng, shift):
     """Pairs of a seeded scene of circular and elliptical points at one scale
     in 10^[-3, 3], shifted from the origin by shift times that scale, with
@@ -226,11 +232,9 @@ class TestHausdorffRows:
 
     @pytest.mark.parametrize("core_a, core_b, radius", [
         ((1.0, 0.0), (1.0, 0.0), 1.0),             # coincident cores
-        ((1e200, 1e200), (2e200, 2e200), 1.0),     # c is inf - inf: a core off its line
-        ((1e300, 0.0), (-1e300, 1e300), 1.0),      # the anchor overflows
         ((-1.7e308, 0.0), (1.7e308, 0.0), 1.0),    # the normal overflows
         ((1e308, 0.0), (1.5e308, 0.0), 1e308),     # a projected end overflows
-    ], ids=["coincident", "off-line", "anchor", "normal", "triple"])
+    ], ids=["coincident", "normal", "triple"])
     def test_failing_pair_named_with_reference_message(self, core_a, core_b, radius):
         ok = (fg.FuzzyPoint.circular(0, 0, 1), fg.FuzzyPoint.circular(3, 4, 1))
         bad = (fg.FuzzyPoint.circular(*core_a, radius), fg.FuzzyPoint.circular(*core_b, radius))
@@ -241,3 +245,27 @@ class TestHausdorffRows:
         assert (got.value.index, str(got.value)) == (2, str(want.value))
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             fg.fuzzy_hausdorff(*bad)
+
+    @pytest.mark.parametrize("k", [-1000, -600, -511, 511, 600, 1000])
+    def test_rows_scale_by_powers_of_two(self, rng, k):
+        # the pairs scaled by 2^k: every number scales by 2^k, bit for bit,
+        # except the line's unit normal (a, b) and theta
+        s = 2.0 ** k
+        for a, b in _mixed_pairs(rng, 0.0) + _mixed_pairs(rng, 1e3):
+            unit = hausdorff_rows([(a, b)])[0]
+            [row] = hausdorff_rows([(_scaled(a, s), _scaled(b, s))])
+            want = [x * s for x in unit[:9]] + [unit[9], unit[10], unit[11] * s, unit[12]]
+            assert _hex(row) == _hex(want), (a, b)
+
+    @pytest.mark.parametrize("core_a, core_b", [
+        # a*x + b*y of the unnormalised normal overflowed: c was inf - inf,
+        # a core off its line, and c was inf, an infinite anchor
+        ((1e200, 1e200), (2e200, 2e200)),
+        ((1e300, 0.0), (-1e300, 1e300)),
+    ], ids=["off-line", "anchor"])
+    def test_huge_coordinates(self, core_a, core_b):
+        pair = (fg.FuzzyPoint.circular(*core_a, 1.0), fg.FuzzyPoint.circular(*core_b, 1.0))
+        assert _hex(hausdorff_rows([pair])[0]) == _hex(hausdorff_reference(*pair))
+        dc = math.dist(core_a, core_b)
+        assert fg.fuzzy_hausdorff(*pair).summary.as_tuple() == pytest.approx(
+            (dc - 2.0, dc, dc + 2.0), rel=1e-15)

@@ -34,8 +34,6 @@ RECORDS = [
     (fg.FuzzyPoint, VALUE,
      lambda o: dict(core=fg.Point2(1.0, 2.0), spread=fg.Spread.circular(2.0 if o else 1.0))),
     (fg.TriangularTriple, VALUE, lambda o: dict(l=1.0, m=2.0, u=4.0 if o else 3.0)),
-    (fg.DistanceMembershipParams, VALUE,
-     lambda o: dict(R1=2.0, R2=3.0, d1=3.0, d2=4.0, dc=6.0 if o else 5.0)),
     (fg.LineSpec, VALUE, lambda o: dict(a=1.0, b=0.0, c=3.0 if o else 2.0)),
     (fg.TNorm, VALUE, lambda o: dict(name="min" if o else "minimum", fn=min)),
     (fg.Thresholds, VALUE, lambda o: dict(n=0.5, n1=0.25 if o else None, n2=0.5)),

@@ -343,6 +343,17 @@ class TestCli:
         # 9 significant digits of about 2.6e7
         assert payload["summary"] == pytest.approx([dc - 3.0, dc, dc + 3.0], abs=0.1)
 
+    def test_hausdorff_at_1e200(self, scene_file, tmp_path):
+        # a*x + b*y of the unnormalised core line normal would overflow here
+        points = [{"name": name, "core": core, "spread": {"kind": "circular", "radii": [1, 1]}}
+                  for name, core in (("A", [1e200, 1e200]), ("B", [2e200, 2e200]))]
+        text = json.dumps({"points": points, "pairs": [["A", "B"]]})
+        out = tmp_path / "out"
+        assert run(["hausdorff", "--scene", scene_file(text), "--out", str(out)]) == 0
+        payload = json.loads((out / "A_B_hausdorff.json").read_text())
+        dc = float(np.hypot(1e200, 1e200))
+        assert payload["summary"] == pytest.approx([dc - 2.0, dc, dc + 2.0], rel=1e-8)
+
     def test_classify_far_from_origin(self, scene_file, tmp_path):
         text = EX42_SCENE.replace('"core": [0, 0]', '"core": [1.3e7, 7e6]').replace(
             '"core": [5, 0]', '"core": [13000004, 7000003]')
@@ -475,9 +486,9 @@ class TestCli:
 
     @pytest.mark.parametrize("core_c, core_d, message", [
         ([1, 0], [1, 0], "fuzzy Hausdorff distance requires distinct cores"),
-        # a*x + b*y overflows to inf - inf, so c is nan
-        ([1e200, 1e200], [2e200, 2e200], "projection line must pass through the fuzzy point core"),
-    ], ids=["coincident-cores", "core-off-its-line"])
+        # the core offset overflows, so the line has no unit normal
+        ([-1.7e308, 0], [1.7e308, 0], "line requires (a, b) != (0, 0)"),
+    ], ids=["coincident-cores", "normal-overflows"])
     def test_hausdorff_bad_pair_in_the_middle_named(self, core_c, core_d, message, scene_file,
                                                     tmp_path, capsys):
         points = [{"name": name, "core": core, "spread": {"kind": "circular", "radii": [1, 1]}}
@@ -681,7 +692,7 @@ class TestBlockFormatter:
         for a_name, b_name in scene.pairs:
             dist = fg.fuzzy_distance(*scene.pair_points((a_name, b_name)))
             expect(out / f"{a_name}_{b_name}_distance.csv", ["alpha", "lo", "mid", "hi"],
-                   [(alpha, lo, dist.params.dc, hi) for alpha, lo, hi in dist.cuts(7)])
+                   [(alpha, lo, dist.dc, hi) for alpha, lo, hi in dist.cuts(7)])
             for sub, ts in (("t", (0.05, 1.0, 20.0)), ("default", default_t)):
                 rows = []
                 for t in ts:
