@@ -12,7 +12,11 @@ The command comes first.  Each command accepts only the options it reads;
 any other is an argument error.  --format svg adds a midset SVG.  Exit
 status: 0 success, 1 argument, validation or I/O error, 2 internal numeric
 failure.  Every command names all its output files before it writes any,
-so a name too long for --out fails with nothing written.  svgout formats
+so a name too long for --out fails with nothing written.  An existing
+output file is rewritten in place and cut to its new length, so running
+again into the same --out is the cheap case; no file is written
+atomically, and an interrupted write may leave new bytes followed by old
+ones, as a truncating write could leave a short file.  svgout formats
 every number to 9 significant digits, so identical inputs give identical
 files.
 
@@ -71,9 +75,20 @@ def _require_circular(scene: Scene, command: str) -> None:
 
 
 def _write(path: str, text: str) -> None:
-    # binary mode skips the text layer, and every newline stays "\n"
-    with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
+    # An existing file is written over in place and then cut to its new
+    # length: truncating on open frees its blocks and allocates new ones,
+    # which costs several times the write.  Not atomic: an interrupted write
+    # may leave new bytes followed by old ones, as a truncating write could
+    # leave a short file.
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _alphas(levels: int) -> np.ndarray:

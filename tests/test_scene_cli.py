@@ -452,6 +452,46 @@ class TestCli:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("command", list(READS))
+    def test_rewriting_a_used_out_gives_the_fresh_bytes(self, command, scene_file, tmp_path):
+        # files of the output names, longer than, shorter than or equal to
+        # the real outputs, with modification times zeroed as the benchmark
+        # zeroes them: every one must be rewritten to the fresh bytes
+        scene = scene_file(json.dumps({"points": MIXED_POINTS, "pairs": MIXED_CIRCULAR_PAIRS,
+                                       "grids": {"bbox": MIXED_MIDSET_BBOX}}))
+        args = [arg.replace("csv", "svg") for arg in _reads(command)]  # midset writes SVG too
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        assert run([command, "--scene", scene, "--out", str(fresh), *args]) == 0
+        expected = _files(fresh)
+        assert len(expected) >= 3
+        used.mkdir()
+        for i, (name, data) in enumerate(sorted(expected.items())):
+            stale = [data + b"#" * 37, data[:len(data) // 2], data][i % 3]
+            (used / name).write_bytes(stale)
+            os.utime(used / name, ns=(0, 0))
+        assert run([command, "--scene", scene, "--out", str(used), *args]) == 0
+        assert _files(used) == expected
+        assert all((used / name).stat().st_mtime_ns > 0 for name in expected)
+
+    def test_directory_at_an_output_path_exit_1(self, scene_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "A_B_distance.csv").mkdir(parents=True)
+        assert run(["distance", "--scene", scene_file(EX22_SCENE), "--out", str(out)]) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.startswith("fuzgeo: error") and str(out / "A_B_distance.csv") in message
+
+    def test_new_output_file_mode_follows_the_umask(self, scene_file, tmp_path):
+        out = tmp_path / "out"
+        old = os.umask(0o027)
+        try:
+            assert run(["hausdorff", "--scene", scene_file(EX22_SCENE), "--out", str(out)]) == 0
+            with open(tmp_path / "reference", "wb"):
+                pass
+        finally:
+            os.umask(old)
+        mode = (out / "A_B_hausdorff.json").stat().st_mode & 0o777
+        assert mode == 0o666 & ~0o027 == (tmp_path / "reference").stat().st_mode & 0o777
+
     @pytest.mark.parametrize("command", ["distance", "metric-curve", "hausdorff", "midset",
                                          "classify", "invariance"])
     def test_name_too_long_for_out_writes_nothing(self, command, scene_file, tmp_path, capsys):
