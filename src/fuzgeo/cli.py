@@ -17,8 +17,12 @@ output file is rewritten in place and cut to its new length, so running
 again into the same --out is the cheap case; no file is written
 atomically, and an interrupted write may leave new bytes followed by old
 ones, as a truncating write could leave a short file.  svgout formats
-every number to 9 significant digits, so identical inputs give identical
-files.
+every number to 9 significant digits, exactly as '%.9g' % v, so identical
+inputs give identical files.  midset solves every pair before it writes
+any file, so a pair whose sampling fails is an error naming the pair with
+no midset file written; it then formats every polyline of the command in
+one svgout.fmt_rows pass, a numpy formatter that leaves the values it
+cannot place by decade, such as exponents, zeros and near-ties, to %.
 
 The environment variable FUZGEO_SEED fixes the seed used by randomized
 test sampling helpers; the CLI commands themselves are deterministic.
@@ -169,13 +173,23 @@ def cmd_midset(scene: Scene, args, out: str) -> None:
     csv_paths = {alpha: _paths(out, scene.pairs, f"_midset_a{name}.csv")
                  for name, alpha in levels.items()}
     svg_paths = _paths(out, scene.pairs, "_midset.svg")
-    for i, pair in enumerate(scene.pairs):
+    # every pair is solved before any file is written, so a pair whose
+    # sampling fails leaves no midset file
+    solved = []
+    for pair in scene.pairs:
         a, b = scene.pair_points(pair)
-        bbox = scene.grids.bbox or support_bbox(a, b)
-        result = compute_midset(a, b, alphas=alphas, bbox=bbox, resolution=resolution)
-        # every polyline formatted once, as x,y lines, for the CSV and the SVG
-        texts = [[fmt_rows(polyline) for polyline in entry.polylines]
-                 for entry in result.entries]
+        try:
+            bbox = scene.grids.bbox or support_bbox(a, b)
+            solved.append((a, b, compute_midset(a, b, alphas=alphas, bbox=bbox,
+                                                resolution=resolution)))
+        except (ValueError, OverflowError, FloatingPointError) as exc:
+            raise SceneError(f"pair {list(pair)}: {exc}") from None
+    # every polyline of the command formatted in one pass, as x,y lines, for
+    # the CSVs and the SVGs
+    formatted = iter(fmt_rows([polyline for _, _, result in solved
+                               for entry in result.entries for polyline in entry.polylines]))
+    for i, (a, b, result) in enumerate(solved):
+        texts = [[next(formatted) for _ in entry.polylines] for entry in result.entries]
         # entries come sorted by alpha: one CSV per level
         for alpha, group in groupby(zip(result.entries, texts), key=lambda e: e[0].alpha):
             rows = ["branch,polyline,x,y\n"]

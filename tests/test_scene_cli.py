@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import fuzgeo as fg
 from fuzgeo import cli
 from fuzgeo.cli import run
-from fuzgeo.svgout import distance_json, fmt, fmt_rows, hausdorff_json, invariance_json
+from fuzgeo.svgout import (NUMBER, distance_json, fmt, fmt_rows, hausdorff_json,
+                           invariance_json)
 from oracles import line_frame, midset_files_reference, reference_json, reference_rows
 
 EX22_SCENE = """
@@ -516,6 +517,26 @@ class TestCli:
         assert run(["hausdorff", "--scene", scene_file(text), "--out", str(out)]) == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("size, message", [
+        (1e154, "cannot convert float infinity to integer"),
+        (1e156, "cannot convert float NaN to integer")])
+    def test_midset_failing_pair_named_and_nothing_written(self, size, message, scene_file,
+                                                          tmp_path, capsys):
+        # (C, D) is solved first and succeeds; (A, B), the pair (0, 0) r s and
+        # (2s, s) r 2s, fails in the sampler at these scales
+        points = [{"name": name, "core": [x * size, y * size],
+                   "spread": {"kind": "circular", "radii": [r * size] * 2}}
+                  for name, x, y, r in (("A", 0, 0, 1), ("B", 2, 1, 2))]
+        points += [{"name": name, "core": [x, 0], "spread": {"kind": "circular", "radii": [r, r]}}
+                   for name, x, r in (("C", 0, 1), ("D", 5, 2))]
+        text = json.dumps({"points": points, "pairs": [["C", "D"], ["A", "B"]]})
+        out = tmp_path / "out"
+        assert run(["midset", "--scene", scene_file(text), "--out", str(out),
+                    "--resolution", "32", "--format", "svg"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"fuzgeo: error: pair ['A', 'B']: {message}")
+        assert list(out.iterdir()) == []
+
     def test_hausdorff_concentric_pair_named(self, scene_file, tmp_path, capsys):
         text = EX22_SCENE.replace('"pairs": [["A", "B"]]', '"pairs": [["A", "B"], ["A", "C"]]')
         text = text.replace('"points": [', """"points": [
@@ -700,15 +721,46 @@ class TestBlockFormatter:
            st.integers(1, 5))
     def test_rows_match_reference(self, values, width):
         block = np.array(values[:len(values) // width * width], dtype=float).reshape(-1, width)
-        assert fmt_rows(block) == reference_rows(block)
+        [text] = fmt_rows([block])
+        assert text == reference_rows(block)
         # the SVG points attribute: x,y pairs joined by spaces
-        assert fmt_rows(block)[:-1].replace("\n", " ") == reference_rows(block, end=" ")[:-1]
+        assert text[:-1].replace("\n", " ") == reference_rows(block, end=" ")[:-1]
 
     def test_special_values(self):
         block = np.array(SPECIAL).reshape(-1, 2)
-        assert fmt_rows(block) == reference_rows(block)
+        assert fmt_rows([block]) == [reference_rows(block)]
         for x in SPECIAL:
             assert fmt(x) == format(float(x), ".9g")
+
+    def test_exact_on_seeded_values(self, rng):
+        # the placed range, every decade's scaling, the ties the placed path
+        # leaves to %, and the values %.9g writes with an exponent
+        ties = (rng.integers(10**8, 10**9, 100_000) + 0.5) * 10.0 ** rng.integers(-13, 2, 100_000)
+        tens = 10.0 ** np.arange(-320, 309)
+        values = np.concatenate([
+            rng.uniform(-6.0, 6.0, 300_000),
+            rng.standard_normal(200_000) * 10.0 ** rng.integers(-12, 15, 200_000),
+            rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64),
+            ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+            tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), -tens,
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 9.99999999e-5, 1e-4, 99999999.5,
+             999999999.5]])
+        rng.shuffle(values)
+        blocks, start = [], 0
+        while start < len(values):
+            width = int(rng.integers(1, 6))
+            rows = min(int(rng.integers(0, 4000)), (len(values) - start) // width)
+            if rows == 0:
+                width, rows = 1, len(values) - start
+            blocks.append(values[start:start + rows * width].reshape(rows, width))
+            start += rows * width
+        blocks.insert(len(blocks) // 2, np.empty((0, 2)))
+        assert len(values) >= 1_200_000
+        texts = fmt_rows(blocks)
+        assert len(texts) == len(blocks)
+        for block, text in zip(blocks, texts):
+            row = ",".join([NUMBER] * block.shape[1]) + "\n"
+            assert text == (row * len(block)) % tuple(block.ravel().tolist())
 
     def test_cli_csvs_match_reference_writer(self, scene_file, tmp_path):
         mixed = {"points": MIXED_POINTS}
@@ -800,6 +852,41 @@ class TestBlockFormatter:
                 assert path.read_bytes() == text.encode("utf-8"), path.name
             assert (out / f"{stem}_midset.svg").read_bytes() == svg.encode("utf-8")
         assert vertices > 500
+
+    def test_cli_midset_batch_matches_one_pair_scenes(self, scene_file, tmp_path):
+        # one call formats every pair's polylines in one pass; split back per
+        # pair, each pair's files are those of a scene of that pair alone.
+        # Equal-spread, externally and internally tangent, concentric and
+        # overlapping pairs, and one near x = 1e9, whose x values %.9g
+        # writes with an exponent and the formatter leaves to %
+        specs = [((0, 0, 2), (5, 0, 2)), ((0, 0, 1), (3, 0, 2)), ((0, 0, 1), (2, 0, 3)),
+                 ((0, 0, 1), (0, 0, 2)), ((0, 0, 1), (2, 0, 2)), ((1e9, 0, 1), (1e9 + 5, 0, 2)),
+                 ((0, 0, 2), (1, 0, 4))]
+        points, pairs = [], []
+        for i, spec in enumerate(specs):
+            names = [f"P{i}{side}" for side in "ab"]
+            points += [{"name": name, "core": [x, y],
+                        "spread": {"kind": "circular", "radii": [r, r]}}
+                       for name, (x, y, r) in zip(names, spec)]
+            pairs.append(names)
+        # 8568 values: the formatter's passes of at least 4096 values end inside
+        # and between pairs
+        argv = ["--alpha-levels", "4", "--resolution", "128", "--format", "svg"]
+        batch = tmp_path / "batch"
+        text = json.dumps({"points": points, "pairs": pairs})
+        assert run(["midset", "--scene", scene_file(text), "--out", str(batch), *argv]) == 0
+        names = set()
+        for i, pair in enumerate(pairs):
+            single = tmp_path / f"single{i}"
+            text = json.dumps({"points": points[2 * i:2 * i + 2], "pairs": [pair]})
+            assert run(["midset", "--scene", scene_file(text, f"pair{i}.json"),
+                        "--out", str(single), *argv]) == 0
+            files = sorted(path.name for path in single.iterdir())
+            assert len(files) == 5
+            for name in files:
+                assert (batch / name).read_bytes() == (single / name).read_bytes(), name
+            names.update(files)
+        assert sorted(path.name for path in batch.iterdir()) == sorted(names)
 
     def test_cli_jsons_match_reference_writer(self, scene_file, tmp_path):
         mixed = {"points": MIXED_POINTS}
